@@ -13,10 +13,8 @@ sigma^y factors per term, so all matrices are real symmetric.
 """
 
 from .blocks import (
-    AxisCoefficients,
     BlockGeometry,
     CouplingParams,
-    axis_coefficients,
     block_geometry,
     block_hamiltonian,
     interblock_bonds,
@@ -49,6 +47,7 @@ from .pauli import (
     embed_pauli,
     embed_y_real,
     parity_operator,
+    spin_flip,
     two_site_term,
 )
 from .rgflow import (
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "AxisCoefficients",
     "BlockConcurrence",
     "BlockGeometry",
     "ConcurrenceCurve",
@@ -101,7 +99,6 @@ __all__ = [
     "ScalingFit",
     "ScalingUnderflowError",
     "StructureError",
-    "axis_coefficients",
     "basis_label",
     "block_concurrence",
     "block_geometry",
@@ -129,6 +126,7 @@ __all__ = [
     "renormalized_operators",
     "rg_map",
     "rg_trajectory",
+    "spin_flip",
     "sqrt_psd",
     "system_size",
     "two_site_term",

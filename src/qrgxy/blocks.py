@@ -13,6 +13,7 @@ reference-state comparisons in the tests depend on this ordering bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -51,12 +52,6 @@ class BlockGeometry:
     intra_bonds: Tuple[Tuple[int, int, Axis], ...]  # (center, corner, axis)
 
 
-class AxisCoefficients(NamedTuple):
-    c1: float
-    c2: float
-    c3: float
-
-
 _AXES = (Axis.X, Axis.Y, Axis.Z)
 
 
@@ -83,43 +78,32 @@ def block_geometry(dimension: int) -> BlockGeometry:
     )
 
 
-def axis_coefficients(dimension: int) -> AxisCoefficients:
-    """Per-axis bond weights c1 = 1, c2 = (d-1)/2^((d-1)(d-2)/2),
-    c3 = (d-1)(d-2)/2.
-
-    For d <= 3 these evaluate to plain on/off switches: (1,0,0), (1,1,0),
-    (1,1,1).
-    """
-    if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
-    d = dimension
-    c2 = (d - 1) / 2.0 ** ((d - 1) * (d - 2) / 2)
-    c3 = (d - 1) * (d - 2) / 2
-    return AxisCoefficients(1.0, float(c2), float(c3))
+@functools.cache
+def _bond_sums(geometry: BlockGeometry) -> Tuple[np.ndarray, np.ndarray]:
+    """XX = sum over center-corner bonds of sx sx, and YY likewise for sy sy;
+    built once per geometry and returned read-only."""
+    n = geometry.n_sites
+    xx = np.zeros((2 ** n, 2 ** n))
+    yy = np.zeros((2 ** n, 2 ** n))
+    for center, corner, _axis in geometry.intra_bonds:
+        xx += two_site_term(Axis.X, center, corner, n)
+        yy += two_site_term(Axis.Y, center, corner, n)
+    xx.flags.writeable = False
+    yy.flags.writeable = False
+    return xx, yy
 
 
 def block_hamiltonian(params: CouplingParams, geometry: BlockGeometry) -> np.ndarray:
     """H_B = (J/4) * sum over center-corner bonds of
-    c_axis * [(1+gamma) sx sx + (1-gamma) sy sy].
+    [(1+gamma) sx sx + (1-gamma) sy sy] = (J/4) * [(1+gamma) XX + (1-gamma) YY].
 
     The anisotropy enters with opposite signs on the x and y pair terms
     (gamma_x = +gamma, gamma_y = -gamma). Real symmetric, traceless,
-    dimension 2^n_sites.
+    dimension 2^n_sites. Summing the bonds first is exact: distinct bonds flip
+    distinct spin pairs, so every matrix entry gets exactly one bond's term.
     """
-    coeffs = axis_coefficients(geometry.dimension)
-    weight = {Axis.X: coeffs.c1, Axis.Y: coeffs.c2, Axis.Z: coeffs.c3}
-    n = geometry.n_sites
-    h = np.zeros((2 ** n, 2 ** n))
-    scale = params.j / 4.0
-    for center, corner, axis in geometry.intra_bonds:
-        c = weight[axis]
-        if c == 0.0:
-            continue
-        h += (scale * c) * (
-            (1.0 + params.gamma) * two_site_term(Axis.X, center, corner, n)
-            + (1.0 - params.gamma) * two_site_term(Axis.Y, center, corner, n)
-        )
-    return h
+    xx, yy = _bond_sums(geometry)
+    return (params.j / 4.0) * ((1.0 + params.gamma) * xx + (1.0 - params.gamma) * yy)
 
 
 def interblock_bonds(geometry: BlockGeometry):

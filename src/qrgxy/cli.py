@@ -9,15 +9,16 @@ Error messages are a single stderr line prefixed with 'qrg-error:'.
 
 Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
-defaults. No environment variables are consulted. Identical configuration
-produces byte-identical output regardless of --threads.
+defaults. No environment variables are consulted. --threads (config key
+'threads') is accepted, and checked to be >= 1 by the sweep commands, but has
+no effect: every command runs serially, so identical configuration produces
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -125,12 +126,14 @@ def _odd_grid(args, cfg, default, minimum):
     return grid
 
 
-def _threads(args, cfg):
-    return _as_int("threads", _pick(args, cfg, "threads", os.cpu_count() or 1), lo=1)
+def _check_threads(args, cfg):
+    _as_int("threads", _pick(args, cfg, "threads", 1), lo=1)
 
 
 def _format(args, cfg):
-    fmt = _pick(args, cfg, "fmt", "csv")
+    fmt = getattr(args, "fmt", None)
+    if fmt is None:
+        fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"field 'format' must be 'csv' or 'json', got {fmt!r}")
     return fmt
@@ -217,12 +220,12 @@ def cmd_concurrence(args):
     j = _coupling(args, cfg)
     steps = _as_int("steps", _pick(args, cfg, "steps", 2), lo=0, hi=64)
     grid = _odd_grid(args, cfg, default=2001, minimum=5)
-    threads = _threads(args, cfg)
+    _check_threads(args, cfg)
     fmt = _format(args, cfg)
     out = _pick(args, cfg, "out")
     rows = []
     for step in range(steps + 1):
-        curve = concurrence_curve(dim, step, grid, j=j, threads=threads)
+        curve = concurrence_curve(dim, step, grid, j=j)
         deriv = derivative_curve(curve)
         for g, c, a in zip(curve.gamma_grid, curve.values, deriv.abs_derivative):
             rows.append(
@@ -243,9 +246,9 @@ def cmd_scaling(args):
     dim = _dim(args, cfg)
     steps = _step_list(args, cfg, dim)
     grid = _odd_grid(args, cfg, default=2001, minimum=5)
-    threads = _threads(args, cfg)
+    _check_threads(args, cfg)
     out = _pick(args, cfg, "out")
-    rows = peak_points(dim, steps, grid, threads=threads)
+    rows = peak_points(dim, steps, grid)
     dfit = derivative_scaling(dim, points=rows)
     efit = entanglement_exponent(dim, points=rows)
     report = {
@@ -341,10 +344,10 @@ def cmd_jsweep(args):
     dim = _dim(args, cfg)
     grid = _odd_grid(args, cfg, default=21, minimum=3)
     js = _j_list(args, cfg)
-    threads = _threads(args, cfg)
+    _check_threads(args, cfg)
     out = _pick(args, cfg, "out")
     gammas = np.linspace(-1.0, 1.0, grid)
-    values = concurrence_j_sweep(dim, gammas, js, threads=threads)
+    values = concurrence_j_sweep(dim, gammas, js)
     spread = float(np.max(values.max(axis=1) - values.min(axis=1)))
     lines = ["gamma,j,concurrence"]
     for gi, g in enumerate(gammas):
@@ -370,11 +373,11 @@ def _build_parser():
         sp.add_argument("--j", type=float, default=None, help="coupling strength j > 0 (default 1)")
         sp.add_argument("--config", default=None, help="JSON config file; flags override it")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        # accepted everywhere so sweeps can be capped uniformly; serial
-        # commands take it and ignore it, output never depends on it
+        # kept so existing invocations and configs stay valid; the sweep
+        # commands check it is >= 1, nothing reads it further
         sp.add_argument(
             "--threads", type=int, default=None,
-            help="sweep parallelism cap (default: machine parallelism); results do not depend on it",
+            help="accepted for compatibility; no effect, everything runs serially",
         )
         if fmt:
             sp.add_argument("--format", dest="fmt", default=None, help="csv (default) or json")

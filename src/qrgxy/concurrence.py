@@ -8,8 +8,6 @@ tests enforce rather than assume.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence, Tuple
@@ -109,12 +107,10 @@ def wootters_concurrence(rdm) -> float:
 # block-level concurrences are pure functions of (dimension, gamma, j); grid
 # sweeps and derivative probes revisit the same parameters constantly
 _CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def clear_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    _CACHE.clear()
 
 
 def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrence:
@@ -127,8 +123,7 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     not.
     """
     key = (dimension, round(float(params.gamma), 12), round(float(params.j), 12))
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
+    hit = _CACHE.get(key)
     if hit is not None:
         return hit
     geometry = block_geometry(dimension)
@@ -146,17 +141,8 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     else:
         geo = float(np.exp(np.mean([np.log(c) for _, c in per])))
     result = BlockConcurrence(per_pair=per, geometric_mean=geo)
-    with _CACHE_LOCK:
-        _CACHE[key] = result
+    _CACHE[key] = result
     return result
-
-
-def _map_ordered(fn, xs, threads):
-    """Map preserving input order; thread pool only when asked for."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(fn, xs))
-    return [fn(x) for x in xs]
 
 
 def flowed_concurrence(dimension: int, rg_step: int, gamma: float, j: float = 1.0) -> float:
@@ -172,7 +158,6 @@ def concurrence_curve(
     rg_step: int,
     grid: int = 2001,
     j: float = 1.0,
-    threads: int = 1,
 ) -> ConcurrenceCurve:
     """Concurrence against the initial gamma on a uniform odd grid over
     [-1, 1] (odd so that gamma = 0 is a grid point), after rg_step
@@ -180,7 +165,7 @@ def concurrence_curve(
     if grid < 3 or grid % 2 == 0:
         raise ValueError(f"gamma grid must be odd and >= 3, got {grid}")
     gs = np.linspace(-1.0, 1.0, grid)
-    vals = _map_ordered(lambda g: flowed_concurrence(dimension, rg_step, float(g), j), gs, threads)
+    vals = [flowed_concurrence(dimension, rg_step, float(g), j) for g in gs]
     return ConcurrenceCurve(
         dimension=dimension,
         rg_step=rg_step,
@@ -193,7 +178,6 @@ def concurrence_j_sweep(
     dimension: int,
     gamma_grid: Sequence[float],
     j_grid: Sequence[float],
-    threads: int = 1,
 ) -> np.ndarray:
     """Concurrence on a (gamma, j) grid at rg step 0, shaped
     (len(gamma_grid), len(j_grid)). Physically the j axis is flat; the CLI
@@ -202,10 +186,9 @@ def concurrence_j_sweep(
     j_grid = np.asarray(j_grid, dtype=float)
     if j_grid.size == 0 or np.any(j_grid <= 0):
         raise ValueError("all j values must be > 0")
-    points = [(float(g), float(j)) for g in gamma_grid for j in j_grid]
-    vals = _map_ordered(
-        lambda gj: block_concurrence(CouplingParams(gj[1], gj[0]), dimension).geometric_mean,
-        points,
-        threads,
-    )
+    vals = [
+        block_concurrence(CouplingParams(float(j), float(g)), dimension).geometric_mean
+        for g in gamma_grid
+        for j in j_grid
+    ]
     return np.asarray(vals, dtype=float).reshape(len(gamma_grid), len(j_grid))

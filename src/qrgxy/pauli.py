@@ -14,7 +14,9 @@ a wrong real matrix.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
+from typing import Tuple
 
 import numpy as np
 
@@ -77,6 +79,23 @@ def embed_y_real(site: int, n_spins: int) -> np.ndarray:
     """
     _check_sites(n_spins, site)
     return _single_site(SIGMA_Y_REAL, site, n_spins)
+
+
+@functools.cache
+def spin_flip(site: int, n_spins: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(flip, signs), read-only, with v @ embed_pauli(Axis.X, site, n_spins)
+    == v[flip] and v @ embed_y_real(site, n_spins) == v[flip] * signs
+    exactly for any vector v: both operators send each basis state to the one
+    with this spin flipped, sigma^x with sign +1 and (-i sigma^y) with -1
+    where the spin is down."""
+    _check_sites(n_spins, site)
+    index = np.arange(2 ** n_spins)
+    bit = 1 << (n_spins - 1 - site)
+    flip = index ^ bit
+    signs = np.where(index & bit, -1.0, 1.0)
+    flip.flags.writeable = False
+    signs.flags.writeable = False
+    return flip, signs
 
 
 def two_site_term(axis: Axis, site_a: int, site_b: int, n_spins: int) -> np.ndarray:

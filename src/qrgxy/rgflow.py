@@ -16,7 +16,7 @@ single-representative-bond convention.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -25,7 +25,7 @@ import numpy as np
 from .blocks import BlockGeometry, CouplingParams, block_geometry, block_hamiltonian, interblock_bonds
 from .errors import DegeneracyError, QRGError, StructureError
 from .numerics import eigh_symmetric
-from .pauli import Axis, embed_pauli, embed_y_real, parity_operator
+from .pauli import parity_operator, spin_flip
 
 DEGENERACY_RTOL = 1e-8   # doublet splitting tolerance, relative to spectral spread
 PARITY_TOL = 1e-9
@@ -78,6 +78,13 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec if vec[idx] > 0 else -vec
 
 
+@functools.cache
+def _parity_signs(n_spins: int) -> np.ndarray:
+    signs = np.diagonal(parity_operator(n_spins)).copy()
+    signs.flags.writeable = False
+    return signs
+
+
 def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
     """Diagonalize the block and rotate the two lowest states into parity
     eigenstates.
@@ -102,9 +109,8 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
             f"third level E3 = {w[2]:.12g} falls inside the doublet tolerance "
             f"{tol:.3e} of E2 = {w[1]:.12g}; ground space is not twofold"
         )
-    p = parity_operator(geometry.n_sites)
     plane = v[:, :2]
-    m = plane.T @ (p @ plane)
+    m = plane.T @ (_parity_signs(geometry.n_sites)[:, None] * plane)
     mw, mv = np.linalg.eigh(m)
     if abs(mw[0] + 1.0) > PARITY_TOL or abs(mw[1] - 1.0) > PARITY_TOL:
         raise StructureError(
@@ -135,19 +141,19 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
     identically (the building block is antisymmetric), so no separate check
     is needed there.
     """
-    n = doublet.n_spins
-    sx = embed_pauli(Axis.X, corner, n)
-    d1 = float(doublet.phi1 @ sx @ doublet.phi1)
-    d2 = float(doublet.phi2 @ sx @ doublet.phi2)
-    off = float(doublet.phi1 @ sx @ doublet.phi2)
-    off_t = float(doublet.phi2 @ sx @ doublet.phi1)
+    flip, signs = spin_flip(corner, doublet.n_spins)
+    x1 = doublet.phi1[flip]  # phi1 @ sx
+    x2 = doublet.phi2[flip]
+    d1 = float(x1 @ doublet.phi1)
+    d2 = float(x2 @ doublet.phi2)
+    off = float(x1 @ doublet.phi2)
+    off_t = float(x2 @ doublet.phi1)
     if max(abs(d1), abs(d2)) > STRUCTURE_TOL or abs(off - off_t) > STRUCTURE_TOL:
         raise StructureError(
             f"projected sigma^x at site {corner} is not proportional to sigma'^x: "
             f"diagonal ({d1:.3e}, {d2:.3e}), off-diagonals ({off:.12g}, {off_t:.12g})"
         )
-    ky = embed_y_real(corner, n)
-    xi_y = -float(doublet.phi1 @ ky @ doublet.phi2)
+    xi_y = -float((x1 * signs) @ doublet.phi2)
     return RenormalizedOperators(xi_x=off, xi_y=xi_y, corner=corner)
 
 
@@ -159,22 +165,19 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
 # under the gamma value rounded to 12 decimals.
 
 _CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 CACHE_GAMMA_DECIMALS = 12
 
 
 def clear_cache() -> None:
     """Drop memoized flow coefficients (tests use this to force genuinely
     cold recomputation, e.g. when checking J-independence)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    _CACHE.clear()
 
 
 def _flow_coefficients(dimension: int, gamma: float):
     """(xi_x^2, xi_y^2, gamma') for one block at unit J."""
     key = (dimension, round(float(gamma), CACHE_GAMMA_DECIMALS))
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
+    hit = _CACHE.get(key)
     if hit is not None:
         return hit
     geometry = block_geometry(dimension)
@@ -194,8 +197,7 @@ def _flow_coefficients(dimension: int, gamma: float):
     if 1.0 < abs(gp) <= 1.0 + 1e-12:
         gp = 1.0 if gp > 0 else -1.0
     result = (xx, yy, gp)
-    with _CACHE_LOCK:
-        _CACHE[key] = result
+    _CACHE[key] = result
     return result
 
 

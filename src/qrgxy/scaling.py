@@ -233,7 +233,6 @@ def peak_points(
     dimension: int,
     steps: Sequence[int] | None = None,
     grid: int = 2001,
-    threads: int = 1,
 ):
     """(step, N, gamma_m, peak |dC/dgamma|) rows for the requested steps.
 
@@ -246,7 +245,7 @@ def peak_points(
     rows = []
     for step in steps:
         n = system_size(dimension, step)
-        curve = concurrence_curve(dimension, step, grid, threads=threads)
+        curve = concurrence_curve(dimension, step, grid)
         gamma_m, peak = _refined_peak(derivative_curve(curve), "negative")
         rows.append((step, n, gamma_m, peak))
     return rows
@@ -256,7 +255,6 @@ def entanglement_exponent(
     dimension: int,
     steps: Sequence[int] | None = None,
     grid: int = 2001,
-    threads: int = 1,
     points: Sequence[tuple] | None = None,
 ) -> ExponentEstimate:
     """theta from the least-squares line through (ln N, ln(gamma_c - gamma_m))
@@ -266,7 +264,7 @@ def entanglement_exponent(
     and skips the curve pipeline: that is how the fit identity itself gets
     checked (an exact power law gamma_m = -N**-t must return theta = t), and
     how the CLI avoids recomputing rows it already has."""
-    rows = points if points is not None else peak_points(dimension, steps, grid, threads)
+    rows = points if points is not None else peak_points(dimension, steps, grid)
     for step, _n, gamma_m, _peak in rows:
         if -gamma_m < UNDERFLOW_FLOOR:
             raise ScalingUnderflowError(
@@ -284,12 +282,11 @@ def derivative_scaling(
     dimension: int,
     steps: Sequence[int] | None = None,
     grid: int = 2001,
-    threads: int = 1,
     points: Sequence[tuple] | None = None,
 ) -> ScalingFit:
     """Least-squares line through (ln N, ln max|dC/dgamma|). points as in
     entanglement_exponent."""
-    rows = points if points is not None else peak_points(dimension, steps, grid, threads)
+    rows = points if points is not None else peak_points(dimension, steps, grid)
     for step, _n, _gamma_m, peak in rows:
         if not peak > 0.0:
             raise ScalingUnderflowError(

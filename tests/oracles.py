@@ -129,6 +129,30 @@ def xy_hamiltonian_complex(j, gamma, n_spins, bonds):
     return (j / 4.0) * h
 
 
+def xy_hamiltonian_per_bond(j, gamma, n_spins, bonds):
+    """(j/4) * sum over (a, b) of [(1+gamma) X_a X_b + (1-gamma) Y_a Y_b] in
+    real arithmetic, one bond at a time, each term a full 2^n Kronecker
+    embedding, with Y_a Y_b = -(K_a K_b) for the real K = -i sigma^y. The
+    package sums the bonds once and scales the sums; since every matrix entry
+    gets exactly one bond's term, the two must agree bit for bit."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    k = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def embed(op, site):
+        out = np.array([[1.0]])
+        for s in range(n_spins):
+            out = np.kron(out, op if s == site else np.eye(2))
+        return out
+
+    h = np.zeros((2 ** n_spins, 2 ** n_spins))
+    scale = j / 4.0
+    for a, b in bonds:
+        xx = embed(sx, a) @ embed(sx, b)
+        yy = -(embed(k, a) @ embed(k, b))
+        h += scale * ((1.0 + gamma) * xx + (1.0 - gamma) * yy)
+    return h
+
+
 def wootters_concurrence_complex(rho):
     """Concurrence from the non-symmetric eigenproblem of rho * rho_tilde,
     using the complex sigma^y spin flip."""

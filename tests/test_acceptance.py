@@ -7,7 +7,6 @@ full-resolution scaling sweep is computed once and shared.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -41,7 +40,6 @@ from reference_data import ISING_DOUBLETS, KNOWN_FLOWS, ket_index, known_flow, v
 from test_concurrence import partial_trace_max_error
 from test_numerics import random_symmetric
 
-THREADS = os.cpu_count() or 1
 GRID = 2001
 
 
@@ -51,7 +49,7 @@ def scaling_data():
     default step ranges; shared by the two scaling criteria."""
     data = {}
     for dim in (1, 2, 3):
-        rows = peak_points(dim, steps=None, grid=GRID, threads=THREADS)
+        rows = peak_points(dim, steps=None, grid=GRID)
         data[dim] = {
             "rows": rows,
             "dfit": derivative_scaling(dim, points=rows),
@@ -145,7 +143,7 @@ def test_acceptance_06_flow_sharpens_the_transition(scaling_data):
     for dim in (1, 2, 3):
         peaks, positions = [], []
         for step in (0, 1, 2):
-            curve = concurrence_curve(dim, step, GRID, threads=THREADS)
+            curve = concurrence_curve(dim, step, GRID)
             gm, pk = _refined_peak(derivative_curve(curve), "negative")
             peaks.append(pk)
             positions.append(gm)
@@ -193,7 +191,7 @@ def test_acceptance_09_concurrence_is_j_independent():
     gammas = np.linspace(-1.0, 1.0, 21)
     js = (0.1, 0.5, 1.0, 2.0, 10.0)
     for dim in (1, 2, 3):
-        sweep = concurrence_j_sweep(dim, gammas, js, threads=THREADS)
+        sweep = concurrence_j_sweep(dim, gammas, js)
         spread = float(np.max(np.max(sweep, axis=1) - np.min(sweep, axis=1)))
         print(f"dim {dim}: max spread across j = {spread:.3g}")
         assert spread <= 1e-10

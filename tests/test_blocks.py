@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qrgxy.blocks import (
     CouplingParams,
-    axis_coefficients,
     block_geometry,
     block_hamiltonian,
     interblock_bonds,
@@ -14,18 +13,13 @@ from qrgxy.blocks import (
 from qrgxy.numerics import eigh_symmetric
 from qrgxy.pauli import Axis, parity_operator
 
-from oracles import xy_hamiltonian_complex
+from oracles import xy_hamiltonian_complex, xy_hamiltonian_per_bond
 
 
 def _complex_twin(params, geometry):
-    """The same Hamiltonian built with textbook complex Paulis."""
-    coeffs = axis_coefficients(geometry.dimension)
-    weight = {Axis.X: coeffs.c1, Axis.Y: coeffs.c2, Axis.Z: coeffs.c3}
-    bonds = [
-        (center, corner, weight[axis])
-        for center, corner, axis in geometry.intra_bonds
-        if weight[axis] != 0.0
-    ]
+    """The same Hamiltonian built with textbook complex Paulis; every
+    center-corner bond has unit weight."""
+    bonds = [(center, corner, 1.0) for center, corner, _axis in geometry.intra_bonds]
     return xy_hamiltonian_complex(params.j, params.gamma, geometry.n_sites, bonds)
 
 
@@ -39,6 +33,26 @@ def test_block_hamiltonian_matches_complex_oracle(dim, gamma):
     twin = _complex_twin(params, geometry)
     assert np.max(np.abs(twin.imag)) == 0.0
     assert np.max(np.abs(h - twin.real)) <= 1e-14
+
+
+# summing the bonds once per geometry changes no bit of the per-bond sum
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("gamma", [-1.0, -0.3, 0.0, 1e-7, 0.7, 1.0])
+def test_block_hamiltonian_bit_identical_to_per_bond_build(dim, gamma):
+    geometry = block_geometry(dim)
+    bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
+    for j in (0.1, 1.3, 10.0):
+        h = block_hamiltonian(CouplingParams(j, gamma), geometry)
+        ref = xy_hamiltonian_per_bond(j, gamma, geometry.n_sites, bonds)
+        assert np.array_equal(h, ref)
+        assert np.array_equal(np.signbit(h), np.signbit(ref))
+
+
+def test_block_hamiltonian_is_a_fresh_writable_array():
+    geometry = block_geometry(1)
+    h = block_hamiltonian(CouplingParams(1.0, 0.2), geometry)
+    h[0, 0] = 5.0  # callers own the result; the cached bond sums stay intact
+    assert block_hamiltonian(CouplingParams(1.0, 0.2), geometry)[0, 0] == 0.0
 
 
 def test_coupling_params_validation():
@@ -84,12 +98,6 @@ def test_geometry_star_2d_3d():
             assert corner in sites
     with pytest.raises(ValueError):
         block_geometry(4)
-
-
-def test_axis_coefficients_are_switches():
-    assert axis_coefficients(1) == (1.0, 0.0, 0.0)
-    assert axis_coefficients(2) == (1.0, 1.0, 0.0)
-    assert axis_coefficients(3) == (1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -146,6 +146,23 @@ def test_config_file_supplies_defaults_flags_override(tmp_path):
     assert float(lines[1].split(",")[2]) == -0.26
 
 
+def test_config_format_key_selects_json(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": "json"}))
+    proc = run_cli("flow", "--dim", "1", "--gamma0", "0.3", "--steps", "1", "--config", str(cfg))
+    rows = json.loads(proc.stdout)
+    assert [r["step"] for r in rows] == [0, 1]
+
+
+def test_config_format_key_is_validated(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    proc = run_cli("flow", "--dim", "1", "--gamma0", "0.3", "--config", str(cfg), expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qrg-error: ")
+    assert len(proc.stderr.strip().split("\n")) == 1
+
+
 BAD_INVOCATIONS = [
     ("flow", "--gamma0", "0.1"),                      # dim missing
     ("flow", "--dim", "5", "--gamma0", "0.1"),        # dim out of range
@@ -156,6 +173,7 @@ BAD_INVOCATIONS = [
     ("concurrence", "--dim", "1", "--grid", "4"),     # even grid
     ("scaling", "--dim", "1", "--steps", "3"),        # fits need two steps
     ("scaling", "--dim", "1", "--steps", "1,banana"),
+    ("scaling", "--dim", "1", "--threads", "0"),     # ignored, still validated
     ("jsweep", "--dim", "1", "--js", "1,0"),
     ("fixed-points", "--dim", "1", "--grid", "50"),
     ("groundstate", "--dim", "1", "--config", "/nonexistent/config.json"),

@@ -249,9 +249,3 @@ def test_curve_contents():
     assert np.all(curve.values >= 0.0)
     assert curve.values[0] <= 1e-9 and curve.values[-1] <= 1e-9
     assert np.max(np.abs(curve.values - curve.values[::-1])) < 1e-9
-
-
-def test_curve_thread_count_does_not_change_values():
-    serial = concurrence_curve(2, 0, grid=21, threads=1)
-    pooled = concurrence_curve(2, 0, grid=21, threads=4)
-    assert np.array_equal(serial.values, pooled.values)

@@ -10,6 +10,7 @@ from qrgxy.pauli import (
     embed_pauli,
     embed_y_real,
     parity_operator,
+    spin_flip,
     two_site_term,
 )
 
@@ -29,6 +30,18 @@ def test_real_pauli_algebra_matches_complex_oracle():
         xb = embed_complex(np.array([[0, 1], [1, 0]], dtype=complex), b, n)
         got = two_site_term(Axis.X, a, b, n)
         assert np.max(np.abs(got - (xa @ xb).real)) == 0.0
+
+
+def test_spin_flip_reproduces_x_and_y_embeddings_exactly():
+    rng = np.random.default_rng(7)
+    for n in range(1, 8):
+        for site in range(n):
+            v = rng.standard_normal(2 ** n)
+            flip, signs = spin_flip(site, n)
+            assert np.array_equal(v @ embed_pauli(Axis.X, site, n), v[flip])
+            assert np.array_equal(v @ embed_y_real(site, n), v[flip] * signs)
+    with pytest.raises(ValueError, match="out of range"):
+        spin_flip(3, 3)
 
 
 def test_embed_z_example():

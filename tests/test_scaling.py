@@ -169,7 +169,7 @@ def test_locate_max_side_argument_checked():
 
 
 def test_smooth_peak_2d_position_and_symmetry():
-    curve = concurrence_curve(2, 1, grid=201, threads=4)
+    curve = concurrence_curve(2, 1, grid=201)
     d = derivative_curve(curve)
     neg = locate_max(d, "negative")
     pos = locate_max(d, "positive")
@@ -179,7 +179,7 @@ def test_smooth_peak_2d_position_and_symmetry():
 
 
 def test_cusp_knee_1d_lands_on_the_saturation_grid_point():
-    curve = concurrence_curve(1, 1, grid=201, threads=4)
+    curve = concurrence_curve(1, 1, grid=201)
     d = derivative_curve(curve)
     gm = locate_max(d, "negative")
     g = d.gamma_grid
@@ -196,8 +196,8 @@ def test_cusp_knee_1d_lands_on_the_saturation_grid_point():
 def test_cusp_peak_values_follow_the_map_slope():
     # each coarse-graining step multiplies the slope at the critical point
     # by the map derivative 3, and the bare curve has unit slope at 0
-    c1 = concurrence_curve(1, 1, grid=201, threads=4)
-    c2 = concurrence_curve(1, 2, grid=201, threads=4)
+    c1 = concurrence_curve(1, 1, grid=201)
+    c2 = concurrence_curve(1, 2, grid=201)
     from qrgxy.scaling import _refined_peak
 
     _, p1 = _refined_peak(derivative_curve(c1), "negative")
@@ -216,7 +216,7 @@ def test_locate_max_insensitive_to_curve_j():
 
 
 def test_peak_points_rows_and_monotone_march():
-    rows = peak_points(2, steps=(1, 2), grid=201, threads=4)
+    rows = peak_points(2, steps=(1, 2), grid=201)
     assert [r[0] for r in rows] == [1, 2]
     assert [r[1] for r in rows] == [5, 25]
     g1, g2 = rows[0][2], rows[1][2]
