@@ -10,8 +10,8 @@ Error messages are a single stderr line prefixed with 'qrg-error:'.
 Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
 defaults. No environment variables are consulted. --threads (config key
-'threads') is accepted, and checked to be >= 1 by the sweep commands, but has
-no effect: every command runs serially, so identical configuration produces
+'threads') is accepted, and checked to be >= 1 by every command, but has no
+effect: every command runs serially, so identical configuration produces
 byte-identical output.
 """
 
@@ -39,6 +39,12 @@ from .scaling import (
 
 def _fmt(x) -> str:
     return "%.12g" % float(x)
+
+
+def _amplitude(x) -> str:
+    # rounding to the printed digits first lets + 0.0 also clear amplitudes
+    # below 5e-13 that would otherwise print as -0.000000000000
+    return "%.12f" % (round(float(x), 12) + 0.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,6 +209,7 @@ def cmd_flow(args):
     j = _coupling(args, cfg)
     gamma0 = _gamma(args, cfg, required=True)
     steps = _as_int("steps", _pick(args, cfg, "steps", 2), lo=0, hi=64)
+    _check_threads(args, cfg)
     fmt = _format(args, cfg)
     out = _pick(args, cfg, "out")
     traj = rg_trajectory(CouplingParams(j, gamma0), dim, steps)
@@ -285,6 +292,7 @@ def cmd_groundstate(args):
     dim = _dim(args, cfg)
     j = _coupling(args, cfg)
     gamma = _gamma(args, cfg, name="gamma0", default=1.0)
+    _check_threads(args, cfg)
     fmt = _format(args, cfg)
     out = _pick(args, cfg, "out")
     geometry = block_geometry(dim)
@@ -304,10 +312,9 @@ def cmd_groundstate(args):
         return 0
     lines = ["basis_index,basis_label,phi1,phi2"]
     for i in range(2 ** n):
-        # + 0.0 turns any -0.0 amplitude into a plain 0.0
         lines.append(
-            "%d,%s,%.12f,%.12f"
-            % (i, basis_label(i, n), doublet.phi1[i] + 0.0, doublet.phi2[i] + 0.0)
+            "%d,%s,%s,%s"
+            % (i, basis_label(i, n), _amplitude(doublet.phi1[i]), _amplitude(doublet.phi2[i]))
         )
     _write("\n".join(lines) + "\n", out)
     return 0
@@ -317,6 +324,7 @@ def cmd_fixed_points(args):
     cfg = _load_config(args.config)
     dim = _dim(args, cfg)
     grid = _as_int("grid", _pick(args, cfg, "grid", 401), lo=100)
+    _check_threads(args, cfg)
     out = _pick(args, cfg, "out")
     curve_out = _pick(args, cfg, "curve_out")
     points = fixed_points(dim, grid)
@@ -373,8 +381,8 @@ def _build_parser():
         sp.add_argument("--j", type=float, default=None, help="coupling strength j > 0 (default 1)")
         sp.add_argument("--config", default=None, help="JSON config file; flags override it")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        # kept so existing invocations and configs stay valid; the sweep
-        # commands check it is >= 1, nothing reads it further
+        # kept so existing invocations and configs stay valid; every
+        # command checks it is >= 1, nothing reads it further
         sp.add_argument(
             "--threads", type=int, default=None,
             help="accepted for compatibility; no effect, everything runs serially",

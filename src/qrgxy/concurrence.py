@@ -8,13 +8,14 @@ tests enforce rather than assume.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import CouplingParams, block_geometry
+from .blocks import BlockGeometry, CouplingParams, block_geometry
 from .errors import ContractError, QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import Axis, two_site_term
@@ -48,12 +49,17 @@ class ConcurrenceCurve:
     values: np.ndarray
 
 
-def density_matrix(state) -> np.ndarray:
-    """Rank-1 projector |state><state| of a normalized real state vector."""
+def _require_normalized(state) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     nrm2 = float(state @ state)
     if abs(nrm2 - 1.0) > NORM_TOL:
         raise ContractError(f"state is not normalized: |psi|^2 = {nrm2:.12g}")
+    return state
+
+
+def density_matrix(state) -> np.ndarray:
+    """Rank-1 projector |state><state| of a normalized real state vector."""
+    state = _require_normalized(state)
     return np.outer(state, state)
 
 
@@ -78,10 +84,14 @@ def partial_trace_pair(rho, keep) -> ReducedDensityMatrix:
     return ReducedDensityMatrix(rho=reduced, pair=(int(i), int(j)))
 
 
-def wootters_concurrence(rdm) -> float:
+def wootters_concurrence(rdm):
     """max(sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1), 0), the l's being the
     (descending) eigenvalues of sqrt(rho) rho~ sqrt(rho) with the spin-flipped
     rho~ = (yy) rho (yy).
+
+    Takes one 4x4 state, giving a float, or a (..., 4, 4) stack, giving an
+    array of shape (...); each state in a stack gets the same checks as a
+    single one.
 
     The density matrices here are real, so the complex conjugation in the
     spin flip drops out. Eigenvalues below 1e-12 * l_max are zeroed before
@@ -90,18 +100,40 @@ def wootters_concurrence(rdm) -> float:
     j-invariant concurrences.
     """
     rho = rdm.rho if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm, dtype=float)
-    if rho.shape != (4, 4):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"reduced state must be 4x4, got shape {rho.shape}")
     rho_t = _YY @ rho @ _YY
     root = sqrt_psd(rho)
     m = root @ rho_t @ root
-    m = 0.5 * (m + m.T)  # remove triple-product rounding asymmetry
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))  # remove triple-product rounding asymmetry
     lam = eigh_symmetric(m).eigenvalues
-    if lam[0] < LAMBDA_FLOOR:
-        raise QRGError(f"spin-flip spectrum went negative: {lam[0]:.3e}")
-    lam = np.where(lam < LAMBDA_NOISE_RTOL * max(float(lam[-1]), 0.0), 0.0, lam)
+    low = lam[..., 0].reshape(-1)
+    bad = np.flatnonzero(low < LAMBDA_FLOOR)
+    if bad.size:
+        raise QRGError(f"spin-flip spectrum went negative: {low[bad[0]]:.3e}")
+    lam = np.where(lam < LAMBDA_NOISE_RTOL * np.maximum(lam[..., -1:], 0.0), 0.0, lam)
     s = np.sqrt(np.clip(lam, 0.0, None))
-    return float(max(s[3] - s[2] - s[1] - s[0], 0.0))
+    c = np.maximum(s[..., 3] - s[..., 2] - s[..., 1] - s[..., 0], 0.0)
+    return float(c) if rho.ndim == 2 else c
+
+
+@functools.cache
+def _corner_pairs(geometry: BlockGeometry):
+    """(pairs, gather), read-only: every unordered corner pair (i, j), i < j,
+    and the index array of shape (pairs, 4, 2^(n-2)) with
+    state[gather[p]][a, r] = <a r|state> for pair p, a the pair's two legs
+    in order (i, j) and r the remaining spins, so the pair's reduced state is
+    M @ M.T with M = state[gather[p]]."""
+    n = geometry.n_sites
+    pairs = tuple(
+        tuple(sorted((a.site, b.site))) for a, b in combinations(geometry.corners, 2)
+    )
+    basis = np.arange(2 ** n).reshape((2,) * n)
+    gather = np.stack(
+        [np.moveaxis(basis, pair, (0, 1)).reshape(4, 2 ** (n - 2)) for pair in pairs]
+    )
+    gather.flags.writeable = False
+    return pairs, gather
 
 
 # block-level concurrences are pure functions of (dimension, gamma, j); grid
@@ -120,26 +152,24 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     Corner pairs are the right pairs to trace to: corners are exactly the
     spins that mediate interblock bonds, and the corner-pair value reproduces
     the known maxima 1/(2d) at gamma = 0 where the center-corner pair does
-    not.
+    not. All pairs are reduced from phi1 and passed through the Wootters
+    formula in one batched pass; partial_trace_pair gives the same states
+    one pair at a time.
     """
     key = (dimension, round(float(params.gamma), 12), round(float(params.j), 12))
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
     geometry = block_geometry(dimension)
-    doublet = ground_doublet(params, geometry)
-    rho = density_matrix(doublet.phi1)
-    pairs = [
-        tuple(sorted((a.site, b.site)))
-        for a, b in combinations(geometry.corners, 2)
-    ]
-    per = tuple(
-        (pair, wootters_concurrence(partial_trace_pair(rho, pair))) for pair in pairs
-    )
-    if any(c == 0.0 for _, c in per):
+    phi = _require_normalized(ground_doublet(params, geometry).phi1)
+    pairs, gather = _corner_pairs(geometry)
+    m = phi[gather]
+    conc = wootters_concurrence(m @ np.swapaxes(m, -1, -2))
+    per = tuple((pair, float(c)) for pair, c in zip(pairs, conc))
+    if np.any(conc == 0.0):
         geo = 0.0
     else:
-        geo = float(np.exp(np.mean([np.log(c) for _, c in per])))
+        geo = float(np.exp(np.mean(np.log(conc))))
     result = BlockConcurrence(per_pair=per, geometric_mean=geo)
     _CACHE[key] = result
     return result

@@ -29,8 +29,8 @@ class DegeneracyError(QRGError):
 
 
 class StructureError(QRGError):
-    """A rotated eigenspace or projected operator lost its required form
-    (parity invariance, pure sigma'^x / sigma'^y structure)."""
+    """The ground doublet or a projected operator lost its required form
+    (one even and one odd level, pure sigma'^x / sigma'^y structure)."""
 
 
 class ScalingUnderflowError(QRGError):

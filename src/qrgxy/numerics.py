@@ -26,27 +26,33 @@ class EigenDecomposition(NamedTuple):
 
 
 def _require_symmetric(a) -> np.ndarray:
+    """`a` as a float array of shape (..., n, n), each matrix checked on its
+    own; the first that fails is reported with its own scale and entry."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ContractError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
+    n = a.shape[-1]
     if n > MAX_DIM:
         raise ContractError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
     if n == 0:
         raise ContractError("matrix is empty")
-    scale = float(np.max(np.abs(a)))
-    dev = np.abs(a - a.T)
-    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    if dev[i, j] > SYMMETRY_RTOL * scale:
+    stack = a.reshape(-1, n, n)
+    scale = np.max(np.abs(stack), axis=(1, 2))
+    dev = np.abs(stack - stack.transpose(0, 2, 1)).reshape(len(stack), n * n)
+    bad = np.flatnonzero(np.max(dev, axis=1) > SYMMETRY_RTOL * scale)
+    if bad.size:
+        k = bad[0]
+        i, j = divmod(int(np.argmax(dev[k])), n)
         raise ContractError(
-            f"matrix not symmetric: |A[{i}][{j}] - A[{j}][{i}]| = {dev[i, j]:.3e} "
-            f"exceeds {SYMMETRY_RTOL:g} * max|A| = {SYMMETRY_RTOL * scale:.3e}"
+            f"matrix not symmetric: |A[{i}][{j}] - A[{j}][{i}]| = {dev[k, i * n + j]:.3e} "
+            f"exceeds {SYMMETRY_RTOL:g} * max|A| = {SYMMETRY_RTOL * scale[k]:.3e}"
         )
     return a
 
 
 def eigh_symmetric(a) -> EigenDecomposition:
-    """Full spectrum of a real symmetric matrix, eigenvalues ascending.
+    """Full spectrum of a real symmetric matrix, eigenvalues ascending; a
+    (..., n, n) stack gives (..., n) eigenvalues and (..., n, n) vectors.
 
     LAPACK's symmetric solver does the actual work; this wrapper enforces the
     symmetry contract up front and is the single eigensolver entry point for
@@ -64,7 +70,8 @@ def kron(a, b) -> np.ndarray:
 
 
 def sqrt_psd(a) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Symmetric PSD square root via eigendecomposition, of one matrix or of
+    each matrix in a (..., n, n) stack.
 
     Eigenvalues in [-1e-12, 0) are rounding debris from density-matrix
     assembly and get clamped to zero; anything more negative is a genuine
@@ -72,9 +79,11 @@ def sqrt_psd(a) -> np.ndarray:
     """
     a = _require_symmetric(a)
     w, v = np.linalg.eigh(a)
-    if w[0] < -PSD_CLAMP:
+    low = w[..., 0].reshape(-1)
+    bad = np.flatnonzero(low < -PSD_CLAMP)
+    if bad.size:
         raise ContractError(
-            f"matrix not PSD: smallest eigenvalue {w[0]:.6e} is below -{PSD_CLAMP:g}"
+            f"matrix not PSD: smallest eigenvalue {low[bad[0]]:.6e} is below -{PSD_CLAMP:g}"
         )
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)

@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .blocks import BlockGeometry, CouplingParams, block_geometry, block_hamiltonian, interblock_bonds
+from .blocks import BlockGeometry, CouplingParams, block_geometry, interblock_bonds
 from .errors import DegeneracyError, QRGError, StructureError
 from .numerics import eigh_symmetric
-from .pauli import parity_operator, spin_flip
+from .pauli import spin_flip
 
 DEGENERACY_RTOL = 1e-8   # doublet splitting tolerance, relative to spectral spread
-PARITY_TOL = 1e-9
 STRUCTURE_TOL = 1e-9
 
 
@@ -36,9 +35,10 @@ STRUCTURE_TOL = 1e-9
 class GroundDoublet:
     """Two orthonormal degenerate ground vectors, split by parity.
 
-    phi1 is the even-parity member, phi2 the odd one; both carry the sign
-    gauge that makes their largest-magnitude amplitude positive, so repeated
-    runs reproduce identical vectors.
+    phi1 is the even-parity member, phi2 the odd one, each exactly zero
+    outside its parity sector; both carry the sign gauge that makes their
+    largest-magnitude amplitude positive, so repeated runs reproduce
+    identical vectors.
     """
 
     energy: float
@@ -73,29 +73,68 @@ class FixedPoint:
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    # first entry of largest magnitude made positive: reproducible gauge
+    # first entry of largest magnitude made positive: reproducible gauge; the
+    # + 0.0 and 0.0 - keep exact zeros from turning into -0.0
     idx = int(np.argmax(np.abs(vec)))
-    return vec if vec[idx] > 0 else -vec
+    return vec + 0.0 if vec[idx] > 0 else 0.0 - vec
+
+
+class _ParitySectors(NamedTuple):
+    """The block's two parity sectors stacked on a leading axis: 0 even,
+    1 odd."""
+
+    index: np.ndarray  # (2, m) full-basis indices of each sector, ascending
+    xx: np.ndarray     # (2, m, m) XX and YY (see blocks.block_hamiltonian)
+    yy: np.ndarray     # restricted to each sector
 
 
 @functools.cache
-def _parity_signs(n_spins: int) -> np.ndarray:
-    signs = np.diagonal(parity_operator(n_spins)).copy()
-    signs.flags.writeable = False
-    return signs
+def _parity_sectors(geometry: BlockGeometry) -> _ParitySectors:
+    """Both parity sectors of the block, read-only, m = 2^(n-1) wide.
+
+    Every bond flips two spins, so XX and YY do not mix the sectors. Their
+    sector restrictions are filled straight from the bond flips, without
+    forming the 2^n matrices: sx_c sx_k sends basis state i to i with both
+    spins flipped with weight +1, and sy_c sy_k = -(K_c K_k), K = -i sy,
+    with weight -(sign_c sign_k). Each entry gets one bond's term, so every
+    entry equals the matching entry of the full XX or YY.
+    """
+    n = geometry.n_sites
+    flips = [spin_flip(site, n) for site in range(n)]
+    parity = np.prod([signs for _flip, signs in flips], axis=0)
+    index = np.stack([np.flatnonzero(parity == 1.0), np.flatnonzero(parity == -1.0)])
+    m = index.shape[1]
+    position = np.empty(2 ** n, dtype=np.intp)
+    position[index] = np.arange(m)
+    xx = np.zeros((2, m, m))
+    yy = np.zeros((2, m, m))
+    sector, cols = np.arange(2)[:, None], np.arange(m)
+    for center, corner, _axis in geometry.intra_bonds:
+        (flip_c, signs_c), (flip_k, signs_k) = flips[center], flips[corner]
+        rows = position[flip_c[flip_k[index]]]
+        xx[sector, rows, cols] = 1.0
+        yy[sector, rows, cols] = -(signs_c[index] * signs_k[index])
+    for arr in (index, xx, yy):
+        arr.flags.writeable = False
+    return _ParitySectors(index, xx, yy)
 
 
 def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
-    """Diagonalize the block and rotate the two lowest states into parity
-    eigenstates.
+    """Diagonalize the block in its two parity sectors and take each sector's
+    ground state.
 
-    A generic eigensolver returns an arbitrary rotation within the degenerate
-    ground plane; diagonalizing the 2x2 restriction of the parity operator to
-    that plane picks the unique even/odd pair, which is what makes the
-    projected corner operators come out in pure sigma'^x / sigma'^y form.
+    H commutes with the parity prod(sigma^z), so the two sectors are solved
+    on their own, at half the dimension of the block, in one stacked call.
+    Their merged spectrum is the block's full spectrum; it must show an
+    isolated twofold ground level made of one even and one odd level. Those
+    two ground vectors, embedded back into the full basis with exact zeros
+    outside their sector, are the parity eigenstates that make the projected
+    corner operators come out in pure sigma'^x / sigma'^y form.
     """
-    h = block_hamiltonian(params, geometry)
-    w, v = eigh_symmetric(h)
+    sectors = _parity_sectors(geometry)
+    h = (params.j / 4.0) * ((1.0 + params.gamma) * sectors.xx + (1.0 - params.gamma) * sectors.yy)
+    levels, vectors = eigh_symmetric(h)
+    w = np.sort(levels.reshape(-1))
     spread = float(w[-1] - w[0])
     tol = DEGENERACY_RTOL * spread
     if w[1] - w[0] > tol:
@@ -109,17 +148,14 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
             f"third level E3 = {w[2]:.12g} falls inside the doublet tolerance "
             f"{tol:.3e} of E2 = {w[1]:.12g}; ground space is not twofold"
         )
-    plane = v[:, :2]
-    m = plane.T @ (_parity_signs(geometry.n_sites)[:, None] * plane)
-    mw, mv = np.linalg.eigh(m)
-    if abs(mw[0] + 1.0) > PARITY_TOL or abs(mw[1] - 1.0) > PARITY_TOL:
+    if levels[:, 0].max() > w[1]:
         raise StructureError(
-            f"ground plane is not parity invariant: restricted parity eigenvalues "
-            f"({mw[0]:.12g}, {mw[1]:.12g}) instead of (-1, +1)"
+            f"ground doublet is not one even and one odd level: lowest even "
+            f"{levels[0, 0]:.12g}, lowest odd {levels[1, 0]:.12g}, E2 = {w[1]:.12g}"
         )
-    rotated = plane @ mv
-    phi2 = _fix_sign(rotated[:, 0])  # parity -1
-    phi1 = _fix_sign(rotated[:, 1])  # parity +1
+    phi1, phi2 = np.zeros((2, 2 ** geometry.n_sites))
+    for phi, index, ground in zip((phi1, phi2), sectors.index, vectors[:, :, 0]):
+        phi[index] = _fix_sign(ground)
     return GroundDoublet(
         energy=float(w[0]),
         phi1=phi1,

@@ -153,6 +153,28 @@ def xy_hamiltonian_per_bond(j, gamma, n_spins, bonds):
     return h
 
 
+def ground_doublet_full(params, geometry):
+    """(energy, phi1, phi2, gap_to_third) from the full 2^n block: one eigh
+    of the per-bond Kronecker build, then the 2x2 restriction of the parity
+    diag((-1)^popcount) to the ground plane is diagonalized to pick the even
+    (phi1) and odd (phi2) members, each sign-gauged so that its first entry
+    of largest magnitude is positive. The package solves the two parity
+    sectors separately instead; both must give the same doublet."""
+    bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
+    h = xy_hamiltonian_per_bond(params.j, params.gamma, geometry.n_sites, bonds)
+    w, v = np.linalg.eigh(h)
+    parity = np.array([(-1.0) ** bin(i).count("1") for i in range(2 ** geometry.n_sites)])
+    plane = v[:, :2]
+    pw, pv = np.linalg.eigh(plane.T @ (parity[:, None] * plane))
+    assert abs(pw[0] + 1.0) < 1e-9 and abs(pw[1] - 1.0) < 1e-9, pw
+
+    def gauged(vec):
+        return vec if vec[int(np.argmax(np.abs(vec)))] > 0 else -vec
+
+    rotated = plane @ pv
+    return float(w[0]), gauged(rotated[:, 1]), gauged(rotated[:, 0]), float(w[2] - w[1])
+
+
 def wootters_concurrence_complex(rho):
     """Concurrence from the non-symmetric eigenproblem of rho * rho_tilde,
     using the complex sigma^y spin flip."""

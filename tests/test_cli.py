@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from qrgxy import cli
 from qrgxy.blocks import CouplingParams
 from qrgxy.rgflow import rg_trajectory
 
@@ -98,6 +100,26 @@ def test_groundstate_json_round_trip():
     assert abs(n1 - 1.0) < 1e-12 and abs(n2 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_groundstate_prints_no_negative_zero_and_exact_parity_zeros(dim, capsys):
+    n = 2 * dim + 1
+    odd = [bin(i).count("1") % 2 for i in range(2 ** n)]
+    for gamma in ("-1", "-0.3", "0", "0.3", "1"):
+        argv = ["groundstate", "--dim", str(dim), "--gamma0", gamma]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")[1:]
+        assert not any("-0.000000000000" in line for line in lines)
+        for line, parity in zip(lines, odd):
+            phi1, phi2 = line.split(",")[2:]
+            assert (phi2 if parity == 0 else phi1) == "0.000000000000"
+        assert cli.main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for row, parity in zip(rows, odd):
+            assert not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in (row["phi1"], row["phi2"]))
+            forbidden = row["phi2"] if parity == 0 else row["phi1"]
+            assert forbidden == 0.0 and math.copysign(1.0, forbidden) > 0
+
+
 def test_fixed_points_json_and_curve_file(tmp_path):
     curve_path = tmp_path / "curve.csv"
     proc = run_cli("fixed-points", "--dim", "1", "--grid", "101", "--curve-out", str(curve_path))
@@ -174,6 +196,9 @@ BAD_INVOCATIONS = [
     ("scaling", "--dim", "1", "--steps", "3"),        # fits need two steps
     ("scaling", "--dim", "1", "--steps", "1,banana"),
     ("scaling", "--dim", "1", "--threads", "0"),     # ignored, still validated
+    ("flow", "--dim", "1", "--gamma0", "0.1", "--threads", "0"),
+    ("groundstate", "--dim", "1", "--threads", "-5"),
+    ("fixed-points", "--dim", "1", "--threads", "0"),
     ("jsweep", "--dim", "1", "--js", "1,0"),
     ("fixed-points", "--dim", "1", "--grid", "50"),
     ("groundstate", "--dim", "1", "--config", "/nonexistent/config.json"),

@@ -16,7 +16,7 @@ from qrgxy.concurrence import (
     partial_trace_pair,
     wootters_concurrence,
 )
-from qrgxy.errors import ContractError
+from qrgxy.errors import ContractError, QRGError
 from qrgxy.rgflow import ground_doublet, rg_trajectory
 
 from oracles import partial_trace_bruteforce, wootters_concurrence_complex
@@ -155,7 +155,56 @@ def test_concurrence_pure_state_formula(amplitudes):
     assert abs(wootters_concurrence(np.outer(v, v)) - want) < 5e-8
 
 
+def test_concurrence_of_a_stack_matches_one_state_at_a_time():
+    rng = np.random.default_rng(5)
+    states = []
+    for _ in range(6):
+        w = rng.random(2)
+        w /= w.sum()
+        states.append(sum(wk * np.outer(s, s) for wk, s in ((wk, random_state(rng, 4)) for wk in w)))
+    stack = np.array(states).reshape(2, 3, 4, 4)
+    got = wootters_concurrence(stack)
+    assert got.shape == (2, 3)
+    want = np.array([wootters_concurrence(r) for r in states]).reshape(2, 3)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_stack_reports_the_failing_state_like_a_single_call():
+    good = bell(0.6, 0.8)
+    not_psd = np.diag([0.75, 0.5, 0.0, -0.25])
+    with pytest.raises(ContractError) as single:
+        wootters_concurrence(not_psd)
+    with pytest.raises(ContractError) as stacked:
+        wootters_concurrence(np.array([good, not_psd, good]))
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stack_applies_the_spectrum_floor_per_state(monkeypatch):
+    # the pure Bell state has spin-flip spectrum (1, 0, 0, 0), the maximally
+    # mixed state (1/16, ...); a floor between the two trips only the first
+    monkeypatch.setattr(qc, "LAMBDA_FLOOR", 0.01)
+    mixed = np.eye(4) / 4.0
+    wootters_concurrence(mixed)
+    with pytest.raises(QRGError, match="went negative") as single:
+        wootters_concurrence(bell(1.0, 1.0))
+    with pytest.raises(QRGError) as stacked:
+        wootters_concurrence(np.array([mixed, bell(1.0, 1.0), mixed]))
+    assert str(stacked.value) == str(single.value)
+
+
 # -- block-level concurrences
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_pairs_match_one_partial_trace_per_pair(dim):
+    geometry = block_geometry(dim)
+    for gamma, j in [(-0.6, 1.0), (-0.2, 2.5), (0.0, 1.0), (0.3, 0.4), (0.7, 1.0)]:
+        params = CouplingParams(j, gamma)
+        qc.clear_cache()
+        bc = block_concurrence(params, dim)
+        rho = density_matrix(ground_doublet(params, geometry).phi1)
+        for pair, c in bc.per_pair:
+            assert abs(c - wootters_concurrence(partial_trace_pair(rho, pair))) < 1e-13
 
 
 def test_block_pair_count_and_maximum_at_isotropy():
@@ -215,6 +264,20 @@ def test_flowed_concurrence_composes_with_the_map():
     g2 = rg_trajectory(CouplingParams(1.0, g0), 1, 2).steps[-1].gamma
     direct = flowed_concurrence(1, 0, g2)
     assert abs(flowed - direct) < 1e-10
+
+
+def test_one_dimensional_flow_and_concurrence_follow_the_closed_form():
+    # gamma_k = tanh(3^k atanh gamma0) and C = (1-|gamma_k|)^2 / (2(1+gamma_k^2))
+    # on the chain, endpoints included
+    gammas = np.linspace(-1.0, 1.0, 201)
+    for k in range(4):
+        with np.errstate(divide="ignore"):
+            want_g = np.tanh(3.0 ** k * np.arctanh(gammas))
+        want_c = (1.0 - np.abs(want_g)) ** 2 / (2.0 * (1.0 + want_g ** 2))
+        for g0, wg, wc in zip(gammas, want_g, want_c):
+            traj = rg_trajectory(CouplingParams(1.0, float(g0)), 1, k)
+            assert abs(traj.steps[-1].gamma - wg) < 1e-12
+            assert abs(flowed_concurrence(1, k, float(g0)) - wc) < 1e-12
 
 
 def test_j_sweep_is_flat_in_j():

@@ -118,6 +118,36 @@ def test_eigh_reconstruction_property(n, seed):
     assert np.max(np.abs(back - a)) <= 1e-10 * scale
 
 
+def test_eigh_of_a_stack_matches_each_matrix():
+    stack = np.array([random_symmetric(5, seed) for seed in range(6)]).reshape(2, 3, 5, 5)
+    dec = eigh_symmetric(stack)
+    assert dec.eigenvalues.shape == (2, 3, 5) and dec.eigenvectors.shape == (2, 3, 5, 5)
+    for idx in np.ndindex(2, 3):
+        one = eigh_symmetric(stack[idx])
+        assert np.array_equal(dec.eigenvalues[idx], one.eigenvalues)
+        assert np.max(np.abs(np.abs(dec.eigenvectors[idx]) - np.abs(one.eigenvectors))) < 1e-12
+
+
+def test_stack_with_one_asymmetric_matrix_raises_the_single_message():
+    bad = random_symmetric(4, seed=1)
+    bad[3, 1] += 1e-3
+    with pytest.raises(ContractError) as single:
+        eigh_symmetric(bad)
+    stack = np.array([random_symmetric(4, seed=2), bad, random_symmetric(4, seed=3) * 100.0])
+    for fn in (eigh_symmetric, sqrt_psd):
+        with pytest.raises(ContractError) as stacked:
+            fn(stack)
+        assert str(stacked.value) == str(single.value)
+    assert "A[3][1]" in str(single.value)
+
+
+def test_stack_rejects_non_square_trailing_axes():
+    with pytest.raises(ContractError, match="square"):
+        eigh_symmetric(np.zeros((2, 3, 4)))
+    with pytest.raises(ContractError, match="square"):
+        eigh_symmetric(np.zeros(3))
+
+
 # -- sqrt_psd contract -----------------------------------------------------
 
 def test_sqrt_psd_squares_back():
@@ -149,6 +179,24 @@ def test_sqrt_psd_clamps_rounding_negatives():
 def test_sqrt_psd_rejects_indefinite_reporting_eigenvalue():
     with pytest.raises(ContractError, match=r"-5\.0+e-01"):
         sqrt_psd(np.diag([1.0, -0.5]))
+
+
+def test_sqrt_psd_of_a_stack():
+    rng = np.random.default_rng(12)
+    b = rng.standard_normal((4, 5, 5))
+    stack = b @ b.transpose(0, 2, 1)
+    roots = sqrt_psd(stack)
+    for a, r in zip(stack, roots):
+        assert np.max(np.abs(r - sqrt_psd(a))) <= 1e-13 * np.max(np.abs(a))
+
+
+def test_stack_with_one_indefinite_matrix_raises_the_single_message():
+    bad = np.diag([1.0, -0.5, 2.0])
+    with pytest.raises(ContractError) as single:
+        sqrt_psd(bad)
+    with pytest.raises(ContractError) as stacked:
+        sqrt_psd(np.array([np.eye(3), bad, np.diag([1.0, -0.75, 0.0])]))
+    assert str(stacked.value) == str(single.value)
 
 
 @settings(max_examples=25, deadline=None)
