@@ -19,7 +19,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .pauli import Axis, two_site_term
+from .pauli import Axis, parity_signs, spin_flip
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,48 @@ def block_geometry(dimension: int) -> BlockGeometry:
     )
 
 
+class ParitySectors(NamedTuple):
+    """The bond sums XX = sum of sx sx and YY = sum of sy sy over the
+    center-corner bonds, restricted to the block's two parity sectors and
+    stacked on a leading axis: 0 even, 1 odd."""
+
+    index: np.ndarray  # (2, m) full-basis indices of each sector, ascending
+    xx: np.ndarray     # (2, m, m)
+    yy: np.ndarray     # (2, m, m)
+
+    def hamiltonian(self, params: CouplingParams) -> np.ndarray:
+        """(2, m, m): H_B restricted to each sector."""
+        return (params.j / 4.0) * ((1.0 + params.gamma) * self.xx + (1.0 - params.gamma) * self.yy)
+
+
 @functools.cache
-def _bond_sums(geometry: BlockGeometry) -> Tuple[np.ndarray, np.ndarray]:
-    """XX = sum over center-corner bonds of sx sx, and YY likewise for sy sy;
-    built once per geometry and returned read-only."""
+def parity_sectors(geometry: BlockGeometry) -> ParitySectors:
+    """Both parity sectors of the block, read-only, m = 2^(n-1) wide; built
+    once per geometry.
+
+    Every bond flips two spins, so XX and YY do not mix the sectors. The
+    restrictions are filled straight from the bond flips: sx_c sx_k sends
+    basis state i to i with both spins flipped with weight +1, and
+    sy_c sy_k = -(K_c K_k), K = -i sy, with weight -(sign_c sign_k). Distinct
+    bonds flip distinct spin pairs, so every entry gets one bond's term.
+    """
     n = geometry.n_sites
-    xx = np.zeros((2 ** n, 2 ** n))
-    yy = np.zeros((2 ** n, 2 ** n))
+    parity = parity_signs(n)
+    index = np.stack([np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)])
+    m = index.shape[1]
+    position = np.empty(2 ** n, dtype=np.intp)
+    position[index] = np.arange(m)
+    xx = np.zeros((2, m, m))
+    yy = np.zeros((2, m, m))
+    sector, cols = np.arange(2)[:, None], np.arange(m)
     for center, corner, _axis in geometry.intra_bonds:
-        xx += two_site_term(Axis.X, center, corner, n)
-        yy += two_site_term(Axis.Y, center, corner, n)
-    xx.flags.writeable = False
-    yy.flags.writeable = False
-    return xx, yy
+        (flip_c, signs_c), (flip_k, signs_k) = spin_flip(center, n), spin_flip(corner, n)
+        rows = position[flip_c[flip_k[index]]]
+        xx[sector, rows, cols] = 1.0
+        yy[sector, rows, cols] = -(signs_c[index] * signs_k[index])
+    for arr in (index, xx, yy):
+        arr.flags.writeable = False
+    return ParitySectors(index, xx, yy)
 
 
 def block_hamiltonian(params: CouplingParams, geometry: BlockGeometry) -> np.ndarray:
@@ -99,11 +128,14 @@ def block_hamiltonian(params: CouplingParams, geometry: BlockGeometry) -> np.nda
 
     The anisotropy enters with opposite signs on the x and y pair terms
     (gamma_x = +gamma, gamma_y = -gamma). Real symmetric, traceless,
-    dimension 2^n_sites. Summing the bonds first is exact: distinct bonds flip
-    distinct spin pairs, so every matrix entry gets exactly one bond's term.
+    dimension 2^n_sites: the two sector blocks of parity_sectors placed in a
+    fresh matrix, zero between the sectors.
     """
-    xx, yy = _bond_sums(geometry)
-    return (params.j / 4.0) * ((1.0 + params.gamma) * xx + (1.0 - params.gamma) * yy)
+    sectors = parity_sectors(geometry)
+    h = np.zeros((2 ** geometry.n_sites,) * 2)
+    for index, block in zip(sectors.index, sectors.hamiltonian(params)):
+        h[np.ix_(index, index)] = block
+    return h
 
 
 def interblock_bonds(geometry: BlockGeometry):

@@ -114,16 +114,23 @@ def two_site_term(axis: Axis, site_a: int, site_b: int, n_spins: int) -> np.ndar
     raise ValueError("two-site terms are defined for axes X and Y only")
 
 
+@functools.cache
+def parity_signs(n_spins: int) -> np.ndarray:
+    """(-1)^popcount(i), read-only: +1 on basis states with an even number
+    of down spins. The diagonal of parity_operator."""
+    _check_sites(n_spins)
+    signs = np.array([(-1.0) ** (i.bit_count() & 1) for i in range(2 ** n_spins)])
+    signs.flags.writeable = False
+    return signs
+
+
 def parity_operator(n_spins: int) -> np.ndarray:
-    """diag((-1)^popcount(i)): +1 on basis states with an even number of
-    down spins.
+    """diag(parity_signs(n_spins)).
 
     This is the product of sigma^z over all sites; it commutes with every
     block Hamiltonian and labels the two members of the ground doublet.
     """
-    _check_sites(n_spins)
-    signs = np.array([(-1.0) ** (i.bit_count() & 1) for i in range(2 ** n_spins)])
-    return np.diag(signs)
+    return np.diag(parity_signs(n_spins))
 
 
 def basis_label(index: int, n_spins: int) -> str:

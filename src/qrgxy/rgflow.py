@@ -16,13 +16,12 @@ single-representative-bond convention.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .blocks import BlockGeometry, CouplingParams, block_geometry, interblock_bonds
+from .blocks import BlockGeometry, CouplingParams, block_geometry, interblock_bonds, parity_sectors
 from .errors import DegeneracyError, QRGError, StructureError
 from .numerics import eigh_symmetric
 from .pauli import spin_flip
@@ -79,46 +78,6 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec + 0.0 if vec[idx] > 0 else 0.0 - vec
 
 
-class _ParitySectors(NamedTuple):
-    """The block's two parity sectors stacked on a leading axis: 0 even,
-    1 odd."""
-
-    index: np.ndarray  # (2, m) full-basis indices of each sector, ascending
-    xx: np.ndarray     # (2, m, m) XX and YY (see blocks.block_hamiltonian)
-    yy: np.ndarray     # restricted to each sector
-
-
-@functools.cache
-def _parity_sectors(geometry: BlockGeometry) -> _ParitySectors:
-    """Both parity sectors of the block, read-only, m = 2^(n-1) wide.
-
-    Every bond flips two spins, so XX and YY do not mix the sectors. Their
-    sector restrictions are filled straight from the bond flips, without
-    forming the 2^n matrices: sx_c sx_k sends basis state i to i with both
-    spins flipped with weight +1, and sy_c sy_k = -(K_c K_k), K = -i sy,
-    with weight -(sign_c sign_k). Each entry gets one bond's term, so every
-    entry equals the matching entry of the full XX or YY.
-    """
-    n = geometry.n_sites
-    flips = [spin_flip(site, n) for site in range(n)]
-    parity = np.prod([signs for _flip, signs in flips], axis=0)
-    index = np.stack([np.flatnonzero(parity == 1.0), np.flatnonzero(parity == -1.0)])
-    m = index.shape[1]
-    position = np.empty(2 ** n, dtype=np.intp)
-    position[index] = np.arange(m)
-    xx = np.zeros((2, m, m))
-    yy = np.zeros((2, m, m))
-    sector, cols = np.arange(2)[:, None], np.arange(m)
-    for center, corner, _axis in geometry.intra_bonds:
-        (flip_c, signs_c), (flip_k, signs_k) = flips[center], flips[corner]
-        rows = position[flip_c[flip_k[index]]]
-        xx[sector, rows, cols] = 1.0
-        yy[sector, rows, cols] = -(signs_c[index] * signs_k[index])
-    for arr in (index, xx, yy):
-        arr.flags.writeable = False
-    return _ParitySectors(index, xx, yy)
-
-
 def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
     """Diagonalize the block in its two parity sectors and take each sector's
     ground state.
@@ -131,9 +90,8 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
     outside their sector, are the parity eigenstates that make the projected
     corner operators come out in pure sigma'^x / sigma'^y form.
     """
-    sectors = _parity_sectors(geometry)
-    h = (params.j / 4.0) * ((1.0 + params.gamma) * sectors.xx + (1.0 - params.gamma) * sectors.yy)
-    levels, vectors = eigh_symmetric(h)
+    sectors = parity_sectors(geometry)
+    levels, vectors = eigh_symmetric(sectors.hamiltonian(params))
     w = np.sort(levels.reshape(-1))
     spread = float(w[-1] - w[0])
     tol = DEGENERACY_RTOL * spread

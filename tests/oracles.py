@@ -133,8 +133,9 @@ def xy_hamiltonian_per_bond(j, gamma, n_spins, bonds):
     """(j/4) * sum over (a, b) of [(1+gamma) X_a X_b + (1-gamma) Y_a Y_b] in
     real arithmetic, one bond at a time, each term a full 2^n Kronecker
     embedding, with Y_a Y_b = -(K_a K_b) for the real K = -i sigma^y. The
-    package sums the bonds once and scales the sums; since every matrix entry
-    gets exactly one bond's term, the two must agree bit for bit."""
+    package fills each parity-sector block straight from the bond flips;
+    since every matrix entry gets exactly one bond's term, the two must agree
+    bit for bit."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     k = np.array([[0.0, -1.0], [1.0, 0.0]])
 

@@ -9,6 +9,7 @@ from qrgxy.blocks import (
     block_geometry,
     block_hamiltonian,
     interblock_bonds,
+    parity_sectors,
 )
 from qrgxy.numerics import eigh_symmetric
 from qrgxy.pauli import Axis, parity_operator
@@ -46,6 +47,39 @@ def test_block_hamiltonian_bit_identical_to_per_bond_build(dim, gamma):
         ref = xy_hamiltonian_per_bond(j, gamma, geometry.n_sites, bonds)
         assert np.array_equal(h, ref)
         assert np.array_equal(np.signbit(h), np.signbit(ref))
+
+
+# the sector blocks are exact restrictions of the per-bond build, which has
+# nothing between the sectors
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_parity_sectors_are_exact_restrictions_of_the_block(dim):
+    geometry = block_geometry(dim)
+    n = geometry.n_sites
+    sectors = parity_sectors(geometry)
+    popcount_parity = np.array([bin(i).count("1") % 2 for i in range(2 ** n)])
+    for parity in (0, 1):
+        assert np.array_equal(sectors.index[parity], np.flatnonzero(popcount_parity == parity))
+    even, odd = sectors.index
+    bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
+    # J = 4 and gamma = +-1 single out 2 XX and 2 YY exactly
+    xx = xy_hamiltonian_per_bond(4.0, 1.0, n, bonds) / 2.0
+    yy = xy_hamiltonian_per_bond(4.0, -1.0, n, bonds) / 2.0
+    for gamma in (-1.0, -0.3, 0.0, 1e-7, 0.7, 1.0):
+        params = CouplingParams(1.3, gamma)
+        ref = xy_hamiltonian_per_bond(params.j, gamma, n, bonds)
+        assert not np.any(ref[np.ix_(even, odd)])  # parity never mixes
+        for index, sx, sy, hs in zip(sectors.index, sectors.xx, sectors.yy, sectors.hamiltonian(params)):
+            block = np.ix_(index, index)
+            assert np.array_equal(sx, xx[block]) and np.array_equal(sy, yy[block])
+            assert np.array_equal(hs, ref[block])
+            assert np.array_equal(np.signbit(hs), np.signbit(ref[block]))
+
+
+def test_parity_sectors_are_read_only():
+    sectors = parity_sectors(block_geometry(2))
+    for arr in sectors[:3]:
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_block_hamiltonian_is_a_fresh_writable_array():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import CouplingParams, _bond_sums, block_geometry, block_hamiltonian, interblock_bonds
+from qrgxy.blocks import CouplingParams, ParitySectors, block_geometry, interblock_bonds
 from qrgxy.errors import DegeneracyError, StructureError
 from qrgxy.rgflow import (
     GroundDoublet,
@@ -98,29 +98,7 @@ def test_doublet_matches_known_ising_amplitudes(dim, support_tol=1e-12):
         assert err < 1e-9
 
 
-# -- parity sectors against the full block
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_parity_sectors_are_exact_restrictions_of_the_block(dim):
-    geometry = block_geometry(dim)
-    n = geometry.n_sites
-    sectors = qrgxy.rgflow._parity_sectors(geometry)
-    popcount_parity = np.array([bin(i).count("1") % 2 for i in range(2 ** n)])
-    for parity in (0, 1):
-        assert np.array_equal(sectors.index[parity], np.flatnonzero(popcount_parity == parity))
-    even, odd = sectors.index
-    xx, yy = _bond_sums(geometry)
-    for gamma in (-1.0, -0.3, 0.0, 1e-7, 0.7, 1.0):
-        params = CouplingParams(1.3, gamma)
-        h = block_hamiltonian(params, geometry)
-        assert not np.any(h[np.ix_(even, odd)])  # parity never mixes
-        for index, sx, sy in zip(sectors.index, sectors.xx, sectors.yy):
-            block = np.ix_(index, index)
-            assert np.array_equal(sx, xx[block]) and np.array_equal(sy, yy[block])
-            hs = (params.j / 4.0) * ((1.0 + gamma) * sx + (1.0 - gamma) * sy)
-            assert np.array_equal(hs, h[block])
-            assert np.array_equal(np.signbit(hs), np.signbit(h[block]))
+# -- sector doublet against the full block
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -139,12 +117,12 @@ def test_sector_doublet_matches_full_block_oracle(dim, gamma):
 def test_two_lowest_levels_of_one_parity_raise_structure_error(monkeypatch):
     # a fake sector cache whose two lowest levels are both even, with the odd
     # ground level far above them: the doublet checks pass, parity must not
-    fake = qrgxy.rgflow._ParitySectors(
+    fake = ParitySectors(
         index=np.array([[0, 3], [1, 2]]),
         xx=np.array([-np.eye(2), np.eye(2)]),
         yy=np.zeros((2, 2, 2)),
     )
-    monkeypatch.setattr(qrgxy.rgflow, "_parity_sectors", lambda geometry: fake)
+    monkeypatch.setattr(qrgxy.rgflow, "parity_sectors", lambda geometry: fake)
     with pytest.raises(StructureError, match="one even and one odd"):
         ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
 
