@@ -9,6 +9,12 @@ Site numbering is frozen once here: d=1 uses line order (0, 1, 2) with the
 center in the middle; d=2 and d=3 put the center first, then the corner pairs
 in axis order (x-, x+, y-, y+, z-, z+). Ground-state amplitude dumps and the
 reference-state comparisons in the tests depend on this ordering bit for bit.
+
+The center couples to the corners only through their total spin S, so the
+block Hamiltonian is the direct sum of center (x) spin-S blocks, S = 0..d,
+each 2(2S+1) wide; the ground doublet lies in S = d (6 / 10 / 14 wide).
+collective_spin holds those blocks and the map from S = d back to the 2^n
+basis; block_hamiltonian builds the full 2^n matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .pauli import Axis, parity_signs, spin_flip
+from .pauli import SIGMA_X, SIGMA_Y_REAL, Axis, spin_flip
 
 
 @dataclass(frozen=True)
@@ -78,48 +84,67 @@ def block_geometry(dimension: int) -> BlockGeometry:
     )
 
 
-class ParitySectors(NamedTuple):
-    """The bond sums XX = sum of sx sx and YY = sum of sy sy over the
-    center-corner bonds, restricted to the block's two parity sectors and
-    stacked on a leading axis: 0 even, 1 odd."""
+class CollectiveSpin(NamedTuple):
+    """The block in its collective corner spin S = 0..d.
 
-    index: np.ndarray  # (2, m) full-basis indices of each sector, ascending
-    xx: np.ndarray     # (2, m, m)
-    yy: np.ndarray     # (2, m, m)
+    The corners enter H_B only through their total spin S, as
+    XX = sx_c (2 Sx) and YY = sy_c (2 Sy), so the block is the direct sum of
+    center (x) spin-S blocks. Each block has the basis (c, k): c the center
+    (0 up), k = S - M the number of lowering steps from M = S, at position
+    c (2S + 1) + k. The ground doublet lies in S = d, whose basis state
+    (c, k) is the center state times the Dicke state of k down corners.
+    """
 
-    def hamiltonian(self, params: CouplingParams) -> np.ndarray:
-        """(2, m, m): H_B restricted to each sector."""
-        return (params.j / 4.0) * ((1.0 + params.gamma) * self.xx + (1.0 - params.gamma) * self.yy)
+    xx: Tuple[np.ndarray, ...]  # XX_S for S = 0..d, 2(2S+1) wide
+    yy: Tuple[np.ndarray, ...]  # YY_S for S = 0..d
+    half: np.ndarray            # (2, 2d+1): S = d positions of parity (-1)^(c+k) = +1, -1
+    column: np.ndarray          # (2^n,): S = d position of each full-basis state
+    weight: np.ndarray          # (2^n,): its amplitude 1/sqrt(C(2d, k)) in that Dicke state
+
+    def hamiltonians(self, params: CouplingParams) -> Tuple[np.ndarray, ...]:
+        """H_B restricted to each S block, S = 0..d."""
+        return tuple(
+            (params.j / 4.0) * ((1.0 + params.gamma) * xx + (1.0 - params.gamma) * yy)
+            for xx, yy in zip(self.xx, self.yy)
+        )
+
+
+def _spin_operators(s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(2 Sx, -i 2 Sy) for spin s in the basis k = s - M, both real.
+
+    S+ lowers k with the standard positive coefficient
+    sqrt(S(S+1) - M(M+1)) = sqrt(k (2s + 1 - k)).
+    """
+    k = np.arange(1, 2 * s + 1)
+    raise_ = np.diag(np.sqrt(k * (2 * s + 1 - k)), 1)
+    return raise_ + raise_.T, raise_.T - raise_
 
 
 @functools.cache
-def parity_sectors(geometry: BlockGeometry) -> ParitySectors:
-    """Both parity sectors of the block, read-only, m = 2^(n-1) wide; built
-    once per geometry.
+def collective_spin(geometry: BlockGeometry) -> CollectiveSpin:
+    """The S blocks of the bond sums and the S = d embedding, read-only;
+    built once per geometry.
 
-    Every bond flips two spins, so XX and YY do not mix the sectors. The
-    restrictions are filled straight from the bond flips: sx_c sx_k sends
-    basis state i to i with both spins flipped with weight +1, and
-    sy_c sy_k = -(K_c K_k), K = -i sy, with weight -(sign_c sign_k). Distinct
-    bonds flip distinct spin pairs, so every entry gets one bond's term.
+    sy_c sy_k = -(K_c K_k) with the real K = -i sy, so YY_S is the real
+    -(K (x) (-i 2 Sy)). Whether a site of a full-basis state is down is read
+    off the signs of pauli.spin_flip.
     """
-    n = geometry.n_sites
-    parity = parity_signs(n)
-    index = np.stack([np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)])
-    m = index.shape[1]
-    position = np.empty(2 ** n, dtype=np.intp)
-    position[index] = np.arange(m)
-    xx = np.zeros((2, m, m))
-    yy = np.zeros((2, m, m))
-    sector, cols = np.arange(2)[:, None], np.arange(m)
-    for center, corner, _axis in geometry.intra_bonds:
-        (flip_c, signs_c), (flip_k, signs_k) = spin_flip(center, n), spin_flip(corner, n)
-        rows = position[flip_c[flip_k[index]]]
-        xx[sector, rows, cols] = 1.0
-        yy[sector, rows, cols] = -(signs_c[index] * signs_k[index])
-    for arr in (index, xx, yy):
+    d, n = geometry.dimension, geometry.n_sites
+    xx, yy = [], []
+    for s in range(d + 1):
+        two_sx, k_two_sy = _spin_operators(s)
+        xx.append(np.kron(SIGMA_X, two_sx))
+        yy.append(-np.kron(SIGMA_Y_REAL, k_two_sy))
+    c, k = np.divmod(np.arange(2 * (2 * d + 1)), 2 * d + 1)
+    even = (c + k) % 2 == 0
+    half = np.stack([np.flatnonzero(even), np.flatnonzero(~even)])
+    down = {site: spin_flip(site, n)[1] < 0 for site in range(n)}
+    k_down = sum(down[corner.site] for corner in geometry.corners)
+    column = down[geometry.center] * (2 * d + 1) + k_down
+    weight = 1.0 / np.sqrt(np.bincount(column)[column])  # C(2d, k) states share (c, k)
+    for arr in (*xx, *yy, half, column, weight):
         arr.flags.writeable = False
-    return ParitySectors(index, xx, yy)
+    return CollectiveSpin(tuple(xx), tuple(yy), half, column, weight)
 
 
 def block_hamiltonian(params: CouplingParams, geometry: BlockGeometry) -> np.ndarray:
@@ -128,13 +153,21 @@ def block_hamiltonian(params: CouplingParams, geometry: BlockGeometry) -> np.nda
 
     The anisotropy enters with opposite signs on the x and y pair terms
     (gamma_x = +gamma, gamma_y = -gamma). Real symmetric, traceless,
-    dimension 2^n_sites: the two sector blocks of parity_sectors placed in a
-    fresh matrix, zero between the sectors.
+    dimension 2^n_sites, filled straight from the bond flips: sx_c sx_k
+    sends basis state i to i with both spins flipped with weight +1, and
+    sy_c sy_k = -(K_c K_k), K = -i sy, with weight -(sign_c sign_k).
+    Distinct bonds flip distinct spin pairs, so every entry gets one bond's
+    term.
     """
-    sectors = parity_sectors(geometry)
-    h = np.zeros((2 ** geometry.n_sites,) * 2)
-    for index, block in zip(sectors.index, sectors.hamiltonian(params)):
-        h[np.ix_(index, index)] = block
+    n = geometry.n_sites
+    index = np.arange(2 ** n)
+    h = np.zeros((2 ** n,) * 2)
+    for center, corner, _axis in geometry.intra_bonds:
+        (flip_c, signs_c), (flip_k, signs_k) = spin_flip(center, n), spin_flip(corner, n)
+        yy = -(signs_c * signs_k)
+        h[flip_c[flip_k], index] = (params.j / 4.0) * (
+            (1.0 + params.gamma) + (1.0 - params.gamma) * yy
+        )
     return h
 
 

@@ -3,8 +3,10 @@ products, and PSD matrix square roots.
 
 Everything is real double precision. Block Hamiltonians, parity projectors
 and reduced density matrices are all real symmetric (see pauli / blocks), so
-no complex code path exists anywhere in the package. Matrices here top out at
-128x128, far below the enforced ceiling.
+no complex code path exists anywhere in the package. The package's own
+eigensolves are at most 2(2d+1) = 14 wide (the collective-spin blocks of
+blocks); only blocks.block_hamiltonian and the test oracles still build the
+2^n matrices, 128x128 at most, far below the enforced ceiling.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ def eigh_symmetric(a) -> EigenDecomposition:
     a = _require_symmetric(a)
     w, v = np.linalg.eigh(a)
     return EigenDecomposition(w, v)
+
+
+def eigvalsh_symmetric(a) -> np.ndarray:
+    """The eigenvalues alone, ascending, of a real symmetric matrix or a
+    (..., n, n) stack, under the same symmetry contract as eigh_symmetric."""
+    return np.linalg.eigvalsh(_require_symmetric(a))
 
 
 def kron(a, b) -> np.ndarray:

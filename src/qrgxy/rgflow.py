@@ -21,9 +21,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .blocks import BlockGeometry, CouplingParams, block_geometry, interblock_bonds, parity_sectors
+from .blocks import BlockGeometry, CouplingParams, block_geometry, collective_spin, interblock_bonds
 from .errors import DegeneracyError, QRGError, StructureError
-from .numerics import eigh_symmetric
+from .numerics import eigh_symmetric, eigvalsh_symmetric
 from .pauli import spin_flip
 
 DEGENERACY_RTOL = 1e-8   # doublet splitting tolerance, relative to spectral spread
@@ -79,20 +79,26 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
-    """Diagonalize the block in its two parity sectors and take each sector's
-    ground state.
+    """Diagonalize the block in its collective corner spin S and take the
+    ground state of each parity half of S = d.
 
-    H commutes with the parity prod(sigma^z), so the two sectors are solved
-    on their own, at half the dimension of the block, in one stacked call.
-    Their merged spectrum is the block's full spectrum; it must show an
-    isolated twofold ground level made of one even and one odd level. Those
-    two ground vectors, embedded back into the full basis with exact zeros
-    outside their sector, are the parity eigenstates that make the projected
-    corner operators come out in pure sigma'^x / sigma'^y form.
+    H couples the center only to the total corner spin, so it is the direct
+    sum of center (x) spin-S blocks, S = 0..d, 2(2S+1) wide. Each S block
+    counted once, their merged spectrum has the lowest three and the top
+    level of the full block; it must show an isolated twofold ground level
+    made of one even and one odd level of S = d. The parity
+    (-1)^(c + k_down) splits S = d into two halves, 2d+1 wide, solved for
+    their vectors in one stacked call; the S < d blocks only for their
+    levels, since one of them can hold the third level. The two half ground
+    vectors, embedded into the full basis with exact zeros outside their
+    parity, are the parity eigenstates that make the projected corner
+    operators come out in pure sigma'^x / sigma'^y form.
     """
-    sectors = parity_sectors(geometry)
-    levels, vectors = eigh_symmetric(sectors.hamiltonian(params))
-    w = np.sort(levels.reshape(-1))
+    spin = collective_spin(geometry)
+    *lower, top = spin.hamiltonians(params)
+    half = spin.half
+    levels, vectors = eigh_symmetric(top[half[:, :, None], half[:, None, :]])
+    w = np.sort(np.concatenate([levels.reshape(-1), *(eigvalsh_symmetric(h) for h in lower)]))
     spread = float(w[-1] - w[0])
     tol = DEGENERACY_RTOL * spread
     if w[1] - w[0] > tol:
@@ -111,9 +117,9 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
             f"ground doublet is not one even and one odd level: lowest even "
             f"{levels[0, 0]:.12g}, lowest odd {levels[1, 0]:.12g}, E2 = {w[1]:.12g}"
         )
-    phi1, phi2 = np.zeros((2, 2 ** geometry.n_sites))
-    for phi, index, ground in zip((phi1, phi2), sectors.index, vectors[:, :, 0]):
-        phi[index] = _fix_sign(ground)
+    ground = np.zeros((2, top.shape[0]))
+    ground[[[0], [1]], half] = vectors[:, :, 0]
+    phi1, phi2 = (_fix_sign(spin.weight * u[spin.column]) for u in ground)
     return GroundDoublet(
         energy=float(w[0]),
         phi1=phi1,

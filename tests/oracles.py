@@ -185,3 +185,13 @@ def wootters_concurrence_complex(rho):
     lam = np.linalg.eigvals(rho @ rho_t)
     lam = np.sort(np.sqrt(np.clip(lam.real, 0.0, None)))[::-1]
     return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
+
+
+def x_state_concurrence(rho):
+    """Concurrence of a two-spin X state (nonzero off-diagonal entries only
+    at (0, 3) and (1, 2) and their transposes) in closed form."""
+    return 2.0 * max(
+        0.0,
+        abs(rho[0, 3]) - np.sqrt(rho[1, 1] * rho[2, 2]),
+        abs(rho[1, 2]) - np.sqrt(rho[0, 0] * rho[3, 3]),
+    )

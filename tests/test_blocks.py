@@ -8,8 +8,8 @@ from qrgxy.blocks import (
     CouplingParams,
     block_geometry,
     block_hamiltonian,
+    collective_spin,
     interblock_bonds,
-    parity_sectors,
 )
 from qrgxy.numerics import eigh_symmetric
 from qrgxy.pauli import Axis, parity_operator
@@ -49,35 +49,64 @@ def test_block_hamiltonian_bit_identical_to_per_bond_build(dim, gamma):
         assert np.array_equal(np.signbit(h), np.signbit(ref))
 
 
-# the sector blocks are exact restrictions of the per-bond build, which has
-# nothing between the sectors
+def _embedding(geometry):
+    """The S = d embedding as a 2^n x 2(2d+1) matrix."""
+    spin = collective_spin(geometry)
+    e = np.zeros((2 ** geometry.n_sites, 2 * (2 * geometry.dimension + 1)))
+    e[np.arange(len(spin.column)), spin.column] = spin.weight
+    return e
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_parity_sectors_are_exact_restrictions_of_the_block(dim):
+def test_collective_spin_embedding_is_an_isometry(dim):
+    e = _embedding(block_geometry(dim))
+    assert np.max(np.abs(e.T @ e - np.eye(e.shape[1]))) <= 1e-14
+
+
+# S = d is an invariant subspace of the per-bond build, the embedding carries
+# its block onto it, and the parity halves are the popcount parity there
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_collective_spin_top_block_is_the_restriction_of_the_block(dim):
     geometry = block_geometry(dim)
     n = geometry.n_sites
-    sectors = parity_sectors(geometry)
+    spin = collective_spin(geometry)
+    e = _embedding(geometry)
     popcount_parity = np.array([bin(i).count("1") % 2 for i in range(2 ** n)])
-    for parity in (0, 1):
-        assert np.array_equal(sectors.index[parity], np.flatnonzero(popcount_parity == parity))
-    even, odd = sectors.index
+    for parity, half in enumerate(spin.half):
+        assert set(spin.column[popcount_parity == parity]) == set(half)
     bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
-    # J = 4 and gamma = +-1 single out 2 XX and 2 YY exactly
-    xx = xy_hamiltonian_per_bond(4.0, 1.0, n, bonds) / 2.0
-    yy = xy_hamiltonian_per_bond(4.0, -1.0, n, bonds) / 2.0
     for gamma in (-1.0, -0.3, 0.0, 1e-7, 0.7, 1.0):
         params = CouplingParams(1.3, gamma)
         ref = xy_hamiltonian_per_bond(params.j, gamma, n, bonds)
-        assert not np.any(ref[np.ix_(even, odd)])  # parity never mixes
-        for index, sx, sy, hs in zip(sectors.index, sectors.xx, sectors.yy, sectors.hamiltonian(params)):
-            block = np.ix_(index, index)
-            assert np.array_equal(sx, xx[block]) and np.array_equal(sy, yy[block])
-            assert np.array_equal(hs, ref[block])
-            assert np.array_equal(np.signbit(hs), np.signbit(ref[block]))
+        top = spin.hamiltonians(params)[-1]
+        assert np.max(np.abs(ref @ e - e @ top)) <= 1e-14
+        assert not np.any(top[np.ix_(*spin.half)])  # the halves never mix
 
 
-def test_parity_sectors_are_read_only():
-    sectors = parity_sectors(block_geometry(2))
-    for arr in sectors[:3]:
+# each S block counted once, the merged levels hold the full block's lowest
+# three and its top level; counted with the multiplicity of spin S among 2d
+# spins-1/2, they are the full spectrum
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_merged_collective_spin_levels_match_the_full_block(dim):
+    geometry = block_geometry(dim)
+    spin = collective_spin(geometry)
+    assert [len(h) for h in spin.xx] == [2 * (2 * s + 1) for s in range(dim + 1)]
+    multiplicity = [math.comb(2 * dim, dim - s) - math.comb(2 * dim, dim - s - 1) for s in range(dim)]
+    bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
+    for gamma in (-1.0, -1 + 1e-7, -0.6, -1e-7, 0.0, 1e-7, 0.45, 1 - 1e-7, 1.0):
+        params = CouplingParams(0.8, gamma)
+        levels = [np.linalg.eigvalsh(h) for h in spin.hamiltonians(params)]
+        full = np.linalg.eigvalsh(xy_hamiltonian_per_bond(params.j, gamma, geometry.n_sites, bonds))
+        merged = np.sort(np.concatenate(levels))
+        picks = [0, 1, 2, -1]
+        assert np.max(np.abs(merged[picks] - full[picks])) <= 1e-12
+        counted = np.sort(np.concatenate([np.repeat(w, m) for w, m in zip(levels, multiplicity + [1])]))
+        assert np.max(np.abs(counted - full)) <= 1e-12
+
+
+def test_collective_spin_is_read_only():
+    spin = collective_spin(block_geometry(2))
+    for arr in (*spin.xx, *spin.yy, spin.half, spin.column, spin.weight):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -85,7 +114,7 @@ def test_parity_sectors_are_read_only():
 def test_block_hamiltonian_is_a_fresh_writable_array():
     geometry = block_geometry(1)
     h = block_hamiltonian(CouplingParams(1.0, 0.2), geometry)
-    h[0, 0] = 5.0  # callers own the result; the cached bond sums stay intact
+    h[0, 0] = 5.0  # callers own the result; nothing cached is written through it
     assert block_hamiltonian(CouplingParams(1.0, 0.2), geometry)[0, 0] == 0.0
 
 

@@ -19,7 +19,12 @@ from qrgxy.concurrence import (
 from qrgxy.errors import ContractError, QRGError
 from qrgxy.rgflow import ground_doublet, rg_trajectory
 
-from oracles import partial_trace_bruteforce, wootters_concurrence_complex
+from oracles import (
+    ground_doublet_full,
+    partial_trace_bruteforce,
+    wootters_concurrence_complex,
+    x_state_concurrence,
+)
 
 
 def random_state(rng, dim):
@@ -205,6 +210,35 @@ def test_batched_pairs_match_one_partial_trace_per_pair(dim):
         rho = density_matrix(ground_doublet(params, geometry).phi1)
         for pair, c in bc.per_pair:
             assert abs(c - wootters_concurrence(partial_trace_pair(rho, pair))) < 1e-13
+
+
+# every corner pair of the oracle doublet is an X state; the block value is
+# its closed form, down to the tails where the Wootters spectrum sits at 1e-12
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_block_concurrence_is_the_x_state_form_of_the_oracle_state(dim):
+    geometry = block_geometry(dim)
+    x_entries = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
+    for gamma0 in (-0.45, 0.0, 0.3, 0.8):
+        for params in rg_trajectory(CouplingParams(1.0, gamma0), dim, 2).steps:
+            qc.clear_cache()
+            bc = block_concurrence(params, dim)
+            phi1 = ground_doublet_full(params, geometry)[1]
+            for pair, c in bc.per_pair:
+                rho = partial_trace_bruteforce(phi1, pair, geometry.n_sites)
+                assert np.max(np.abs(rho[~x_entries])) < 1e-15
+                assert abs(c - x_state_concurrence(rho)) < 1e-12
+            assert bc.geometric_mean == bc.per_pair[0][1]
+
+
+def test_small_concurrence_is_not_cut_by_the_spectrum_floor():
+    # d = 2, one step from gamma0 = 0.3: C ~ 7.4e-7, where a 1e-12 * l_max
+    # floor on the spin-flip spectrum drops true eigenvalues
+    params = rg_trajectory(CouplingParams(1.0, 0.3), 2, 1).steps[-1]
+    geometry = block_geometry(2)
+    rho = partial_trace_bruteforce(ground_doublet_full(params, geometry)[1], (1, 2), geometry.n_sites)
+    want = wootters_concurrence_complex(rho)
+    assert 7e-7 < want < 8e-7
+    assert abs(flowed_concurrence(2, 1, 0.3) - want) < 1e-10
 
 
 def test_block_pair_count_and_maximum_at_isotropy():

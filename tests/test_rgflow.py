@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import CouplingParams, ParitySectors, block_geometry, interblock_bonds
+from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
 from qrgxy.errors import DegeneracyError, StructureError
 from qrgxy.rgflow import (
     GroundDoublet,
@@ -114,16 +114,36 @@ def test_sector_doublet_matches_full_block_oracle(dim, gamma):
         assert min(np.max(np.abs(mine - s * ref)) for s in (1.0, -1.0)) < 1e-12
 
 
+def _fake_spin(lower, top):
+    """The d = 1 collective-spin cache with the diagonal bond sums
+    XX_0 = diag(lower), XX_1 = diag(top) and YY = 0, so that at J = 4 and
+    gamma = 0 those diagonals are the levels. The top halves are positions
+    (0, 2, 4) even and (1, 3, 5) odd."""
+    spin = collective_spin(block_geometry(1))
+    return spin._replace(
+        xx=(np.diag(lower), np.diag(top)),
+        yy=(np.zeros((2, 2)), np.zeros((6, 6))),
+    )
+
+
 def test_two_lowest_levels_of_one_parity_raise_structure_error(monkeypatch):
     # a fake sector cache whose two lowest levels are both even, with the odd
     # ground level far above them: the doublet checks pass, parity must not
-    fake = ParitySectors(
-        index=np.array([[0, 3], [1, 2]]),
-        xx=np.array([-np.eye(2), np.eye(2)]),
-        yy=np.zeros((2, 2, 2)),
-    )
-    monkeypatch.setattr(qrgxy.rgflow, "parity_sectors", lambda geometry: fake)
+    fake = _fake_spin([3.0, 3.0], [-1.0, 1.0, -1.0, 1.0, 2.0, 1.0])
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(StructureError, match="one even and one odd"):
+        ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
+
+
+def test_third_level_of_a_lower_spin_block_sets_the_gap(monkeypatch):
+    # the S = 0 block holds the third level, 0.5 above the doublet; the
+    # S = d halves alone would put it 4 above
+    fake = _fake_spin([-0.5, 7.0], [-1.0, -1.0, 3.0, 3.0, 5.0, 5.0])
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+    assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1)).gap_to_third == 0.5
+    fake = _fake_spin([-1.0, 7.0], [-1.0, -1.0, 3.0, 3.0, 5.0, 5.0])
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+    with pytest.raises(DegeneracyError, match="third level"):
         ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
 
 
