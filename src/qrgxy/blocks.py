@@ -61,19 +61,22 @@ class BlockGeometry:
 _AXES = (Axis.X, Axis.Y, Axis.Z)
 
 
+@functools.cache
 def block_geometry(dimension: int) -> BlockGeometry:
+    if dimension not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+    # equal keys such as 1.0 and np.int64(1) share one cache entry: keep ints
+    dimension = int(dimension)
     if dimension == 1:
         center = 1
         corners = (Corner(0, Axis.X, -1), Corner(2, Axis.X, +1))
-    elif dimension in (2, 3):
+    else:
         center = 0
         corners = tuple(
             Corner(1 + 2 * k + (1 if sign > 0 else 0), _AXES[k], sign)
             for k in range(dimension)
             for sign in (-1, +1)
         )
-    else:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
     bonds = tuple((center, c.site, c.axis) for c in corners)
     return BlockGeometry(
         dimension=dimension,

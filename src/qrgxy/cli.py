@@ -9,10 +9,10 @@ Error messages are a single stderr line prefixed with 'qrg-error:'.
 
 Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
-defaults. No environment variables are consulted. --threads (config key
-'threads') is accepted, and checked to be >= 1 by every command, but has no
-effect: every command runs serially, so identical configuration produces
-byte-identical output.
+defaults. No environment variables are consulted. Every command checks
+--j > 0 and --threads >= 1 (config keys 'j', 'threads'), also where they do
+not matter; --threads has no effect: every command runs serially, so
+identical configuration produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -251,6 +251,7 @@ def cmd_concurrence(args):
 def cmd_scaling(args):
     cfg = _load_config(args.config)
     dim = _dim(args, cfg)
+    _coupling(args, cfg)
     steps = _step_list(args, cfg, dim)
     grid = _odd_grid(args, cfg, default=2001, minimum=5)
     _check_threads(args, cfg)
@@ -323,6 +324,7 @@ def cmd_groundstate(args):
 def cmd_fixed_points(args):
     cfg = _load_config(args.config)
     dim = _dim(args, cfg)
+    _coupling(args, cfg)
     grid = _as_int("grid", _pick(args, cfg, "grid", 401), lo=100)
     _check_threads(args, cfg)
     out = _pick(args, cfg, "out")
@@ -350,6 +352,7 @@ def cmd_fixed_points(args):
 def cmd_jsweep(args):
     cfg = _load_config(args.config)
     dim = _dim(args, cfg)
+    _coupling(args, cfg)
     grid = _odd_grid(args, cfg, default=21, minimum=3)
     js = _j_list(args, cfg)
     _check_threads(args, cfg)

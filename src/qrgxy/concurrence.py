@@ -20,7 +20,7 @@ from .blocks import BlockGeometry, CouplingParams, block_geometry
 from .errors import ContractError, QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import Axis, two_site_term
-from .rgflow import ground_doublet, rg_trajectory
+from .rgflow import block_solve, corner_pair_state, ground_doublet, rg_trajectory
 
 NORM_TOL = 1e-10
 LAMBDA_FLOOR = -1e-10
@@ -124,18 +124,8 @@ def wootters_concurrence(rdm):
 
 @functools.cache
 def _corner_pairs(geometry: BlockGeometry) -> Tuple[Tuple[int, int], ...]:
-    """Every unordered corner pair (i, j), i < j; one tuple shared by all
-    cached results."""
+    """Every unordered corner pair (i, j), i < j."""
     return tuple(tuple(sorted((a.site, b.site))) for a, b in combinations(geometry.corners, 2))
-
-
-# block-level concurrences are pure functions of (dimension, gamma, j); grid
-# sweeps and derivative probes revisit the same parameters constantly
-_CACHE: dict = {}
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
 
 
 def _x_state_concurrence(rho) -> float:
@@ -160,21 +150,12 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     not. phi1 is symmetric under any permutation of the corners, so one
     representative pair is reduced and its value listed for every pair.
     phi1 has definite parity, so the pair's reduced state is an X state and
-    its concurrence has a closed form.
+    its concurrence has a closed form. The state does not depend on params.j
+    and is read from the unit-J block memo that the flow shares.
     """
-    key = (dimension, round(float(params.gamma), 12), round(float(params.j), 12))
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    geometry = block_geometry(dimension)
-    phi = _require_normalized(ground_doublet(params, geometry).phi1)
-    pairs = _corner_pairs(geometry)
-    # rows: the legs (i, j) of the representative pair; columns: all other spins
-    m = np.moveaxis(phi.reshape((2,) * geometry.n_sites), pairs[0], (0, 1)).reshape(4, -1)
-    conc = _x_state_concurrence(m @ m.T)
-    result = BlockConcurrence(per_pair=tuple((pair, conc) for pair in pairs), geometric_mean=conc)
-    _CACHE[key] = result
-    return result
+    conc = _x_state_concurrence(block_solve(dimension, params.gamma).pair_state)
+    pairs = _corner_pairs(block_geometry(dimension))
+    return BlockConcurrence(per_pair=tuple((pair, conc) for pair in pairs), geometric_mean=conc)
 
 
 def flowed_concurrence(dimension: int, rg_step: int, gamma: float, j: float = 1.0) -> float:
@@ -212,15 +193,16 @@ def concurrence_j_sweep(
     j_grid: Sequence[float],
 ) -> np.ndarray:
     """Concurrence on a (gamma, j) grid at rg step 0, shaped
-    (len(gamma_grid), len(j_grid)). Physically the j axis is flat; the CLI
-    reports the realized spread."""
+    (len(gamma_grid), len(j_grid)). Physically the j axis is flat; each
+    point is solved at its own j, bypassing the unit-J memo, so the CLI
+    reports the spread the solver really shows."""
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     j_grid = np.asarray(j_grid, dtype=float)
     if j_grid.size == 0 or np.any(j_grid <= 0):
         raise ValueError("all j values must be > 0")
-    vals = [
-        block_concurrence(CouplingParams(float(j), float(g)), dimension).geometric_mean
-        for g in gamma_grid
-        for j in j_grid
-    ]
+    geometry = block_geometry(dimension)
+    doublets = (
+        ground_doublet(CouplingParams(float(j), float(g)), geometry) for g in gamma_grid for j in j_grid
+    )
+    vals = [_x_state_concurrence(corner_pair_state(d.phi1, geometry)) for d in doublets]
     return np.asarray(vals, dtype=float).reshape(len(gamma_grid), len(j_grid))

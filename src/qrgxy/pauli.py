@@ -114,23 +114,15 @@ def two_site_term(axis: Axis, site_a: int, site_b: int, n_spins: int) -> np.ndar
     raise ValueError("two-site terms are defined for axes X and Y only")
 
 
-@functools.cache
-def parity_signs(n_spins: int) -> np.ndarray:
-    """(-1)^popcount(i), read-only: +1 on basis states with an even number
-    of down spins. The diagonal of parity_operator."""
-    _check_sites(n_spins)
-    signs = np.array([(-1.0) ** (i.bit_count() & 1) for i in range(2 ** n_spins)])
-    signs.flags.writeable = False
-    return signs
-
-
 def parity_operator(n_spins: int) -> np.ndarray:
-    """diag(parity_signs(n_spins)).
+    """diag((-1)^popcount(i)): +1 on basis states with an even number of
+    down spins.
 
     This is the product of sigma^z over all sites; it commutes with every
     block Hamiltonian and labels the two members of the ground doublet.
     """
-    return np.diag(parity_signs(n_spins))
+    _check_sites(n_spins)
+    return np.diag([(-1.0) ** (i.bit_count() & 1) for i in range(2 ** n_spins)])
 
 
 def basis_label(index: int, n_spins: int) -> str:

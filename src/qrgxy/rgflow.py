@@ -16,8 +16,9 @@ single-representative-bond convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -157,29 +158,49 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
     return RenormalizedOperators(xi_x=off, xi_y=xi_y, corner=corner)
 
 
-# -- memoized flow coefficients -------------------------------------------
-#
-# gamma sweeps re-solve identical blocks thousands of times; the doublet and
-# its xi^2 pair depend on (dimension, gamma) only (J rescales H_B without
-# touching eigenvectors, and enters the map analytically), so they are cached
-# under the gamma value rounded to 12 decimals.
+# -- the block memo --------------------------------------------------------
 
-_CACHE: dict = {}
-CACHE_GAMMA_DECIMALS = 12
+
+class BlockSolve(NamedTuple):
+    """What the flow and the concurrence read off one block at unit J. Since
+    H_B(J) = J H_B(1), none of it depends on J."""
+
+    xi_x2: float
+    xi_y2: float
+    gamma_prime: float
+    pair_state: np.ndarray  # corner_pair_state(phi1), read-only
+
+
+@functools.cache
+def _pair_gather(geometry: BlockGeometry) -> np.ndarray:
+    """Read-only (4, 2^(n-2)) index: phi[index] has the legs (i, j) of the
+    first two corners, in site order, as rows and all other spins as
+    columns."""
+    n = geometry.n_sites
+    pair = sorted(corner.site for corner in geometry.corners[:2])
+    index = np.moveaxis(np.arange(2 ** n).reshape((2,) * n), pair, (0, 1)).reshape(4, -1)
+    index.flags.writeable = False
+    return index
+
+
+def corner_pair_state(phi: np.ndarray, geometry: BlockGeometry) -> np.ndarray:
+    """Reduced state of the first two corners of a block vector, legs in site
+    order. The doublet vectors are symmetric under any permutation of the
+    corners, so this pair stands for every corner pair."""
+    m = phi[_pair_gather(geometry)]
+    return m @ m.T
 
 
 def clear_cache() -> None:
-    """Drop memoized flow coefficients (tests use this to force genuinely
-    cold recomputation, e.g. when checking J-independence)."""
-    _CACHE.clear()
+    """Drop the block memo (tests use this to force a cold solve)."""
+    block_solve.cache_clear()
 
 
-def _flow_coefficients(dimension: int, gamma: float):
-    """(xi_x^2, xi_y^2, gamma') for one block at unit J."""
-    key = (dimension, round(float(gamma), CACHE_GAMMA_DECIMALS))
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
+@functools.cache
+def block_solve(dimension: int, gamma: float) -> BlockSolve:
+    """The block at (J = 1, gamma), solved once per exact (dimension, gamma):
+    sweeps and derivative probes revisit the same blocks, and the flow and
+    the concurrence share them."""
     geometry = block_geometry(dimension)
     doublet = ground_doublet(CouplingParams(1.0, gamma), geometry)
     site_plus, _site_minus, _axis = interblock_bonds(geometry)[0]  # x-axis representative
@@ -196,22 +217,22 @@ def _flow_coefficients(dimension: int, gamma: float):
     # the ratio is <= 1 in magnitude up to rounding; clamp only that much
     if 1.0 < abs(gp) <= 1.0 + 1e-12:
         gp = 1.0 if gp > 0 else -1.0
-    result = (xx, yy, gp)
-    _CACHE[key] = result
-    return result
+    state = corner_pair_state(doublet.phi1, geometry)
+    state.flags.writeable = False
+    return BlockSolve(xx, yy, gp, state)
 
 
 def gamma_prime(gamma: float, dimension: int) -> float:
     """The gamma component of the map (J-free)."""
-    return _flow_coefficients(dimension, gamma)[2]
+    return block_solve(dimension, gamma).gamma_prime
 
 
 def rg_map(params: CouplingParams, dimension: int) -> CouplingParams:
     """One coarse-graining step (J, gamma) -> (J', gamma')."""
-    xx, yy, gp = _flow_coefficients(dimension, params.gamma)
-    tx = (params.j / 4.0) * (1.0 + params.gamma) * xx
-    ty = (params.j / 4.0) * (1.0 - params.gamma) * yy
-    return CouplingParams(j=2.0 * (tx + ty), gamma=gp)
+    solve = block_solve(dimension, params.gamma)
+    tx = (params.j / 4.0) * (1.0 + params.gamma) * solve.xi_x2
+    ty = (params.j / 4.0) * (1.0 - params.gamma) * solve.xi_y2
+    return CouplingParams(j=2.0 * (tx + ty), gamma=solve.gamma_prime)
 
 
 def rg_trajectory(initial: CouplingParams, dimension: int, n_steps: int) -> RGTrajectory:

@@ -16,6 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .blocks import block_geometry
 from .concurrence import ConcurrenceCurve, concurrence_curve, flowed_concurrence
 from .errors import ScalingUnderflowError
 
@@ -29,8 +30,6 @@ UNDERFLOW_FLOOR = 1e-12
 # step ranges keeping gamma_m resolvable: higher dimensions collapse onto the
 # fixed point after fewer iterations
 DEFAULT_STEPS = {1: (1, 2, 3, 4, 5, 6), 2: (1, 2, 3, 4), 3: (1, 2, 3)}
-
-_BLOCK_SITES = {1: 3, 2: 5, 3: 7}
 
 
 @dataclass(frozen=True)
@@ -199,14 +198,13 @@ def locate_max(curve: DerivativeCurve, side: str) -> float:
 def system_size(dimension: int, rg_step: int) -> int:
     """Sites represented per renormalized site: N = n_B^step with n_B the
     block size 3/5/7."""
-    if dimension not in _BLOCK_SITES:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+    n_sites = block_geometry(dimension).n_sites
     if rg_step < 1:
         raise ValueError(
             f"rg_step must be >= 1 for a scaling point (step 0 represents no "
             f"coarse-graining), got {rg_step}"
         )
-    return _BLOCK_SITES[dimension] ** rg_step
+    return n_sites ** rg_step
 
 
 def fit_loglog(ln_x: Sequence[float], ln_y: Sequence[float]) -> ScalingFit:

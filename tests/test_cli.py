@@ -201,6 +201,9 @@ BAD_INVOCATIONS = [
     ("fixed-points", "--dim", "1", "--threads", "0"),
     ("jsweep", "--dim", "1", "--js", "1,0"),
     ("fixed-points", "--dim", "1", "--grid", "50"),
+    ("fixed-points", "--dim", "1", "--j", "-1"),      # j unused, still validated
+    ("scaling", "--dim", "1", "--grid", "5", "--j", "-3"),
+    ("jsweep", "--dim", "1", "--grid", "3", "--j", "0"),
     ("groundstate", "--dim", "1", "--config", "/nonexistent/config.json"),
 ]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qrgxy.concurrence as qc
+import qrgxy.rgflow
 from qrgxy.blocks import CouplingParams, block_geometry
 from qrgxy.concurrence import (
     ReducedDensityMatrix,
@@ -17,7 +18,7 @@ from qrgxy.concurrence import (
     wootters_concurrence,
 )
 from qrgxy.errors import ContractError, QRGError
-from qrgxy.rgflow import ground_doublet, rg_trajectory
+from qrgxy.rgflow import clear_cache, ground_doublet, rg_trajectory
 
 from oracles import (
     ground_doublet_full,
@@ -205,7 +206,7 @@ def test_batched_pairs_match_one_partial_trace_per_pair(dim):
     geometry = block_geometry(dim)
     for gamma, j in [(-0.6, 1.0), (-0.2, 2.5), (0.0, 1.0), (0.3, 0.4), (0.7, 1.0)]:
         params = CouplingParams(j, gamma)
-        qc.clear_cache()
+        clear_cache()
         bc = block_concurrence(params, dim)
         rho = density_matrix(ground_doublet(params, geometry).phi1)
         for pair, c in bc.per_pair:
@@ -220,7 +221,7 @@ def test_block_concurrence_is_the_x_state_form_of_the_oracle_state(dim):
     x_entries = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
     for gamma0 in (-0.45, 0.0, 0.3, 0.8):
         for params in rg_trajectory(CouplingParams(1.0, gamma0), dim, 2).steps:
-            qc.clear_cache()
+            clear_cache()
             bc = block_concurrence(params, dim)
             phi1 = ground_doublet_full(params, geometry)[1]
             for pair, c in bc.per_pair:
@@ -314,8 +315,48 @@ def test_one_dimensional_flow_and_concurrence_follow_the_closed_form():
             assert abs(flowed_concurrence(1, k, float(g0)) - wc) < 1e-12
 
 
+def test_curve_solves_each_gamma_of_its_trajectories_once(monkeypatch):
+    # the flow and the concurrence read one unit-J solve per gamma
+    solved = []
+    real = ground_doublet
+
+    def counting(params, geometry):
+        solved.append(params)
+        return real(params, geometry)
+
+    for module in (qrgxy.rgflow, qc):
+        monkeypatch.setattr(module, "ground_doublet", counting)
+    clear_cache()
+    curve = concurrence_curve(2, 2, 21)
+    n_solves = len(solved)
+    gammas = {
+        p.gamma
+        for g in curve.gamma_grid
+        for p in rg_trajectory(CouplingParams(1.0, float(g)), 2, 2).steps
+    }
+    assert len(solved) == n_solves  # the trajectories above hit the memo
+    assert n_solves == len(gammas)
+    assert {p.gamma for p in solved} == gammas
+    assert all(p.j == 1.0 for p in solved)
+
+
+def test_j_sweep_solves_every_point_at_its_own_j(monkeypatch):
+    # the sweep measures the J-invariance of the solver, so it must not read
+    # the unit-J memo
+    solved = []
+    real = ground_doublet
+
+    def recording(params, geometry):
+        solved.append((params.gamma, params.j))
+        return real(params, geometry)
+
+    for module in (qrgxy.rgflow, qc):
+        monkeypatch.setattr(module, "ground_doublet", recording)
+    concurrence_j_sweep(2, [-0.5, 0.2], [0.5, 2.0])
+    assert sorted(solved) == [(-0.5, 0.5), (-0.5, 2.0), (0.2, 0.5), (0.2, 2.0)]
+
+
 def test_j_sweep_is_flat_in_j():
-    qc.clear_cache()
     gammas = np.linspace(-1.0, 1.0, 11)
     js = (0.1, 0.5, 1.0, 2.0, 10.0)
     sweep = concurrence_j_sweep(1, gammas, js)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
+from qrgxy.concurrence import concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, StructureError
 from qrgxy.rgflow import (
     GroundDoublet,
@@ -29,7 +30,7 @@ def closed_form_1d(g):
 
 
 def gamma_prime_from_scratch(params, dimension):
-    """gamma' rebuilt directly from the doublet, bypassing the flow cache."""
+    """gamma' rebuilt directly from the doublet, bypassing the block memo."""
     geometry = block_geometry(dimension)
     doublet = ground_doublet(params, geometry)
     plus, _minus, _axis = interblock_bonds(geometry)[0]
@@ -253,11 +254,20 @@ def test_gamma_prime_amplifies_anisotropy():
             assert gp <= 1.0
 
 
-def test_gamma_prime_cache_rounds_nearby_inputs_together():
+def test_memo_hit_is_bitwise_a_cold_solve():
+    # the block memo is keyed on the exact gamma, so what earlier calls left
+    # in it never changes a result
     clear_cache()
-    r = gamma_prime(0.3, 1)
-    assert gamma_prime(0.3 + 1e-13, 1) == r  # same 12-decimal cache key
-    assert gamma_prime(0.3, 1) == r
+    curves = [concurrence_curve(2, step, 101) for step in (0, 1, 2)]
+    for curve in curves:
+        for g, c in zip(curve.gamma_grid, curve.values):
+            clear_cache()
+            assert flowed_concurrence(2, curve.rg_step, float(g)) == c
+    clear_cache()
+    gamma_prime(0.3, 1)
+    hit = gamma_prime(0.3 + 1e-13, 1)
+    clear_cache()
+    assert gamma_prime(0.3 + 1e-13, 1) == hit
 
 
 # -- trajectories
