@@ -16,11 +16,11 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import BlockGeometry, CouplingParams, block_geometry
+from .blocks import CouplingParams, block_geometry, collective_spin
 from .errors import ContractError, QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import Axis, two_site_term
-from .rgflow import block_solve, corner_pair_state, ground_doublet, rg_trajectory
+from .rgflow import block_solve, rg_trajectory, solve_halves
 
 NORM_TOL = 1e-10
 LAMBDA_FLOOR = -1e-10
@@ -123,9 +123,10 @@ def wootters_concurrence(rdm):
 
 
 @functools.cache
-def _corner_pairs(geometry: BlockGeometry) -> Tuple[Tuple[int, int], ...]:
+def _corner_pairs(dimension: int) -> Tuple[Tuple[int, int], ...]:
     """Every unordered corner pair (i, j), i < j."""
-    return tuple(tuple(sorted((a.site, b.site))) for a, b in combinations(geometry.corners, 2))
+    corners = block_geometry(dimension).corners
+    return tuple(tuple(sorted((a.site, b.site))) for a, b in combinations(corners, 2))
 
 
 def _x_state_concurrence(rho) -> float:
@@ -154,7 +155,7 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     and is read from the unit-J block memo that the flow shares.
     """
     conc = _x_state_concurrence(block_solve(dimension, params.gamma).pair_state)
-    pairs = _corner_pairs(block_geometry(dimension))
+    pairs = _corner_pairs(dimension)
     return BlockConcurrence(per_pair=tuple((pair, conc) for pair in pairs), geometric_mean=conc)
 
 
@@ -200,9 +201,9 @@ def concurrence_j_sweep(
     j_grid = np.asarray(j_grid, dtype=float)
     if j_grid.size == 0 or np.any(j_grid <= 0):
         raise ValueError("all j values must be > 0")
-    geometry = block_geometry(dimension)
-    doublets = (
-        ground_doublet(CouplingParams(float(j), float(g)), geometry) for g in gamma_grid for j in j_grid
+    spin = collective_spin(block_geometry(dimension))
+    solved = (
+        solve_halves(CouplingParams(float(j), float(g)), spin) for g in gamma_grid for j in j_grid
     )
-    vals = [_x_state_concurrence(corner_pair_state(d.phi1, geometry)) for d in doublets]
+    vals = [_x_state_concurrence(spin.pair_state(s.ground[0])) for s in solved]
     return np.asarray(vals, dtype=float).reshape(len(gamma_grid), len(j_grid))

@@ -4,9 +4,12 @@ products, and PSD matrix square roots.
 Everything is real double precision. Block Hamiltonians, parity projectors
 and reduced density matrices are all real symmetric (see pauli / blocks), so
 no complex code path exists anywhere in the package. The package's own
-eigensolves are at most 2(2d+1) = 14 wide (the collective-spin blocks of
-blocks); only blocks.block_hamiltonian and the test oracles still build the
-2^n matrices, 128x128 at most, far below the enforced ceiling.
+eigensolves are at most 8 wide: the parity halves of the collective-spin
+blocks of blocks (2d+1 wide for S = d, d^2 - 1 for the merged S < d; the
+S = 0 block is zero and never solved) and 4x4 two-spin states. Only
+blocks.block_hamiltonian, the output embedding of rgflow.ground_doublet and
+the test oracles touch the 2^n basis, 128 wide at most, far below the
+enforced ceiling.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ class EigenDecomposition(NamedTuple):
 
 def _require_symmetric(a) -> np.ndarray:
     """`a` as a float array of shape (..., n, n), each matrix checked on its
-    own; the first that fails is reported with its own scale and entry."""
+    own; the first that fails is reported with its own scale and entry. An
+    exactly symmetric stack passes without the tolerance check."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ContractError(f"matrix must be square, got shape {a.shape}")
@@ -38,6 +42,8 @@ def _require_symmetric(a) -> np.ndarray:
         raise ContractError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
     if n == 0:
         raise ContractError("matrix is empty")
+    if (a == np.swapaxes(a, -1, -2)).all():
+        return a  # exactly symmetric: nothing for the tolerance check to report
     stack = a.reshape(-1, n, n)
     scale = np.max(np.abs(stack), axis=(1, 2))
     dev = np.abs(stack - stack.transpose(0, 2, 1)).reshape(len(stack), n * n)

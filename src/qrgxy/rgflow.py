@@ -12,6 +12,12 @@ renormalized couplings
 gamma' is a ratio, so it is independent of J and of the (unknowable) number
 of corner-corner bonds between adjacent blocks; J' is reported under the
 single-representative-bond convention.
+
+The flow never leaves the collective corner spin S = d (2(2d+1) wide):
+solve_halves finds the doublet there, and block_solve reads xi_x, xi_y and
+the corner-pair state off it. Only ground_doublet, for output and for
+full-basis callers, embeds the doublet into the 2^n basis, and
+renormalized_operators projects such full-basis vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +28,14 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .blocks import BlockGeometry, CouplingParams, block_geometry, collective_spin, interblock_bonds
+from .blocks import (
+    BlockGeometry,
+    CollectiveSpin,
+    CouplingParams,
+    block_geometry,
+    collective_spin,
+    interblock_bonds,
+)
 from .errors import DegeneracyError, QRGError, StructureError
 from .numerics import eigh_symmetric, eigvalsh_symmetric
 from .pauli import spin_flip
@@ -79,9 +92,20 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec + 0.0 if vec[idx] > 0 else 0.0 - vec
 
 
-def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
-    """Diagonalize the block in its collective corner spin S and take the
-    ground state of each parity half of S = d.
+class HalvesGround(NamedTuple):
+    """The ground doublet of a block in the S = d basis of blocks.CollectiveSpin."""
+
+    energy: float
+    gap_to_third: float
+    ground: np.ndarray  # (2, 2(2d+1)): the even and the odd ground vector, each zero off its half
+
+
+_S0_LEVELS = np.zeros(2)  # the S = 0 block is the zero 2x2 matrix in every dimension
+
+
+def solve_halves(params: CouplingParams, spin: CollectiveSpin) -> HalvesGround:
+    """Solve the block in its collective corner spin S and take the ground
+    state of each parity half of S = d.
 
     H couples the center only to the total corner spin, so it is the direct
     sum of center (x) spin-S blocks, S = 0..d, 2(2S+1) wide. Each S block
@@ -89,17 +113,16 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
     level of the full block; it must show an isolated twofold ground level
     made of one even and one odd level of S = d. The parity
     (-1)^(c + k_down) splits S = d into two halves, 2d+1 wide, solved for
-    their vectors in one stacked call; the S < d blocks only for their
-    levels, since one of them can hold the third level. The two half ground
-    vectors, embedded into the full basis with exact zeros outside their
-    parity, are the parity eigenstates that make the projected corner
-    operators come out in pure sigma'^x / sigma'^y form.
+    their vectors in one stacked call; the S = 1..d-1 blocks, merged per
+    half, in one more call for their levels only, since one of them can
+    hold the third level; the S = 0 block adds two zero levels unsolved.
     """
-    spin = collective_spin(geometry)
-    *lower, top = spin.hamiltonians(params)
-    half = spin.half
-    levels, vectors = eigh_symmetric(top[half[:, :, None], half[:, None, :]])
-    w = np.sort(np.concatenate([levels.reshape(-1), *(eigvalsh_symmetric(h) for h in lower)]))
+    top, lower = spin.hamiltonians(params)
+    levels, vectors = eigh_symmetric(top)
+    parts = [levels.reshape(-1), _S0_LEVELS]
+    if lower.size:
+        parts.append(eigvalsh_symmetric(lower).reshape(-1))
+    w = np.sort(np.concatenate(parts))
     spread = float(w[-1] - w[0])
     tol = DEGENERACY_RTOL * spread
     if w[1] - w[0] > tol:
@@ -118,15 +141,38 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
             f"ground doublet is not one even and one odd level: lowest even "
             f"{levels[0, 0]:.12g}, lowest odd {levels[1, 0]:.12g}, E2 = {w[1]:.12g}"
         )
-    ground = np.zeros((2, top.shape[0]))
-    ground[[[0], [1]], half] = vectors[:, :, 0]
-    phi1, phi2 = (_fix_sign(spin.weight * u[spin.column]) for u in ground)
+    ground = np.zeros((2, 2 * top.shape[-1]))
+    ground[[[0], [1]], spin.half] = vectors[:, :, 0]
+    return HalvesGround(energy=float(w[0]), gap_to_third=gap, ground=ground)
+
+
+def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
+    """The ground doublet of solve_halves, embedded into the full 2^n basis
+    with exact zeros outside each vector's parity: the parity eigenstates
+    that make the projected corner operators come out in pure sigma'^x /
+    sigma'^y form. The flow does not need the 2^n vectors and reads the
+    S = d solution instead; this is for output and for callers that work
+    in the full basis."""
+    spin = collective_spin(geometry)
+    solved = solve_halves(params, spin)
+    phi1, phi2 = (_fix_sign(spin.weight * u[spin.column]) for u in solved.ground)
     return GroundDoublet(
-        energy=float(w[0]),
+        energy=solved.energy,
         phi1=phi1,
         phi2=phi2,
-        gap_to_third=gap,
+        gap_to_third=solved.gap_to_third,
         n_spins=geometry.n_sites,
+    )
+
+
+def _is_pure_sigma_x(d1: float, d2: float, off: float, off_t: float) -> bool:
+    return max(abs(d1), abs(d2)) <= STRUCTURE_TOL and abs(off - off_t) <= STRUCTURE_TOL
+
+
+def _sigma_x_error(d1: float, d2: float, off: float, off_t: float, corner: int) -> StructureError:
+    return StructureError(
+        f"projected sigma^x at site {corner} is not proportional to sigma'^x: "
+        f"diagonal ({d1:.3e}, {d2:.3e}), off-diagonals ({off:.12g}, {off_t:.12g})"
     )
 
 
@@ -140,7 +186,7 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
     <phi1|sigma^y|phi2> = i <phi1|(-i sigma^y)|phi2>, and the pure sigma'^y
     form pins xi_y = -<phi1|(-i sigma^y)|phi2>. Its diagonal vanishes
     identically (the building block is antisymmetric), so no separate check
-    is needed there.
+    is needed there. block_solve takes the same projections in S = d.
     """
     flip, signs = spin_flip(corner, doublet.n_spins)
     x1 = doublet.phi1[flip]  # phi1 @ sx
@@ -149,11 +195,8 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
     d2 = float(x2 @ doublet.phi2)
     off = float(x1 @ doublet.phi2)
     off_t = float(x2 @ doublet.phi1)
-    if max(abs(d1), abs(d2)) > STRUCTURE_TOL or abs(off - off_t) > STRUCTURE_TOL:
-        raise StructureError(
-            f"projected sigma^x at site {corner} is not proportional to sigma'^x: "
-            f"diagonal ({d1:.3e}, {d2:.3e}), off-diagonals ({off:.12g}, {off_t:.12g})"
-        )
+    if not _is_pure_sigma_x(d1, d2, off, off_t):
+        raise _sigma_x_error(d1, d2, off, off_t, corner)
     xi_y = -float((x1 * signs) @ doublet.phi2)
     return RenormalizedOperators(xi_x=off, xi_y=xi_y, corner=corner)
 
@@ -168,27 +211,7 @@ class BlockSolve(NamedTuple):
     xi_x2: float
     xi_y2: float
     gamma_prime: float
-    pair_state: np.ndarray  # corner_pair_state(phi1), read-only
-
-
-@functools.cache
-def _pair_gather(geometry: BlockGeometry) -> np.ndarray:
-    """Read-only (4, 2^(n-2)) index: phi[index] has the legs (i, j) of the
-    first two corners, in site order, as rows and all other spins as
-    columns."""
-    n = geometry.n_sites
-    pair = sorted(corner.site for corner in geometry.corners[:2])
-    index = np.moveaxis(np.arange(2 ** n).reshape((2,) * n), pair, (0, 1)).reshape(4, -1)
-    index.flags.writeable = False
-    return index
-
-
-def corner_pair_state(phi: np.ndarray, geometry: BlockGeometry) -> np.ndarray:
-    """Reduced state of the first two corners of a block vector, legs in site
-    order. The doublet vectors are symmetric under any permutation of the
-    corners, so this pair stands for every corner pair."""
-    m = phi[_pair_gather(geometry)]
-    return m @ m.T
+    pair_state: np.ndarray  # reduced state of two corners of phi1, read-only
 
 
 def clear_cache() -> None:
@@ -200,13 +223,24 @@ def clear_cache() -> None:
 def block_solve(dimension: int, gamma: float) -> BlockSolve:
     """The block at (J = 1, gamma), solved once per exact (dimension, gamma):
     sweeps and derivative probes revisit the same blocks, and the flow and
-    the concurrence share them."""
+    the concurrence share them.
+
+    Everything is read off the two S = d ground vectors of solve_halves,
+    2(2d+1) wide, with the corner tables of blocks.CollectiveSpin: the
+    projected corner sx and (-i sy), under the same checks as
+    renormalized_operators, and the corner-pair state of phi1. No 2^n
+    vector is built.
+    """
     geometry = block_geometry(dimension)
-    doublet = ground_doublet(CouplingParams(1.0, gamma), geometry)
-    site_plus, _site_minus, _axis = interblock_bonds(geometry)[0]  # x-axis representative
-    ops = renormalized_operators(doublet, site_plus)
-    xx = ops.xi_x ** 2
-    yy = ops.xi_y ** 2
+    spin = collective_spin(geometry)
+    ground = solve_halves(CouplingParams(1.0, gamma), spin).ground
+    x, y = ground @ spin.corner @ ground.T  # <phi_a|sx|phi_b>, <phi_a|(-i sy)|phi_b>
+    d1, d2, off, off_t = float(x[0, 0]), float(x[1, 1]), float(x[0, 1]), float(x[1, 0])
+    if not _is_pure_sigma_x(d1, d2, off, off_t):
+        site_plus, _site_minus, _axis = interblock_bonds(geometry)[0]  # x-axis representative
+        raise _sigma_x_error(d1, d2, off, off_t, site_plus)
+    xx = off ** 2
+    yy = float(y[0, 1]) ** 2
     tx = (1.0 + gamma) * xx
     ty = (1.0 - gamma) * yy
     if tx + ty <= 1e-300:
@@ -217,7 +251,7 @@ def block_solve(dimension: int, gamma: float) -> BlockSolve:
     # the ratio is <= 1 in magnitude up to rounding; clamp only that much
     if 1.0 < abs(gp) <= 1.0 + 1e-12:
         gp = 1.0 if gp > 0 else -1.0
-    state = corner_pair_state(doublet.phi1, geometry)
+    state = spin.pair_state(ground[0])
     state.flags.writeable = False
     return BlockSolve(xx, yy, gp, state)
 

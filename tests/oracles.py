@@ -195,3 +195,18 @@ def x_state_concurrence(rho):
         abs(rho[0, 3]) - np.sqrt(rho[1, 1] * rho[2, 2]),
         abs(rho[1, 2]) - np.sqrt(rho[0, 0] * rho[3, 3]),
     )
+
+
+def pair_gather(geometry):
+    """(4, 2^(n-2)) index: phi[index] has the legs (i, j) of the first two
+    corners, in site order, as rows and all other spins as columns."""
+    n = geometry.n_sites
+    pair = sorted(corner.site for corner in geometry.corners[:2])
+    return np.moveaxis(np.arange(2 ** n).reshape((2,) * n), pair, (0, 1)).reshape(4, -1)
+
+
+def corner_pair_state(phi, geometry):
+    """Reduced state of the first two corners of a full-basis block vector,
+    legs in site order, gathered from the 2^n amplitudes."""
+    m = phi[pair_gather(geometry)]
+    return m @ m.T

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,9 @@ from qrgxy.blocks import (
     interblock_bonds,
 )
 from qrgxy.numerics import eigh_symmetric
-from qrgxy.pauli import Axis, parity_operator
+from qrgxy.pauli import Axis, embed_pauli, embed_y_real, parity_operator
 
-from oracles import xy_hamiltonian_complex, xy_hamiltonian_per_bond
+from oracles import partial_trace_bruteforce, xy_hamiltonian_complex, xy_hamiltonian_per_bond
 
 
 def _complex_twin(params, geometry):
@@ -63,6 +64,31 @@ def test_collective_spin_embedding_is_an_isometry(dim):
     assert np.max(np.abs(e.T @ e - np.eye(e.shape[1]))) <= 1e-14
 
 
+def _top_block(spin, params):
+    """H_B on S = d, 2(2d+1) wide, assembled from its two halves."""
+    halves, _lower = spin.hamiltonians(params)
+    top = np.zeros((2 * halves.shape[-1],) * 2)
+    for h, half in zip(halves, spin.half):
+        top[np.ix_(half, half)] = h
+    return top
+
+
+def _levels_by_spin(spin, params):
+    """The levels of each S block, S = 0..d, counted once: the zero S = 0
+    block, the S = 1..d-1 blocks cut out of the merged halves, where spin S
+    sits 2S+1 wide after the lower spins, and the S = d halves."""
+    halves, lower = spin.hamiltonians(params)
+    levels = [np.zeros(2)]
+    start = 0
+    for s in range(1, len(spin.half[0]) // 2):
+        stop = start + 2 * s + 1
+        levels.append(np.concatenate([np.linalg.eigvalsh(h[start:stop, start:stop]) for h in lower]))
+        start = stop
+    assert start == lower.shape[-1]
+    levels.append(np.linalg.eigvalsh(halves).reshape(-1))
+    return levels
+
+
 # S = d is an invariant subspace of the per-bond build, the embedding carries
 # its block onto it, and the parity halves are the popcount parity there
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -78,9 +104,8 @@ def test_collective_spin_top_block_is_the_restriction_of_the_block(dim):
     for gamma in (-1.0, -0.3, 0.0, 1e-7, 0.7, 1.0):
         params = CouplingParams(1.3, gamma)
         ref = xy_hamiltonian_per_bond(params.j, gamma, n, bonds)
-        top = spin.hamiltonians(params)[-1]
-        assert np.max(np.abs(ref @ e - e @ top)) <= 1e-14
-        assert not np.any(top[np.ix_(*spin.half)])  # the halves never mix
+        assert np.max(np.abs(ref @ e - e @ _top_block(spin, params))) <= 1e-14
+        assert np.max(np.abs((e.T @ ref @ e)[np.ix_(*spin.half)])) <= 1e-14  # the halves never mix
 
 
 # each S block counted once, the merged levels hold the full block's lowest
@@ -90,12 +115,13 @@ def test_collective_spin_top_block_is_the_restriction_of_the_block(dim):
 def test_merged_collective_spin_levels_match_the_full_block(dim):
     geometry = block_geometry(dim)
     spin = collective_spin(geometry)
-    assert [len(h) for h in spin.xx] == [2 * (2 * s + 1) for s in range(dim + 1)]
+    assert spin.xx.shape == (2, 2 * dim + 1, 2 * dim + 1)
+    assert spin.lower_xx.shape == (2, dim * dim - 1, dim * dim - 1)
     multiplicity = [math.comb(2 * dim, dim - s) - math.comb(2 * dim, dim - s - 1) for s in range(dim)]
     bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
     for gamma in (-1.0, -1 + 1e-7, -0.6, -1e-7, 0.0, 1e-7, 0.45, 1 - 1e-7, 1.0):
         params = CouplingParams(0.8, gamma)
-        levels = [np.linalg.eigvalsh(h) for h in spin.hamiltonians(params)]
+        levels = _levels_by_spin(spin, params)
         full = np.linalg.eigvalsh(xy_hamiltonian_per_bond(params.j, gamma, geometry.n_sites, bonds))
         merged = np.sort(np.concatenate(levels))
         picks = [0, 1, 2, -1]
@@ -104,11 +130,39 @@ def test_merged_collective_spin_levels_match_the_full_block(dim):
         assert np.max(np.abs(counted - full)) <= 1e-12
 
 
+# a corner's sx and (-i sy), restricted to S = d, and the reduced state of
+# two corners as a quadratic form on S = d, against the full basis
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_collective_spin_corner_tables_are_restrictions(dim):
+    geometry = block_geometry(dim)
+    n = geometry.n_sites
+    spin = collective_spin(geometry)
+    e = _embedding(geometry)
+    pair = sorted(c.site for c in geometry.corners[:2])
+    rng = np.random.default_rng(dim)
+    for corner in geometry.corners:
+        sx, ky = (embed(corner.site, n) for embed in (lambda s, m: embed_pauli(Axis.X, s, m), embed_y_real))
+        assert np.max(np.abs(e.T @ sx @ e - spin.corner[0])) <= 1e-15
+        assert np.max(np.abs(e.T @ ky @ e - spin.corner[1])) <= 1e-15
+    for _ in range(5):
+        v = rng.standard_normal(e.shape[1])
+        v /= np.linalg.norm(v)
+        want = partial_trace_bruteforce(e @ v, pair, n)
+        assert np.max(np.abs(spin.pair_state(v) - want)) <= 1e-15
+
+
 def test_collective_spin_is_read_only():
     spin = collective_spin(block_geometry(2))
-    for arr in (*spin.xx, *spin.yy, spin.half, spin.column, spin.weight):
+    for arr in spin:
         with pytest.raises(ValueError):
-            arr[0] = 0
+            arr.flat[0] = 0
+
+
+def test_collective_spin_is_keyed_on_the_dimension():
+    # a geometry that cannot be hashed still finds the tables of its dimension
+    geometry = block_geometry(2)
+    unhashable = dataclasses.replace(geometry, intra_bonds=list(geometry.intra_bonds))
+    assert collective_spin(unhashable) is collective_spin(geometry)
 
 
 def test_block_hamiltonian_is_a_fresh_writable_array():

@@ -18,9 +18,10 @@ from qrgxy.concurrence import (
     wootters_concurrence,
 )
 from qrgxy.errors import ContractError, QRGError
-from qrgxy.rgflow import clear_cache, ground_doublet, rg_trajectory
+from qrgxy.rgflow import clear_cache, ground_doublet, rg_trajectory, solve_halves
 
 from oracles import (
+    corner_pair_state,
     ground_doublet_full,
     partial_trace_bruteforce,
     wootters_concurrence_complex,
@@ -318,14 +319,14 @@ def test_one_dimensional_flow_and_concurrence_follow_the_closed_form():
 def test_curve_solves_each_gamma_of_its_trajectories_once(monkeypatch):
     # the flow and the concurrence read one unit-J solve per gamma
     solved = []
-    real = ground_doublet
+    real = solve_halves
 
-    def counting(params, geometry):
+    def counting(params, spin):
         solved.append(params)
-        return real(params, geometry)
+        return real(params, spin)
 
     for module in (qrgxy.rgflow, qc):
-        monkeypatch.setattr(module, "ground_doublet", counting)
+        monkeypatch.setattr(module, "solve_halves", counting)
     clear_cache()
     curve = concurrence_curve(2, 2, 21)
     n_solves = len(solved)
@@ -344,16 +345,36 @@ def test_j_sweep_solves_every_point_at_its_own_j(monkeypatch):
     # the sweep measures the J-invariance of the solver, so it must not read
     # the unit-J memo
     solved = []
-    real = ground_doublet
+    real = solve_halves
 
-    def recording(params, geometry):
+    def recording(params, spin):
         solved.append((params.gamma, params.j))
-        return real(params, geometry)
+        return real(params, spin)
 
     for module in (qrgxy.rgflow, qc):
-        monkeypatch.setattr(module, "ground_doublet", recording)
+        monkeypatch.setattr(module, "solve_halves", recording)
     concurrence_j_sweep(2, [-0.5, 0.2], [0.5, 2.0])
     assert sorted(solved) == [(-0.5, 0.5), (-0.5, 2.0), (0.2, 0.5), (0.2, 2.0)]
+
+
+def test_j_sweep_reduces_the_oracle_state_at_each_j():
+    gammas, js = [-0.45, 0.0, 0.3], [0.4, 1.0, 7.5]
+    for dim in (1, 2, 3):
+        geometry = block_geometry(dim)
+        sweep = concurrence_j_sweep(dim, gammas, js)
+        for row, g in zip(sweep, gammas):
+            for c, j in zip(row, js):
+                phi1 = ground_doublet_full(CouplingParams(j, g), geometry)[1]
+                assert abs(c - x_state_concurrence(corner_pair_state(phi1, geometry))) < 1e-13
+
+
+def test_ising_point_concurrence_is_at_the_rounding_floor():
+    # exactly 0 in exact arithmetic; the rounding of the S = d ground vector
+    # leaves at most a few ulps of 1/4 in |rho03| - sqrt(rho11 rho22)
+    for dim in (1, 2, 3):
+        for g in (-1.0, 1.0):
+            clear_cache()
+            assert 0.0 <= flowed_concurrence(dim, 0, g) <= 1e-15
 
 
 def test_j_sweep_is_flat_in_j():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
+from qrgxy.blocks import CouplingParams, block_geometry, block_hamiltonian, collective_spin, interblock_bonds
 from qrgxy.concurrence import concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, StructureError
 from qrgxy.rgflow import (
     GroundDoublet,
+    block_solve,
     clear_cache,
     fixed_points,
     gamma_prime,
@@ -16,11 +17,14 @@ from qrgxy.rgflow import (
     renormalized_operators,
     rg_map,
     rg_trajectory,
+    solve_halves,
 )
 
+import qrgxy.blocks
+import qrgxy.pauli
 import qrgxy.rgflow
 
-from oracles import ground_doublet_full
+from oracles import corner_pair_state, ground_doublet_full
 from reference_data import ISING_DOUBLETS, KNOWN_FLOWS, known_flow, ket_index, vector_from_kets
 
 
@@ -115,37 +119,44 @@ def test_sector_doublet_matches_full_block_oracle(dim, gamma):
         assert min(np.max(np.abs(mine - s * ref)) for s in (1.0, -1.0)) < 1e-12
 
 
-def _fake_spin(lower, top):
-    """The d = 1 collective-spin cache with the diagonal bond sums
-    XX_0 = diag(lower), XX_1 = diag(top) and YY = 0, so that at J = 4 and
-    gamma = 0 those diagonals are the levels. The top halves are positions
-    (0, 2, 4) even and (1, 3, 5) odd."""
-    spin = collective_spin(block_geometry(1))
+def _fake_spin(dim, top, lower=((), ())):
+    """The collective-spin cache of `dim` with diagonal bond sums: the even
+    and odd halves of XX_d are diag(top[0]) and diag(top[1]), the merged
+    S = 1..d-1 halves diag(lower[0]) and diag(lower[1]), and YY = 0, so that
+    at J = 4 and gamma = 0 those diagonals are the levels."""
+    spin = collective_spin(block_geometry(dim))
     return spin._replace(
-        xx=(np.diag(lower), np.diag(top)),
-        yy=(np.zeros((2, 2)), np.zeros((6, 6))),
+        xx=np.stack([np.diag(np.asarray(t, dtype=float)) for t in top]),
+        yy=np.zeros_like(spin.yy),
+        lower_xx=np.stack([np.diag(np.asarray(t, dtype=float)) for t in lower]),
+        lower_yy=np.zeros_like(spin.lower_yy),
     )
 
 
 def test_two_lowest_levels_of_one_parity_raise_structure_error(monkeypatch):
     # a fake sector cache whose two lowest levels are both even, with the odd
     # ground level far above them: the doublet checks pass, parity must not
-    fake = _fake_spin([3.0, 3.0], [-1.0, 1.0, -1.0, 1.0, 2.0, 1.0])
+    fake = _fake_spin(1, ([-1.0, -1.0, 2.0], [1.0, 1.0, 1.0]))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(StructureError, match="one even and one odd"):
         ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
 
 
 def test_third_level_of_a_lower_spin_block_sets_the_gap(monkeypatch):
-    # the S = 0 block holds the third level, 0.5 above the doublet; the
-    # S = d halves alone would put it 4 above
-    fake = _fake_spin([-0.5, 7.0], [-1.0, -1.0, 3.0, 3.0, 5.0, 5.0])
+    # the S = 1 block of d = 2 holds the third level, 0.5 above the doublet;
+    # the S = d halves alone would put it 4 above, the zero S = 0 block 1
+    top = ([-1.0, 3.0, 5.0, 5.0, 5.0], [-1.0, 3.0, 5.0, 5.0, 5.0])
+    fake = _fake_spin(2, top, ([-0.5, 7.0, 7.0], [7.0, 7.0, 7.0]))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
-    assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1)).gap_to_third == 0.5
-    fake = _fake_spin([-1.0, 7.0], [-1.0, -1.0, 3.0, 3.0, 5.0, 5.0])
+    assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2)).gap_to_third == 0.5
+    fake = _fake_spin(2, top, ([-1.0, 7.0, 7.0], [7.0, 7.0, 7.0]))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(DegeneracyError, match="third level"):
-        ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
+        ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2))
+    # the S = 0 block is zero and never solved, yet its two levels count
+    fake = _fake_spin(1, ([-1.0, 3.0, 5.0], [-1.0, 3.0, 5.0]))
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+    assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1)).gap_to_third == 1.0
 
 
 # -- projected corner operators
@@ -268,6 +279,89 @@ def test_memo_hit_is_bitwise_a_cold_solve():
     hit = gamma_prime(0.3 + 1e-13, 1)
     clear_cache()
     assert gamma_prime(0.3 + 1e-13, 1) == hit
+
+
+# -- the S = d path of the block memo
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("gamma", [-1.0, -0.6, 0.0, 0.1, 0.45, 1.0])
+def test_block_solve_matches_the_full_basis_oracle(dim, gamma):
+    geometry = block_geometry(dim)
+    energy, phi1, phi2, gap = ground_doublet_full(CouplingParams(1.0, gamma), geometry)
+    doublet = GroundDoublet(energy=energy, phi1=phi1, phi2=phi2, gap_to_third=gap, n_spins=geometry.n_sites)
+    ops = renormalized_operators(doublet, interblock_bonds(geometry)[0][0])
+    clear_cache()
+    solve = block_solve(dim, gamma)
+    assert abs(solve.xi_x2 - ops.xi_x ** 2) <= 1e-14
+    assert abs(solve.xi_y2 - ops.xi_y ** 2) <= 1e-14
+    assert np.max(np.abs(solve.pair_state - corner_pair_state(phi1, geometry))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
+    collective_spin(block_geometry(dim))  # the per-dimension tables are built from the full basis once
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block memo reached a full-basis helper")
+
+    for module, name in (
+        (qrgxy.pauli, "spin_flip"),
+        (qrgxy.rgflow, "spin_flip"),
+        (qrgxy.rgflow, "ground_doublet"),
+        (qrgxy.blocks, "block_hamiltonian"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    clear_cache()
+    assert block_solve(dim, 0.3).pair_state.shape == (4, 4)
+
+
+@pytest.mark.parametrize("dim,calls", [(1, 1), (2, 2), (3, 2)])
+def test_cold_block_solve_makes_one_eigh_and_at_most_one_eigvalsh(monkeypatch, dim, calls):
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    clear_cache()
+    block_solve(dim, 0.3)
+    assert len(shapes) == calls
+    assert shapes[0] == (2, 2 * dim + 1, 2 * dim + 1)
+    assert max(shape[-1] for shape in shapes) <= 2 * (2 * dim + 1)
+
+
+def test_block_solve_checks_the_projected_corner_sigma_x(monkeypatch):
+    # a corner table with a diagonal: the doublet no longer projects it onto
+    # a pure sigma'^x, and the memo says so instead of squaring it away
+    spin = collective_spin(block_geometry(2))
+    fake = spin._replace(corner=spin.corner + np.eye(spin.corner.shape[-1]))
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+    clear_cache()
+    with pytest.raises(StructureError, match="at site 2 is not proportional to sigma'"):
+        block_solve(2, 0.3)
+
+
+# the S = d halves, the merged S = 1..d-1 halves and the two zero levels of
+# S = 0 hold every level of the block, and nothing else
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_merged_levels_are_the_levels_of_the_block(dim):
+    geometry = block_geometry(dim)
+    spin = collective_spin(geometry)
+    for gamma in (-1.0, -0.6, 0.0, 0.1, 0.45, 1.0):
+        params = CouplingParams(1.3, gamma)
+        halves, lower = spin.hamiltonians(params)
+        merged = [np.linalg.eigvalsh(halves).reshape(-1), np.zeros(2)]
+        if lower.size:
+            merged.append(np.linalg.eigvalsh(lower).reshape(-1))
+        merged = np.concatenate(merged)
+        full = np.linalg.eigvalsh(block_hamiltonian(params, geometry))
+        assert np.max(np.min(np.abs(full[:, None] - merged), axis=1)) <= 1e-12
+        assert np.max(np.min(np.abs(merged[:, None] - full), axis=1)) <= 1e-12
+        solved = solve_halves(params, spin)
+        assert abs(solved.energy - full[0]) <= 1e-12
+        assert abs(solved.gap_to_third - (full[2] - full[1])) <= 1e-12
 
 
 # -- trajectories
