@@ -16,7 +16,6 @@ from .blocks import (
     BlockGeometry,
     CouplingParams,
     block_geometry,
-    block_hamiltonian,
     interblock_bonds,
 )
 from .concurrence import (
@@ -36,20 +35,11 @@ from .errors import (
     ContractError,
     DegeneracyError,
     QRGError,
-    RealArithmeticError,
     ScalingUnderflowError,
     StructureError,
 )
-from .numerics import EigenDecomposition, eigh_symmetric, kron, sqrt_psd
-from .pauli import (
-    Axis,
-    basis_label,
-    embed_pauli,
-    embed_y_real,
-    parity_operator,
-    spin_flip,
-    two_site_term,
-)
+from .numerics import EigenDecomposition, eigh_symmetric, sqrt_psd
+from .pauli import Axis, basis_label, spin_flip
 from .rgflow import (
     FixedPoint,
     GroundDoublet,
@@ -93,7 +83,6 @@ __all__ = [
     "GroundDoublet",
     "QRGError",
     "RGTrajectory",
-    "RealArithmeticError",
     "ReducedDensityMatrix",
     "RenormalizedOperators",
     "ScalingFit",
@@ -102,15 +91,12 @@ __all__ = [
     "basis_label",
     "block_concurrence",
     "block_geometry",
-    "block_hamiltonian",
     "concurrence_curve",
     "concurrence_j_sweep",
     "density_matrix",
     "derivative_curve",
     "derivative_scaling",
     "eigh_symmetric",
-    "embed_pauli",
-    "embed_y_real",
     "entanglement_exponent",
     "fit_loglog",
     "fixed_points",
@@ -118,9 +104,7 @@ __all__ = [
     "gamma_prime",
     "ground_doublet",
     "interblock_bonds",
-    "kron",
     "locate_max",
-    "parity_operator",
     "partial_trace_pair",
     "peak_points",
     "renormalized_operators",
@@ -129,6 +113,5 @@ __all__ = [
     "spin_flip",
     "sqrt_psd",
     "system_size",
-    "two_site_term",
     "wootters_concurrence",
 ]

@@ -1,4 +1,5 @@
-"""Kadanoff block geometry and the XY block Hamiltonian in d = 1, 2, 3.
+"""Kadanoff block geometry and the XY block Hamiltonian in d = 1, 2, 3,
+held in the collective corner spin.
 
 A block is a star of 2d+1 spins: one center coupled to 2d corners, one corner
 on each side of each lattice axis. Blocks tile the lattice and adjacent
@@ -10,19 +11,24 @@ center in the middle; d=2 and d=3 put the center first, then the corner pairs
 in axis order (x-, x+, y-, y+, z-, z+). Ground-state amplitude dumps and the
 reference-state comparisons in the tests depend on this ordering bit for bit.
 
-The center couples to the corners only through their total spin S, so the
-block Hamiltonian is the direct sum of center (x) spin-S blocks, S = 0..d,
-each 2(2S+1) wide and split in two halves by parity; the S = 0 block is the
-zero 2x2 matrix, and the ground doublet lies in S = d (6 / 10 / 14 wide).
-collective_spin holds the halves, the S = d restrictions of a corner's sx
-and (-i sy), the corner-pair state as a quadratic form on S = d, and the
-map from S = d back to the 2^n basis, which only output needs. Only
-block_hamiltonian builds the full 2^n matrix.
+The block Hamiltonian is
+
+    H_B = (J/4) sum over center-corner bonds [(1+gamma) sx sx + (1-gamma) sy sy],
+
+the anisotropy entering with opposite signs on the x and y pair terms. The
+center couples to the corners only through their total spin S, so H_B is
+the direct sum of center (x) spin-S blocks, S = 0..d, each 2(2S+1) wide and
+split in two halves by parity; the S = 0 block is the zero 2x2 matrix, and
+the ground doublet lies in S = d (6 / 10 / 14 wide). collective_spin holds
+the halves, the S = d restrictions of a corner's sx and (-i sy), the
+corner-pair state as a quadratic form on S = d, and the map from S = d back
+to the 2^n basis, which only output needs. No 2^n matrix is built.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -33,15 +39,15 @@ from .pauli import SIGMA_X, SIGMA_Y_REAL, Axis, spin_flip
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Couplings at one RG step: exchange strength j > 0 (antiferromagnetic),
-    anisotropy gamma in [-1, 1]."""
+    """Couplings at one RG step: finite exchange strength j > 0
+    (antiferromagnetic), anisotropy gamma in [-1, 1]."""
 
     j: float
     gamma: float
 
     def __post_init__(self):
-        if not self.j > 0:
-            raise ValueError(f"coupling j must be > 0, got {self.j}")
+        if not 0 < self.j < math.inf:
+            raise ValueError(f"coupling j must be finite and > 0, got {self.j}")
         if not abs(self.gamma) <= 1:
             raise ValueError(f"anisotropy gamma must lie in [-1, 1], got {self.gamma}")
 
@@ -238,30 +244,6 @@ def collective_spin(geometry: BlockGeometry) -> CollectiveSpin:
     pauli.spin_flip.
     """
     return _collective_spin(geometry.dimension)
-
-
-def block_hamiltonian(params: CouplingParams, geometry: BlockGeometry) -> np.ndarray:
-    """H_B = (J/4) * sum over center-corner bonds of
-    [(1+gamma) sx sx + (1-gamma) sy sy] = (J/4) * [(1+gamma) XX + (1-gamma) YY].
-
-    The anisotropy enters with opposite signs on the x and y pair terms
-    (gamma_x = +gamma, gamma_y = -gamma). Real symmetric, traceless,
-    dimension 2^n_sites, filled straight from the bond flips: sx_c sx_k
-    sends basis state i to i with both spins flipped with weight +1, and
-    sy_c sy_k = -(K_c K_k), K = -i sy, with weight -(sign_c sign_k).
-    Distinct bonds flip distinct spin pairs, so every entry gets one bond's
-    term.
-    """
-    n = geometry.n_sites
-    index = np.arange(2 ** n)
-    h = np.zeros((2 ** n,) * 2)
-    for center, corner, _axis in geometry.intra_bonds:
-        (flip_c, signs_c), (flip_k, signs_k) = spin_flip(center, n), spin_flip(corner, n)
-        yy = -(signs_c * signs_k)
-        h[flip_c[flip_k], index] = (params.j / 4.0) * (
-            (1.0 + params.gamma) + (1.0 - params.gamma) * yy
-        )
-    return h
 
 
 def interblock_bonds(geometry: BlockGeometry):

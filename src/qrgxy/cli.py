@@ -10,15 +10,17 @@ Error messages are a single stderr line prefixed with 'qrg-error:'.
 Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
 defaults. No environment variables are consulted. Every command checks
---j > 0 and --threads >= 1 (config keys 'j', 'threads'), also where they do
-not matter; --threads has no effect: every command runs serially, so
-identical configuration produces byte-identical output.
+that --j is finite and > 0 and that --threads >= 1 (config keys 'j',
+'threads'), also where they do not matter; --threads has no effect: every
+command runs serially, so identical configuration produces byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -108,8 +110,8 @@ def _dim(args, cfg):
 
 def _coupling(args, cfg):
     j = _as_float("j", _pick(args, cfg, "j", 1.0))
-    if not j > 0:
-        raise ConfigError(f"field 'j' must be > 0, got {j}")
+    if not 0 < j < math.inf:
+        raise ConfigError(f"field 'j' must be finite and > 0, got {j}")
     return j
 
 
@@ -167,8 +169,8 @@ def _j_list(args, cfg, default=(0.1, 1.0, 10.0)):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"field 'js' must be a non-empty list of couplings, got {value!r}")
     js = tuple(_as_float("js", v) for v in value)
-    if any(j <= 0 for j in js):
-        raise ConfigError(f"field 'js' must contain only positive couplings, got {list(js)}")
+    if not all(0 < j < math.inf for j in js):
+        raise ConfigError(f"field 'js' must contain only finite positive couplings, got {list(js)}")
     return js
 
 

@@ -1,6 +1,10 @@
-"""Two-spin entanglement along the flow: reduced density matrices, the
-spin-flip concurrence, the corner-pair concurrence of a block, and parameter
-sweeps.
+"""Two-spin entanglement along the flow: the corner-pair concurrence of a
+block and parameter sweeps, plus the general two-spin tools (the projector
+of a full-basis state, its two-spin partial trace, and the spin-flip
+concurrence of one 4x4 state) that serve as references.
+
+block_concurrence reads the corner-pair state off the S = d block solve and
+never touches the 2^n basis.
 
 Everything is evaluated on the block ground state phi1 (the even-parity
 doublet member); using phi2 instead gives identical concurrences, which the
@@ -19,7 +23,7 @@ import numpy as np
 from .blocks import CouplingParams, block_geometry, collective_spin
 from .errors import ContractError, QRGError
 from .numerics import eigh_symmetric, sqrt_psd
-from .pauli import Axis, two_site_term
+from .pauli import SIGMA_Y_REAL
 from .rgflow import block_solve, rg_trajectory, solve_halves
 
 NORM_TOL = 1e-10
@@ -28,7 +32,7 @@ LAMBDA_FLOOR = -1e-10
 # wootters_concurrence
 LAMBDA_NOISE_RTOL = 1e-12
 
-_YY = two_site_term(Axis.Y, 0, 1, 2)  # real matrix of sigma^y x sigma^y
+_YY = -np.kron(SIGMA_Y_REAL, SIGMA_Y_REAL)  # real matrix of sigma^y x sigma^y
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class ConcurrenceCurve:
 def _require_normalized(state) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     nrm2 = float(state @ state)
-    if abs(nrm2 - 1.0) > NORM_TOL:
+    if not abs(nrm2 - 1.0) <= NORM_TOL:
         raise ContractError(f"state is not normalized: |psi|^2 = {nrm2:.12g}")
     return state
 
@@ -85,14 +89,10 @@ def partial_trace_pair(rho, keep) -> ReducedDensityMatrix:
     return ReducedDensityMatrix(rho=reduced, pair=(int(i), int(j)))
 
 
-def wootters_concurrence(rdm):
+def wootters_concurrence(rdm) -> float:
     """max(sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1), 0), the l's being the
     (descending) eigenvalues of sqrt(rho) rho~ sqrt(rho) with the spin-flipped
-    rho~ = (yy) rho (yy).
-
-    Takes one 4x4 state, giving a float, or a (..., 4, 4) stack, giving an
-    array of shape (...); each state in a stack gets the same checks as a
-    single one.
+    rho~ = (yy) rho (yy), for one 4x4 state.
 
     The density matrices here are real, so the complex conjugation in the
     spin flip drops out. Eigenvalues below 1e-12 * l_max are zeroed before
@@ -105,21 +105,18 @@ def wootters_concurrence(rdm):
     block_concurrence uses the exact X-state form instead.
     """
     rho = rdm.rho if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm, dtype=float)
-    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+    if rho.shape != (4, 4):
         raise ValueError(f"reduced state must be 4x4, got shape {rho.shape}")
     rho_t = _YY @ rho @ _YY
     root = sqrt_psd(rho)
     m = root @ rho_t @ root
-    m = 0.5 * (m + np.swapaxes(m, -1, -2))  # remove triple-product rounding asymmetry
+    m = 0.5 * (m + m.T)  # remove triple-product rounding asymmetry
     lam = eigh_symmetric(m).eigenvalues
-    low = lam[..., 0].reshape(-1)
-    bad = np.flatnonzero(low < LAMBDA_FLOOR)
-    if bad.size:
-        raise QRGError(f"spin-flip spectrum went negative: {low[bad[0]]:.3e}")
-    lam = np.where(lam < LAMBDA_NOISE_RTOL * np.maximum(lam[..., -1:], 0.0), 0.0, lam)
+    if lam[0] < LAMBDA_FLOOR:
+        raise QRGError(f"spin-flip spectrum went negative: {lam[0]:.3e}")
+    lam = np.where(lam < LAMBDA_NOISE_RTOL * max(lam[-1], 0.0), 0.0, lam)
     s = np.sqrt(np.clip(lam, 0.0, None))
-    c = np.maximum(s[..., 3] - s[..., 2] - s[..., 1] - s[..., 0], 0.0)
-    return float(c) if rho.ndim == 2 else c
+    return float(max(s[3] - s[2] - s[1] - s[0], 0.0))
 
 
 @functools.cache

@@ -15,15 +15,6 @@ class ContractError(QRGError):
     normalization)."""
 
 
-class RealArithmeticError(QRGError):
-    """An operation would require materializing an imaginary matrix.
-
-    The whole pipeline is closed under real arithmetic; asking for a
-    standalone sigma^y embedding is the one way to leave that closure, and it
-    fails loudly instead of returning a silently wrong real matrix.
-    """
-
-
 class DegeneracyError(QRGError):
     """The two lowest block levels did not form an isolated doublet."""
 

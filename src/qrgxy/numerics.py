@@ -1,14 +1,15 @@
-"""Dense real linear algebra: symmetric eigendecomposition, Kronecker
-products, and PSD matrix square roots.
+"""Dense real linear algebra: symmetric eigendecomposition and PSD matrix
+square roots.
 
-Everything is real double precision. Block Hamiltonians, parity projectors
-and reduced density matrices are all real symmetric (see pauli / blocks), so
-no complex code path exists anywhere in the package. The package's own
-eigensolves are at most 8 wide: the parity halves of the collective-spin
-blocks of blocks (2d+1 wide for S = d, d^2 - 1 for the merged S < d; the
-S = 0 block is zero and never solved) and 4x4 two-spin states. Only
-blocks.block_hamiltonian, the output embedding of rgflow.ground_doublet and
-the test oracles touch the 2^n basis, 128 wide at most, far below the
+Everything is real double precision. The block Hamiltonians and reduced
+density matrices are all real symmetric (see pauli / blocks), so no complex
+code path exists anywhere in the package. The package's own eigensolves are
+at most 8 wide: the parity halves of the collective-spin blocks of blocks
+(2d+1 wide for S = d, d^2 - 1 for the merged S < d; the S = 0 block is zero
+and never solved) and 4x4 two-spin states. No Hamiltonian or Pauli
+operator on the 2^n basis is built: outside the test oracles, that basis
+appears only in the output vectors of rgflow.ground_doublet and in the
+projector of concurrence.density_matrix, 128 wide at most, far below the
 enforced ceiling.
 """
 
@@ -33,7 +34,9 @@ class EigenDecomposition(NamedTuple):
 def _require_symmetric(a) -> np.ndarray:
     """`a` as a float array of shape (..., n, n), each matrix checked on its
     own; the first that fails is reported with its own scale and entry. An
-    exactly symmetric stack passes without the tolerance check."""
+    exactly symmetric stack passes without the tolerance check; a NaN entry
+    is never equal to its mirror, so it always reaches that check and fails
+    it."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ContractError(f"matrix must be square, got shape {a.shape}")
@@ -47,7 +50,7 @@ def _require_symmetric(a) -> np.ndarray:
     stack = a.reshape(-1, n, n)
     scale = np.max(np.abs(stack), axis=(1, 2))
     dev = np.abs(stack - stack.transpose(0, 2, 1)).reshape(len(stack), n * n)
-    bad = np.flatnonzero(np.max(dev, axis=1) > SYMMETRY_RTOL * scale)
+    bad = np.flatnonzero(~(np.max(dev, axis=1) <= SYMMETRY_RTOL * scale))
     if bad.size:
         k = bad[0]
         i, j = divmod(int(np.argmax(dev[k])), n)
@@ -78,26 +81,17 @@ def eigvalsh_symmetric(a) -> np.ndarray:
     return np.linalg.eigvalsh(_require_symmetric(a))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; result[(i*p+k)][(j*q+l)] = a[i][j] * b[k][l]."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def sqrt_psd(a) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition, of one matrix or of
-    each matrix in a (..., n, n) stack.
+    """Symmetric PSD square root of one matrix via eigendecomposition.
 
     Eigenvalues in [-1e-12, 0) are rounding debris from density-matrix
     assembly and get clamped to zero; anything more negative is a genuine
     contract violation and raises.
     """
-    a = _require_symmetric(a)
-    w, v = np.linalg.eigh(a)
-    low = w[..., 0].reshape(-1)
-    bad = np.flatnonzero(low < -PSD_CLAMP)
-    if bad.size:
-        raise ContractError(
-            f"matrix not PSD: smallest eigenvalue {low[bad[0]]:.6e} is below -{PSD_CLAMP:g}"
-        )
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ContractError(f"sqrt_psd takes one matrix, got shape {a.shape}")
+    w, v = np.linalg.eigh(_require_symmetric(a))
+    if w[0] < -PSD_CLAMP:
+        raise ContractError(f"matrix not PSD: smallest eigenvalue {w[0]:.6e} is below -{PSD_CLAMP:g}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T

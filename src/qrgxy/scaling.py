@@ -237,7 +237,9 @@ def peak_points(
     gamma_m is taken on the negative side so the distance to the critical
     point gamma_c = 0 is the positive number -gamma_m.
     """
-    steps = tuple(DEFAULT_STEPS[dimension]) if steps is None else tuple(int(s) for s in steps)
+    if steps is None:
+        steps = DEFAULT_STEPS[block_geometry(dimension).dimension]
+    steps = tuple(int(s) for s in steps)
     if len(steps) < 2:
         raise ValueError(f"scaling needs at least two rg steps, got {steps}")
     rows = []

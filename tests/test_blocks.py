@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import (
-    CouplingParams,
-    block_geometry,
-    block_hamiltonian,
-    collective_spin,
-    interblock_bonds,
-)
-from qrgxy.numerics import eigh_symmetric
-from qrgxy.pauli import Axis, embed_pauli, embed_y_real, parity_operator
+from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
+from qrgxy.pauli import Axis
+from qrgxy.rgflow import ground_doublet
 
-from oracles import partial_trace_bruteforce, xy_hamiltonian_complex, xy_hamiltonian_per_bond
+from oracles import SX, SY, embed_complex, partial_trace_bruteforce, xy_hamiltonian_complex, xy_hamiltonian_per_bond
 
 
 def _complex_twin(params, geometry):
@@ -25,29 +19,36 @@ def _complex_twin(params, geometry):
     return xy_hamiltonian_complex(params.j, params.gamma, geometry.n_sites, bonds)
 
 
-# oracle first: the real assembly equals the complex one exactly
+def _bonds(geometry):
+    return [(center, corner) for center, corner, _axis in geometry.intra_bonds]
+
+
+# oracle first: the doublet solved in S = d and embedded into the full basis
+# is the ground eigenpair of the textbook complex block Hamiltonian
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("gamma", [-1.0, -0.3, 0.0, 0.7, 1.0])
 def test_block_hamiltonian_matches_complex_oracle(dim, gamma):
     params = CouplingParams(1.3, gamma)
     geometry = block_geometry(dim)
-    h = block_hamiltonian(params, geometry)
     twin = _complex_twin(params, geometry)
-    assert np.max(np.abs(twin.imag)) == 0.0
-    assert np.max(np.abs(h - twin.real)) <= 1e-14
+    doublet = ground_doublet(params, geometry)
+    for phi in (doublet.phi1, doublet.phi2):
+        assert np.max(np.abs(twin @ phi - doublet.energy * phi)) <= 1e-13
+    assert abs(np.linalg.eigvalsh(twin)[0] - doublet.energy) <= 1e-12
 
 
-# summing the bonds once per geometry changes no bit of the per-bond sum
+# the real per-bond build, with sy sy = -(K K) for the real K = -i sy, is the
+# complex textbook Hamiltonian bit for bit: every entry gets one bond's term
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("gamma", [-1.0, -0.3, 0.0, 1e-7, 0.7, 1.0])
 def test_block_hamiltonian_bit_identical_to_per_bond_build(dim, gamma):
     geometry = block_geometry(dim)
-    bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
     for j in (0.1, 1.3, 10.0):
-        h = block_hamiltonian(CouplingParams(j, gamma), geometry)
-        ref = xy_hamiltonian_per_bond(j, gamma, geometry.n_sites, bonds)
-        assert np.array_equal(h, ref)
-        assert np.array_equal(np.signbit(h), np.signbit(ref))
+        twin = _complex_twin(CouplingParams(j, gamma), geometry)
+        ref = xy_hamiltonian_per_bond(j, gamma, geometry.n_sites, _bonds(geometry))
+        assert np.max(np.abs(twin.imag)) == 0.0
+        assert np.array_equal(twin.real, ref)
+        assert np.array_equal(np.signbit(twin.real), np.signbit(ref))
 
 
 def _embedding(geometry):
@@ -89,6 +90,11 @@ def _levels_by_spin(spin, params):
     return levels
 
 
+def _block_levels(params, dim):
+    """Every level of the block, each S block counted once, ascending."""
+    return np.sort(np.concatenate(_levels_by_spin(collective_spin(block_geometry(dim)), params)))
+
+
 # S = d is an invariant subspace of the per-bond build, the embedding carries
 # its block onto it, and the parity halves are the popcount parity there
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -100,7 +106,7 @@ def test_collective_spin_top_block_is_the_restriction_of_the_block(dim):
     popcount_parity = np.array([bin(i).count("1") % 2 for i in range(2 ** n)])
     for parity, half in enumerate(spin.half):
         assert set(spin.column[popcount_parity == parity]) == set(half)
-    bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
+    bonds = _bonds(geometry)
     for gamma in (-1.0, -0.3, 0.0, 1e-7, 0.7, 1.0):
         params = CouplingParams(1.3, gamma)
         ref = xy_hamiltonian_per_bond(params.j, gamma, n, bonds)
@@ -118,7 +124,7 @@ def test_merged_collective_spin_levels_match_the_full_block(dim):
     assert spin.xx.shape == (2, 2 * dim + 1, 2 * dim + 1)
     assert spin.lower_xx.shape == (2, dim * dim - 1, dim * dim - 1)
     multiplicity = [math.comb(2 * dim, dim - s) - math.comb(2 * dim, dim - s - 1) for s in range(dim)]
-    bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
+    bonds = _bonds(geometry)
     for gamma in (-1.0, -1 + 1e-7, -0.6, -1e-7, 0.0, 1e-7, 0.45, 1 - 1e-7, 1.0):
         params = CouplingParams(0.8, gamma)
         levels = _levels_by_spin(spin, params)
@@ -141,7 +147,8 @@ def test_collective_spin_corner_tables_are_restrictions(dim):
     pair = sorted(c.site for c in geometry.corners[:2])
     rng = np.random.default_rng(dim)
     for corner in geometry.corners:
-        sx, ky = (embed(corner.site, n) for embed in (lambda s, m: embed_pauli(Axis.X, s, m), embed_y_real))
+        sx = embed_complex(SX, corner.site, n).real
+        ky = (-1j * embed_complex(SY, corner.site, n)).real
         assert np.max(np.abs(e.T @ sx @ e - spin.corner[0])) <= 1e-15
         assert np.max(np.abs(e.T @ ky @ e - spin.corner[1])) <= 1e-15
     for _ in range(5):
@@ -165,17 +172,10 @@ def test_collective_spin_is_keyed_on_the_dimension():
     assert collective_spin(unhashable) is collective_spin(geometry)
 
 
-def test_block_hamiltonian_is_a_fresh_writable_array():
-    geometry = block_geometry(1)
-    h = block_hamiltonian(CouplingParams(1.0, 0.2), geometry)
-    h[0, 0] = 5.0  # callers own the result; nothing cached is written through it
-    assert block_hamiltonian(CouplingParams(1.0, 0.2), geometry)[0, 0] == 0.0
-
-
 def test_coupling_params_validation():
     CouplingParams(1e-6, 1.0)
     CouplingParams(10.0, -1.0)
-    for j, gamma in [(0.0, 0.0), (-1.0, 0.0), (float("nan"), 0.0),
+    for j, gamma in [(0.0, 0.0), (-1.0, 0.0), (float("nan"), 0.0), (float("inf"), 0.1),
                      (1.0, 1.0001), (1.0, -2.0), (1.0, float("nan"))]:
         with pytest.raises(ValueError):
             CouplingParams(j, gamma)
@@ -225,49 +225,50 @@ def test_geometry_cache_entry_holds_integers():
     assert type(block_geometry(np.int64(1)).n_sites) is int
 
 
+# the S = d halves and the merged S < d halves are symmetric with a zero
+# diagonal, so every S block is traceless
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_hamiltonian_symmetric_traceless(dim):
-    h = block_hamiltonian(CouplingParams(2.0, 0.4), block_geometry(dim))
-    assert np.array_equal(h, h.T)
-    assert abs(np.trace(h)) == 0.0
+    for h in collective_spin(block_geometry(dim)).hamiltonians(CouplingParams(2.0, 0.4)):
+        assert np.array_equal(h, np.swapaxes(h, -1, -2))
+        assert not np.any(np.diagonal(h, axis1=-2, axis2=-1))
 
 
 def test_hamiltonian_linear_in_j():
-    geometry = block_geometry(2)
-    h1 = block_hamiltonian(CouplingParams(1.0, 0.3), geometry)
-    h2 = block_hamiltonian(CouplingParams(2.0, 0.3), geometry)
-    assert np.array_equal(h2, 2.0 * h1)
+    spin = collective_spin(block_geometry(2))
+    one, two = (spin.hamiltonians(CouplingParams(j, 0.3)) for j in (1.0, 2.0))
+    for h1, h2 in zip(one, two):
+        assert np.array_equal(h2, 2.0 * h1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_gamma_sign_flip_is_isospectral(dim):
-    geometry = block_geometry(dim)
-    wp = eigh_symmetric(block_hamiltonian(CouplingParams(1.0, 0.6), geometry)).eigenvalues
-    wm = eigh_symmetric(block_hamiltonian(CouplingParams(1.0, -0.6), geometry)).eigenvalues
+    wp = _block_levels(CouplingParams(1.0, 0.6), dim)
+    wm = _block_levels(CouplingParams(1.0, -0.6), dim)
     assert np.max(np.abs(wp - wm)) <= 1e-10
 
 
+# the parity halves rest on this: H_B never mixes states of opposite parity
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_parity_commutes(dim):
     geometry = block_geometry(dim)
-    h = block_hamiltonian(CouplingParams(1.0, 0.37), geometry)
-    p = parity_operator(geometry.n_sites)
+    h = xy_hamiltonian_per_bond(1.0, 0.37, geometry.n_sites, _bonds(geometry))
+    p = np.diag([(-1.0) ** bin(i).count("1") for i in range(2 ** geometry.n_sites)])
     assert np.max(np.abs(h @ p - p @ h)) <= 1e-12
 
 
 def test_line_ground_energy_closed_form():
     # at gamma = 0 the 3-site chain is a free hopping problem with
     # single-magnon energies (j/2) * {-sqrt(2), 0, +sqrt(2)}
-    w = eigh_symmetric(block_hamiltonian(CouplingParams(1.0, 0.0), block_geometry(1))).eigenvalues
+    w = _block_levels(CouplingParams(1.0, 0.0), 1)
     assert abs(w[0] - (-1.0 / math.sqrt(2.0))) <= 1e-12
     assert abs(w[0] - w[1]) <= 1e-12  # the doublet
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_ground_space_is_a_doublet_across_gamma(dim):
-    geometry = block_geometry(dim)
     for gamma in np.linspace(-1.0, 1.0, 21):
-        w = eigh_symmetric(block_hamiltonian(CouplingParams(1.0, float(gamma)), geometry)).eigenvalues
+        w = _block_levels(CouplingParams(1.0, float(gamma)), dim)
         span = w[-1] - w[0]
         assert w[1] - w[0] <= 1e-8 * span
         assert w[2] - w[0] > 1e-6 * span
@@ -290,6 +291,7 @@ def test_interblock_bonds():
     st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
 )
 def test_spectrum_symmetric_about_zero_property(dim, gamma, j):
-    # bipartite star: flipping the center spin's sign maps H to -H
-    w = eigh_symmetric(block_hamiltonian(CouplingParams(j, gamma), block_geometry(dim))).eigenvalues
+    # bipartite star: flipping the center spin's sign maps each S block to
+    # minus itself
+    w = _block_levels(CouplingParams(j, gamma), dim)
     assert np.max(np.abs(w + w[::-1])) <= 1e-10 * max(1.0, np.max(np.abs(w)))

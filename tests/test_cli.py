@@ -204,6 +204,11 @@ BAD_INVOCATIONS = [
     ("fixed-points", "--dim", "1", "--j", "-1"),      # j unused, still validated
     ("scaling", "--dim", "1", "--grid", "5", "--j", "-3"),
     ("jsweep", "--dim", "1", "--grid", "3", "--j", "0"),
+    ("flow", "--dim", "1", "--gamma0", "0.1", "--j", "inf"),   # j must be finite
+    ("groundstate", "--dim", "1", "--j", "inf"),
+    ("fixed-points", "--dim", "1", "--j", "inf"),
+    ("jsweep", "--dim", "1", "--js", "inf", "--grid", "3"),
+    ("jsweep", "--dim", "1", "--js", "1,nan", "--grid", "3"),
     ("groundstate", "--dim", "1", "--config", "/nonexistent/config.json"),
 ]
 

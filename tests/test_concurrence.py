@@ -17,7 +17,7 @@ from qrgxy.concurrence import (
     partial_trace_pair,
     wootters_concurrence,
 )
-from qrgxy.errors import ContractError, QRGError
+from qrgxy.errors import ContractError
 from qrgxy.rgflow import clear_cache, ground_doublet, rg_trajectory, solve_halves
 
 from oracles import (
@@ -99,6 +99,11 @@ def test_density_matrix_rejects_unnormalized():
         density_matrix([1.0, 1.0, 0.0, 0.0])
 
 
+def test_density_matrix_rejects_nan():
+    with pytest.raises(ContractError, match="normalized"):
+        density_matrix([np.nan, 0.0, 0.0, 0.0])
+
+
 # -- spin-flip concurrence against closed forms
 
 
@@ -133,6 +138,8 @@ def test_concurrence_accepts_both_input_forms():
 def test_concurrence_rejects_wrong_shape():
     with pytest.raises(ValueError, match="4x4"):
         wootters_concurrence(np.eye(3) / 3.0)
+    with pytest.raises(ValueError, match="4x4"):
+        wootters_concurrence(np.array([bell(1.0, 1.0)] * 2))
 
 
 def test_concurrence_matches_complex_eigenvalue_oracle():
@@ -160,43 +167,6 @@ def test_concurrence_pure_state_formula(amplitudes):
     want = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
     # sqrt of an eigenvalue rounded at 1e-16 can move the result by ~1e-8
     assert abs(wootters_concurrence(np.outer(v, v)) - want) < 5e-8
-
-
-def test_concurrence_of_a_stack_matches_one_state_at_a_time():
-    rng = np.random.default_rng(5)
-    states = []
-    for _ in range(6):
-        w = rng.random(2)
-        w /= w.sum()
-        states.append(sum(wk * np.outer(s, s) for wk, s in ((wk, random_state(rng, 4)) for wk in w)))
-    stack = np.array(states).reshape(2, 3, 4, 4)
-    got = wootters_concurrence(stack)
-    assert got.shape == (2, 3)
-    want = np.array([wootters_concurrence(r) for r in states]).reshape(2, 3)
-    assert np.max(np.abs(got - want)) < 1e-13
-
-
-def test_stack_reports_the_failing_state_like_a_single_call():
-    good = bell(0.6, 0.8)
-    not_psd = np.diag([0.75, 0.5, 0.0, -0.25])
-    with pytest.raises(ContractError) as single:
-        wootters_concurrence(not_psd)
-    with pytest.raises(ContractError) as stacked:
-        wootters_concurrence(np.array([good, not_psd, good]))
-    assert str(stacked.value) == str(single.value)
-
-
-def test_stack_applies_the_spectrum_floor_per_state(monkeypatch):
-    # the pure Bell state has spin-flip spectrum (1, 0, 0, 0), the maximally
-    # mixed state (1/16, ...); a floor between the two trips only the first
-    monkeypatch.setattr(qc, "LAMBDA_FLOOR", 0.01)
-    mixed = np.eye(4) / 4.0
-    wootters_concurrence(mixed)
-    with pytest.raises(QRGError, match="went negative") as single:
-        wootters_concurrence(bell(1.0, 1.0))
-    with pytest.raises(QRGError) as stacked:
-        wootters_concurrence(np.array([mixed, bell(1.0, 1.0), mixed]))
-    assert str(stacked.value) == str(single.value)
 
 
 # -- block-level concurrences
@@ -391,6 +361,9 @@ def test_j_sweep_rejects_bad_j_values():
         concurrence_j_sweep(1, [0.0, 0.5], [1.0, 0.0])
     with pytest.raises(ValueError, match="j"):
         concurrence_j_sweep(1, [0.0], [])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            concurrence_j_sweep(1, [0.0], [1.0, bad])
 
 
 def test_curve_grid_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import CouplingParams, block_geometry, block_hamiltonian, collective_spin, interblock_bonds
+from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
 from qrgxy.concurrence import concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, StructureError
 from qrgxy.rgflow import (
@@ -20,11 +20,10 @@ from qrgxy.rgflow import (
     solve_halves,
 )
 
-import qrgxy.blocks
 import qrgxy.pauli
 import qrgxy.rgflow
 
-from oracles import corner_pair_state, ground_doublet_full
+from oracles import corner_pair_state, ground_doublet_full, xy_hamiltonian_per_bond
 from reference_data import ISING_DOUBLETS, KNOWN_FLOWS, known_flow, ket_index, vector_from_kets
 
 
@@ -309,7 +308,6 @@ def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
         (qrgxy.pauli, "spin_flip"),
         (qrgxy.rgflow, "spin_flip"),
         (qrgxy.rgflow, "ground_doublet"),
-        (qrgxy.blocks, "block_hamiltonian"),
     ):
         monkeypatch.setattr(module, name, refuse)
     clear_cache()
@@ -356,7 +354,8 @@ def test_merged_levels_are_the_levels_of_the_block(dim):
         if lower.size:
             merged.append(np.linalg.eigvalsh(lower).reshape(-1))
         merged = np.concatenate(merged)
-        full = np.linalg.eigvalsh(block_hamiltonian(params, geometry))
+        bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
+        full = np.linalg.eigvalsh(xy_hamiltonian_per_bond(params.j, gamma, geometry.n_sites, bonds))
         assert np.max(np.min(np.abs(full[:, None] - merged), axis=1)) <= 1e-12
         assert np.max(np.min(np.abs(merged[:, None] - full), axis=1)) <= 1e-12
         solved = solve_halves(params, spin)

@@ -229,3 +229,10 @@ def test_peak_points_rows_and_monotone_march():
 def test_peak_points_needs_two_steps():
     with pytest.raises(ValueError, match="two"):
         peak_points(1, steps=(3,))
+
+
+def test_scaling_entry_points_reject_a_bad_dimension():
+    # the default step table is looked up only after the dimension check
+    for fn, dim in ((peak_points, 4), (entanglement_exponent, 0), (derivative_scaling, 0)):
+        with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+            fn(dim)
