@@ -24,9 +24,11 @@ from .concurrence import (
     ReducedDensityMatrix,
     block_concurrence,
     concurrence_curve,
+    concurrence_curves,
     concurrence_j_sweep,
     density_matrix,
     flowed_concurrence,
+    flowed_concurrences,
     partial_trace_pair,
     wootters_concurrence,
 )
@@ -51,6 +53,7 @@ from .rgflow import (
     renormalized_operators,
     rg_map,
     rg_trajectory,
+    solve_many,
 )
 from .scaling import (
     DerivativeCurve,
@@ -92,6 +95,7 @@ __all__ = [
     "block_concurrence",
     "block_geometry",
     "concurrence_curve",
+    "concurrence_curves",
     "concurrence_j_sweep",
     "density_matrix",
     "derivative_curve",
@@ -101,6 +105,7 @@ __all__ = [
     "fit_loglog",
     "fixed_points",
     "flowed_concurrence",
+    "flowed_concurrences",
     "gamma_prime",
     "ground_doublet",
     "interblock_bonds",
@@ -110,6 +115,7 @@ __all__ = [
     "renormalized_operators",
     "rg_map",
     "rg_trajectory",
+    "solve_many",
     "spin_flip",
     "sqrt_psd",
     "system_size",

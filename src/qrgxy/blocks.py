@@ -52,6 +52,26 @@ class CouplingParams:
             raise ValueError(f"anisotropy gamma must lie in [-1, 1], got {self.gamma}")
 
 
+class CouplingArrays(NamedTuple):
+    """The couplings of a batch of points: one j and one gamma per point,
+    made by coupling_arrays, which checks them as CouplingParams does."""
+
+    j: np.ndarray      # (G,)
+    gamma: np.ndarray  # (G,)
+
+
+def coupling_arrays(j, gamma) -> CouplingArrays:
+    """gamma as a 1-D array and j broadcast to its shape; the first point
+    that CouplingParams would refuse raises CouplingParams' own error."""
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    j = np.full_like(gamma, j)
+    ok = (0 < j) & (j < math.inf) & (abs(gamma) <= 1)
+    if np.count_nonzero(ok) < ok.size:
+        k = int(np.argmin(ok))
+        CouplingParams(float(j[k]), float(gamma[k]))  # raises
+    return CouplingArrays(j, gamma)
+
+
 class Corner(NamedTuple):
     site: int
     axis: Axis
@@ -119,18 +139,26 @@ class CollectiveSpin(NamedTuple):
     column: np.ndarray    # (2^n,): S = d position of each full-basis state
     weight: np.ndarray    # (2^n,): its amplitude 1/sqrt(C(2d, k)) in that Dicke state
 
-    def hamiltonians(self, params: CouplingParams) -> Tuple[np.ndarray, np.ndarray]:
-        """H_B on the two S = d halves and on the merged S = 1..d-1 halves."""
-        return tuple(
-            (params.j / 4.0) * ((1.0 + params.gamma) * xx + (1.0 - params.gamma) * yy)
-            for xx, yy in ((self.xx, self.yy), (self.lower_xx, self.lower_yy))
+    def hamiltonians(self, params) -> Tuple[np.ndarray, np.ndarray]:
+        """H_B on the two S = d halves and on the merged S = 1..d-1 halves,
+        (2, w, w) each for a CouplingParams and (G, 2, w, w) for the
+        CouplingArrays of G points."""
+        j = np.asarray(params.j, dtype=float)[..., None, None, None] / 4.0
+        gamma = np.asarray(params.gamma, dtype=float)[..., None, None, None]
+        plus, minus = 1.0 + gamma, 1.0 - gamma
+        return (
+            j * (plus * self.xx + minus * self.yy),
+            j * (plus * self.lower_xx + minus * self.lower_yy),
         )
 
     def pair_state(self, vector: np.ndarray) -> np.ndarray:
         """Reduced 4x4 state, legs (i, j), of any two corners of a normalized
-        S = d vector; its corner parts are Dicke states, the same for every
-        pair."""
-        return self.pair @ vector @ vector
+        S = d vector, or a (..., 4, 4) stack of them for a (..., 2(2d+1))
+        stack of vectors; its corner parts are Dicke states, the same for
+        every pair. A stack takes the same matrix-vector products, vector
+        by vector, as a single vector, so the two agree bit for bit."""
+        half = self.pair @ vector[..., None, None, :, None]
+        return (half[..., 0] @ vector[..., None, :, None])[..., 0]
 
 
 def _spin_operators(s: int) -> Tuple[np.ndarray, np.ndarray]:

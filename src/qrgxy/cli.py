@@ -26,10 +26,10 @@ import sys
 import numpy as np
 
 from .blocks import CouplingParams, block_geometry
-from .concurrence import concurrence_curve, concurrence_j_sweep
+from .concurrence import concurrence_curves, concurrence_j_sweep
 from .errors import ConfigError, QRGError
 from .pauli import basis_label
-from .rgflow import fixed_points, gamma_prime, ground_doublet, rg_trajectory
+from .rgflow import fixed_points, ground_doublet, rg_trajectory, solve_many
 from .scaling import (
     DEFAULT_STEPS,
     derivative_curve,
@@ -233,8 +233,8 @@ def cmd_concurrence(args):
     fmt = _format(args, cfg)
     out = _pick(args, cfg, "out")
     rows = []
-    for step in range(steps + 1):
-        curve = concurrence_curve(dim, step, grid, j=j)
+    for curve in concurrence_curves(dim, range(steps + 1), grid, j=j):
+        step = curve.rg_step
         deriv = derivative_curve(curve)
         for g, c, a in zip(curve.gamma_grid, curve.values, deriv.abs_derivative):
             rows.append(
@@ -344,9 +344,8 @@ def cmd_fixed_points(args):
     if curve_out is not None:
         gs = np.linspace(-1.0, 1.0, grid)
         lines = ["gamma,gamma_prime"]
-        lines.extend(
-            "%s,%s" % (_fmt(g), _fmt(gamma_prime(float(g), dim))) for g in gs
-        )
+        gps = solve_many(dim, gs).gamma_prime
+        lines.extend("%s,%s" % (_fmt(g), _fmt(gp)) for g, gp in zip(gs, gps))
         _write("\n".join(lines) + "\n", curve_out)
     return 0
 

@@ -4,7 +4,11 @@ of a full-basis state, its two-spin partial trace, and the spin-flip
 concurrence of one 4x4 state) that serve as references.
 
 block_concurrence reads the corner-pair state off the S = d block solve and
-never touches the 2^n basis.
+never touches the 2^n basis. Curves, derivative probes and (gamma, j)
+sweeps are batched: flowed_concurrences flows a whole array of starting
+points together, each for its own number of steps, concurrence_curves
+serves any set of steps from one flow of the grid, and concurrence_j_sweep
+solves its whole grid in one call.
 
 Everything is evaluated on the block ground state phi1 (the even-parity
 doublet member); using phi2 instead gives identical concurrences, which the
@@ -20,11 +24,11 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import CouplingParams, block_geometry, collective_spin
+from .blocks import CouplingParams, block_geometry
 from .errors import ContractError, QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import SIGMA_Y_REAL
-from .rgflow import block_solve, rg_trajectory, solve_halves
+from .rgflow import block_solve, flow_solves, solve_many
 
 NORM_TOL = 1e-10
 LAMBDA_FLOOR = -1e-10
@@ -126,15 +130,18 @@ def _corner_pairs(dimension: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(tuple(sorted((a.site, b.site))) for a, b in combinations(corners, 2))
 
 
-def _x_state_concurrence(rho) -> float:
+def _x_state_concurrence(rho):
     """Concurrence of a real 4x4 X state, whose only nonzero off-diagonal
     entries are rho[0, 3] and rho[1, 2] (and their transposes):
     2 max(0, |rho03| - sqrt(rho11 rho22), |rho12| - sqrt(rho00 rho33)).
-    Exact, with no eigensolve and no noise floor."""
-    return 2.0 * max(
+    Exact, with no eigensolve and no noise floor; a (..., 4, 4) stack gives
+    one value per state."""
+    return 2.0 * np.maximum(
         0.0,
-        float(abs(rho[0, 3]) - np.sqrt(rho[1, 1] * rho[2, 2])),
-        float(abs(rho[1, 2]) - np.sqrt(rho[0, 0] * rho[3, 3])),
+        np.maximum(
+            abs(rho[..., 0, 3]) - np.sqrt(rho[..., 1, 1] * rho[..., 2, 2]),
+            abs(rho[..., 1, 2]) - np.sqrt(rho[..., 0, 0] * rho[..., 3, 3]),
+        ),
     )
 
 
@@ -151,17 +158,52 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     its concurrence has a closed form. The state does not depend on params.j
     and is read from the unit-J block memo that the flow shares.
     """
-    conc = _x_state_concurrence(block_solve(dimension, params.gamma).pair_state)
+    conc = float(_x_state_concurrence(block_solve(dimension, params.gamma).pair_state))
     pairs = _corner_pairs(dimension)
     return BlockConcurrence(per_pair=tuple((pair, conc) for pair in pairs), geometric_mean=conc)
+
+
+def flowed_concurrences(dimension: int, rg_steps, gammas, j=1.0) -> np.ndarray:
+    """Geometric-mean concurrence of each starting point (j, gamma) after its
+    own number of coarse-graining steps: rg_steps and j are one value for
+    all gammas or one per gamma. All points flow together
+    (rgflow.flow_solves): each step is one batched block solve, which gives
+    the concurrence of the points that end there and the next couplings of
+    the others."""
+    values = np.empty(np.size(gammas))
+    for points, solved, last in flow_solves(dimension, gammas, rg_steps, j):
+        if np.count_nonzero(last):
+            values[points[last]] = _x_state_concurrence(solved.pair_state[last])
+    return values
 
 
 def flowed_concurrence(dimension: int, rg_step: int, gamma: float, j: float = 1.0) -> float:
     """Geometric-mean concurrence after rg_step coarse-graining steps applied
     to the initial couplings (j, gamma). Step 0 evaluates the couplings as
-    given."""
-    params = rg_trajectory(CouplingParams(j, gamma), dimension, rg_step).steps[-1]
-    return block_concurrence(params, dimension).geometric_mean
+    given. The batch of one of flowed_concurrences."""
+    return float(flowed_concurrences(dimension, rg_step, gamma, j)[0])
+
+
+def concurrence_curves(
+    dimension: int,
+    rg_steps: Sequence[int],
+    grid: int = 2001,
+    j: float = 1.0,
+) -> Tuple[ConcurrenceCurve, ...]:
+    """Concurrence against the initial gamma on a uniform odd grid over
+    [-1, 1] (odd so that gamma = 0 is a grid point), one curve for each of
+    rg_steps, all read off one flow of the grid up to the largest step (the
+    copies of the grid for the different steps are solved once per step)."""
+    if grid < 3 or grid % 2 == 0:
+        raise ValueError(f"gamma grid must be odd and >= 3, got {grid}")
+    gs = np.linspace(-1.0, 1.0, grid)
+    rg_steps = tuple(rg_steps)
+    steps, gammas = np.repeat(rg_steps, grid), np.tile(gs, len(rg_steps))
+    values = flowed_concurrences(dimension, steps, gammas, j)
+    return tuple(
+        ConcurrenceCurve(dimension=dimension, rg_step=step, gamma_grid=gs, values=row)
+        for step, row in zip(rg_steps, values.reshape(len(rg_steps), grid))
+    )
 
 
 def concurrence_curve(
@@ -170,19 +212,9 @@ def concurrence_curve(
     grid: int = 2001,
     j: float = 1.0,
 ) -> ConcurrenceCurve:
-    """Concurrence against the initial gamma on a uniform odd grid over
-    [-1, 1] (odd so that gamma = 0 is a grid point), after rg_step
-    coarse-graining steps."""
-    if grid < 3 or grid % 2 == 0:
-        raise ValueError(f"gamma grid must be odd and >= 3, got {grid}")
-    gs = np.linspace(-1.0, 1.0, grid)
-    vals = [flowed_concurrence(dimension, rg_step, float(g), j) for g in gs]
-    return ConcurrenceCurve(
-        dimension=dimension,
-        rg_step=rg_step,
-        gamma_grid=gs,
-        values=np.asarray(vals, dtype=float),
-    )
+    """Concurrence against the initial gamma after rg_step coarse-graining
+    steps; see concurrence_curves."""
+    return concurrence_curves(dimension, (rg_step,), grid, j)[0]
 
 
 def concurrence_j_sweep(
@@ -191,16 +223,14 @@ def concurrence_j_sweep(
     j_grid: Sequence[float],
 ) -> np.ndarray:
     """Concurrence on a (gamma, j) grid at rg step 0, shaped
-    (len(gamma_grid), len(j_grid)). Physically the j axis is flat; each
-    point is solved at its own j, bypassing the unit-J memo, so the CLI
-    reports the spread the solver really shows."""
+    (len(gamma_grid), len(j_grid)). Physically the j axis is flat; the
+    whole grid is one batched solve in which each point is solved at its
+    own j, bypassing the unit-J memo, so the CLI reports the spread the
+    solver really shows."""
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     j_grid = np.asarray(j_grid, dtype=float)
     if j_grid.size == 0 or np.any(j_grid <= 0):
         raise ValueError("all j values must be > 0")
-    spin = collective_spin(block_geometry(dimension))
-    solved = (
-        solve_halves(CouplingParams(float(j), float(g)), spin) for g in gamma_grid for j in j_grid
-    )
-    vals = [_x_state_concurrence(spin.pair_state(s.ground[0])) for s in solved]
-    return np.asarray(vals, dtype=float).reshape(len(gamma_grid), len(j_grid))
+    gammas, js = np.meshgrid(gamma_grid, j_grid, indexing="ij")
+    solved = solve_many(dimension, gammas.reshape(-1), js.reshape(-1))
+    return _x_state_concurrence(solved.pair_state).reshape(gammas.shape)

@@ -6,11 +6,12 @@ density matrices are all real symmetric (see pauli / blocks), so no complex
 code path exists anywhere in the package. The package's own eigensolves are
 at most 8 wide: the parity halves of the collective-spin blocks of blocks
 (2d+1 wide for S = d, d^2 - 1 for the merged S < d; the S = 0 block is zero
-and never solved) and 4x4 two-spin states. No Hamiltonian or Pauli
-operator on the 2^n basis is built: outside the test oracles, that basis
-appears only in the output vectors of rgflow.ground_doublet and in the
-projector of concurrence.density_matrix, 128 wide at most, far below the
-enforced ceiling.
+and never solved), stacked over every block of a batch, and 4x4 two-spin
+states. The symmetry and finiteness contract is checked once per stack.
+No Hamiltonian or Pauli operator on the 2^n basis is built: outside the
+test oracles, that basis appears only in the output vectors of
+rgflow.ground_doublet and in the projector of concurrence.density_matrix,
+128 wide at most, far below the enforced ceiling.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ class EigenDecomposition(NamedTuple):
 
 
 def _require_symmetric(a) -> np.ndarray:
-    """`a` as a float array of shape (..., n, n), each matrix checked on its
-    own; the first that fails is reported with its own scale and entry. An
-    exactly symmetric stack passes without the tolerance check; a NaN entry
-    is never equal to its mirror, so it always reaches that check and fails
-    it."""
+    """`a` as a finite float array of shape (..., n, n), checked once for the
+    whole stack. An exactly symmetric stack skips the tolerance check;
+    otherwise the first matrix that fails it is reported with its own scale
+    and entry. A NaN entry is never equal to its mirror, so it always
+    reaches that check and fails it; an infinite entry can pass it (its
+    deviation and the scaled tolerance are both inf), so every entry is
+    then checked to be finite and the first that is not is named."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ContractError(f"matrix must be square, got shape {a.shape}")
@@ -45,19 +48,23 @@ def _require_symmetric(a) -> np.ndarray:
         raise ContractError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
     if n == 0:
         raise ContractError("matrix is empty")
-    if (a == np.swapaxes(a, -1, -2)).all():
-        return a  # exactly symmetric: nothing for the tolerance check to report
-    stack = a.reshape(-1, n, n)
-    scale = np.max(np.abs(stack), axis=(1, 2))
-    dev = np.abs(stack - stack.transpose(0, 2, 1)).reshape(len(stack), n * n)
-    bad = np.flatnonzero(~(np.max(dev, axis=1) <= SYMMETRY_RTOL * scale))
-    if bad.size:
-        k = bad[0]
-        i, j = divmod(int(np.argmax(dev[k])), n)
-        raise ContractError(
-            f"matrix not symmetric: |A[{i}][{j}] - A[{j}][{i}]| = {dev[k, i * n + j]:.3e} "
-            f"exceeds {SYMMETRY_RTOL:g} * max|A| = {SYMMETRY_RTOL * scale[k]:.3e}"
-        )
+    if np.count_nonzero(a == a.swapaxes(-1, -2)) < a.size:
+        stack = a.reshape(-1, n, n)
+        scale = np.max(np.abs(stack), axis=(1, 2))
+        dev = np.abs(stack - stack.transpose(0, 2, 1)).reshape(len(stack), n * n)
+        bad = np.flatnonzero(~(np.max(dev, axis=1) <= SYMMETRY_RTOL * scale))
+        if bad.size:
+            k = bad[0]
+            i, j = divmod(int(np.argmax(dev[k])), n)
+            raise ContractError(
+                f"matrix not symmetric: |A[{i}][{j}] - A[{j}][{i}]| = {dev[k, i * n + j]:.3e} "
+                f"exceeds {SYMMETRY_RTOL:g} * max|A| = {SYMMETRY_RTOL * scale[k]:.3e}"
+            )
+    finite = np.isfinite(a)
+    if np.count_nonzero(finite) < a.size:
+        index = np.argwhere(~finite)[0]
+        entry = "".join(f"[{int(i)}]" for i in index)
+        raise ContractError(f"matrix has a non-finite entry: A{entry} = {a[tuple(index)]}")
     return a
 
 
@@ -66,9 +73,9 @@ def eigh_symmetric(a) -> EigenDecomposition:
     (..., n, n) stack gives (..., n) eigenvalues and (..., n, n) vectors.
 
     LAPACK's symmetric solver does the actual work; this wrapper enforces the
-    symmetry contract up front and is the single eigensolver entry point for
-    the whole package, so every caller gets the same ordering and the same
-    orthonormality guarantees.
+    symmetry and finiteness contract up front and is the single eigensolver
+    entry point for the whole package, so every caller gets the same
+    ordering and the same orthonormality guarantees.
     """
     a = _require_symmetric(a)
     w, v = np.linalg.eigh(a)

@@ -13,27 +13,36 @@ gamma' is a ratio, so it is independent of J and of the (unknowable) number
 of corner-corner bonds between adjacent blocks; J' is reported under the
 single-representative-bond convention.
 
-The flow never leaves the collective corner spin S = d (2(2d+1) wide):
-solve_halves finds the doublet there, and block_solve reads xi_x, xi_y and
-the corner-pair state off it. Only ground_doublet, for output and for
-full-basis callers, embeds the doublet into the 2^n basis, and
-renormalized_operators projects such full-basis vectors.
+The flow never leaves the collective corner spin S = d (2(2d+1) wide).
+There is one block solver, and it takes whole arrays of points: solve_many
+finds the doublet of every block in one stacked eigensolve, runs every
+check on every point and reads xi_x, xi_y, gamma' and the corner-pair state
+off the S = d vectors. The scalar entry points are its batches of one:
+solve_halves, and block_solve, memoized per exact (dimension, gamma) for the
+chains that go one point at a time (rg_map, bisection). flow_solves flows a
+whole array of starting points together, each for its own number of steps,
+with one batched solve per step, and fixed_points solves its residual grid
+in one call. Only ground_doublet, for
+output and for full-basis callers, embeds the doublet into the 2^n basis,
+and renormalized_operators projects such full-basis vectors.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
 from .blocks import (
     BlockGeometry,
     CollectiveSpin,
+    CouplingArrays,
     CouplingParams,
     block_geometry,
     collective_spin,
+    coupling_arrays,
     interblock_bonds,
 )
 from .errors import DegeneracyError, QRGError, StructureError
@@ -93,14 +102,66 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 class HalvesGround(NamedTuple):
-    """The ground doublet of a block in the S = d basis of blocks.CollectiveSpin."""
+    """The ground doublet of a block in the S = d basis of blocks.CollectiveSpin:
+    one point's from solve_halves, arrays over the points inside solve_many."""
 
     energy: float
     gap_to_third: float
     ground: np.ndarray  # (2, 2(2d+1)): the even and the odd ground vector, each zero off its half
 
 
-_S0_LEVELS = np.zeros(2)  # the S = 0 block is the zero 2x2 matrix in every dimension
+_PARITY = np.array([[0], [1]])  # the even and the odd row of a doublet
+
+
+def _raise_first(checks) -> None:
+    """checks: (mask over the points, error of point k) pairs, in the order
+    a scalar solve makes them. Raise the error of the first point that fails
+    any of them, taking that point's checks in order."""
+    if any(np.count_nonzero(mask) for mask, _error in checks):
+        k = int(np.argmax(functools.reduce(np.logical_or, [mask for mask, _error in checks])))
+        raise next(error(k) for mask, error in checks if mask[k])
+
+
+def _solve_halves(couplings: CouplingArrays, spin: CollectiveSpin, checks: list) -> HalvesGround:
+    """solve_halves over a batch: one stacked eigh of the (G, 2, 2d+1, 2d+1)
+    S = d halves and one eigvalsh of the merged S < d halves. Its checks go
+    to `checks` for _raise_first."""
+    top, lower = spin.hamiltonians(couplings)
+    levels, vectors = eigh_symmetric(top)
+    n = len(top)
+    parts = [levels.reshape(n, 2 * top.shape[-1]), np.zeros((n, 2))]  # S = 0: the zero 2x2 block
+    if lower.shape[-1]:
+        parts.append(eigvalsh_symmetric(lower).reshape(n, 2 * lower.shape[-1]))
+    w = np.sort(np.concatenate(parts, axis=1), axis=1)
+    e1, e2, e3 = w[:, :3].T
+    tol = DEGENERACY_RTOL * (w[:, -1] - e1)
+    gap = e3 - e2
+    checks += [
+        (
+            e2 - e1 > tol,
+            lambda k: DegeneracyError(
+                f"ground level not twofold degenerate: E1 = {e1[k]:.12g}, E2 = {e2[k]:.12g}, "
+                f"splitting {e2[k] - e1[k]:.3e} exceeds tolerance {tol[k]:.3e}"
+            ),
+        ),
+        (
+            gap <= tol,
+            lambda k: DegeneracyError(
+                f"third level E3 = {e3[k]:.12g} falls inside the doublet tolerance "
+                f"{tol[k]:.3e} of E2 = {e2[k]:.12g}; ground space is not twofold"
+            ),
+        ),
+        (
+            np.maximum(levels[:, 0, 0], levels[:, 1, 0]) > e2,
+            lambda k: StructureError(
+                f"ground doublet is not one even and one odd level: lowest even "
+                f"{levels[k, 0, 0]:.12g}, lowest odd {levels[k, 1, 0]:.12g}, E2 = {e2[k]:.12g}"
+            ),
+        ),
+    ]
+    ground = np.zeros((n, 2, 2 * top.shape[-1]))
+    ground[:, _PARITY, spin.half] = vectors[..., 0]
+    return HalvesGround(energy=e1, gap_to_third=gap, ground=ground)
 
 
 def solve_halves(params: CouplingParams, spin: CollectiveSpin) -> HalvesGround:
@@ -116,34 +177,13 @@ def solve_halves(params: CouplingParams, spin: CollectiveSpin) -> HalvesGround:
     their vectors in one stacked call; the S = 1..d-1 blocks, merged per
     half, in one more call for their levels only, since one of them can
     hold the third level; the S = 0 block adds two zero levels unsolved.
+    This is the batch of one of the solver behind solve_many.
     """
-    top, lower = spin.hamiltonians(params)
-    levels, vectors = eigh_symmetric(top)
-    parts = [levels.reshape(-1), _S0_LEVELS]
-    if lower.size:
-        parts.append(eigvalsh_symmetric(lower).reshape(-1))
-    w = np.sort(np.concatenate(parts))
-    spread = float(w[-1] - w[0])
-    tol = DEGENERACY_RTOL * spread
-    if w[1] - w[0] > tol:
-        raise DegeneracyError(
-            f"ground level not twofold degenerate: E1 = {w[0]:.12g}, E2 = {w[1]:.12g}, "
-            f"splitting {w[1] - w[0]:.3e} exceeds tolerance {tol:.3e}"
-        )
-    gap = float(w[2] - w[1])
-    if gap <= tol:
-        raise DegeneracyError(
-            f"third level E3 = {w[2]:.12g} falls inside the doublet tolerance "
-            f"{tol:.3e} of E2 = {w[1]:.12g}; ground space is not twofold"
-        )
-    if levels[:, 0].max() > w[1]:
-        raise StructureError(
-            f"ground doublet is not one even and one odd level: lowest even "
-            f"{levels[0, 0]:.12g}, lowest odd {levels[1, 0]:.12g}, E2 = {w[1]:.12g}"
-        )
-    ground = np.zeros((2, 2 * top.shape[-1]))
-    ground[[[0], [1]], spin.half] = vectors[:, :, 0]
-    return HalvesGround(energy=float(w[0]), gap_to_third=gap, ground=ground)
+    checks: list = []
+    one = CouplingArrays(np.array([params.j]), np.array([params.gamma]))
+    solved = _solve_halves(one, spin, checks)
+    _raise_first(checks)
+    return HalvesGround(float(solved.energy[0]), float(solved.gap_to_third[0]), solved.ground[0])
 
 
 def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
@@ -165,8 +205,10 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
     )
 
 
-def _is_pure_sigma_x(d1: float, d2: float, off: float, off_t: float) -> bool:
-    return max(abs(d1), abs(d2)) <= STRUCTURE_TOL and abs(off - off_t) <= STRUCTURE_TOL
+def _is_pure_sigma_x(d1, d2, off, off_t):
+    """Whether a projected sigma^x is off-diagonal and symmetric, for one
+    point or for arrays over a batch."""
+    return (np.maximum(abs(d1), abs(d2)) <= STRUCTURE_TOL) & (abs(off - off_t) <= STRUCTURE_TOL)
 
 
 def _sigma_x_error(d1: float, d2: float, off: float, off_t: float, corner: int) -> StructureError:
@@ -201,17 +243,83 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
     return RenormalizedOperators(xi_x=off, xi_y=xi_y, corner=corner)
 
 
-# -- the block memo --------------------------------------------------------
+# -- the block solver --------------------------------------------------------
 
 
 class BlockSolve(NamedTuple):
-    """What the flow and the concurrence read off one block at unit J. Since
+    """What the flow and the concurrence read off one block, or off each
+    block of a batch (arrays over the points, from solve_many). Since
     H_B(J) = J H_B(1), none of it depends on J."""
 
     xi_x2: float
     xi_y2: float
     gamma_prime: float
     pair_state: np.ndarray  # reduced state of two corners of phi1, read-only
+
+
+def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
+    """The blocks at the points (j, gammas), solved together: one stacked
+    eigh of their S = d halves and one eigvalsh of their S < d halves,
+    whatever the number of points. j is one number or one per gamma; each
+    point is solved at its own J.
+
+    Everything is read off the two S = d ground vectors of each point,
+    2(2d+1) wide, with the corner tables of blocks.CollectiveSpin: the
+    projected corner sx and (-i sy), under the same checks as
+    renormalized_operators, and the corner-pair state of phi1. No 2^n
+    vector is built. Every check of solve_halves and of the projection runs
+    on every point; the first point that fails one raises the error its
+    scalar solve would. The arithmetic of each point does not depend on
+    the others, so a point gives bit for bit what block_solve gives.
+    """
+    return _solve(dimension, coupling_arrays(j, gammas))
+
+
+def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
+    """solve_many on couplings that are already checked."""
+    geometry = block_geometry(dimension)
+    spin = collective_spin(geometry)
+    checks: list = []
+    ground = _solve_halves(couplings, spin, checks).ground
+    # <phi_a|sx|phi_b> and <phi_a|(-i sy)|phi_b> of each point
+    xy = ground[:, None] @ spin.corner @ ground.swapaxes(1, 2)[:, None]
+    x = xy[:, 0]
+    d1, d2, off, off_t = x[:, 0, 0], x[:, 1, 1], x[:, 0, 1], x[:, 1, 0]
+    # float_power is libm's pow, as Python's float ** 2 is, so the squares
+    # keep the bits of earlier releases; x * x rounds about 0.1% of them the
+    # other way, and near gamma = 0, where t_x - t_y cancels, one ulp of
+    # xi^2 moves gamma' by ~1e-12 relative
+    xx, yy = np.float_power(xy[:, :, 0, 1], 2).T
+    gamma = couplings.gamma
+    tx = (1.0 + gamma) * xx
+    ty = (1.0 - gamma) * yy
+    total = tx + ty
+    checks += [
+        (
+            ~_is_pure_sigma_x(d1, d2, off, off_t),
+            lambda k: _sigma_x_error(
+                float(d1[k]), float(d2[k]), float(off[k]), float(off_t[k]),
+                interblock_bonds(geometry)[0][0],  # the x-axis representative corner
+            ),
+        ),
+        (
+            total <= 1e-300,
+            lambda k: QRGError(
+                f"renormalized couplings vanished at gamma = {float(gamma[k])}: "
+                f"t_x + t_y = {float(total[k])}"
+            ),
+        ),
+    ]
+    _raise_first(checks)
+    gp = (tx - ty) / total
+    # the ratio is <= 1 in magnitude up to rounding; clamp only that much
+    over = abs(gp) > 1.0
+    if np.count_nonzero(over):
+        rounding = over & (abs(gp) <= 1.0 + 1e-12)
+        gp[rounding] = np.sign(gp[rounding])
+    state = spin.pair_state(ground[:, 0])
+    state.flags.writeable = False
+    return BlockSolve(xx, yy, gp, state)
 
 
 def clear_cache() -> None:
@@ -221,39 +329,12 @@ def clear_cache() -> None:
 
 @functools.cache
 def block_solve(dimension: int, gamma: float) -> BlockSolve:
-    """The block at (J = 1, gamma), solved once per exact (dimension, gamma):
-    sweeps and derivative probes revisit the same blocks, and the flow and
-    the concurrence share them.
-
-    Everything is read off the two S = d ground vectors of solve_halves,
-    2(2d+1) wide, with the corner tables of blocks.CollectiveSpin: the
-    projected corner sx and (-i sy), under the same checks as
-    renormalized_operators, and the corner-pair state of phi1. No 2^n
-    vector is built.
-    """
-    geometry = block_geometry(dimension)
-    spin = collective_spin(geometry)
-    ground = solve_halves(CouplingParams(1.0, gamma), spin).ground
-    x, y = ground @ spin.corner @ ground.T  # <phi_a|sx|phi_b>, <phi_a|(-i sy)|phi_b>
-    d1, d2, off, off_t = float(x[0, 0]), float(x[1, 1]), float(x[0, 1]), float(x[1, 0])
-    if not _is_pure_sigma_x(d1, d2, off, off_t):
-        site_plus, _site_minus, _axis = interblock_bonds(geometry)[0]  # x-axis representative
-        raise _sigma_x_error(d1, d2, off, off_t, site_plus)
-    xx = off ** 2
-    yy = float(y[0, 1]) ** 2
-    tx = (1.0 + gamma) * xx
-    ty = (1.0 - gamma) * yy
-    if tx + ty <= 1e-300:
-        raise QRGError(
-            f"renormalized couplings vanished at gamma = {gamma}: t_x + t_y = {tx + ty}"
-        )
-    gp = (tx - ty) / (tx + ty)
-    # the ratio is <= 1 in magnitude up to rounding; clamp only that much
-    if 1.0 < abs(gp) <= 1.0 + 1e-12:
-        gp = 1.0 if gp > 0 else -1.0
-    state = spin.pair_state(ground[0])
-    state.flags.writeable = False
-    return BlockSolve(xx, yy, gp, state)
+    """The block at (J = 1, gamma): the batch of one of solve_many, kept
+    once per exact (dimension, gamma) for the scalar callers (rg_map,
+    gamma_prime, block_concurrence), whose chains and bisections revisit
+    blocks and share them between the flow and the concurrence."""
+    xx, yy, gp, state = solve_many(dimension, gamma)
+    return BlockSolve(float(xx[0]), float(yy[0]), float(gp[0]), state[0])
 
 
 def gamma_prime(gamma: float, dimension: int) -> float:
@@ -261,21 +342,67 @@ def gamma_prime(gamma: float, dimension: int) -> float:
     return block_solve(dimension, gamma).gamma_prime
 
 
+def _mapped_j(j, gamma, solve: BlockSolve):
+    """J' of the map, for one point or for arrays over a batch."""
+    tx = (j / 4.0) * (1.0 + gamma) * solve.xi_x2
+    ty = (j / 4.0) * (1.0 - gamma) * solve.xi_y2
+    return 2.0 * (tx + ty)
+
+
 def rg_map(params: CouplingParams, dimension: int) -> CouplingParams:
     """One coarse-graining step (J, gamma) -> (J', gamma')."""
     solve = block_solve(dimension, params.gamma)
-    tx = (params.j / 4.0) * (1.0 + params.gamma) * solve.xi_x2
-    ty = (params.j / 4.0) * (1.0 - params.gamma) * solve.xi_y2
-    return CouplingParams(j=2.0 * (tx + ty), gamma=solve.gamma_prime)
+    return CouplingParams(j=_mapped_j(params.j, params.gamma, solve), gamma=solve.gamma_prime)
+
+
+def _check_step_count(n_steps: int) -> None:
+    """The bound on the number of rg steps of a trajectory or a flow."""
+    if not 0 <= n_steps <= 64:
+        raise ValueError(f"n_steps must be between 0 and 64, got {n_steps}")
 
 
 def rg_trajectory(initial: CouplingParams, dimension: int, n_steps: int) -> RGTrajectory:
-    if not 0 <= n_steps <= 64:
-        raise ValueError(f"n_steps must be between 0 and 64, got {n_steps}")
+    _check_step_count(n_steps)
     steps = [initial]
     for _ in range(n_steps):
         steps.append(rg_map(steps[-1], dimension))
     return RGTrajectory(dimension=dimension, steps=tuple(steps))
+
+
+def flow_solves(
+    dimension: int, gammas, n_steps, j=1.0
+) -> Iterator[Tuple[np.ndarray, BlockSolve, np.ndarray]]:
+    """The unit-J block solves along the flows that start at (j, gammas),
+    each point for its own number of steps: n_steps and j are one value for
+    all points or one per point. Yields, for each step 0, 1, ..., the
+    indices of the points whose flow reaches that step, the BlockSolve of
+    their couplings there (arrays over those points) and a mask of the
+    points whose flow ends there. Each step is one batched solve of the
+    distinct gammas of that step. J flows with rg_map's formula and each
+    step's couplings are checked as rg_map's CouplingParams are; a failing
+    step raises before the next is solved."""
+    couplings = coupling_arrays(j, gammas)
+    n_steps = np.broadcast_to(np.asarray(n_steps), couplings.gamma.shape)
+    for bound in (n_steps.min(initial=0), n_steps.max(initial=0)):
+        _check_step_count(int(bound))
+    points = np.arange(len(n_steps))
+    for step in range(int(n_steps.max(initial=-1)) + 1):
+        # flows meet, at the fixed points +-1 and 0 above all; np.unique has
+        # a fixed cost that a two-point stencil would pay at every step
+        distinct, where = couplings.gamma, slice(None)
+        if len(set(distinct.tolist())) < len(distinct):
+            distinct, where = np.unique(distinct, return_inverse=True)
+        unit = CouplingArrays(np.ones_like(distinct), distinct)
+        solved = BlockSolve(*(a[where] for a in _solve(dimension, unit)))
+        going = n_steps[points] > step
+        yield points, solved, ~going
+        if np.count_nonzero(going) < len(going):
+            points = points[going]
+            couplings = CouplingArrays(couplings.j[going], couplings.gamma[going])
+            solved = BlockSolve(*(a[going] for a in solved))
+        if len(points):
+            j_next = _mapped_j(couplings.j, couplings.gamma, solved)
+            couplings = coupling_arrays(j_next, solved.gamma_prime)
 
 
 # -- fixed points ----------------------------------------------------------
@@ -301,18 +428,21 @@ def _bisect(fn, a, b, fa):
 def _fd_slope(root: float, dimension: int) -> float:
     lo = max(root - FP_SLOPE_STEP, -1.0)
     hi = min(root + FP_SLOPE_STEP, 1.0)
-    return abs((gamma_prime(hi, dimension) - gamma_prime(lo, dimension)) / (hi - lo))
+    gp_lo, gp_hi = solve_many(dimension, [lo, hi]).gamma_prime
+    return float(abs((gp_hi - gp_lo) / (hi - lo)))
 
 
 def fixed_points(dimension: int, grid: int = 401):
     """Roots of gamma' = gamma on [-1, 1] by sign-change bisection, with
     stability read off a finite-difference slope at each root (< 1 stable,
-    > 1 unstable). The endpoints +-1 sit exactly on the identity and are
-    picked up as exact residual zeros."""
+    > 1 unstable). The residual grid is one batched solve and each slope
+    stencil another; bisection goes one point at a time. The endpoints +-1
+    sit exactly on the identity and are picked up as exact residual
+    zeros."""
     if grid < 100:
         raise ValueError(f"fixed-point grid needs at least 100 points, got {grid}")
     gs = np.linspace(-1.0, 1.0, grid)
-    res = np.array([gamma_prime(g, dimension) - g for g in gs])
+    res = solve_many(dimension, gs).gamma_prime - gs
     roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
     fn = lambda g: gamma_prime(g, dimension) - g
     for i in range(grid - 1):

@@ -7,6 +7,15 @@ derivative sharpens with every coarse-graining step; the two scaling
 quantities extracted here are the growth of the derivative maximum with
 represented system size N and the exponent theta in gamma_m = gamma_c -
 N^(-theta), with gamma_c = 0 taken as exact.
+
+peak_points reads the curves of all its steps off one flow of the grid.
+The refinement probes the derivative through the full flow + concurrence
+pipeline. Its steps are generators that ask for probe points and are sent
+the values, so independent points flow as one batch: the pre-scan of a
+bracket with the cusp probe, the two stencil points of every derivative,
+and the pending points of the refinements of all steps of a peak_points
+call, which run in lockstep. Golden section keeps its sequence: after its
+two starting points it asks for one point at a time.
 """
 
 from __future__ import annotations
@@ -17,12 +26,12 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .blocks import block_geometry
-from .concurrence import ConcurrenceCurve, concurrence_curve, flowed_concurrence
+from .concurrence import ConcurrenceCurve, concurrence_curves, flowed_concurrences
 from .errors import ScalingUnderflowError
 
-FD_STEP = 1e-6        # central-difference step for pointwise derivative probes
+FD_STEP = 1e-6        # central-difference step of the derivative probe
 GOLDEN_TOL = 1e-8     # refinement interval width
-CUSP_PROBE = 2.0      # in units of FD_STEP; see _refined_peak
+CUSP_PROBE = 2.0      # in units of FD_STEP; see _refine
 CUSP_DROP = 1e-3      # relative drop separating an interior peak from a cusp
 PLATEAU_FRACTION = 0.9
 UNDERFLOW_FLOOR = 1e-12
@@ -70,80 +79,103 @@ def derivative_curve(curve: ConcurrenceCurve) -> DerivativeCurve:
     )
 
 
-def _abs_derivative_at(dimension: int, rg_step: int, gamma: float, h: float = FD_STEP) -> float:
-    lo = max(gamma - h, -1.0)
-    hi = min(gamma + h, 1.0)
-    c_lo = flowed_concurrence(dimension, rg_step, lo)
-    c_hi = flowed_concurrence(dimension, rg_step, hi)
-    return abs(c_hi - c_lo) / (hi - lo)
+def _abs_derivatives_at(dimension: int, rg_steps, gammas, h: float = FD_STEP) -> np.ndarray:
+    """The derivative probe: |dC/dgamma| after rg_steps coarse-graining
+    steps (one count for all gammas or one per gamma) at each of gammas, by
+    a central difference of half-width h, cut to [-1, 1], through the full
+    flow + concurrence pipeline. Both stencil points of every gamma flow in
+    one batch."""
+    gammas = np.asarray(gammas, dtype=float)
+    lo = np.maximum(gammas - h, -1.0)
+    hi = np.minimum(gammas + h, 1.0)
+    steps = np.broadcast_to(rg_steps, gammas.shape)
+    c = flowed_concurrences(dimension, np.concatenate([steps, steps]), np.concatenate([lo, hi]))
+    return abs(c[len(gammas):] - c[: len(gammas)]) / (hi - lo)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = GOLDEN_TOL):
-    """Golden-section maximization; returns (argmax, best value). Never
-    evaluates outside [lo, hi]."""
+def _golden_max(lo: float, hi: float, tol: float = GOLDEN_TOL):
+    """Golden-section maximization as a generator: it yields the points it
+    needs the function at and is sent their values, the two starting points
+    together and every later point on its own, since each depends on the
+    last comparison; it returns (argmax, best value). Never evaluates
+    outside [lo, hi]."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = yield [c, d]
     while b - a > tol:
         if fc < fd:
             a = c
             c, fc = d, fd
             d = a + _INVPHI * (b - a)
-            fd = fn(d)
+            (fd,) = yield [d]
         else:
             b = d
             d, fd = c, fc
             c = b - _INVPHI * (b - a)
-            fc = fn(c)
+            (fc,) = yield [c]
     return 0.5 * (a + b), max(fc, fd)
 
 
-def _scan_then_golden(fn, lo: float, hi: float, side: str):
-    """Maximize fn over the bracket [lo, hi] lying on one side of gamma = 0.
-
-    Deep rg steps push the derivative maximum orders of magnitude inside a
-    single grid cell, right next to the critical point, while the rest of
-    the cell is exactly flat (the concurrence clamps to zero well before the
-    anisotropic fixed point). Golden section started blind on such a cell
-    ties on the flat part and walks away from the peak, so first localize it
-    with a geometric scan of distances from gamma = 0 (factor-2 steps from
-    the innermost stencil-clean distance out to the far bracket edge), then
-    refine the best scan cell by golden section. All evaluations stay inside
-    [lo, hi]."""
-    sign = 1.0 if side == "positive" else -1.0
+def _scan_distances(lo: float, hi: float, side: str) -> list:
+    """Distances from gamma = 0 of the geometric pre-scan of the bracket
+    [lo, hi] lying on one side of gamma = 0: factor-2 steps from the
+    innermost stencil-clean distance out to the far bracket edge; empty when
+    no part of the bracket is stencil-clean."""
     if side == "positive":
         dmin, dmax = max(lo, CUSP_PROBE * FD_STEP), hi
     else:
         dmin, dmax = max(-hi, CUSP_PROBE * FD_STEP), -lo
     if not dmin < dmax:
-        return _golden_max(fn, lo, hi)
+        return []
     dists = [dmin]
     while dists[-1] * 2.0 < dmax:
         dists.append(dists[-1] * 2.0)
     dists.append(dmax)
-    vals = [fn(sign * dist) for dist in dists]
+    return dists
+
+
+def _scan_then_golden(lo: float, hi: float, side: str, dists: list, vals):
+    """Maximize a function over the bracket [lo, hi] lying on one side of
+    gamma = 0, given its values `vals` at the pre-scan distances `dists`;
+    a generator like _golden_max.
+
+    Deep rg steps push the derivative maximum orders of magnitude inside a
+    single grid cell, right next to the critical point, while the rest of
+    the cell is exactly flat (the concurrence clamps to zero well before the
+    anisotropic fixed point). Golden section started blind on such a cell
+    ties on the flat part and walks away from the peak, so the geometric
+    pre-scan (_scan_distances) localizes it first, and golden section then
+    refines the best scan cell. All evaluations stay inside [lo, hi]."""
+    if not dists:
+        return (yield from _golden_max(lo, hi))
     m = int(np.argmax(vals))
     d_in = dists[m - 1] if m > 0 else dists[0]
     d_out = dists[m + 1] if m + 1 < len(dists) else dists[-1]
     if side == "positive":
-        return _golden_max(fn, d_in, d_out)
-    return _golden_max(fn, -d_out, -d_in)
+        return (yield from _golden_max(d_in, d_out))
+    return (yield from _golden_max(-d_out, -d_in))
 
 
-def _refined_peak(curve: DerivativeCurve, side: str):
-    """(gamma_m, peak |dC/dgamma|) on one sign side of gamma.
+def _refine(curve: DerivativeCurve, side: str):
+    """(gamma_m, peak |dC/dgamma|) on one sign side of gamma, as a generator
+    that yields the points it needs the derivative probe at and is sent its
+    values (see _refined_peaks).
 
     The grid argmax is bracketed by its neighboring grid points and refined
-    inside the bracket (geometric pre-scan plus golden section, see
-    _scan_then_golden) on the pointwise derivative probe (central
-    difference, step 1e-6, computed through the full flow + concurrence
-    pipeline) down to an interval of 1e-8. The refined position is then
-    classified by one extra probe at 2 * FD_STEP from the critical point,
-    the closest position whose difference stencil stays on a single side:
+    inside the bracket on the derivative probe (_abs_derivatives_at:
+    central difference, step 1e-6, computed through the full flow +
+    concurrence pipeline) down to an interval of 1e-8: a geometric pre-scan
+    of the bracket, then golden section on the best scan cell (see
+    _scan_then_golden). The refined position is classified by one extra
+    probe at 2 * FD_STEP from the critical point, the closest position
+    whose difference stencil stays on a single side. The pre-scan and this
+    cusp probe are independent of each other and go in one batch; golden
+    section asks for its two starting points together and for every later
+    point on its own.
 
     * if the derivative there has dropped below (1 - 1e-3) of the refined
       peak, the peak is a genuine interior maximum and its position is
@@ -176,17 +208,47 @@ def _refined_peak(curve: DerivativeCurve, side: str):
     i = int(side_idx[int(np.argmax(d[side_idx]))])
     lo = g[i - 1] if i > 0 else g[i]
     hi = g[i + 1] if i + 1 < g.size else g[i]
-    gamma_hat, peak = _scan_then_golden(
-        lambda x: _abs_derivative_at(curve.dimension, curve.rg_step, float(x)), lo, hi, side
-    )
     sign = 1.0 if side == "positive" else -1.0
-    near = _abs_derivative_at(curve.dimension, curve.rg_step, sign * CUSP_PROBE * FD_STEP)
+    dists = _scan_distances(lo, hi, side)
+    *scan, near = yield [sign * dist for dist in dists] + [sign * CUSP_PROBE * FD_STEP]
+    gamma_hat, peak = yield from _scan_then_golden(lo, hi, side, dists, scan)
     if near < (1.0 - CUSP_DROP) * peak:
         return float(gamma_hat), float(peak)
     side_d = d[side_idx]
     plateau = side_idx[side_d >= PLATEAU_FRACTION * float(side_d.max())]
     edge = plateau[-1] if side == "positive" else plateau[0]
     return float(g[int(edge)]), float(peak)
+
+
+def _refined_peaks(curves, side: str):
+    """(gamma_m, peak |dC/dgamma|) of each of curves, all of one dimension,
+    on one sign side of gamma (see _refine). The refinements run in
+    lockstep: each round probes the points that every unfinished one asks
+    for in one batch, each at its own curve's rg step. Every refinement
+    sees the values it would see alone, in the same order."""
+    runs = [_refine(curve, side) for curve in curves]
+    asks = {k: next(run) for k, run in enumerate(runs)}
+    peaks = [None] * len(runs)
+    while asks:
+        steps = np.concatenate([np.full(len(asked), curves[k].rg_step) for k, asked in asks.items()])
+        gammas = np.concatenate(list(asks.values()))
+        values = _abs_derivatives_at(curves[0].dimension, steps, gammas)
+        start = 0
+        for k, asked in list(asks.items()):
+            stop = start + len(asked)
+            try:
+                asks[k] = runs[k].send(values[start:stop])
+            except StopIteration as done:
+                peaks[k] = done.value
+                del asks[k]
+            start = stop
+    return peaks
+
+
+def _refined_peak(curve: DerivativeCurve, side: str):
+    """(gamma_m, peak |dC/dgamma|) of one curve on one sign side of gamma;
+    see _refine."""
+    return _refined_peaks([curve], side)[0]
 
 
 def locate_max(curve: DerivativeCurve, side: str) -> float:
@@ -232,7 +294,9 @@ def peak_points(
     steps: Sequence[int] | None = None,
     grid: int = 2001,
 ):
-    """(step, N, gamma_m, peak |dC/dgamma|) rows for the requested steps.
+    """(step, N, gamma_m, peak |dC/dgamma|) rows for the requested steps,
+    their curves read off one flow of the grid up to the largest step and
+    their peaks refined in lockstep (_refined_peaks).
 
     gamma_m is taken on the negative side so the distance to the critical
     point gamma_c = 0 is the positive number -gamma_m.
@@ -242,13 +306,10 @@ def peak_points(
     steps = tuple(int(s) for s in steps)
     if len(steps) < 2:
         raise ValueError(f"scaling needs at least two rg steps, got {steps}")
-    rows = []
-    for step in steps:
-        n = system_size(dimension, step)
-        curve = concurrence_curve(dimension, step, grid)
-        gamma_m, peak = _refined_peak(derivative_curve(curve), "negative")
-        rows.append((step, n, gamma_m, peak))
-    return rows
+    sizes = [system_size(dimension, step) for step in steps]
+    curves = [derivative_curve(curve) for curve in concurrence_curves(dimension, steps, grid)]
+    peaks = _refined_peaks(curves, "negative")
+    return [(step, n, gamma_m, peak) for step, n, (gamma_m, peak) in zip(steps, sizes, peaks)]
 
 
 def entanglement_exponent(

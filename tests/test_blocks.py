@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
+from qrgxy.blocks import (
+    CouplingParams,
+    block_geometry,
+    collective_spin,
+    coupling_arrays,
+    interblock_bonds,
+)
 from qrgxy.pauli import Axis
 from qrgxy.rgflow import ground_doublet
 
@@ -179,6 +185,18 @@ def test_coupling_params_validation():
                      (1.0, 1.0001), (1.0, -2.0), (1.0, float("nan"))]:
         with pytest.raises(ValueError):
             CouplingParams(j, gamma)
+
+
+def test_coupling_arrays_raise_the_error_of_the_first_bad_point():
+    good = coupling_arrays(2.0, [0.0, -1.0, 1.0])
+    assert good.j.tolist() == [2.0, 2.0, 2.0] and good.gamma.tolist() == [0.0, -1.0, 1.0]
+    nan, inf = float("nan"), float("inf")
+    for j, gamma in [(0.0, 0.0), (-1.0, 0.0), (nan, 0.0), (inf, 0.1), (1.0, 1.0001), (1.0, nan)]:
+        with pytest.raises(ValueError) as want:
+            CouplingParams(j, gamma)
+        with pytest.raises(ValueError) as got:
+            coupling_arrays([1.0, j, 0.5], [0.2, gamma, 7.0])
+        assert str(got.value) == str(want.value)
 
 
 def test_coupling_params_frozen():

@@ -260,3 +260,57 @@ def test_thread_count_never_changes_output():
         eight = run_cli(*argv, "--threads", "8")
         assert one.stdout == again.stdout == eight.stdout
         assert one.stdout  # something was actually produced
+
+
+# stdout captured from earlier releases: a moved byte in the flow, the
+# fixed-point roots and slopes or the refined peak positions is a change
+# in the numbers the package reports, not in formatting
+GOLDEN_FIXED_POINTS_3D = """[
+  {
+    "gamma": -1.0,
+    "stability": "stable",
+    "slope_at_root": 0.0
+  },
+  {
+    "gamma": 2.940335965727841e-13,
+    "stability": "unstable",
+    "slope_at_root": 22.999999563150094
+  },
+  {
+    "gamma": 1.0,
+    "stability": "stable",
+    "slope_at_root": 0.0
+  }
+]
+"""
+
+GOLDEN_FLOW_3D = """dim,step,gamma,j
+3,0,-0.26,1
+3,1,-0.999821105067,0.613272961827
+3,2,-1,0.613218105919
+3,3,-1,0.613218105919
+3,4,-1,0.613218105919
+"""
+
+GOLDEN_GAMMA_M_3D = [-0.0021040249199624876, -9.148546691961401e-05, -4.070069948786908e-06]
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        pytest.param(argv, want, id=argv)
+        for argv, want in (
+            ("fixed-points --dim 3 --grid 100", GOLDEN_FIXED_POINTS_3D),
+            ("flow --dim 3 --gamma0 -0.26 --steps 4", GOLDEN_FLOW_3D),
+        )
+    ],
+)
+def test_stdout_matches_the_golden_bytes(argv, want, capsys):
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_scaling_gamma_m_matches_the_golden_values(capsys):
+    assert cli.main(["scaling", "--dim", "3", "--grid", "51"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p["gamma_m"] for p in report["points"]] == GOLDEN_GAMMA_M_3D

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import qrgxy.concurrence as qc
 import qrgxy.rgflow
 from qrgxy.blocks import CouplingParams, block_geometry
 from qrgxy.concurrence import (
     ReducedDensityMatrix,
     block_concurrence,
     concurrence_curve,
+    concurrence_curves,
     concurrence_j_sweep,
     density_matrix,
     flowed_concurrence,
+    flowed_concurrences,
     partial_trace_pair,
     wootters_concurrence,
 )
 from qrgxy.errors import ContractError
-from qrgxy.rgflow import clear_cache, ground_doublet, rg_trajectory, solve_halves
+from qrgxy.rgflow import clear_cache, ground_doublet, rg_trajectory
 
 from oracles import (
     corner_pair_state,
@@ -286,45 +287,84 @@ def test_one_dimensional_flow_and_concurrence_follow_the_closed_form():
             assert abs(flowed_concurrence(1, k, float(g0)) - wc) < 1e-12
 
 
+def _record_solves(monkeypatch):
+    """Patch the batched block solver behind solve_many and the flow; the
+    returned list gets one list of (gamma, j) points per call."""
+    calls = []
+    real = qrgxy.rgflow._solve
+
+    def recording(dimension, couplings):
+        calls.append(list(zip(couplings.gamma.tolist(), couplings.j.tolist())))
+        return real(dimension, couplings)
+
+    monkeypatch.setattr(qrgxy.rgflow, "_solve", recording)
+    return calls
+
+
 def test_curve_solves_each_gamma_of_its_trajectories_once(monkeypatch):
-    # the flow and the concurrence read one unit-J solve per gamma
-    solved = []
-    real = solve_halves
+    # the flow and the concurrence read one unit-J solve per gamma and step:
+    # one batched call per step, on the distinct gammas the trajectories
+    # reach at that step
+    grid = np.linspace(-1.0, 1.0, 21)
+    trajectories = [rg_trajectory(CouplingParams(1.0, float(g)), 2, 2).steps for g in grid]
+    calls = _record_solves(monkeypatch)
+    concurrence_curve(2, 2, 21)
+    assert len(calls) == 3
+    for step, points in enumerate(calls):
+        gammas = {steps[step].gamma for steps in trajectories}
+        assert len(points) == len(gammas)
+        assert {g for g, _j in points} == gammas
+        assert all(j == 1.0 for _g, j in points)
 
-    def counting(params, spin):
-        solved.append(params)
-        return real(params, spin)
 
-    for module in (qrgxy.rgflow, qc):
-        monkeypatch.setattr(module, "solve_halves", counting)
-    clear_cache()
-    curve = concurrence_curve(2, 2, 21)
-    n_solves = len(solved)
-    gammas = {
-        p.gamma
-        for g in curve.gamma_grid
-        for p in rg_trajectory(CouplingParams(1.0, float(g)), 2, 2).steps
-    }
-    assert len(solved) == n_solves  # the trajectories above hit the memo
-    assert n_solves == len(gammas)
-    assert {p.gamma for p in solved} == gammas
-    assert all(p.j == 1.0 for p in solved)
+def test_curves_of_one_flow_are_the_curves_of_each_step():
+    curves = concurrence_curves(2, (0, 3, 1), 101)
+    assert [curve.rg_step for curve in curves] == [0, 3, 1]
+    for curve in curves:
+        assert np.array_equal(curve.values, concurrence_curve(2, curve.rg_step, 101).values)
+
+
+def test_each_point_flows_for_its_own_number_of_steps():
+    gammas, steps, js = [0.1, 0.1, -0.3, 0.1, 1.0], [0, 2, 1, 3, 2], [1.0, 2.5, 1.0, 0.7, 1.0]
+    batch = flowed_concurrences(2, steps, gammas, js)
+    for got, gamma, step, j in zip(batch, gammas, steps, js):
+        clear_cache()
+        params = rg_trajectory(CouplingParams(j, gamma), 2, step).steps[-1]
+        assert got == block_concurrence(params, 2).geometric_mean
+
+
+def test_flow_checks_j_at_every_step():
+    # J' underflows to 0 on the first step; the batched flow refuses it as
+    # the scalar trajectory does
+    with pytest.raises(ValueError) as want:
+        flowed_concurrence(1, 2, 0.3, j=5e-324)
+    with pytest.raises(ValueError) as got:
+        concurrence_curve(1, 2, 5, j=5e-324)
+    assert str(got.value) == str(want.value) == "coupling j must be finite and > 0, got 0.0"
 
 
 def test_j_sweep_solves_every_point_at_its_own_j(monkeypatch):
     # the sweep measures the J-invariance of the solver, so it must not read
-    # the unit-J memo
-    solved = []
-    real = solve_halves
-
-    def recording(params, spin):
-        solved.append((params.gamma, params.j))
-        return real(params, spin)
-
-    for module in (qrgxy.rgflow, qc):
-        monkeypatch.setattr(module, "solve_halves", recording)
+    # the unit-J memo; the whole grid is one batched call
+    calls = _record_solves(monkeypatch)
     concurrence_j_sweep(2, [-0.5, 0.2], [0.5, 2.0])
-    assert sorted(solved) == [(-0.5, 0.5), (-0.5, 2.0), (0.2, 0.5), (0.2, 2.0)]
+    assert len(calls) == 1
+    assert sorted(calls[0]) == [(-0.5, 0.5), (-0.5, 2.0), (0.2, 0.5), (0.2, 2.0)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("step", [0, 2])
+def test_curve_makes_one_eigh_per_step(monkeypatch, dim, step):
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    concurrence_curve(dim, step, 101)
+    assert len(calls) <= step + 1
 
 
 def test_j_sweep_reduces_the_oracle_state_at_each_j():

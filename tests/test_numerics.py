@@ -73,6 +73,18 @@ def test_eigh_rejects_nan():
         eigh_symmetric(np.diag([1.0, np.nan]))
 
 
+def test_eigh_rejects_infinite_entries():
+    # an inf deviation passes an inf tolerance, and an exactly symmetric
+    # matrix skips the tolerance check: both must still be refused
+    with pytest.raises(ContractError, match=r"non-finite entry: A\[0\]\[1\] = inf"):
+        eigh_symmetric([[1.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(ContractError, match=r"non-finite entry: A\[0\]\[0\] = inf"):
+        eigh_symmetric([[np.inf, 0.0], [0.0, 1.0]])
+    stack = np.stack([np.eye(2), [[1.0, -np.inf], [-np.inf, 1.0]]])
+    with pytest.raises(ContractError, match=r"A\[1\]\[0\]\[1\] = -inf"):
+        eigh_symmetric(stack)
+
+
 def test_eigh_rejects_oversized():
     with pytest.raises(ContractError, match=str(MAX_DIM)):
         eigh_symmetric(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
 from qrgxy.concurrence import concurrence_curve, flowed_concurrence
-from qrgxy.errors import DegeneracyError, StructureError
+from qrgxy.errors import DegeneracyError, QRGError, StructureError
 from qrgxy.rgflow import (
     GroundDoublet,
     block_solve,
@@ -18,6 +18,7 @@ from qrgxy.rgflow import (
     rg_map,
     rg_trajectory,
     solve_halves,
+    solve_many,
 )
 
 import qrgxy.pauli
@@ -316,6 +317,7 @@ def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
 
 @pytest.mark.parametrize("dim,calls", [(1, 1), (2, 2), (3, 2)])
 def test_cold_block_solve_makes_one_eigh_and_at_most_one_eigvalsh(monkeypatch, dim, calls):
+    # a batch of one and a batch of five cost the same number of calls
     shapes = []
     for name in ("eigh", "eigvalsh"):
         def recording(a, *args, _real=getattr(np.linalg, name), **kwargs):
@@ -323,11 +325,80 @@ def test_cold_block_solve_makes_one_eigh_and_at_most_one_eigvalsh(monkeypatch, d
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
+    for batch, solve in (
+        (1, lambda: block_solve(dim, 0.3)),
+        (5, lambda: solve_many(dim, np.linspace(-0.8, 0.8, 5))),
+    ):
+        clear_cache()
+        shapes.clear()
+        solve()
+        assert len(shapes) == calls
+        assert shapes[0] == (batch, 2, 2 * dim + 1, 2 * dim + 1)
+        assert all(shape[0] == batch for shape in shapes)
+        assert max(shape[-1] for shape in shapes) <= 2 * (2 * dim + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    gammas=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=12),
+)
+def test_batched_solve_is_the_scalar_solve_of_each_point(dim, gammas):
+    batch = solve_many(dim, gammas)
+    for k, gamma in enumerate(gammas):
+        one = block_solve(dim, gamma)
+        assert batch.gamma_prime[k] == one.gamma_prime
+        assert abs(batch.xi_x2[k] - one.xi_x2) <= 1e-15
+        assert abs(batch.xi_y2[k] - one.xi_y2) <= 1e-15
+        assert np.max(np.abs(batch.pair_state[k] - one.pair_state)) <= 1e-15
+    assert not batch.pair_state.flags.writeable
+
+
+# gamma' where the last bit of xi^2 depends on how it is squared, as earlier
+# releases computed it; near gamma = 0, t_x - t_y cancels and one ulp of
+# xi^2 moves gamma' by ~1e-12 relative
+GOLDEN_GAMMA_PRIME = [
+    (1, 0.3665738120065143, 0.8188699868453528),
+    (2, 1.081602518910922e-06, 1.1897627707821402e-05),
+    (3, 5.034867904158609e-06, 0.00011580196124050181),
+    (3, 2.223105778133823e-06, 5.113143284885927e-05),
+]
+
+
+@pytest.mark.parametrize("dim,gamma,want", GOLDEN_GAMMA_PRIME)
+def test_gamma_prime_keeps_its_golden_bits(dim, gamma, want):
     clear_cache()
-    block_solve(dim, 0.3)
-    assert len(shapes) == calls
-    assert shapes[0] == (2, 2 * dim + 1, 2 * dim + 1)
-    assert max(shape[-1] for shape in shapes) <= 2 * (2 * dim + 1)
+    assert gamma_prime(gamma, dim) == want
+    assert solve_many(dim, [0.5, gamma]).gamma_prime[1] == want
+
+
+def _scalar_error(dim, gamma):
+    clear_cache()
+    with pytest.raises(QRGError) as info:
+        block_solve(dim, gamma)
+    return type(info.value), str(info.value)
+
+
+def test_batch_raises_the_scalar_error_of_its_first_failing_point(monkeypatch):
+    # without the sy sy bonds the block at gamma = -1 is zero: its ground
+    # level is not twofold, while every other gamma is an Ising block
+    spin = collective_spin(block_geometry(2))
+    fake = spin._replace(yy=np.zeros_like(spin.yy), lower_yy=np.zeros_like(spin.lower_yy))
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+    solve_many(2, [0.3, 0.7, 0.5])
+    want = _scalar_error(2, -1.0)
+    assert want[0] is DegeneracyError
+    with pytest.raises(want[0]) as info:
+        solve_many(2, [0.3, 0.7, -1.0, 0.5])
+    assert str(info.value) == want[1]
+    # a corner table with a diagonal fails every point, each with its own text
+    fake = spin._replace(corner=spin.corner + np.eye(spin.corner.shape[-1]))
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+    first, second = _scalar_error(2, 0.3), _scalar_error(2, 0.6)
+    assert first[0] is StructureError and first[1] != second[1]
+    with pytest.raises(first[0]) as info:
+        solve_many(2, [0.3, 0.6])
+    assert str(info.value) == first[1]
 
 
 def test_block_solve_checks_the_projected_corner_sigma_x(monkeypatch):

@@ -14,6 +14,8 @@ from qrgxy.scaling import (
     locate_max,
     peak_points,
     system_size,
+    _refined_peak,
+    _refined_peaks,
 )
 
 
@@ -224,6 +226,16 @@ def test_peak_points_rows_and_monotone_march():
     assert g1 < 0.0 and g2 < 0.0
     assert g2 > g1  # marches toward the critical point
     assert p2 > p1  # derivative maximum grows with the step
+
+
+@pytest.mark.parametrize("dim,steps", [(1, (1, 3, 5)), (2, (1, 2, 3, 4)), (3, (1, 2, 3))])
+def test_lockstep_refinement_is_each_refinement_alone(dim, steps):
+    # the refinements of several steps share their probe batches; each must
+    # still see exactly its own values, and peak_points must report them
+    curves = [derivative_curve(concurrence_curve(dim, step, 101)) for step in steps]
+    alone = [_refined_peak(curve, "negative") for curve in curves]
+    assert _refined_peaks(curves, "negative") == alone
+    assert [row[2:] for row in peak_points(dim, steps, 101)] == alone
 
 
 def test_peak_points_needs_two_steps():
