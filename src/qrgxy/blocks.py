@@ -139,12 +139,11 @@ class CollectiveSpin(NamedTuple):
     column: np.ndarray    # (2^n,): S = d position of each full-basis state
     weight: np.ndarray    # (2^n,): its amplitude 1/sqrt(C(2d, k)) in that Dicke state
 
-    def hamiltonians(self, params) -> Tuple[np.ndarray, np.ndarray]:
-        """H_B on the two S = d halves and on the merged S = 1..d-1 halves,
-        (2, w, w) each for a CouplingParams and (G, 2, w, w) for the
-        CouplingArrays of G points."""
-        j = np.asarray(params.j, dtype=float)[..., None, None, None] / 4.0
-        gamma = np.asarray(params.gamma, dtype=float)[..., None, None, None]
+    def hamiltonians(self, couplings: CouplingArrays) -> Tuple[np.ndarray, np.ndarray]:
+        """H_B on the two S = d halves and on the merged S = 1..d-1 halves
+        of each of G points, (G, 2, w, w) each."""
+        j = couplings.j[:, None, None, None] / 4.0
+        gamma = couplings.gamma[:, None, None, None]
         plus, minus = 1.0 + gamma, 1.0 - gamma
         return (
             j * (plus * self.xx + minus * self.yy),

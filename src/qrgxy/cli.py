@@ -80,6 +80,9 @@ def _pick(args, cfg, name, default=None):
 
 
 def _as_int(name, value, lo=None, hi=None):
+    # int() would take true for 1 and cut 2.7 to 2
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError):
@@ -92,6 +95,8 @@ def _as_int(name, value, lo=None, hi=None):
 
 
 def _as_float(name, value):
+    if isinstance(value, bool):
+        raise ConfigError(f"field '{name}' must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -157,8 +162,8 @@ def _step_list(args, cfg, dimension):
     if not isinstance(value, (list, tuple)):
         value = [value]
     steps = tuple(_as_int("steps", s, lo=1, hi=64) for s in value)
-    if len(steps) < 2:
-        raise ConfigError(f"field 'steps' needs at least two rg steps for a fit, got {list(steps)}")
+    if len(set(steps)) < 2:
+        raise ConfigError(f"field 'steps' needs at least two distinct rg steps for a fit, got {list(steps)}")
     return steps
 
 

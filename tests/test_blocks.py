@@ -71,9 +71,14 @@ def test_collective_spin_embedding_is_an_isometry(dim):
     assert np.max(np.abs(e.T @ e - np.eye(e.shape[1]))) <= 1e-14
 
 
+def _hamiltonians(spin, params):
+    """The S = d halves and the merged S < d halves of one point."""
+    return tuple(h[0] for h in spin.hamiltonians(coupling_arrays(params.j, params.gamma)))
+
+
 def _top_block(spin, params):
     """H_B on S = d, 2(2d+1) wide, assembled from its two halves."""
-    halves, _lower = spin.hamiltonians(params)
+    halves, _lower = _hamiltonians(spin, params)
     top = np.zeros((2 * halves.shape[-1],) * 2)
     for h, half in zip(halves, spin.half):
         top[np.ix_(half, half)] = h
@@ -84,7 +89,7 @@ def _levels_by_spin(spin, params):
     """The levels of each S block, S = 0..d, counted once: the zero S = 0
     block, the S = 1..d-1 blocks cut out of the merged halves, where spin S
     sits 2S+1 wide after the lower spins, and the S = d halves."""
-    halves, lower = spin.hamiltonians(params)
+    halves, lower = _hamiltonians(spin, params)
     levels = [np.zeros(2)]
     start = 0
     for s in range(1, len(spin.half[0]) // 2):
@@ -247,14 +252,14 @@ def test_geometry_cache_entry_holds_integers():
 # diagonal, so every S block is traceless
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_hamiltonian_symmetric_traceless(dim):
-    for h in collective_spin(block_geometry(dim)).hamiltonians(CouplingParams(2.0, 0.4)):
+    for h in _hamiltonians(collective_spin(block_geometry(dim)), CouplingParams(2.0, 0.4)):
         assert np.array_equal(h, np.swapaxes(h, -1, -2))
         assert not np.any(np.diagonal(h, axis1=-2, axis2=-1))
 
 
 def test_hamiltonian_linear_in_j():
     spin = collective_spin(block_geometry(2))
-    one, two = (spin.hamiltonians(CouplingParams(j, 0.3)) for j in (1.0, 2.0))
+    one, two = (_hamiltonians(spin, CouplingParams(j, 0.3)) for j in (1.0, 2.0))
     for h1, h2 in zip(one, two):
         assert np.array_equal(h2, 2.0 * h1)
 

@@ -194,6 +194,7 @@ BAD_INVOCATIONS = [
     ("flow", "--dim", "1", "--gamma0", "0.1", "--format", "xml"),
     ("concurrence", "--dim", "1", "--grid", "4"),     # even grid
     ("scaling", "--dim", "1", "--steps", "3"),        # fits need two steps
+    ("scaling", "--dim", "3", "--steps", "2,2", "--grid", "51"),  # ... two distinct ones
     ("scaling", "--dim", "1", "--steps", "1,banana"),
     ("scaling", "--dim", "1", "--threads", "0"),     # ignored, still validated
     ("flow", "--dim", "1", "--gamma0", "0.1", "--threads", "0"),
@@ -219,6 +220,40 @@ def test_configuration_mistakes_exit_2(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("qrg-error: ")
     assert len(proc.stderr.strip().split("\n")) == 1
+
+
+# values that the flags refuse are refused from a config file too, not
+# truncated to an int or read as 1
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        pytest.param(*case, id=f"{case[0]}-{case[2].split()[1]}")
+        for case in (
+            ("flow", {"dim": 2.7, "gamma0": 0.1, "steps": 1.9}, "field 'dim' must be an integer, got 2.7"),
+            ("flow", {"dim": 2, "gamma0": 0.1, "steps": 1.9}, "field 'steps' must be an integer, got 1.9"),
+            ("flow", {"dim": 2, "gamma0": True}, "field 'gamma0' must be a number, got True"),
+            ("fixed-points", {"dim": True, "grid": 100.9, "j": True}, "field 'dim' must be an integer, got True"),
+            ("fixed-points", {"dim": 1, "grid": 100.9, "j": True}, "field 'j' must be a number, got True"),
+            ("fixed-points", {"dim": 1, "grid": 100.9}, "field 'grid' must be an integer, got 100.9"),
+        )
+    ],
+)
+def test_config_file_values_are_checked_as_flags_are(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qrg-error: {message}\n"
+
+
+def test_config_file_accepts_whole_floats_as_integers(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dim": 2.0, "gamma0": 0.3, "steps": 1.0}))
+    assert cli.main(["flow", "--config", str(cfg)]) == 0
+    filed = capsys.readouterr().out
+    assert cli.main(["flow", "--dim", "2", "--gamma0", "0.3", "--steps", "1"]) == 0
+    assert capsys.readouterr().out == filed
 
 
 def test_config_file_must_hold_an_object(tmp_path):

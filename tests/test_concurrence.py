@@ -19,7 +19,7 @@ from qrgxy.concurrence import (
     wootters_concurrence,
 )
 from qrgxy.errors import ContractError
-from qrgxy.rgflow import clear_cache, ground_doublet, rg_trajectory
+from qrgxy.rgflow import ground_doublet, rg_trajectory
 
 from oracles import (
     corner_pair_state,
@@ -178,7 +178,6 @@ def test_batched_pairs_match_one_partial_trace_per_pair(dim):
     geometry = block_geometry(dim)
     for gamma, j in [(-0.6, 1.0), (-0.2, 2.5), (0.0, 1.0), (0.3, 0.4), (0.7, 1.0)]:
         params = CouplingParams(j, gamma)
-        clear_cache()
         bc = block_concurrence(params, dim)
         rho = density_matrix(ground_doublet(params, geometry).phi1)
         for pair, c in bc.per_pair:
@@ -193,7 +192,6 @@ def test_block_concurrence_is_the_x_state_form_of_the_oracle_state(dim):
     x_entries = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
     for gamma0 in (-0.45, 0.0, 0.3, 0.8):
         for params in rg_trajectory(CouplingParams(1.0, gamma0), dim, 2).steps:
-            clear_cache()
             bc = block_concurrence(params, dim)
             phi1 = ground_doublet_full(params, geometry)[1]
             for pair, c in bc.per_pair:
@@ -328,9 +326,21 @@ def test_each_point_flows_for_its_own_number_of_steps():
     gammas, steps, js = [0.1, 0.1, -0.3, 0.1, 1.0], [0, 2, 1, 3, 2], [1.0, 2.5, 1.0, 0.7, 1.0]
     batch = flowed_concurrences(2, steps, gammas, js)
     for got, gamma, step, j in zip(batch, gammas, steps, js):
-        clear_cache()
         params = rg_trajectory(CouplingParams(j, gamma), 2, step).steps[-1]
         assert got == block_concurrence(params, 2).geometric_mean
+
+
+def test_a_step_count_must_be_a_whole_number():
+    # a fractional count was truncated or never ended a flow, and the value
+    # of such a point was whatever the output buffer held
+    with pytest.raises(ValueError, match="n_steps must be a whole number, got 0.5"):
+        flowed_concurrence(3, 0.5, -0.2)
+    with pytest.raises(ValueError, match="n_steps must be a whole number, got 1.5"):
+        flowed_concurrences(2, [1.5, 2.5, 0.5], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="n_steps must be a whole number, got 1.5"):
+        concurrence_curves(2, (1, 1.5), 5)
+    whole = flowed_concurrences(2, [1.0, 2.0, 0.0], [0.1, 0.2, 0.3])
+    assert np.array_equal(whole, flowed_concurrences(2, [1, 2, 0], [0.1, 0.2, 0.3]))
 
 
 def test_flow_checks_j_at_every_step():
@@ -344,8 +354,9 @@ def test_flow_checks_j_at_every_step():
 
 
 def test_j_sweep_solves_every_point_at_its_own_j(monkeypatch):
-    # the sweep measures the J-invariance of the solver, so it must not read
-    # the unit-J memo; the whole grid is one batched call
+    # the sweep measures the J-invariance of the solver, so it must solve
+    # every point at its own j rather than at unit J; the whole grid is one
+    # batched call
     calls = _record_solves(monkeypatch)
     concurrence_j_sweep(2, [-0.5, 0.2], [0.5, 2.0])
     assert len(calls) == 1
@@ -383,7 +394,6 @@ def test_ising_point_concurrence_is_at_the_rounding_floor():
     # leaves at most a few ulps of 1/4 in |rho03| - sqrt(rho11 rho22)
     for dim in (1, 2, 3):
         for g in (-1.0, 1.0):
-            clear_cache()
             assert 0.0 <= flowed_concurrence(dim, 0, g) <= 1e-15
 
 

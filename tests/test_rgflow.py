@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
+from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, coupling_arrays, interblock_bonds
 from qrgxy.concurrence import concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, QRGError, StructureError
 from qrgxy.rgflow import (
     GroundDoublet,
-    block_solve,
-    clear_cache,
     fixed_points,
     gamma_prime,
     ground_doublet,
     renormalized_operators,
     rg_map,
     rg_trajectory,
-    solve_halves,
     solve_many,
 )
 
@@ -34,7 +31,8 @@ def closed_form_1d(g):
 
 
 def gamma_prime_from_scratch(params, dimension):
-    """gamma' rebuilt directly from the doublet, bypassing the block memo."""
+    """gamma' rebuilt directly from the full-basis doublet, bypassing the
+    S = d projections of solve_many."""
     geometry = block_geometry(dimension)
     doublet = ground_doublet(params, geometry)
     plus, _minus, _axis = interblock_bonds(geometry)[0]
@@ -265,23 +263,18 @@ def test_gamma_prime_amplifies_anisotropy():
             assert gp <= 1.0
 
 
-def test_memo_hit_is_bitwise_a_cold_solve():
-    # the block memo is keyed on the exact gamma, so what earlier calls left
-    # in it never changes a result
-    clear_cache()
+def test_scalar_flowed_concurrence_is_its_curve_value_bitwise():
+    # a point flowed alone gives the bits it gets inside a whole grid, and
+    # a neighbor in its batch never changes a result
     curves = [concurrence_curve(2, step, 101) for step in (0, 1, 2)]
     for curve in curves:
         for g, c in zip(curve.gamma_grid, curve.values):
-            clear_cache()
             assert flowed_concurrence(2, curve.rg_step, float(g)) == c
-    clear_cache()
-    gamma_prime(0.3, 1)
-    hit = gamma_prime(0.3 + 1e-13, 1)
-    clear_cache()
-    assert gamma_prime(0.3 + 1e-13, 1) == hit
+    pair = solve_many(1, [0.3, 0.3 + 1e-13]).gamma_prime
+    assert gamma_prime(0.3 + 1e-13, 1) == pair[1]
 
 
-# -- the S = d path of the block memo
+# -- the S = d path of the block solve
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -291,11 +284,10 @@ def test_block_solve_matches_the_full_basis_oracle(dim, gamma):
     energy, phi1, phi2, gap = ground_doublet_full(CouplingParams(1.0, gamma), geometry)
     doublet = GroundDoublet(energy=energy, phi1=phi1, phi2=phi2, gap_to_third=gap, n_spins=geometry.n_sites)
     ops = renormalized_operators(doublet, interblock_bonds(geometry)[0][0])
-    clear_cache()
-    solve = block_solve(dim, gamma)
-    assert abs(solve.xi_x2 - ops.xi_x ** 2) <= 1e-14
-    assert abs(solve.xi_y2 - ops.xi_y ** 2) <= 1e-14
-    assert np.max(np.abs(solve.pair_state - corner_pair_state(phi1, geometry))) <= 1e-14
+    solve = solve_many(dim, gamma)
+    assert abs(solve.xi_x2[0] - ops.xi_x ** 2) <= 1e-14
+    assert abs(solve.xi_y2[0] - ops.xi_y ** 2) <= 1e-14
+    assert np.max(np.abs(solve.pair_state[0] - corner_pair_state(phi1, geometry))) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -303,7 +295,7 @@ def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
     collective_spin(block_geometry(dim))  # the per-dimension tables are built from the full basis once
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the block memo reached a full-basis helper")
+        raise AssertionError("the block solve reached a full-basis helper")
 
     for module, name in (
         (qrgxy.pauli, "spin_flip"),
@@ -311,8 +303,7 @@ def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
         (qrgxy.rgflow, "ground_doublet"),
     ):
         monkeypatch.setattr(module, name, refuse)
-    clear_cache()
-    assert block_solve(dim, 0.3).pair_state.shape == (4, 4)
+    assert solve_many(dim, 0.3).pair_state.shape == (1, 4, 4)
 
 
 @pytest.mark.parametrize("dim,calls", [(1, 1), (2, 2), (3, 2)])
@@ -326,10 +317,9 @@ def test_cold_block_solve_makes_one_eigh_and_at_most_one_eigvalsh(monkeypatch, d
 
         monkeypatch.setattr(np.linalg, name, recording)
     for batch, solve in (
-        (1, lambda: block_solve(dim, 0.3)),
+        (1, lambda: gamma_prime(0.3, dim)),
         (5, lambda: solve_many(dim, np.linspace(-0.8, 0.8, 5))),
     ):
-        clear_cache()
         shapes.clear()
         solve()
         assert len(shapes) == calls
@@ -346,12 +336,32 @@ def test_cold_block_solve_makes_one_eigh_and_at_most_one_eigvalsh(monkeypatch, d
 def test_batched_solve_is_the_scalar_solve_of_each_point(dim, gammas):
     batch = solve_many(dim, gammas)
     for k, gamma in enumerate(gammas):
-        one = block_solve(dim, gamma)
-        assert batch.gamma_prime[k] == one.gamma_prime
-        assert abs(batch.xi_x2[k] - one.xi_x2) <= 1e-15
-        assert abs(batch.xi_y2[k] - one.xi_y2) <= 1e-15
-        assert np.max(np.abs(batch.pair_state[k] - one.pair_state)) <= 1e-15
+        one = solve_many(dim, gamma)
+        assert batch.gamma_prime[k] == one.gamma_prime[0]
+        assert abs(batch.xi_x2[k] - one.xi_x2[0]) <= 1e-15
+        assert abs(batch.xi_y2[k] - one.xi_y2[0]) <= 1e-15
+        assert np.max(np.abs(batch.pair_state[k] - one.pair_state[0])) <= 1e-15
     assert not batch.pair_state.flags.writeable
+
+
+def record_eigh_batches(monkeypatch):
+    """The batch size of every np.linalg.eigh call made from now on."""
+    batches = []
+
+    def recording(a, *args, _real=np.linalg.eigh, **kwargs):
+        batches.append(np.shape(a)[0])
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return batches
+
+
+def test_fixed_points_solve_count(monkeypatch):
+    # the residual grid in one call, bisection one point at a time, a
+    # two-point stencil per root
+    batches = record_eigh_batches(monkeypatch)
+    fixed_points(3, 100)
+    assert (len(batches), sum(batches)) == (39, 141)
 
 
 # gamma' where the last bit of xi^2 depends on how it is squared, as earlier
@@ -367,15 +377,13 @@ GOLDEN_GAMMA_PRIME = [
 
 @pytest.mark.parametrize("dim,gamma,want", GOLDEN_GAMMA_PRIME)
 def test_gamma_prime_keeps_its_golden_bits(dim, gamma, want):
-    clear_cache()
     assert gamma_prime(gamma, dim) == want
     assert solve_many(dim, [0.5, gamma]).gamma_prime[1] == want
 
 
 def _scalar_error(dim, gamma):
-    clear_cache()
     with pytest.raises(QRGError) as info:
-        block_solve(dim, gamma)
+        solve_many(dim, [gamma])
     return type(info.value), str(info.value)
 
 
@@ -403,13 +411,12 @@ def test_batch_raises_the_scalar_error_of_its_first_failing_point(monkeypatch):
 
 def test_block_solve_checks_the_projected_corner_sigma_x(monkeypatch):
     # a corner table with a diagonal: the doublet no longer projects it onto
-    # a pure sigma'^x, and the memo says so instead of squaring it away
+    # a pure sigma'^x, and the solve says so instead of squaring it away
     spin = collective_spin(block_geometry(2))
     fake = spin._replace(corner=spin.corner + np.eye(spin.corner.shape[-1]))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
-    clear_cache()
     with pytest.raises(StructureError, match="at site 2 is not proportional to sigma'"):
-        block_solve(2, 0.3)
+        solve_many(2, 0.3)
 
 
 # the S = d halves, the merged S = 1..d-1 halves and the two zero levels of
@@ -420,7 +427,7 @@ def test_merged_levels_are_the_levels_of_the_block(dim):
     spin = collective_spin(geometry)
     for gamma in (-1.0, -0.6, 0.0, 0.1, 0.45, 1.0):
         params = CouplingParams(1.3, gamma)
-        halves, lower = spin.hamiltonians(params)
+        halves, lower = (h[0] for h in spin.hamiltonians(coupling_arrays(params.j, gamma)))
         merged = [np.linalg.eigvalsh(halves).reshape(-1), np.zeros(2)]
         if lower.size:
             merged.append(np.linalg.eigvalsh(lower).reshape(-1))
@@ -429,7 +436,7 @@ def test_merged_levels_are_the_levels_of_the_block(dim):
         full = np.linalg.eigvalsh(xy_hamiltonian_per_bond(params.j, gamma, geometry.n_sites, bonds))
         assert np.max(np.min(np.abs(full[:, None] - merged), axis=1)) <= 1e-12
         assert np.max(np.min(np.abs(merged[:, None] - full), axis=1)) <= 1e-12
-        solved = solve_halves(params, spin)
+        solved = ground_doublet(params, geometry)
         assert abs(solved.energy - full[0]) <= 1e-12
         assert abs(solved.gap_to_third - (full[2] - full[1])) <= 1e-12
 

@@ -18,6 +18,8 @@ from qrgxy.scaling import (
     _refined_peaks,
 )
 
+from test_rgflow import record_eigh_batches
+
 
 def make_curve(values, lo=-1.0, hi=1.0, dim=1, step=0):
     values = np.asarray(values, dtype=float)
@@ -238,9 +240,24 @@ def test_lockstep_refinement_is_each_refinement_alone(dim, steps):
     assert [row[2:] for row in peak_points(dim, steps, 101)] == alone
 
 
+def test_peak_points_solve_count(monkeypatch):
+    # one flow of the grid and the probes of the three steps in lockstep
+    batches = record_eigh_batches(monkeypatch)
+    peak_points(3, grid=51)
+    assert (len(batches), sum(batches)) == (100, 601)
+
+
 def test_peak_points_needs_two_steps():
     with pytest.raises(ValueError, match="two"):
         peak_points(1, steps=(3,))
+
+
+def test_a_fit_needs_two_distinct_steps():
+    # one distinct step is one point: a line through it has any slope and r^2 = 1
+    with pytest.raises(ValueError, match="two distinct rg steps, got \\(2, 2\\)"):
+        peak_points(3, steps=(2, 2), grid=51)
+    with pytest.raises(ValueError, match="two distinct x"):
+        fit_loglog([np.log(49.0)] * 2, [-6.1, -6.1])
 
 
 def test_scaling_entry_points_reject_a_bad_dimension():
