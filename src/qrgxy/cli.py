@@ -11,9 +11,10 @@ Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
 defaults. No environment variables are consulted. Every command checks
 that --j is finite and > 0 and that --threads >= 1 (config keys 'j',
-'threads'), also where they do not matter; --threads has no effect: every
-command runs serially, so identical configuration produces byte-identical
-output.
+'threads'), also where they do not matter: only flow and groundstate read
+--j, since concurrence, scaling, fixed-points and jsweep give results that
+do not depend on J. --threads has no effect: every command runs serially,
+so identical configuration produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -231,14 +232,14 @@ def cmd_flow(args):
 def cmd_concurrence(args):
     cfg = _load_config(args.config)
     dim = _dim(args, cfg)
-    j = _coupling(args, cfg)
+    _coupling(args, cfg)
     steps = _as_int("steps", _pick(args, cfg, "steps", 2), lo=0, hi=64)
     grid = _odd_grid(args, cfg, default=2001, minimum=5)
     _check_threads(args, cfg)
     fmt = _format(args, cfg)
     out = _pick(args, cfg, "out")
     rows = []
-    for curve in concurrence_curves(dim, range(steps + 1), grid, j=j):
+    for curve in concurrence_curves(dim, range(steps + 1), grid):
         step = curve.rg_step
         deriv = derivative_curve(curve)
         for g, c, a in zip(curve.gamma_grid, curve.values, deriv.abs_derivative):

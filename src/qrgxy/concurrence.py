@@ -6,9 +6,12 @@ concurrence of one 4x4 state) that serve as references.
 Every block is solved by rgflow.solve_many, and its corner-pair state is
 read off the S = d solution without touching the 2^n basis:
 block_concurrence takes a batch of one, flowed_concurrences flows a whole
-array of starting points together, each for its own number of steps,
+array of starting gammas together, each for its own number of steps,
 concurrence_curves serves any set of steps from one flow of the grid, and
-concurrence_j_sweep solves its whole grid in one call.
+concurrence_j_sweep solves its whole grid in one call. The corner-pair
+state and the map gamma -> gamma' depend on gamma alone (J only rescales
+the block), so the flow carries gamma only and solves at unit J; only the
+(gamma, j) sweep solves each block at its own J.
 
 Everything is evaluated on the block ground state phi1 (the even-parity
 doublet member); using phi2 instead gives identical concurrences, which the
@@ -24,11 +27,11 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import CouplingParams, block_geometry
+from .blocks import CouplingParams, block_geometry, coupling_arrays
 from .errors import ContractError, QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import SIGMA_Y_REAL
-from .rgflow import flow_solves, solve_many
+from .rgflow import grid_size, solve_many, step_counts
 
 NORM_TOL = 1e-10
 LAMBDA_FLOOR = -1e-10
@@ -164,58 +167,65 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     return BlockConcurrence(per_pair=tuple((pair, conc) for pair in pairs), geometric_mean=conc)
 
 
-def flowed_concurrences(dimension: int, rg_steps, gammas, j=1.0) -> np.ndarray:
-    """Geometric-mean concurrence of each starting point (j, gamma) after its
-    own number of coarse-graining steps: rg_steps and j are one value for
-    all gammas or one per gamma. All points flow together
-    (rgflow.flow_solves): each step is one batched block solve, which gives
-    the concurrence of the points that end there and the next couplings of
-    the others."""
-    values = np.empty(np.size(gammas))
-    for points, solved, last in flow_solves(dimension, gammas, rg_steps, j):
-        if np.count_nonzero(last):
-            values[points[last]] = _x_state_concurrence(solved.pair_state[last])
+def flowed_concurrences(dimension: int, rg_steps, gammas) -> np.ndarray:
+    """Geometric-mean concurrence of each starting gamma after its own
+    number of coarse-graining steps: rg_steps is one count for all gammas
+    or one per gamma. All points flow together and carry gamma only: each
+    step is one batched solve of the distinct gammas still flowing, which
+    gives the concurrence of the points that end there and gamma' of the
+    others, checked by the next solve."""
+    # checked in the given order, since np.unique below sorts them
+    gammas = coupling_arrays(1.0, gammas).gamma
+    steps = step_counts(np.broadcast_to(rg_steps, gammas.shape))
+    values = np.empty(len(gammas))
+    points = np.arange(len(gammas))
+    for step in range(steps.max(initial=-1) + 1):
+        # flows meet, at the fixed points +-1 and 0 above all; np.unique has
+        # a fixed cost that a two-point stencil would pay at every step
+        distinct, where = gammas, slice(None)
+        if len(set(gammas.tolist())) < len(gammas):
+            distinct, where = np.unique(gammas, return_inverse=True)
+        solved = solve_many(dimension, distinct)
+        ends = steps[points] == step
+        if np.count_nonzero(ends):
+            values[points[ends]] = _x_state_concurrence(solved.pair_state[where][ends])
+        points, gammas = points[~ends], solved.gamma_prime[where][~ends]
     return values
 
 
-def flowed_concurrence(dimension: int, rg_step: int, gamma: float, j: float = 1.0) -> float:
+def flowed_concurrence(dimension: int, rg_step: int, gamma: float) -> float:
     """Geometric-mean concurrence after rg_step coarse-graining steps applied
-    to the initial couplings (j, gamma). Step 0 evaluates the couplings as
-    given. The batch of one of flowed_concurrences."""
-    return float(flowed_concurrences(dimension, rg_step, gamma, j)[0])
+    to the initial anisotropy gamma. Step 0 evaluates the block at gamma.
+    The batch of one of flowed_concurrences."""
+    return float(flowed_concurrences(dimension, rg_step, gamma)[0])
 
 
 def concurrence_curves(
     dimension: int,
     rg_steps: Sequence[int],
     grid: int = 2001,
-    j: float = 1.0,
 ) -> Tuple[ConcurrenceCurve, ...]:
     """Concurrence against the initial gamma on a uniform odd grid over
     [-1, 1] (odd so that gamma = 0 is a grid point), one curve for each of
     rg_steps, all read off one flow of the grid up to the largest step (the
     copies of the grid for the different steps are solved once per step)."""
+    grid = grid_size(grid)
     if grid < 3 or grid % 2 == 0:
         raise ValueError(f"gamma grid must be odd and >= 3, got {grid}")
     gs = np.linspace(-1.0, 1.0, grid)
     rg_steps = tuple(rg_steps)
     steps, gammas = np.repeat(rg_steps, grid), np.tile(gs, len(rg_steps))
-    values = flowed_concurrences(dimension, steps, gammas, j)
+    values = flowed_concurrences(dimension, steps, gammas)
     return tuple(
         ConcurrenceCurve(dimension=dimension, rg_step=step, gamma_grid=gs, values=row)
         for step, row in zip(rg_steps, values.reshape(len(rg_steps), grid))
     )
 
 
-def concurrence_curve(
-    dimension: int,
-    rg_step: int,
-    grid: int = 2001,
-    j: float = 1.0,
-) -> ConcurrenceCurve:
+def concurrence_curve(dimension: int, rg_step: int, grid: int = 2001) -> ConcurrenceCurve:
     """Concurrence against the initial gamma after rg_step coarse-graining
     steps; see concurrence_curves."""
-    return concurrence_curves(dimension, (rg_step,), grid, j)[0]
+    return concurrence_curves(dimension, (rg_step,), grid)[0]
 
 
 def concurrence_j_sweep(

@@ -19,19 +19,20 @@ finds the doublet of every block in one stacked eigensolve, runs every
 check on every point and reads xi_x, xi_y, gamma' and the corner-pair state
 off the S = d vectors. Every block of the package goes through it, with
 no memo: gamma_prime and rg_map, and through them trajectories and the
-fixed-point bisection, take its batches of one; flow_solves flows a whole
-array of starting points together, each for its own number of steps, with
-one batched solve per step; fixed_points solves its residual grid in one
-call. Only ground_doublet, for output and
-for full-basis callers, embeds the doublet into the 2^n basis, and
-renormalized_operators projects such full-basis vectors.
+fixed-point bisection, take its batches of one; the concurrence flow
+(concurrence.flowed_concurrences) makes one batched solve per step and,
+since gamma' and the corner-pair state do not depend on J, carries gamma
+only; fixed_points solves its residual grid in one call. Only
+ground_doublet, for output and for full-basis callers, embeds the doublet
+into the 2^n basis, and renormalized_operators projects such full-basis
+vectors. step_counts is the one rule for a number of rg steps.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -320,72 +321,42 @@ def gamma_prime(gamma: float, dimension: int) -> float:
     return float(solve_many(dimension, gamma).gamma_prime[0])
 
 
-def _mapped_j(j, gamma, solve: BlockSolve):
-    """J' of the map, for one point or for arrays over a batch."""
-    tx = (j / 4.0) * (1.0 + gamma) * solve.xi_x2
-    ty = (j / 4.0) * (1.0 - gamma) * solve.xi_y2
-    return 2.0 * (tx + ty)
-
-
 def rg_map(params: CouplingParams, dimension: int) -> CouplingParams:
     """One coarse-graining step (J, gamma) -> (J', gamma')."""
-    solve = solve_many(dimension, params.gamma)
-    j = _mapped_j(params.j, params.gamma, solve)
-    return CouplingParams(j=float(j[0]), gamma=float(solve.gamma_prime[0]))
+    j, gamma = params.j, params.gamma
+    solve = solve_many(dimension, gamma)
+    tx = (j / 4.0) * (1.0 + gamma) * solve.xi_x2[0]
+    ty = (j / 4.0) * (1.0 - gamma) * solve.xi_y2[0]
+    return CouplingParams(j=float(2.0 * (tx + ty)), gamma=float(solve.gamma_prime[0]))
 
 
-def _check_step_count(n_steps) -> None:
-    """The number of rg steps of a trajectory or a flow: a whole number
-    from 0 to 64."""
-    if not 0 <= n_steps <= 64:
-        raise ValueError(f"n_steps must be between 0 and 64, got {n_steps}")
-    if n_steps != int(n_steps):
-        raise ValueError(f"n_steps must be a whole number, got {n_steps}")
+def step_counts(n_steps) -> np.ndarray:
+    """The numbers of rg steps of trajectories, flows and scaling points,
+    one number or an array of them, as ints: each must be a whole number
+    from 0 to 64. The first that is not raises."""
+    counts = np.asarray(n_steps)
+    ok = (0 <= counts) & (counts <= 64) & (counts == np.floor(counts))
+    if np.count_nonzero(ok) < ok.size:
+        bad = counts.flat[int(np.argmin(ok))]
+        if not 0 <= bad <= 64:
+            raise ValueError(f"n_steps must be between 0 and 64, got {bad}")
+        raise ValueError(f"n_steps must be a whole number, got {bad}")
+    return counts.astype(int)
+
+
+def grid_size(grid) -> int:
+    """The number of points of a gamma grid as an int: a whole number,
+    given as an int or a float."""
+    if not (np.isfinite(grid) and grid == np.floor(grid)):
+        raise ValueError(f"grid must be a whole number, got {grid}")
+    return int(grid)
 
 
 def rg_trajectory(initial: CouplingParams, dimension: int, n_steps: int) -> RGTrajectory:
-    _check_step_count(n_steps)
     steps = [initial]
-    for _ in range(n_steps):
+    for _ in range(int(step_counts(n_steps))):
         steps.append(rg_map(steps[-1], dimension))
     return RGTrajectory(dimension=dimension, steps=tuple(steps))
-
-
-def flow_solves(
-    dimension: int, gammas, n_steps, j=1.0
-) -> Iterator[Tuple[np.ndarray, BlockSolve, np.ndarray]]:
-    """The unit-J block solves along the flows that start at (j, gammas),
-    each point for its own number of steps: n_steps and j are one value for
-    all points or one per point. Yields, for each step 0, 1, ..., the
-    indices of the points whose flow reaches that step, the BlockSolve of
-    their couplings there (arrays over those points) and a mask of the
-    points whose flow ends there. Each step is one batched solve of the
-    distinct gammas of that step. J flows with rg_map's formula and each
-    step's couplings are checked as rg_map's CouplingParams are; a failing
-    step raises before the next is solved."""
-    couplings = coupling_arrays(j, gammas)
-    n_steps = np.broadcast_to(np.asarray(n_steps), couplings.gamma.shape)
-    ok = (0 <= n_steps) & (n_steps <= 64) & (n_steps == np.floor(n_steps))
-    if np.count_nonzero(ok) < ok.size:
-        _check_step_count(n_steps[int(np.argmin(ok))])  # raises
-    points = np.arange(len(n_steps))
-    for step in range(int(n_steps.max(initial=-1)) + 1):
-        # flows meet, at the fixed points +-1 and 0 above all; np.unique has
-        # a fixed cost that a two-point stencil would pay at every step
-        distinct, where = couplings.gamma, slice(None)
-        if len(set(distinct.tolist())) < len(distinct):
-            distinct, where = np.unique(distinct, return_inverse=True)
-        unit = CouplingArrays(np.ones_like(distinct), distinct)
-        solved = BlockSolve(*(a[where] for a in _solve(dimension, unit)))
-        going = n_steps[points] > step
-        yield points, solved, ~going
-        if np.count_nonzero(going) < len(going):
-            points = points[going]
-            couplings = CouplingArrays(couplings.j[going], couplings.gamma[going])
-            solved = BlockSolve(*(a[going] for a in solved))
-        if len(points):
-            j_next = _mapped_j(couplings.j, couplings.gamma, solved)
-            couplings = coupling_arrays(j_next, solved.gamma_prime)
 
 
 # -- fixed points ----------------------------------------------------------
@@ -422,6 +393,7 @@ def fixed_points(dimension: int, grid: int = 401):
     stencil another; bisection goes one point at a time. The endpoints +-1
     sit exactly on the identity and are picked up as exact residual
     zeros."""
+    grid = grid_size(grid)
     if grid < 100:
         raise ValueError(f"fixed-point grid needs at least 100 points, got {grid}")
     gs = np.linspace(-1.0, 1.0, grid)

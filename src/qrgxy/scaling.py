@@ -28,6 +28,7 @@ import numpy as np
 from .blocks import block_geometry
 from .concurrence import ConcurrenceCurve, concurrence_curves, flowed_concurrences
 from .errors import ScalingUnderflowError
+from .rgflow import step_counts
 
 FD_STEP = 1e-6        # central-difference step of the derivative probe
 GOLDEN_TOL = 1e-8     # refinement interval width
@@ -79,15 +80,15 @@ def derivative_curve(curve: ConcurrenceCurve) -> DerivativeCurve:
     )
 
 
-def _abs_derivatives_at(dimension: int, rg_steps, gammas, h: float = FD_STEP) -> np.ndarray:
+def _abs_derivatives_at(dimension: int, rg_steps, gammas) -> np.ndarray:
     """The derivative probe: |dC/dgamma| after rg_steps coarse-graining
     steps (one count for all gammas or one per gamma) at each of gammas, by
-    a central difference of half-width h, cut to [-1, 1], through the full
-    flow + concurrence pipeline. Both stencil points of every gamma flow in
-    one batch."""
+    a central difference of half-width FD_STEP, cut to [-1, 1], through the
+    full flow + concurrence pipeline. Both stencil points of every gamma
+    flow in one batch."""
     gammas = np.asarray(gammas, dtype=float)
-    lo = np.maximum(gammas - h, -1.0)
-    hi = np.minimum(gammas + h, 1.0)
+    lo = np.maximum(gammas - FD_STEP, -1.0)
+    hi = np.minimum(gammas + FD_STEP, 1.0)
     steps = np.broadcast_to(rg_steps, gammas.shape)
     c = flowed_concurrences(dimension, np.concatenate([steps, steps]), np.concatenate([lo, hi]))
     return abs(c[len(gammas):] - c[: len(gammas)]) / (hi - lo)
@@ -96,7 +97,7 @@ def _abs_derivatives_at(dimension: int, rg_steps, gammas, h: float = FD_STEP) ->
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(lo: float, hi: float, tol: float = GOLDEN_TOL):
+def _golden_max(lo: float, hi: float):
     """Golden-section maximization as a generator: it yields the points it
     needs the function at and is sent their values, the two starting points
     together and every later point on its own, since each depends on the
@@ -106,7 +107,7 @@ def _golden_max(lo: float, hi: float, tol: float = GOLDEN_TOL):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = yield [c, d]
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc < fd:
             a = c
             c, fc = d, fd
@@ -261,6 +262,7 @@ def system_size(dimension: int, rg_step: int) -> int:
     """Sites represented per renormalized site: N = n_B^step with n_B the
     block size 3/5/7."""
     n_sites = block_geometry(dimension).n_sites
+    rg_step = int(step_counts(rg_step))
     if rg_step < 1:
         raise ValueError(
             f"rg_step must be >= 1 for a scaling point (step 0 represents no "
@@ -305,7 +307,7 @@ def peak_points(
     """
     if steps is None:
         steps = DEFAULT_STEPS[block_geometry(dimension).dimension]
-    steps = tuple(int(s) for s in steps)
+    steps = tuple(step_counts(steps).tolist())
     if len(set(steps)) < 2:
         raise ValueError(f"scaling needs at least two distinct rg steps, got {steps}")
     sizes = [system_size(dimension, step) for step in steps]

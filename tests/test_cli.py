@@ -56,6 +56,17 @@ def test_concurrence_rows_and_isotropic_value():
     assert by_key[(0, -1.0)] <= 1e-9
 
 
+def test_concurrence_does_not_depend_on_j(capsys):
+    # the flow carries gamma only: a J whose image underflows to 0 after
+    # one step gives the bytes of J = 1
+    argv = ["concurrence", "--dim", "3", "--steps", "64", "--grid", "5"]
+    assert cli.main(argv + ["--j", "1"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(argv + ["--j", "1e-300"]) == 0
+    assert capsys.readouterr().out == want
+    assert len(want.splitlines()) == 1 + 65 * 5
+
+
 def test_scaling_report_structure():
     proc = run_cli("scaling", "--dim", "1", "--steps", "1,2", "--grid", "101", "--threads", "4")
     report = json.loads(proc.stdout)

@@ -323,10 +323,10 @@ def test_curves_of_one_flow_are_the_curves_of_each_step():
 
 
 def test_each_point_flows_for_its_own_number_of_steps():
-    gammas, steps, js = [0.1, 0.1, -0.3, 0.1, 1.0], [0, 2, 1, 3, 2], [1.0, 2.5, 1.0, 0.7, 1.0]
-    batch = flowed_concurrences(2, steps, gammas, js)
-    for got, gamma, step, j in zip(batch, gammas, steps, js):
-        params = rg_trajectory(CouplingParams(j, gamma), 2, step).steps[-1]
+    gammas, steps = [0.1, 0.1, -0.3, 0.1, 1.0], [0, 2, 1, 3, 2]
+    batch = flowed_concurrences(2, steps, gammas)
+    for got, gamma, step in zip(batch, gammas, steps):
+        params = rg_trajectory(CouplingParams(1.0, gamma), 2, step).steps[-1]
         assert got == block_concurrence(params, 2).geometric_mean
 
 
@@ -341,16 +341,6 @@ def test_a_step_count_must_be_a_whole_number():
         concurrence_curves(2, (1, 1.5), 5)
     whole = flowed_concurrences(2, [1.0, 2.0, 0.0], [0.1, 0.2, 0.3])
     assert np.array_equal(whole, flowed_concurrences(2, [1, 2, 0], [0.1, 0.2, 0.3]))
-
-
-def test_flow_checks_j_at_every_step():
-    # J' underflows to 0 on the first step; the batched flow refuses it as
-    # the scalar trajectory does
-    with pytest.raises(ValueError) as want:
-        flowed_concurrence(1, 2, 0.3, j=5e-324)
-    with pytest.raises(ValueError) as got:
-        concurrence_curve(1, 2, 5, j=5e-324)
-    assert str(got.value) == str(want.value) == "coupling j must be finite and > 0, got 0.0"
 
 
 def test_j_sweep_solves_every_point_at_its_own_j(monkeypatch):

@@ -476,6 +476,20 @@ def test_trajectory_step_count_bounds():
         rg_trajectory(CouplingParams(1.0, 0.1), 1, -1)
 
 
+def test_trajectory_takes_a_whole_number_float_step_count():
+    # the one step rule of the flow: 2.0 is two steps, 1.5 is refused
+    start = CouplingParams(1.0, 0.3)
+    assert rg_trajectory(start, 1, 2.0) == rg_trajectory(start, 1, 2)
+    with pytest.raises(ValueError, match="n_steps must be a whole number, got 1.5"):
+        rg_trajectory(start, 1, 1.5)
+
+
+def test_trajectory_checks_j_at_every_step():
+    # J' underflows to 0 on the first step and the next couplings refuse it
+    with pytest.raises(ValueError, match=r"coupling j must be finite and > 0, got 0\.0"):
+        rg_trajectory(CouplingParams(5e-324, 0.3), 1, 2)
+
+
 # -- fixed points
 
 

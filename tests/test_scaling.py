@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrgxy.concurrence import ConcurrenceCurve, concurrence_curve
 from qrgxy.errors import ScalingUnderflowError
+from qrgxy.rgflow import fixed_points
 from qrgxy.scaling import (
     derivative_curve,
     derivative_scaling,
@@ -150,6 +151,33 @@ def test_system_size_validation():
         system_size(4, 1)
 
 
+def test_scaling_steps_follow_the_flow_step_rule():
+    # a fractional step was cut to its integer part
+    with pytest.raises(ValueError, match="n_steps must be a whole number, got 1.5"):
+        system_size(1, 1.5)
+    with pytest.raises(ValueError, match="n_steps must be a whole number, got 1.5"):
+        peak_points(1, steps=(1.5, 2.7), grid=101)
+    with pytest.raises(ValueError, match="n_steps must be between 0 and 64, got 65"):
+        system_size(1, 65)
+    assert system_size(2, 3.0) == 125
+
+
+def test_a_grid_size_must_be_a_whole_number():
+    # a whole-number float grid works as its int; any other grid is refused
+    # by name rather than by numpy's TypeError
+    assert [fp.gamma for fp in fixed_points(1, 100.0)] == [fp.gamma for fp in fixed_points(1, 100)]
+    assert np.array_equal(concurrence_curve(1, 1, 5.0).values, concurrence_curve(1, 1, 5).values)
+    assert peak_points(1, (1, 2), 51.0) == peak_points(1, (1, 2), 51)
+    for call, bad in (
+        (lambda: fixed_points(1, 100.5), "100.5"),
+        (lambda: concurrence_curve(1, 1, 5.5), "5.5"),
+        (lambda: peak_points(1, (1, 2), 51.5), "51.5"),
+        (lambda: concurrence_curve(1, 1, math.nan), "nan"),
+    ):
+        with pytest.raises(ValueError, match=f"grid must be a whole number, got {bad}"):
+            call()
+
+
 # -- peak location on synthetic curves
 
 
@@ -208,12 +236,6 @@ def test_cusp_peak_values_follow_the_map_slope():
     _, p2 = _refined_peak(derivative_curve(c2), "negative")
     assert abs(p1 - 3.0) < 1e-3
     assert abs(p2 - 9.0) < 1e-3
-
-
-def test_locate_max_insensitive_to_curve_j():
-    d1 = derivative_curve(concurrence_curve(1, 1, grid=101, j=1.0))
-    d5 = derivative_curve(concurrence_curve(1, 1, grid=101, j=5.0))
-    assert abs(locate_max(d1, "negative") - locate_max(d5, "negative")) < 1e-9
 
 
 # -- assembled scaling rows
