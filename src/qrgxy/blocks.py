@@ -19,10 +19,14 @@ the anisotropy entering with opposite signs on the x and y pair terms. The
 center couples to the corners only through their total spin S, so H_B is
 the direct sum of center (x) spin-S blocks, S = 0..d, each 2(2S+1) wide and
 split in two halves by parity; the S = 0 block is the zero 2x2 matrix, and
-the ground doublet lies in S = d (6 / 10 / 14 wide). collective_spin holds
-the halves, the S = d restrictions of a corner's sx and (-i sy), the
-corner-pair state as a quadratic form on S = d, and the map from S = d back
-to the 2^n basis, which only output needs. No 2^n matrix is built.
+the ground doublet lies in S = d (6 / 10 / 14 wide). Each half is
+bipartite: it couples its S+1 states of even k only to its S states of odd
+k, through the (S+1) x S block (J/4) A with A = a + gamma b, so its levels
+are plus and minus the singular values of (J/4) A, and 0. collective_spin
+holds a and b of S = d, the Gram tables of A^T A for every S = 1..d, the S = d
+restrictions of a corner's sx and (-i sy), the corner-pair state as a
+quadratic form on S = d, and the map from S = d back to the 2^n basis,
+which only output needs. No Hamiltonian matrix is built, not even a half.
 """
 
 from __future__ import annotations
@@ -127,28 +131,29 @@ class CollectiveSpin(NamedTuple):
     S = 0 block is the zero 2x2 matrix (Sx = Sy = 0) and is not stored. The
     ground doublet lies in S = d, whose basis state (c, k) is the center
     state times the Dicke state of k down corners.
+
+    Both bonds flip the center and move k by one, so a half couples its
+    S + 1 states of even k only to its S states of odd k: in that order it
+    is (J/4) [[0, A], [A^T, 0]] with the (S+1) x S coupling block
+    A = a + gamma b, and its levels are the singular values of (J/4) A
+    with both signs, plus one exact 0. They are the square roots of the
+    eigenvalues of the S x S Gram matrix A^T A = P0 + gamma P1 + gamma^2 P2,
+    held here at J = 4. S = d keeps A for the ground vectors and its Gram
+    for one stacked eigensolve. S = 1..d-1 are needed for levels only, and
+    their Grams are at most 2x2 (d <= 3): each is held as the mean m and
+    half difference h of its diagonal and its off-diagonal r, linear in
+    the Gram as the Gram is in P0, P1, P2, so that its eigenvalues are
+    m +- hypot(h, r); the 1x1 Gram of S = 1 is padded with zeros.
     """
 
-    xx: np.ndarray        # (2, 2d+1, 2d+1): XX_d on its even and its odd half
-    yy: np.ndarray        # YY_d likewise
-    lower_xx: np.ndarray  # (2, d^2-1, d^2-1): the halves of XX_S, S = 1..d-1, merged block-diagonally
-    lower_yy: np.ndarray  # YY_S likewise
-    half: np.ndarray      # (2, 2d+1): S = d positions of parity +1, -1
+    coupling: np.ndarray  # (2, 2, d+1, d): a and b of the even and the odd half of S = d
+    gram: np.ndarray      # (3, 2, d, d): P0, P1, P2 of the even and the odd half of S = d
+    lower: np.ndarray     # (3, 3, 2(d-1)): P0, P1, P2 of (m, h, r) of the halves of S = 1..d-1, both halves of S = 1 first
+    half: np.ndarray      # (2, 2d+1): S = d positions of parity +1, -1, even k first
     corner: np.ndarray    # (2, 2(2d+1), 2(2d+1)): one corner's sx and (-i sy) restricted to S = d
     pair: np.ndarray      # (4, 4, 2(2d+1), 2(2d+1)): two corners' reduced state, a quadratic form on S = d
     column: np.ndarray    # (2^n,): S = d position of each full-basis state
     weight: np.ndarray    # (2^n,): its amplitude 1/sqrt(C(2d, k)) in that Dicke state
-
-    def hamiltonians(self, couplings: CouplingArrays) -> Tuple[np.ndarray, np.ndarray]:
-        """H_B on the two S = d halves and on the merged S = 1..d-1 halves
-        of each of G points, (G, 2, w, w) each."""
-        j = couplings.j[:, None, None, None] / 4.0
-        gamma = couplings.gamma[:, None, None, None]
-        plus, minus = 1.0 + gamma, 1.0 - gamma
-        return (
-            j * (plus * self.xx + minus * self.yy),
-            j * (plus * self.lower_xx + minus * self.lower_yy),
-        )
 
     def pair_state(self, vector: np.ndarray) -> np.ndarray:
         """Reduced 4x4 state, legs (i, j), of any two corners of a normalized
@@ -173,10 +178,31 @@ def _spin_operators(s: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _halves(s: int) -> np.ndarray:
     """(2, 2s+1): the positions of parity (-1)^(c+k) = +1 and -1 in the
-    spin-s block."""
-    c, k = np.divmod(np.arange(2 * (2 * s + 1)), 2 * s + 1)
-    even = (c + k) % 2 == 0
-    return np.stack([np.flatnonzero(even), np.flatnonzero(~even)])
+    spin-s block, each half's s+1 states of even k first, then its s
+    states of odd k."""
+    k = np.arange(2 * s + 1)
+    return np.stack([np.concatenate([p * k.size + k[::2], (1 - p) * k.size + k[1::2]]) for p in (0, 1)])
+
+
+def _coupling(s: int) -> np.ndarray:
+    """(2, 2, s+1, s): a and b of the even and the odd half of the spin-s
+    block, whose coupling block is a + gamma b at J = 4. H_B / (J/4) is
+    (1 + gamma) XX + (1 - gamma) YY, so a = XX + YY and b = XX - YY."""
+    two_sx, k_two_sy = _spin_operators(s)
+    xx = np.kron(SIGMA_X, two_sx)
+    yy = -np.kron(SIGMA_Y_REAL, k_two_sy)
+    return np.stack([
+        [term[np.ix_(h[: s + 1], h[s + 1 :])] for h in _halves(s)] for term in (xx + yy, xx - yy)
+    ])
+
+
+def _gram(coupling: np.ndarray) -> np.ndarray:
+    """(3, ...): P0, P1, P2 of the Gram matrix (a + gamma b)^T (a + gamma b)
+    of coupling tables a, b, each made exactly symmetric."""
+    a, b = coupling
+    at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+    tables = np.stack([at @ a, at @ b + bt @ a, bt @ b])
+    return 0.5 * (tables + tables.swapaxes(-1, -2))
 
 
 def _pair_form(d: int) -> np.ndarray:
@@ -210,34 +236,17 @@ def _pair_form(d: int) -> np.ndarray:
     return form
 
 
-def _split_halves(block: np.ndarray, s: int) -> np.ndarray:
-    """(2, 2s+1, 2s+1): the even and the odd half of a spin-s block."""
-    return np.stack([block[np.ix_(h, h)] for h in _halves(s)])
-
-
-def _merged_halves(blocks) -> np.ndarray:
-    """(2, w, w): the even halves of the spin-S blocks S = 1, 2, ... on the
-    diagonal of one matrix, their odd halves on the diagonal of another."""
-    parts = [_split_halves(b, s) for s, b in enumerate(blocks, start=1)]
-    width = sum(p.shape[-1] for p in parts)
-    out = np.zeros((2, width, width))
-    start = 0
-    for p in parts:
-        stop = start + p.shape[-1]
-        out[:, start:stop, start:stop] = p
-        start = stop
-    return out
-
-
 @functools.cache
 def _collective_spin(dimension: int) -> CollectiveSpin:
     geometry = block_geometry(dimension)
     d, n = geometry.dimension, geometry.n_sites
-    xx, yy = [], []
-    for s in range(1, d + 1):
-        two_sx, k_two_sy = _spin_operators(s)
-        xx.append(np.kron(SIGMA_X, two_sx))
-        yy.append(-np.kron(SIGMA_Y_REAL, k_two_sy))
+    lower = np.zeros((3, 3, d - 1, 2))
+    for s in range(1, d):
+        gram = np.zeros((3, 2, 2, 2))
+        gram[..., :s, :s] = _gram(_coupling(s))
+        p, q, r = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
+        lower[:, :, s - 1] = np.stack([0.5 * (p + q), 0.5 * (p - q), r], axis=1)
+    coupling = _coupling(d)
     two_sx, k_two_sy = _spin_operators(d)
     corner = np.stack([np.kron(np.eye(2), two_sx), np.kron(np.eye(2), k_two_sy)]) / (2 * d)
     down = {site: spin_flip(site, n)[1] < 0 for site in range(n)}
@@ -245,10 +254,9 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
     column = down[geometry.center] * (2 * d + 1) + k_down
     weight = 1.0 / np.sqrt(np.bincount(column)[column])  # C(2d, k) states share (c, k)
     spin = CollectiveSpin(
-        xx=_split_halves(xx[-1], d),
-        yy=_split_halves(yy[-1], d),
-        lower_xx=_merged_halves(xx[:-1]),
-        lower_yy=_merged_halves(yy[:-1]),
+        coupling=coupling,
+        gram=_gram(coupling),
+        lower=lower.reshape(3, 3, -1),
         half=_halves(d),
         corner=corner,
         pair=_pair_form(d),
@@ -261,8 +269,9 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
 
 
 def collective_spin(geometry: BlockGeometry) -> CollectiveSpin:
-    """The S blocks, the S = d corner tables and the S = d embedding of the
-    geometry's dimension, built once per dimension.
+    """The coupling and Gram tables of the S blocks, the S = d corner
+    tables and the S = d embedding of the geometry's dimension, built once
+    per dimension.
 
     sy_c sy_k = -(K_c K_k) with the real K = -i sy, so YY_S is the real
     -(K (x) (-i 2 Sy)). A corner's sx restricted to S = d is 2 Sx / (2d), and

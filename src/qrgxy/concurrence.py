@@ -213,7 +213,7 @@ def concurrence_curves(
     if grid < 3 or grid % 2 == 0:
         raise ValueError(f"gamma grid must be odd and >= 3, got {grid}")
     gs = np.linspace(-1.0, 1.0, grid)
-    rg_steps = tuple(rg_steps)
+    rg_steps = tuple(step_counts(list(rg_steps)).tolist())
     steps, gammas = np.repeat(rg_steps, grid), np.tile(gs, len(rg_steps))
     values = flowed_concurrences(dimension, steps, gammas)
     return tuple(
@@ -236,8 +236,9 @@ def concurrence_j_sweep(
     """Concurrence on a (gamma, j) grid at rg step 0, shaped
     (len(gamma_grid), len(j_grid)). Physically the j axis is flat; the
     whole grid is one batched solve in which each point is solved at its
-    own j rather than at unit J, so the CLI reports the spread the solver
-    really shows."""
+    own j rather than at unit J, so that its checks run at that j. The
+    solver's j scales the levels only, so the spread the CLI reports is 0
+    whenever every point passes."""
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     j_grid = np.asarray(j_grid, dtype=float)
     if j_grid.size == 0 or np.any(j_grid <= 0):

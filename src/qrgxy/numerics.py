@@ -3,15 +3,18 @@ square roots.
 
 Everything is real double precision. The block Hamiltonians and reduced
 density matrices are all real symmetric (see pauli / blocks), so no complex
-code path exists anywhere in the package. The package's own eigensolves are
-at most 8 wide: the parity halves of the collective-spin blocks of blocks
-(2d+1 wide for S = d, d^2 - 1 for the merged S < d; the S = 0 block is zero
-and never solved), stacked over every block of a batch, and 4x4 two-spin
-states. The symmetry and finiteness contract is checked once per stack.
-No Hamiltonian or Pauli operator on the 2^n basis is built: outside the
-test oracles, that basis appears only in the output vectors of
-rgflow.ground_doublet and in the projector of concurrence.density_matrix,
-128 wide at most, far below the enforced ceiling.
+code path exists anywhere in the package. LAPACK sees only small stacks:
+the flow's one eigensolve per batch is of the d x d Gram matrices of the
+two parity halves of the S = d block (blocks.CollectiveSpin), d <= 3,
+stacked over every block of the batch, whose eigenvalues are the squared
+singular values behind the block's levels; the lower spins take their 1x1
+and 2x2 Grams in closed form, and the S = 0 block is zero and never solved.
+The concurrence adds 4x4 two-spin states. The symmetry and finiteness
+contract is checked once per stack. No Hamiltonian or Pauli operator on
+the 2^n basis is built: outside the test oracles, that basis appears only
+in the output vectors of rgflow.ground_doublet and in the projector of
+concurrence.density_matrix, 128 wide at most, far below the enforced
+ceiling.
 """
 
 from __future__ import annotations
@@ -80,12 +83,6 @@ def eigh_symmetric(a) -> EigenDecomposition:
     a = _require_symmetric(a)
     w, v = np.linalg.eigh(a)
     return EigenDecomposition(w, v)
-
-
-def eigvalsh_symmetric(a) -> np.ndarray:
-    """The eigenvalues alone, ascending, of a real symmetric matrix or a
-    (..., n, n) stack, under the same symmetry contract as eigh_symmetric."""
-    return np.linalg.eigvalsh(_require_symmetric(a))
 
 
 def sqrt_psd(a) -> np.ndarray:

@@ -15,9 +15,11 @@ single-representative-bond convention.
 
 The flow never leaves the collective corner spin S = d (2(2d+1) wide).
 There is one block solver, and it takes whole arrays of points: solve_many
-finds the doublet of every block in one stacked eigensolve, runs every
-check on every point and reads xi_x, xi_y, gamma' and the corner-pair state
-off the S = d vectors. Every block of the package goes through it, with
+finds the doublet of every block in one stacked eigensolve of d x d Gram
+matrices, one per parity half of S = d (each half is bipartite, so its
+ground vector follows from the Gram's top eigenvector), runs every check
+on every point and reads xi_x, xi_y, gamma' and the corner-pair state off
+the S = d vectors. Every block of the package goes through it, with
 no memo: gamma_prime and rg_map, and through them trajectories and the
 fixed-point bisection, take its batches of one; the concurrence flow
 (concurrence.flowed_concurrences) makes one batched solve per step and,
@@ -31,6 +33,7 @@ vectors. step_counts is the one rule for a number of rg steps.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -47,7 +50,7 @@ from .blocks import (
     interblock_bonds,
 )
 from .errors import DegeneracyError, QRGError, StructureError
-from .numerics import eigh_symmetric, eigvalsh_symmetric
+from .numerics import eigh_symmetric
 from .pauli import spin_flip
 
 DEGENERACY_RTOL = 1e-8   # doublet splitting tolerance, relative to spectral spread
@@ -131,22 +134,38 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
     sum of center (x) spin-S blocks, S = 0..d, 2(2S+1) wide. Each S block
     counted once, their merged spectrum has the lowest three and the top
     level of the full block; it must show an isolated twofold ground level
-    made of one even and one odd level of S = d. The parity
-    (-1)^(c + k_down) splits S = d into two halves, 2d+1 wide, solved for
-    their vectors in one stacked eigh of the (G, 2, 2d+1, 2d+1) halves; the
-    S = 1..d-1 blocks, merged per half, in one eigvalsh for their levels
-    only, since one of them can hold the third level; the S = 0 block adds
-    two zero levels unsolved. The checks go to `checks` for _raise_first.
+    made of one even and one odd level of S = d. Each parity half of a
+    spin-S block is bipartite, so its levels are plus and minus the
+    singular values of its coupling block A, and one 0 (see
+    blocks.CollectiveSpin): the merged spectrum is symmetric about 0, its
+    top level is -e1, and its lowest three levels are minus the three
+    largest singular values, or 0. The S = d halves are solved through
+    their d x d Gram matrices A^T A in one stacked eigh, which gives the
+    squared singular values and the top right singular vector v; the
+    ground vector of a half is [A v / |A v|, -v] / sqrt(2), where |A v| is
+    the top singular value. The
+    S = 1..d-1 halves give their squared singular values from the closed
+    form of their 1x1 and 2x2 Grams, since one of them can hold the third
+    level; the zero levels, of S = 0 and of each half, are not solved.
+    The checks go to `checks` for _raise_first.
     """
-    top, lower = spin.hamiltonians(couplings)
-    levels, vectors = eigh_symmetric(top)
-    n = len(top)
-    parts = [levels.reshape(n, 2 * top.shape[-1]), np.zeros((n, 2))]  # S = 0: the zero 2x2 block
-    if lower.shape[-1]:
-        parts.append(eigvalsh_symmetric(lower).reshape(n, 2 * lower.shape[-1]))
-    w = np.sort(np.concatenate(parts, axis=1), axis=1)
-    e1, e2, e3 = w[:, :3].T
-    tol = DEGENERACY_RTOL * (w[:, -1] - e1)
+    n = len(couplings.gamma)
+    gamma = couplings.gamma[:, None, None, None]
+    squares, right = eigh_symmetric(spin.gram[0] + gamma * (spin.gram[1] + gamma * spin.gram[2]))
+    parts = [squares.reshape(n, -1), np.zeros((n, 1))]
+    if spin.lower.size:
+        lower = spin.lower[0] + gamma[..., 0] * (spin.lower[1] + gamma[..., 0] * spin.lower[2])
+        mean, half, off = lower.transpose(1, 0, 2)
+        radius = np.hypot(half, off)
+        parts += [mean + radius, mean - radius]
+    # minus J/4 times a singular value is a level; rounding can leave a
+    # vanishing squared one just below 0
+    scale = -0.25 * couplings.j[:, None]
+    largest = np.sort(np.concatenate(parts, axis=1), axis=1)[:, -3:]
+    e3, e2, e1 = (np.sqrt(np.maximum(largest, 0.0)) * scale).T
+    top = np.sqrt(np.maximum(squares[:, :, -1:], 0.0))  # (G, 2, 1): the top singular value of each S = d half
+    lowest = top[..., 0] * scale  # the ground level of each half
+    tol = DEGENERACY_RTOL * (-2.0 * e1)
     gap = e3 - e2
     checks += [
         (
@@ -164,15 +183,18 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
             ),
         ),
         (
-            np.maximum(levels[:, 0, 0], levels[:, 1, 0]) > e2,
+            np.maximum(lowest[:, 0], lowest[:, 1]) > e2,
             lambda k: StructureError(
                 f"ground doublet is not one even and one odd level: lowest even "
-                f"{levels[k, 0, 0]:.12g}, lowest odd {levels[k, 1, 0]:.12g}, E2 = {e2[k]:.12g}"
+                f"{lowest[k, 0]:.12g}, lowest odd {lowest[k, 1]:.12g}, E2 = {e2[k]:.12g}"
             ),
         ),
     ]
-    ground = np.zeros((n, 2, 2 * top.shape[-1]))
-    ground[:, _PARITY, spin.half] = vectors[..., 0]
+    v = right[..., -1]
+    u = ((spin.coupling[0] + gamma * spin.coupling[1]) @ v[..., None])[..., 0]
+    np.divide(u, top, out=u, where=top > 0.0)  # A = 0 only where a check fails
+    ground = np.zeros((n, 2, 2 * spin.half.shape[-1]))
+    ground[:, _PARITY, spin.half] = np.concatenate([u, -v], axis=-1) * math.sqrt(0.5)
     return HalvesGround(energy=e1, gap_to_third=gap, ground=ground)
 
 
@@ -252,9 +274,10 @@ class BlockSolve(NamedTuple):
 
 def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
     """The blocks at the points (j, gammas), solved together: one stacked
-    eigh of their S = d halves and one eigvalsh of their S < d halves,
-    whatever the number of points. j is one number or one per gamma; each
-    point is solved at its own J.
+    eigh of the d x d Grams of their S = d halves, whatever the number of
+    points, and the S < d levels in closed form. j is one number or one per
+    gamma; each point is solved at its own J, which scales its levels only,
+    so that its checks run at that J and its vectors do not depend on it.
 
     Everything is read off the two S = d ground vectors of each point,
     2(2d+1) wide, with the corner tables of blocks.CollectiveSpin: the

@@ -71,33 +71,48 @@ def test_collective_spin_embedding_is_an_isometry(dim):
     assert np.max(np.abs(e.T @ e - np.eye(e.shape[1]))) <= 1e-14
 
 
-def _hamiltonians(spin, params):
-    """The S = d halves and the merged S < d halves of one point."""
-    return tuple(h[0] for h in spin.hamiltonians(coupling_arrays(params.j, params.gamma)))
+def _coupling_blocks(spin, params):
+    """(J/4)(a + gamma b): the coupling block of the even and of the odd
+    half of S = d at one point, (2, d+1, d)."""
+    return (params.j / 4.0) * (spin.coupling[0] + params.gamma * spin.coupling[1])
 
 
 def _top_block(spin, params):
-    """H_B on S = d, 2(2d+1) wide, assembled from its two halves."""
-    halves, _lower = _hamiltonians(spin, params)
-    top = np.zeros((2 * halves.shape[-1],) * 2)
-    for h, half in zip(halves, spin.half):
-        top[np.ix_(half, half)] = h
+    """H_B on S = d, 2(2d+1) wide, assembled from the coupling blocks of
+    its two halves: each half couples its even-k states, listed first in
+    spin.half, only to its odd-k states."""
+    top = np.zeros((2 * spin.half.shape[-1],) * 2)
+    for a, half in zip(_coupling_blocks(spin, params), spin.half):
+        rows, cols = half[: len(a)], half[len(a) :]
+        top[np.ix_(rows, cols)] = a
+        top[np.ix_(cols, rows)] = a.T
     return top
+
+
+def _half_levels(squares, params):
+    """The levels of a half whose coupling block, at J = 4, has the squared
+    singular values `squares`: minus and plus (J/4) times each, and 0;
+    rounding can leave a vanishing square just below 0."""
+    sigma = (params.j / 4.0) * np.sqrt(np.clip(squares, 0.0, None))
+    return np.concatenate([-sigma, [0.0], sigma])
 
 
 def _levels_by_spin(spin, params):
     """The levels of each S block, S = 0..d, counted once: the zero S = 0
-    block, the S = 1..d-1 blocks cut out of the merged halves, where spin S
-    sits 2S+1 wide after the lower spins, and the S = d halves."""
-    halves, lower = _hamiltonians(spin, params)
+    block, the S = 1..d-1 blocks from their 2x2 Grams [[m + h, r],
+    [r, m - h]] (S = 1 padded with zeros, so only its larger eigenvalue is
+    its own) and S = d from its d x d Grams."""
+    g, d = params.gamma, spin.gram.shape[-1]
     levels = [np.zeros(2)]
-    start = 0
-    for s in range(1, len(spin.half[0]) // 2):
-        stop = start + 2 * s + 1
-        levels.append(np.concatenate([np.linalg.eigvalsh(h[start:stop, start:stop]) for h in lower]))
-        start = stop
-    assert start == lower.shape[-1]
-    levels.append(np.linalg.eigvalsh(halves).reshape(-1))
+    m, h, r = spin.lower[0] + g * spin.lower[1] + g * g * spin.lower[2]
+    for s in range(1, d):
+        halves = []
+        for k in (2 * s - 2, 2 * s - 1):  # its even and its odd half
+            gram = [[m[k] + h[k], r[k]], [r[k], m[k] - h[k]]]
+            halves.append(_half_levels(np.linalg.eigvalsh(gram)[2 - s :], params))
+        levels.append(np.concatenate(halves))
+    grams = spin.gram[0] + g * spin.gram[1] + g * g * spin.gram[2]
+    levels.append(np.concatenate([_half_levels(np.linalg.eigvalsh(gram), params) for gram in grams]))
     return levels
 
 
@@ -132,8 +147,9 @@ def test_collective_spin_top_block_is_the_restriction_of_the_block(dim):
 def test_merged_collective_spin_levels_match_the_full_block(dim):
     geometry = block_geometry(dim)
     spin = collective_spin(geometry)
-    assert spin.xx.shape == (2, 2 * dim + 1, 2 * dim + 1)
-    assert spin.lower_xx.shape == (2, dim * dim - 1, dim * dim - 1)
+    assert spin.coupling.shape == (2, 2, dim + 1, dim)
+    assert spin.gram.shape == (3, 2, dim, dim)
+    assert spin.lower.shape == (3, 3, 2 * (dim - 1))
     multiplicity = [math.comb(2 * dim, dim - s) - math.comb(2 * dim, dim - s - 1) for s in range(dim)]
     bonds = _bonds(geometry)
     for gamma in (-1.0, -1 + 1e-7, -0.6, -1e-7, 0.0, 1e-7, 0.45, 1 - 1e-7, 1.0):
@@ -248,20 +264,24 @@ def test_geometry_cache_entry_holds_integers():
     assert type(block_geometry(np.int64(1)).n_sites) is int
 
 
-# the S = d halves and the merged S < d halves are symmetric with a zero
-# diagonal, so every S block is traceless
+# S = d assembled from its coupling blocks is symmetric with a zero
+# diagonal, so it is traceless, and its Gram tables are exactly symmetric,
+# as the eigensolver's contract asks of every Gram it is given
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_hamiltonian_symmetric_traceless(dim):
-    for h in _hamiltonians(collective_spin(block_geometry(dim)), CouplingParams(2.0, 0.4)):
-        assert np.array_equal(h, np.swapaxes(h, -1, -2))
-        assert not np.any(np.diagonal(h, axis1=-2, axis2=-1))
+    spin = collective_spin(block_geometry(dim))
+    h = _top_block(spin, CouplingParams(2.0, 0.4))
+    assert np.array_equal(h, h.T)
+    assert not np.any(np.diagonal(h))
+    assert np.array_equal(spin.gram, spin.gram.swapaxes(-1, -2))
 
 
 def test_hamiltonian_linear_in_j():
     spin = collective_spin(block_geometry(2))
-    one, two = (_hamiltonians(spin, CouplingParams(j, 0.3)) for j in (1.0, 2.0))
-    for h1, h2 in zip(one, two):
-        assert np.array_equal(h2, 2.0 * h1)
+    one, two = (_top_block(spin, CouplingParams(j, 0.3)) for j in (1.0, 2.0))
+    assert np.array_equal(two, 2.0 * one)
+    assert np.array_equal(np.concatenate(_levels_by_spin(spin, CouplingParams(2.0, 0.3))),
+                          2.0 * np.concatenate(_levels_by_spin(spin, CouplingParams(1.0, 0.3))))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

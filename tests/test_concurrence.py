@@ -203,12 +203,17 @@ def test_block_concurrence_is_the_x_state_form_of_the_oracle_state(dim):
 
 def test_small_concurrence_is_not_cut_by_the_spectrum_floor():
     # d = 2, one step from gamma0 = 0.3: C ~ 7.4e-7, where a 1e-12 * l_max
-    # floor on the spin-flip spectrum drops true eigenvalues
+    # floor on the spin-flip spectrum drops true eigenvalues. The reference
+    # is the exact X-state value of the full-basis state: the general
+    # Wootters oracle takes square roots of eigenvalues of rho rho~ that
+    # vanish (a corner-symmetric pair has no singlet part), which leaves it
+    # ~3e-9 of noise that moves with the last bits of J'
     params = rg_trajectory(CouplingParams(1.0, 0.3), 2, 1).steps[-1]
     geometry = block_geometry(2)
     rho = partial_trace_bruteforce(ground_doublet_full(params, geometry)[1], (1, 2), geometry.n_sites)
-    want = wootters_concurrence_complex(rho)
+    want = x_state_concurrence(rho)
     assert 7e-7 < want < 8e-7
+    assert abs(wootters_concurrence_complex(rho) - want) < 1e-8
     assert abs(flowed_concurrence(2, 1, 0.3) - want) < 1e-10
 
 
@@ -341,6 +346,18 @@ def test_a_step_count_must_be_a_whole_number():
         concurrence_curves(2, (1, 1.5), 5)
     whole = flowed_concurrences(2, [1.0, 2.0, 0.0], [0.1, 0.2, 0.3])
     assert np.array_equal(whole, flowed_concurrences(2, [1, 2, 0], [0.1, 0.2, 0.3]))
+
+
+def test_curve_steps_follow_the_flow_step_rule():
+    # whole-number float steps come back as the ints they stand for, and a
+    # step out of range raises the flow's own error
+    curves = concurrence_curves(2, (1.0, 2.0), 5)
+    assert [type(c.rg_step) for c in curves] == [int, int]
+    assert [c.rg_step for c in curves] == [1, 2]
+    for curve, same in zip(curves, concurrence_curves(2, (1, 2), 5)):
+        assert np.array_equal(curve.values, same.values)
+    with pytest.raises(ValueError, match="n_steps must be between 0 and 64, got 65"):
+        concurrence_curves(2, (1, 65), 5)
 
 
 def test_j_sweep_solves_every_point_at_its_own_j(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, coupling_arrays, interblock_bonds
+from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
 from qrgxy.concurrence import concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, QRGError, StructureError
 from qrgxy.rgflow import (
@@ -117,42 +117,63 @@ def test_sector_doublet_matches_full_block_oracle(dim, gamma):
         assert min(np.max(np.abs(mine - s * ref)) for s in (1.0, -1.0)) < 1e-12
 
 
-def _fake_spin(dim, top, lower=((), ())):
-    """The collective-spin cache of `dim` with diagonal bond sums: the even
-    and odd halves of XX_d are diag(top[0]) and diag(top[1]), the merged
-    S = 1..d-1 halves diag(lower[0]) and diag(lower[1]), and YY = 0, so that
-    at J = 4 and gamma = 0 those diagonals are the levels."""
+def _fake_spin(dim, top, lower=()):
+    """The collective-spin cache of `dim` with diagonal coupling blocks and
+    b = 0: the even and the odd half of S = d have the singular values
+    top[0] and top[1], the halves of S = 1..d-1, in the order of
+    spin.lower, those of lower, so that at J = 4 and gamma = 0 the levels
+    of each half are minus and plus these, and 0."""
     spin = collective_spin(block_geometry(dim))
-    return spin._replace(
-        xx=np.stack([np.diag(np.asarray(t, dtype=float)) for t in top]),
-        yy=np.zeros_like(spin.yy),
-        lower_xx=np.stack([np.diag(np.asarray(t, dtype=float)) for t in lower]),
-        lower_yy=np.zeros_like(spin.lower_yy),
-    )
+    coupling = np.zeros_like(spin.coupling)
+    for a, sigma in zip(coupling[0], top):
+        a[:dim] = np.diag(sigma)
+    gram = np.zeros_like(spin.gram)
+    gram[0] = coupling[0].swapaxes(-1, -2) @ coupling[0]
+    fake_lower = np.zeros_like(spin.lower)
+    for k, sigma in enumerate(lower):
+        big, small = np.square(list(sigma) + [0.0])[:2]
+        fake_lower[0, :, k] = 0.5 * (big + small), 0.5 * (big - small), 0.0
+    return spin._replace(coupling=coupling, gram=gram, lower=fake_lower)
 
 
 def test_two_lowest_levels_of_one_parity_raise_structure_error(monkeypatch):
     # a fake sector cache whose two lowest levels are both even, with the odd
     # ground level far above them: the doublet checks pass, parity must not
-    fake = _fake_spin(1, ([-1.0, -1.0, 2.0], [1.0, 1.0, 1.0]))
+    # (d = 2, since each half of S = 1 has one negative level only)
+    fake = _fake_spin(2, ([1.0, 1.0], [0.5, 0.25]), ([0.125], [0.125]))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(StructureError, match="one even and one odd"):
-        ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
+        ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2))
+
+
+def test_doublet_tolerance_is_relative_to_the_spectral_spread(monkeypatch):
+    # the spectrum is symmetric about 0, so its spread, top level minus E1,
+    # is -2 E1: at E1 = -1 the tolerance is 2e-8, which a splitting of
+    # 1.5e-8 passes and one of 2.5e-8 fails
+    for splitting, passes in ((1.5e-8, True), (2.5e-8, False)):
+        fake = _fake_spin(1, ([1.0], [1.0 - splitting]))
+        monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+        if passes:
+            ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
+        else:
+            with pytest.raises(DegeneracyError, match="exceeds tolerance 2.000e-08"):
+                ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
 
 
 def test_third_level_of_a_lower_spin_block_sets_the_gap(monkeypatch):
     # the S = 1 block of d = 2 holds the third level, 0.5 above the doublet;
-    # the S = d halves alone would put it 4 above, the zero S = 0 block 1
-    top = ([-1.0, 3.0, 5.0, 5.0, 5.0], [-1.0, 3.0, 5.0, 5.0, 5.0])
-    fake = _fake_spin(2, top, ([-0.5, 7.0, 7.0], [7.0, 7.0, 7.0]))
+    # the S = d halves alone would put it 0.75 above, the zero levels 1
+    top = ([1.0, 0.25], [1.0, 0.25])
+    fake = _fake_spin(2, top, ([0.5], [0.5]))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2)).gap_to_third == 0.5
-    fake = _fake_spin(2, top, ([-1.0, 7.0, 7.0], [7.0, 7.0, 7.0]))
+    fake = _fake_spin(2, top, ([1.0], [0.5]))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(DegeneracyError, match="third level"):
         ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2))
-    # the S = 0 block is zero and never solved, yet its two levels count
-    fake = _fake_spin(1, ([-1.0, 3.0, 5.0], [-1.0, 3.0, 5.0]))
+    # the zero levels, of S = 0 and of each half, are never solved, yet
+    # they count
+    fake = _fake_spin(1, ([1.0], [1.0]))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1)).gap_to_third == 1.0
 
@@ -306,13 +327,14 @@ def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
     assert solve_many(dim, 0.3).pair_state.shape == (1, 4, 4)
 
 
-@pytest.mark.parametrize("dim,calls", [(1, 1), (2, 2), (3, 2)])
-def test_cold_block_solve_makes_one_eigh_and_at_most_one_eigvalsh(monkeypatch, dim, calls):
-    # a batch of one and a batch of five cost the same number of calls
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        def recording(a, *args, _real=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cold_block_solve_makes_one_eigh_of_the_gram_stack(monkeypatch, dim):
+    # a batch of one and a batch of five each make one eigh of their d x d
+    # Gram stack and no eigvalsh
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, calls in shapes.items():
+        def recording(a, *args, _real=getattr(np.linalg, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(a))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
@@ -320,12 +342,10 @@ def test_cold_block_solve_makes_one_eigh_and_at_most_one_eigvalsh(monkeypatch, d
         (1, lambda: gamma_prime(0.3, dim)),
         (5, lambda: solve_many(dim, np.linspace(-0.8, 0.8, 5))),
     ):
-        shapes.clear()
+        for calls in shapes.values():
+            calls.clear()
         solve()
-        assert len(shapes) == calls
-        assert shapes[0] == (batch, 2, 2 * dim + 1, 2 * dim + 1)
-        assert all(shape[0] == batch for shape in shapes)
-        assert max(shape[-1] for shape in shapes) <= 2 * (2 * dim + 1)
+        assert shapes == {"eigh": [(batch, 2, dim, dim)], "eigvalsh": []}
 
 
 @settings(max_examples=40, deadline=None)
@@ -364,14 +384,14 @@ def test_fixed_points_solve_count(monkeypatch):
     assert (len(batches), sum(batches)) == (39, 141)
 
 
-# gamma' where the last bit of xi^2 depends on how it is squared, as earlier
-# releases computed it; near gamma = 0, t_x - t_y cancels and one ulp of
+# gamma' where the last bit of xi^2 depends on how it is squared, as the
+# Gram solve computes it; near gamma = 0, t_x - t_y cancels and one ulp of
 # xi^2 moves gamma' by ~1e-12 relative
 GOLDEN_GAMMA_PRIME = [
-    (1, 0.3665738120065143, 0.8188699868453528),
-    (2, 1.081602518910922e-06, 1.1897627707821402e-05),
-    (3, 5.034867904158609e-06, 0.00011580196124050181),
-    (3, 2.223105778133823e-06, 5.113143284885927e-05),
+    (1, 0.3665738120065143, 0.8188699868453527),
+    (2, 1.081602518910922e-06, 1.1897627707229275e-05),
+    (3, 5.034867904158609e-06, 0.0001158019612381703),
+    (3, 2.223105778133823e-06, 5.11314328490258e-05),
 ]
 
 
@@ -388,10 +408,17 @@ def _scalar_error(dim, gamma):
 
 
 def test_batch_raises_the_scalar_error_of_its_first_failing_point(monkeypatch):
-    # without the sy sy bonds the block at gamma = -1 is zero: its ground
-    # level is not twofold, while every other gamma is an Ising block
+    # without the sy sy bonds (a = b = XX) the block at gamma = -1 is zero:
+    # its ground level is not twofold, while every other gamma is an Ising
+    # block; the Gram of XX alone is (P0 + P1 + P2) / 4 times (1 + gamma)^2
     spin = collective_spin(block_geometry(2))
-    fake = spin._replace(yy=np.zeros_like(spin.yy), lower_yy=np.zeros_like(spin.lower_yy))
+    xx = 0.5 * (spin.coupling[0] + spin.coupling[1])
+    gram, lower = (np.sum(t, axis=0) / 4.0 for t in (spin.gram, spin.lower))
+    fake = spin._replace(
+        coupling=np.stack([xx, xx]),
+        gram=np.stack([gram, 2.0 * gram, gram]),
+        lower=np.stack([lower, 2.0 * lower, lower]),
+    )
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     solve_many(2, [0.3, 0.7, 0.5])
     want = _scalar_error(2, -1.0)
@@ -419,19 +446,21 @@ def test_block_solve_checks_the_projected_corner_sigma_x(monkeypatch):
         solve_many(2, 0.3)
 
 
-# the S = d halves, the merged S = 1..d-1 halves and the two zero levels of
-# S = 0 hold every level of the block, and nothing else
+# the S = d Grams, the S = 1..d-1 Grams and the zero levels hold every
+# level of the block, and nothing else: each half's levels are minus and
+# plus the square roots of its Gram's eigenvalues, and 0
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_merged_levels_are_the_levels_of_the_block(dim):
     geometry = block_geometry(dim)
     spin = collective_spin(geometry)
     for gamma in (-1.0, -0.6, 0.0, 0.1, 0.45, 1.0):
         params = CouplingParams(1.3, gamma)
-        halves, lower = (h[0] for h in spin.hamiltonians(coupling_arrays(params.j, gamma)))
-        merged = [np.linalg.eigvalsh(halves).reshape(-1), np.zeros(2)]
-        if lower.size:
-            merged.append(np.linalg.eigvalsh(lower).reshape(-1))
-        merged = np.concatenate(merged)
+        grams = spin.gram[0] + gamma * spin.gram[1] + gamma * gamma * spin.gram[2]
+        m, h, r = spin.lower[0] + gamma * spin.lower[1] + gamma * gamma * spin.lower[2]
+        lower = np.moveaxis(np.array([[m + h, r], [r, m - h]]), -1, 0)  # the 2x2 Grams, S = 1 padded
+        squares = np.concatenate([np.linalg.eigvalsh(grams).reshape(-1), np.linalg.eigvalsh(lower).reshape(-1)])
+        sigma = (params.j / 4.0) * np.sqrt(np.clip(squares, 0.0, None))
+        merged = np.concatenate([-sigma, sigma, np.zeros(2)])
         bonds = [(center, corner) for center, corner, _axis in geometry.intra_bonds]
         full = np.linalg.eigvalsh(xy_hamiltonian_per_bond(params.j, gamma, geometry.n_sites, bonds))
         assert np.max(np.min(np.abs(full[:, None] - merged), axis=1)) <= 1e-12
