@@ -378,70 +378,91 @@ def cmd_jsweep(args):
 
 # -- entry point -----------------------------------------------------------
 
-def _build_parser():
+def _flow_arguments(sp):
+    sp.add_argument("--gamma0", type=float, default=None, help="initial anisotropy in [-1, 1]")
+    sp.add_argument("--steps", type=int, default=None, help="number of rg steps (default 2)")
+
+
+def _concurrence_arguments(sp):
+    sp.add_argument("--steps", type=int, default=None, help="emit steps 0..K (default 2)")
+    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 2001)")
+
+
+def _scaling_arguments(sp):
+    sp.add_argument("--steps", default=None, help="comma list of rg steps (default per dimension)")
+    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 2001)")
+
+
+def _groundstate_arguments(sp):
+    sp.add_argument("--gamma0", type=float, default=None, help="anisotropy (default 1)")
+
+
+def _fixed_points_arguments(sp):
+    sp.add_argument("--grid", type=int, default=None, help="scan grid size (default 401, minimum 100)")
+    sp.add_argument("--curve-out", dest="curve_out", default=None,
+                    help="also write the gamma'(gamma) curve as CSV to this path")
+
+
+def _jsweep_arguments(sp):
+    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 21)")
+    sp.add_argument("--js", default=None, help="comma list of couplings (default 0.1,1,10)")
+
+
+# name: (help, whether it takes --format, its own arguments, its handler)
+_COMMANDS = {
+    "flow": ("renormalized (gamma, j) per rg step", True, _flow_arguments, cmd_flow),
+    "concurrence": ("concurrence and |dC/dgamma| curves per rg step", True, _concurrence_arguments,
+                    cmd_concurrence),
+    "scaling": ("log-log fits of the derivative peak against system size", False, _scaling_arguments,
+                cmd_scaling),
+    "groundstate": ("ground-doublet amplitudes of one block", True, _groundstate_arguments, cmd_groundstate),
+    "fixed-points": ("roots of gamma' = gamma with stabilities", False, _fixed_points_arguments,
+                     cmd_fixed_points),
+    "jsweep": ("concurrence over a (gamma, j) grid", False, _jsweep_arguments, cmd_jsweep),
+}
+
+
+def _common_arguments(sp, fmt):
+    sp.add_argument("--dim", type=int, default=None, help="lattice dimension: 1, 2 or 3")
+    sp.add_argument("--j", type=float, default=None, help="coupling strength j > 0 (default 1)")
+    sp.add_argument("--config", default=None, help="JSON config file; flags override it")
+    sp.add_argument("--out", default=None, help="output path (default: stdout)")
+    # kept so existing invocations and configs stay valid; every
+    # command checks it is >= 1, nothing reads it further
+    sp.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted for compatibility; no effect, everything runs serially",
+    )
+    if fmt:
+        sp.add_argument("--format", dest="fmt", default=None, help="csv (default) or json")
+
+
+def _build_parser(argv):
+    """The parser for argv. Every command gets its subparser, so that
+    `qrg --help` and the invalid-choice errors list them all, but only the
+    command argv runs gets its arguments: building them all costs more
+    than the parse (argparse makes a help formatter for each argument).
+    The top level takes only -h, so the first token of argv that names a
+    command is the command argparse dispatches to."""
     parser = _Parser(
         prog="qrg",
         description="Block-spin renormalization of the spin-1/2 XY model: "
         "coupling flows, concurrence, and critical scaling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, fmt=True):
-        sp.add_argument("--dim", type=int, default=None, help="lattice dimension: 1, 2 or 3")
-        sp.add_argument("--j", type=float, default=None, help="coupling strength j > 0 (default 1)")
-        sp.add_argument("--config", default=None, help="JSON config file; flags override it")
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        # kept so existing invocations and configs stay valid; every
-        # command checks it is >= 1, nothing reads it further
-        sp.add_argument(
-            "--threads", type=int, default=None,
-            help="accepted for compatibility; no effect, everything runs serially",
-        )
-        if fmt:
-            sp.add_argument("--format", dest="fmt", default=None, help="csv (default) or json")
-
-    sp = sub.add_parser("flow", help="renormalized (gamma, j) per rg step")
-    common(sp)
-    sp.add_argument("--gamma0", type=float, default=None, help="initial anisotropy in [-1, 1]")
-    sp.add_argument("--steps", type=int, default=None, help="number of rg steps (default 2)")
-    sp.set_defaults(func=cmd_flow)
-
-    sp = sub.add_parser("concurrence", help="concurrence and |dC/dgamma| curves per rg step")
-    common(sp)
-    sp.add_argument("--steps", type=int, default=None, help="emit steps 0..K (default 2)")
-    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 2001)")
-    sp.set_defaults(func=cmd_concurrence)
-
-    sp = sub.add_parser("scaling", help="log-log fits of the derivative peak against system size")
-    common(sp, fmt=False)
-    sp.add_argument("--steps", default=None, help="comma list of rg steps (default per dimension)")
-    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 2001)")
-    sp.set_defaults(func=cmd_scaling)
-
-    sp = sub.add_parser("groundstate", help="ground-doublet amplitudes of one block")
-    common(sp)
-    sp.add_argument("--gamma0", type=float, default=None, help="anisotropy (default 1)")
-    sp.set_defaults(func=cmd_groundstate)
-
-    sp = sub.add_parser("fixed-points", help="roots of gamma' = gamma with stabilities")
-    common(sp, fmt=False)
-    sp.add_argument("--grid", type=int, default=None, help="scan grid size (default 401, minimum 100)")
-    sp.add_argument("--curve-out", dest="curve_out", default=None,
-                    help="also write the gamma'(gamma) curve as CSV to this path")
-    sp.set_defaults(func=cmd_fixed_points)
-
-    sp = sub.add_parser("jsweep", help="concurrence over a (gamma, j) grid")
-    common(sp, fmt=False)
-    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 21)")
-    sp.add_argument("--js", default=None, help="comma list of couplings (default 0.1,1,10)")
-    sp.set_defaults(func=cmd_jsweep)
-
+    command = next((token for token in argv if token in _COMMANDS), None)
+    for name, (help_text, fmt, arguments, handler) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == command:
+            _common_arguments(sp, fmt)
+            arguments(sp)
+            sp.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

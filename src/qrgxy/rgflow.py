@@ -20,11 +20,13 @@ matrices, one per parity half of S = d (each half is bipartite, so its
 ground vector follows from the Gram's top eigenvector), runs every check
 on every point and reads xi_x, xi_y, gamma' and the corner-pair state off
 the S = d vectors. Every block of the package goes through it, with
-no memo: gamma_prime and rg_map, and through them trajectories and the
-fixed-point bisection, take its batches of one; the concurrence flow
-(concurrence.flowed_concurrences) makes one batched solve per step and,
-since gamma' and the corner-pair state do not depend on J, carries gamma
-only; fixed_points solves its residual grid in one call. Only
+no memo: gamma_prime and rg_map, and through them trajectories, take its
+batches of one; the concurrence flow (concurrence.flowed_concurrences)
+makes one batched solve per step and, since gamma' and the corner-pair
+state do not depend on J, carries gamma only; fixed_points solves its
+residual grid in one call, then the midpoints of the next four bisection
+levels of every sign-change bracket per call, and the slope stencils of
+all its roots in one more. Only
 ground_doublet, for output and for full-basis callers, embeds the doublet
 into the 2^n basis, and renormalized_operators projects such full-basis
 vectors. step_counts is the one rule for a number of rg steps.
@@ -387,51 +389,92 @@ def rg_trajectory(initial: CouplingParams, dimension: int, n_steps: int) -> RGTr
 FP_SLOPE_STEP = 1e-5
 _FP_MERGE_TOL = 1e-7
 _BISECT_WIDTH = 1e-12
+_BISECT_LEVELS = 4  # bisection levels of every open bracket per solve
 
 
-def _bisect(fn, a, b, fa):
-    while b - a > _BISECT_WIDTH:
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0) == (fm < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def _midpoint_tree(a, b) -> list:
+    """The midpoints that the next _BISECT_LEVELS bisection steps on [a, b]
+    can visit, in heap order: node k halves its span, node 2k + 1 the
+    lower half of it and node 2k + 2 the upper half. A node is None where
+    its span is already no wider than _BISECT_WIDTH, as is every node
+    below it."""
+    size = 2 ** _BISECT_LEVELS - 1
+    spans = [(a, b)] + [None] * (2 * size)
+    mids = []
+    for k in range(size):
+        span = spans[k]
+        if span is None or span[1] - span[0] <= _BISECT_WIDTH:
+            mids.append(None)
+            continue
+        lo, hi = span
+        mid = 0.5 * (lo + hi)
+        spans[2 * k + 1], spans[2 * k + 2] = (lo, mid), (mid, hi)
+        mids.append(mid)
+    return mids
 
 
-def _fd_slope(root: float, dimension: int) -> float:
-    lo = max(root - FP_SLOPE_STEP, -1.0)
-    hi = min(root + FP_SLOPE_STEP, 1.0)
-    gp_lo, gp_hi = solve_many(dimension, [lo, hi]).gamma_prime
-    return float(abs((gp_hi - gp_lo) / (hi - lo)))
+def _bisect_roots(dimension: int, brackets: list) -> list:
+    """The roots of gamma' - gamma in the sign-change brackets (a, b, fa),
+    bisected in lockstep: each round solves the midpoint trees of every
+    open bracket in one solve_many call and walks each tree the way
+    one-point bisection steps, down to a residual of exactly 0 or a bracket
+    no wider than _BISECT_WIDTH. Every midpoint is the float the one-point
+    walk computes and solve_many gives each point the bits of its batch of
+    one, so the roots are bit for bit those of bisecting one point per
+    solve; the midpoints the walk does not take cost only their share of
+    the batch."""
+    roots = [None] * len(brackets)
+    open_ = dict(enumerate(brackets))
+    while open_:
+        trees = {i: _midpoint_tree(a, b) for i, (a, b, _fa) in open_.items()}
+        mids = [m for tree in trees.values() for m in tree if m is not None]
+        gps = iter(solve_many(dimension, mids).gamma_prime)
+        for i, tree in trees.items():
+            residuals = [None if m is None else next(gps) - m for m in tree]
+            a, b, fa = open_.pop(i)
+            k = 0
+            while k < len(tree) and tree[k] is not None:
+                mid, fm = tree[k], residuals[k]
+                if fm == 0.0:
+                    roots[i] = mid
+                    break
+                if (fa < 0) == (fm < 0):
+                    a, fa, k = mid, fm, 2 * k + 2
+                else:
+                    b, k = mid, 2 * k + 1
+            else:  # past the tree, or at a node too narrow to halve
+                if b - a > _BISECT_WIDTH:
+                    open_[i] = (a, b, fa)
+                else:
+                    roots[i] = 0.5 * (a + b)
+    return [float(r) for r in roots]
 
 
 def fixed_points(dimension: int, grid: int = 401):
     """Roots of gamma' = gamma on [-1, 1] by sign-change bisection, with
     stability read off a finite-difference slope at each root (< 1 stable,
-    > 1 unstable). The residual grid is one batched solve and each slope
-    stencil another; bisection goes one point at a time. The endpoints +-1
-    sit exactly on the identity and are picked up as exact residual
-    zeros."""
+    > 1 unstable). The residual grid is one batched solve; the brackets of
+    its sign changes are bisected together, _BISECT_LEVELS levels of every
+    bracket per solve (_bisect_roots); the two-point slope stencils of all
+    roots are one more solve. The endpoints +-1 sit exactly on the
+    identity and are picked up as exact residual zeros."""
     grid = grid_size(grid)
     if grid < 100:
         raise ValueError(f"fixed-point grid needs at least 100 points, got {grid}")
     gs = np.linspace(-1.0, 1.0, grid)
     res = solve_many(dimension, gs).gamma_prime - gs
     roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
-    fn = lambda g: gamma_prime(g, dimension) - g
-    for i in range(grid - 1):
-        if res[i] * res[i + 1] < 0.0:
-            roots.append(float(_bisect(fn, gs[i], gs[i + 1], res[i])))
+    brackets = [(gs[i], gs[i + 1], res[i]) for i in range(grid - 1) if res[i] * res[i + 1] < 0.0]
+    roots += _bisect_roots(dimension, brackets)
     merged: list = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > _FP_MERGE_TOL:
             merged.append(r)
-    out = []
-    for r in merged:
-        slope = _fd_slope(r, dimension)
-        out.append(FixedPoint(gamma=r, stability="stable" if slope < 1.0 else "unstable", slope=slope))
-    return out
+    lo = np.maximum(np.array(merged) - FP_SLOPE_STEP, -1.0)
+    hi = np.minimum(np.array(merged) + FP_SLOPE_STEP, 1.0)
+    gp_lo, gp_hi = solve_many(dimension, np.concatenate([lo, hi])).gamma_prime.reshape(2, -1)
+    slopes = abs((gp_hi - gp_lo) / (hi - lo))
+    return [
+        FixedPoint(gamma=r, stability="stable" if slope < 1.0 else "unstable", slope=float(slope))
+        for r, slope in zip(merged, slopes)
+    ]

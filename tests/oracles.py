@@ -194,3 +194,40 @@ def corner_pair_state(phi, geometry):
     legs in site order, gathered from the 2^n amplitudes."""
     m = phi[pair_gather(geometry)]
     return m @ m.T
+
+
+def fixed_points_one_at_a_time(solve, grid, slope_step=1e-5, merge_tol=1e-7, width=1e-12):
+    """(gamma, stability, slope) of every root of gamma' = gamma on a grid
+    of [-1, 1], bisecting each sign change one midpoint per solve and
+    taking each root's two-point slope stencil in a solve of its own.
+    solve maps an array of gammas to their gamma' values."""
+    gs = np.linspace(-1.0, 1.0, grid)
+    res = solve(gs) - gs
+    roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
+    for i in range(grid - 1):
+        if res[i] * res[i + 1] < 0.0:
+            a, b, fa = gs[i], gs[i + 1], res[i]
+            root = None
+            while b - a > width:
+                mid = 0.5 * (a + b)
+                fm = float(solve([mid])[0]) - mid
+                if fm == 0.0:
+                    root = mid
+                    break
+                if (fa < 0) == (fm < 0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            roots.append(float(0.5 * (a + b) if root is None else root))
+    merged = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > merge_tol:
+            merged.append(r)
+    out = []
+    for r in merged:
+        lo = max(r - slope_step, -1.0)
+        hi = min(r + slope_step, 1.0)
+        gp_lo, gp_hi = solve([lo, hi])
+        slope = float(abs((gp_hi - gp_lo) / (hi - lo)))
+        out.append((r, "stable" if slope < 1.0 else "unstable", slope))
+    return out

@@ -21,7 +21,7 @@ from qrgxy.rgflow import (
 import qrgxy.pauli
 import qrgxy.rgflow
 
-from oracles import corner_pair_state, ground_doublet_full, xy_hamiltonian_per_bond
+from oracles import corner_pair_state, fixed_points_one_at_a_time, ground_doublet_full, xy_hamiltonian_per_bond
 from reference_data import ISING_DOUBLETS, KNOWN_FLOWS, known_flow, ket_index, vector_from_kets
 
 
@@ -377,11 +377,14 @@ def record_eigh_batches(monkeypatch):
 
 
 def test_fixed_points_solve_count(monkeypatch):
-    # the residual grid in one call, bisection one point at a time, a
-    # two-point stencil per root
+    # the residual grid in one call; the one bracket, about 0, bisected
+    # 35 levels deep, four levels of midpoints per call (15 points, and 7
+    # in the last call, whose bottom level is already narrow enough); the
+    # stencils of the three roots in one call
     batches = record_eigh_batches(monkeypatch)
     fixed_points(3, 100)
-    assert (len(batches), sum(batches)) == (39, 141)
+    assert (len(batches), sum(batches)) == (11, 233)
+    assert min(batches) > 1
 
 
 # gamma' where the last bit of xi^2 depends on how it is squared, as the
@@ -530,6 +533,23 @@ def test_fixed_points_roots_and_stability(dim, slope0):
     assert abs(fps[1].slope - slope0) < 1e-6
     assert fps[0].slope < 1.0
     assert fps[2].slope < 1.0
+
+
+@pytest.mark.parametrize("grid", [100, 101, 157, 401, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fixed_points_are_those_of_one_point_bisection(dim, grid):
+    # the lockstep walk visits the very midpoints of bisecting one point
+    # per solve, and solve_many gives each point the bits of its batch of one
+    want = fixed_points_one_at_a_time(lambda gs: solve_many(dim, gs).gamma_prime, grid)
+    assert [(fp.gamma, fp.stability, fp.slope) for fp in fixed_points(dim, grid)] == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_every_point_of_a_fine_grid_passes_every_check(dim):
+    # the bisection solves midpoints it then does not take; none of them
+    # may raise where bisecting one point per solve would not
+    gs = np.linspace(-1.0, 1.0, 20001)
+    assert np.all(np.abs(solve_many(dim, gs).gamma_prime) <= 1.0)
 
 
 def test_fixed_points_grid_floor():
