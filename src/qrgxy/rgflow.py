@@ -154,7 +154,8 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
     n = len(couplings.gamma)
     gamma = couplings.gamma[:, None, None, None]
     squares, right = eigh_symmetric(spin.gram[0] + gamma * (spin.gram[1] + gamma * spin.gram[2]))
-    parts = [squares.reshape(n, -1), np.zeros((n, 1))]
+    # the width spelled out: -1 cannot be inferred for an empty batch
+    parts = [squares.reshape(n, 2 * squares.shape[-1]), np.zeros((n, 1))]
     if spin.lower.size:
         lower = spin.lower[0] + gamma[..., 0] * (spin.lower[1] + gamma[..., 0] * spin.lower[2])
         mean, half, off = lower.transpose(1, 0, 2)
@@ -289,7 +290,7 @@ def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
     runs on every point; the first point that fails one raises the error
     its batch of one would. The arithmetic of each point does not depend
     on the others, so a point gives bit for bit what its batch of one
-    gives.
+    gives. An empty batch gives empty arrays.
     """
     return _solve(dimension, coupling_arrays(j, gammas))
 

@@ -14,8 +14,12 @@ pipeline. Its steps are generators that ask for probe points and are sent
 the values, so independent points flow as one batch: the pre-scan of a
 bracket with the cusp probe, the two stencil points of every derivative,
 and the pending points of the refinements of all steps of a peak_points
-call, which run in lockstep. Golden section keeps its sequence: after its
-two starting points it asks for one point at a time.
+call, which run in lockstep. After its two starting points, golden
+section asks in rounds for the points of its next _GOLDEN_LEVELS
+iterations along both branches of every comparison it cannot yet make
+(_golden_max), and takes the iterations one at a time on their values, so
+its iterations and its result are those of asking for one point at a
+time.
 """
 
 from __future__ import annotations
@@ -95,29 +99,75 @@ def _abs_derivatives_at(dimension: int, rg_steps, gammas) -> np.ndarray:
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_LEVELS = 3  # golden-section iterations per round of probes
+
+
+def _golden_step(a: float, b: float, c: float, d: float, left: bool):
+    """One golden-section iteration on the bracket [a, b] with inner points
+    c < d: the bracket it leaves and the new inner point it asks for. It
+    keeps the left part [a, d] when left (f(c) < f(d)), else the right
+    part [c, b]."""
+    if left:
+        a, c = c, d
+        d = a + _INVPHI * (b - a)
+        return (a, b, c, d), d
+    b, d = d, c
+    c = b - _INVPHI * (b - a)
+    return (a, b, c, d), c
+
+
+def _golden_tree(a: float, b: float, c: float, d: float, left: bool) -> list:
+    """The points that the next _GOLDEN_LEVELS golden-section iterations
+    from [a, b], inner points c < d, can ask for, level by level: the
+    first iteration is the one that left picks, each later one can keep
+    either part of its bracket, and an iteration takes place only where
+    the bracket before it is wider than GOLDEN_TOL."""
+    level = [_golden_step(a, b, c, d, left)]
+    points = []
+    for _ in range(_GOLDEN_LEVELS):
+        points += [point for _bracket, point in level]
+        level = [
+            _golden_step(*bracket, side)
+            for bracket, _point in level
+            if bracket[1] - bracket[0] > GOLDEN_TOL
+            for side in (True, False)
+        ]
+    return points
 
 
 def _golden_max(lo: float, hi: float):
     """Golden-section maximization as a generator: it yields the points it
-    needs the function at and is sent their values, the two starting points
-    together and every later point on its own, since each depends on the
-    last comparison; it returns (argmax, best value). Never evaluates
-    outside [lo, hi]."""
+    needs the function at and is sent their values, and returns (argmax,
+    best value). Never evaluates outside [lo, hi].
+
+    It asks for the two starting points together, then in rounds. The
+    point an iteration needs depends only on whether the iteration keeps
+    the left or the right part of its bracket, so when an iteration needs
+    a point it has no value for, it asks for every point that this and the
+    next _GOLDEN_LEVELS - 1 iterations can need (_golden_tree, up to
+    2^_GOLDEN_LEVELS - 1) and has not asked for before. Branches meet: a
+    point asked for on a branch not taken can be the very float that a
+    later iteration needs, which then needs no round. The iterations are
+    those of asking for one point at a time, with the same expressions and
+    comparisons, ties going right, so they ask for the same floats and
+    return the same result; the points they do not take cost only their
+    share of the batch."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = yield [c, d]
+    known = {c: fc, d: fd}
     while b - a > GOLDEN_TOL:
-        if fc < fd:
-            a = c
-            c, fc = d, fd
-            d = a + _INVPHI * (b - a)
-            (fd,) = yield [d]
+        left = fc < fd
+        bracket, point = _golden_step(a, b, c, d, left)
+        if point not in known:
+            asked = [p for p in _golden_tree(a, b, c, d, left) if p not in known]
+            known.update(zip(asked, (yield asked)))
+        a, b, c, d = bracket
+        if left:
+            fc, fd = fd, known[point]
         else:
-            b = d
-            d, fd = c, fc
-            c = b - _INVPHI * (b - a)
-            (fc,) = yield [c]
+            fc, fd = known[point], fc
     return 0.5 * (a + b), max(fc, fd)
 
 
@@ -175,8 +225,8 @@ def _refine(curve: DerivativeCurve, side: str):
     probe at 2 * FD_STEP from the critical point, the closest position
     whose difference stencil stays on a single side. The pre-scan and this
     cusp probe are independent of each other and go in one batch; golden
-    section asks for its two starting points together and for every later
-    point on its own.
+    section asks for its two starting points together and then for the
+    points of _GOLDEN_LEVELS iterations per round (see _golden_max).
 
     * if the derivative there has dropped below (1 - 1e-3) of the refined
       peak, the peak is a genuine interior maximum and its position is

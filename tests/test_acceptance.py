@@ -262,3 +262,24 @@ def test_acceptance_12_cli_output_is_thread_invariant():
             outs.append(proc.stdout)
         assert outs[0] == outs[1] == outs[2], argv
         print(f"{argv[0]}: {len(outs[0])} bytes, thread-invariant")
+
+
+def test_acceptance_13_exponents_follow_the_map_slope(scaling_data):
+    """In 2D and 3D the map slope at the critical point is gamma'(0) =
+    2d^2 + 2d - 1 = 11 / 23 to 1e-6, and theta and the derivative-fit
+    slope lie within 0.0075 of theta = 1/nu = ln gamma'(0) / ln n_B =
+    1.48990 / 1.61133. The tolerance is set from what the code measures:
+    theta is off by 0.0018 / 0.0059 and the slope by 0.0012 / 0.0037,
+    the bias of the FD_STEP stencil."""
+    h = 1e-5
+    for dim in (2, 3):
+        lam = 2 * dim * dim + 2 * dim - 1
+        slope0 = (gamma_prime(h, dim) - gamma_prime(-h, dim)) / (2.0 * h)
+        want = math.log(lam) / math.log(block_geometry(dim).n_sites)
+        theta = scaling_data[dim]["efit"].theta
+        dslope = scaling_data[dim]["dfit"].slope
+        print(f"dim {dim}: gamma'(0) = {slope0:.9f} (want {lam}), ln gamma'(0) / ln n_B = "
+              f"{want:.5f}, theta = {theta:.5f}, derivative slope = {dslope:.5f}")
+        assert abs(slope0 - lam) < 1e-6
+        assert abs(theta - want) < 0.0075
+        assert abs(dslope - want) < 0.0075

@@ -413,6 +413,11 @@ def test_j_sweep_is_flat_in_j():
     assert float(np.max(spread)) < 1e-10
 
 
+def test_j_sweep_of_no_gammas_is_empty():
+    for dim in (1, 2, 3):
+        assert concurrence_j_sweep(dim, [], [0.5, 1.0, 2.0]).shape == (0, 3)
+
+
 def test_j_sweep_rejects_bad_j_values():
     with pytest.raises(ValueError, match="j"):
         concurrence_j_sweep(1, [0.0, 0.5], [1.0, 0.0])

@@ -364,6 +364,13 @@ def test_batched_solve_is_the_scalar_solve_of_each_point(dim, gammas):
     assert not batch.pair_state.flags.writeable
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_an_empty_batch_solves_to_empty_arrays(dim):
+    solved = solve_many(dim, [])
+    assert [a.shape for a in solved] == [(0,), (0,), (0,), (0, 4, 4)]
+    assert not solved.pair_state.flags.writeable
+
+
 def record_eigh_batches(monkeypatch):
     """The batch size of every np.linalg.eigh call made from now on."""
     batches = []

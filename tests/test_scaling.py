@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from qrgxy.concurrence import ConcurrenceCurve, concurrence_curve
 from qrgxy.errors import ScalingUnderflowError
 from qrgxy.rgflow import fixed_points
+import qrgxy.scaling
 from qrgxy.scaling import (
+    GOLDEN_TOL,
     derivative_curve,
     derivative_scaling,
     entanglement_exponent,
@@ -15,10 +17,12 @@ from qrgxy.scaling import (
     locate_max,
     peak_points,
     system_size,
+    _golden_max,
     _refined_peak,
     _refined_peaks,
 )
 
+from oracles import golden_max_one_at_a_time
 from test_rgflow import record_eigh_batches
 
 
@@ -263,10 +267,81 @@ def test_lockstep_refinement_is_each_refinement_alone(dim, steps):
 
 
 def test_peak_points_solve_count(monkeypatch):
-    # one flow of the grid and the probes of the three steps in lockstep
+    # one flow of the grid (4 calls, 106 points); the pre-scans with the
+    # cusp probes (4 calls, 119) and the golden starting pairs (4 calls, 36)
+    # of the three steps in lockstep; then golden rounds of up to 7 points
+    # per step, whose two stencil points each flow through step + 1 calls:
+    # 4 rounds of all three steps (4 calls each; step 3 is done after 14
+    # iterations in 4 rounds, since branches meet and a point asked for on
+    # a branch not taken is what a later iteration needs), 3 of steps 1 and
+    # 2 (3 calls each) and 2 of step 1 alone (2 calls each)
     batches = record_eigh_batches(monkeypatch)
     peak_points(3, grid=51)
-    assert (len(batches), sum(batches)) == (100, 601)
+    assert (len(batches), sum(batches)) == (41, 979)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("grid", [51, 101, 2001])
+def test_peak_points_are_those_of_one_point_golden_section(monkeypatch, dim, grid):
+    rows = peak_points(dim, grid=grid)
+    monkeypatch.setattr(qrgxy.scaling, "_golden_max", golden_max_one_at_a_time)
+    assert peak_points(dim, grid=grid) == rows
+
+
+@pytest.mark.parametrize("dim", [1, 2])  # a 1D cusp and a smooth 2D peak
+def test_located_maxima_are_those_of_one_point_golden_section(monkeypatch, dim):
+    d = derivative_curve(concurrence_curve(dim, 1, grid=201))
+    found = [locate_max(d, side) for side in ("negative", "positive")]
+    monkeypatch.setattr(qrgxy.scaling, "_golden_max", golden_max_one_at_a_time)
+    assert [locate_max(d, side) for side in ("negative", "positive")] == found
+
+
+def _drive(search, f):
+    """Run a maximization generator on f: its result and every point it
+    asked for, in order."""
+    asked = []
+    try:
+        points = next(search)
+        while True:
+            asked += points
+            points = search.send(np.array([f(x) for x in points]))
+    except StopIteration as done:
+        return done.value, asked
+
+
+# test functions with the ties golden section meets in the pipeline: the
+# flat top of the 1D cusp, the exactly-zero concurrence flank, and values
+# that agree to the last digit kept
+SYNTHETIC = {
+    "rounded peak": lambda m, k: lambda x: round(-((x - m) ** 2), k),
+    "rounded cusp": lambda m, k: lambda x: round(-abs(x - m), k),
+    "plateau": lambda m, k: lambda x: max(0.0, 1.0 - abs(x - m) * 10.0 ** k),
+    "staircase": lambda m, k: lambda x: float(math.floor((x - m) * 2.0 ** k)),
+    "rounded waves": lambda m, k: lambda x: round(math.sin(7.0 * x + m), k),
+    "flat": lambda m, k: lambda x: 0.0,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SYNTHETIC)),
+    center=st.floats(min_value=-1.0, max_value=1.0),
+    digits=st.integers(min_value=0, max_value=12),
+    lo=st.floats(min_value=-1.0, max_value=1.0),
+    width=st.one_of(st.just(0.0), st.floats(min_value=GOLDEN_TOL / 4.0, max_value=2.0)),
+)
+def test_golden_rounds_walk_as_one_point_golden_section(kind, center, digits, lo, width):
+    f = SYNTHETIC[kind](center, digits)
+    hi = lo + width
+    result, asked = _drive(_golden_max(lo, hi), f)
+    want, needed = _drive(golden_max_one_at_a_time(lo, hi), f)
+    assert result == want
+    assert set(needed) <= set(asked)
+    # no point is asked for twice, but the starting pair is one point when
+    # the bracket is
+    start, rounds = asked[:2], asked[2:]
+    assert len(set(rounds)) == len(rounds) and not set(start) & set(rounds)
+    assert all(lo <= x <= hi for x in asked)
 
 
 def test_peak_points_needs_two_steps():
