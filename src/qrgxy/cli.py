@@ -66,7 +66,7 @@ def _load_config(path):
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read '{path}': {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: '{path}' is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: top level of '{path}' must be a JSON object")
@@ -191,7 +191,7 @@ def _write(text: str, out) -> None:
         raise ConfigError(f"field 'out': cannot write '{out}': {exc}")
 
 
-def _emit_rows(header, rows, fmt, out, trailer=None):
+def _emit_rows(header, rows, fmt, out):
     """rows: list of dicts ordered like `header`. CSV uses %.12g floats."""
     if fmt == "json":
         payload = [{k: row[k] for k in header} for row in rows]
@@ -204,8 +204,6 @@ def _emit_rows(header, rows, fmt, out, trailer=None):
             val = row[key]
             cells.append(_fmt(val) if isinstance(val, float) else str(val))
         lines.append(",".join(cells))
-    if trailer is not None:
-        lines.append(trailer)
     _write("\n".join(lines) + "\n", out)
 
 

@@ -29,7 +29,10 @@ levels of every sign-change bracket per call, and the slope stencils of
 all its roots in one more. Only
 ground_doublet, for output and for full-basis callers, embeds the doublet
 into the 2^n basis, and renormalized_operators projects such full-basis
-vectors. step_counts is the one rule for a number of rg steps.
+vectors. step_counts is the one rule for a number of rg steps. The
+bisection and the golden section of scaling are generators that ask, when
+they lack a value, for the points of their next few iterations along every
+branch (lookahead), and lockstep evaluates those of many at once.
 """
 
 from __future__ import annotations
@@ -393,80 +396,93 @@ _BISECT_WIDTH = 1e-12
 _BISECT_LEVELS = 4  # bisection levels of every open bracket per solve
 
 
-def _midpoint_tree(a, b) -> list:
-    """The midpoints that the next _BISECT_LEVELS bisection steps on [a, b]
-    can visit, in heap order: node k halves its span, node 2k + 1 the
-    lower half of it and node 2k + 2 the upper half. A node is None where
-    its span is already no wider than _BISECT_WIDTH, as is every node
-    below it."""
-    size = 2 ** _BISECT_LEVELS - 1
-    spans = [(a, b)] + [None] * (2 * size)
-    mids = []
-    for k in range(size):
-        span = spans[k]
-        if span is None or span[1] - span[0] <= _BISECT_WIDTH:
-            mids.append(None)
-            continue
-        lo, hi = span
-        mid = 0.5 * (lo + hi)
-        spans[2 * k + 1], spans[2 * k + 2] = (lo, mid), (mid, hi)
-        mids.append(mid)
-    return mids
+def lookahead(root, children, levels: int) -> list:
+    """The points of the next `levels` iterations of a search, level by
+    level: root is the (state, point) of the first iteration, and
+    children(state) gives the (state, point) of each iteration that can
+    follow one that leaves state, none where the search would stop there.
+    A search that asks for these points in one round can take that many
+    iterations on their values whichever way each one goes."""
+    level = [root]
+    points = [root[1]]
+    for _ in range(levels - 1):
+        level = [child for state, _point in level for child in children(state)]
+        points += [point for _state, point in level]
+    return points
 
 
-def _bisect_roots(dimension: int, brackets: list) -> list:
-    """The roots of gamma' - gamma in the sign-change brackets (a, b, fa),
-    bisected in lockstep: each round solves the midpoint trees of every
-    open bracket in one solve_many call and walks each tree the way
-    one-point bisection steps, down to a residual of exactly 0 or a bracket
-    no wider than _BISECT_WIDTH. Every midpoint is the float the one-point
-    walk computes and solve_many gives each point the bits of its batch of
-    one, so the roots are bit for bit those of bisecting one point per
-    solve; the midpoints the walk does not take cost only their share of
-    the batch."""
-    roots = [None] * len(brackets)
-    open_ = dict(enumerate(brackets))
-    while open_:
-        trees = {i: _midpoint_tree(a, b) for i, (a, b, _fa) in open_.items()}
-        mids = [m for tree in trees.values() for m in tree if m is not None]
-        gps = iter(solve_many(dimension, mids).gamma_prime)
-        for i, tree in trees.items():
-            residuals = [None if m is None else next(gps) - m for m in tree]
-            a, b, fa = open_.pop(i)
-            k = 0
-            while k < len(tree) and tree[k] is not None:
-                mid, fm = tree[k], residuals[k]
-                if fm == 0.0:
-                    roots[i] = mid
-                    break
-                if (fa < 0) == (fm < 0):
-                    a, fa, k = mid, fm, 2 * k + 2
-                else:
-                    b, k = mid, 2 * k + 1
-            else:  # past the tree, or at a node too narrow to halve
-                if b - a > _BISECT_WIDTH:
-                    open_[i] = (a, b, fa)
-                else:
-                    roots[i] = 0.5 * (a + b)
-    return [float(r) for r in roots]
+def lockstep(runs: list, evaluate) -> list:
+    """Run the searches `runs` together and return the value each returns,
+    in order. A run is a generator that yields lists of points and is sent
+    their values; each round makes one evaluate(owners, points) call on the
+    points that every unfinished run asks for, where owners[i] is the index
+    of the run that asked for points[i]. A run may return before it asks."""
+    results = [None] * len(runs)
+    sends = dict.fromkeys(range(len(runs)))
+    while sends:
+        asks = {}
+        for k, values in sends.items():
+            try:
+                asks[k] = runs[k].send(values)
+            except StopIteration as done:
+                results[k] = done.value
+        if not asks:
+            break
+        owners = [k for k, points in asks.items() for _ in points]
+        values = iter(evaluate(owners, [point for points in asks.values() for point in points]))
+        sends = {k: [next(values) for _ in points] for k, points in asks.items()}
+    return results
+
+
+def _halves(bracket):
+    """The bisection iterations that can follow one that leaves bracket:
+    one on each half of it, where that half is wider than _BISECT_WIDTH."""
+    lo, hi = bracket
+    mid = 0.5 * (lo + hi)
+    return [((a, b), 0.5 * (a + b)) for a, b in ((lo, mid), (mid, hi)) if b - a > _BISECT_WIDTH]
+
+
+def _bisect(a, b, fa):
+    """The root of gamma' - gamma in the sign-change bracket [a, b] with
+    residual fa at a, by bisection down to a residual of exactly 0 or a
+    bracket no wider than _BISECT_WIDTH; a generator for lockstep that
+    yields the points it needs gamma' at. When a midpoint has no value, it
+    asks for those of the next _BISECT_LEVELS iterations (lookahead), then
+    steps one at a time as one-point bisection does, so it asks for the
+    floats that walk asks for and returns its root bit for bit."""
+    known = {}
+    while b - a > _BISECT_WIDTH:
+        mid = 0.5 * (a + b)
+        if mid not in known:
+            asked = lookahead(((a, b), mid), _halves, _BISECT_LEVELS)
+            known.update(zip(asked, (yield asked)))
+        fm = known[mid] - mid
+        if fm == 0.0:
+            return mid
+        if (fa < 0) == (fm < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def fixed_points(dimension: int, grid: int = 401):
     """Roots of gamma' = gamma on [-1, 1] by sign-change bisection, with
     stability read off a finite-difference slope at each root (< 1 stable,
     > 1 unstable). The residual grid is one batched solve; the brackets of
-    its sign changes are bisected together, _BISECT_LEVELS levels of every
-    bracket per solve (_bisect_roots); the two-point slope stencils of all
-    roots are one more solve. The endpoints +-1 sit exactly on the
-    identity and are picked up as exact residual zeros."""
+    its sign changes are bisected in lockstep (_bisect), one solve per
+    round for _BISECT_LEVELS levels of every open bracket; the two-point
+    slope stencils of all roots are one more solve. The endpoints +-1 sit
+    exactly on the identity and are picked up as exact residual zeros."""
     grid = grid_size(grid)
     if grid < 100:
         raise ValueError(f"fixed-point grid needs at least 100 points, got {grid}")
     gs = np.linspace(-1.0, 1.0, grid)
     res = solve_many(dimension, gs).gamma_prime - gs
     roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
-    brackets = [(gs[i], gs[i + 1], res[i]) for i in range(grid - 1) if res[i] * res[i + 1] < 0.0]
-    roots += _bisect_roots(dimension, brackets)
+    runs = [_bisect(gs[i], gs[i + 1], res[i]) for i in range(grid - 1) if res[i] * res[i + 1] < 0.0]
+    found = lockstep(runs, lambda _owners, mids: solve_many(dimension, mids).gamma_prime)
+    roots += [float(r) for r in found]
     merged: list = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > _FP_MERGE_TOL:

@@ -11,15 +11,15 @@ N^(-theta), with gamma_c = 0 taken as exact.
 peak_points reads the curves of all its steps off one flow of the grid.
 The refinement probes the derivative through the full flow + concurrence
 pipeline. Its steps are generators that ask for probe points and are sent
-the values, so independent points flow as one batch: the pre-scan of a
-bracket with the cusp probe, the two stencil points of every derivative,
-and the pending points of the refinements of all steps of a peak_points
-call, which run in lockstep. After its two starting points, golden
-section asks in rounds for the points of its next _GOLDEN_LEVELS
-iterations along both branches of every comparison it cannot yet make
-(_golden_max), and takes the iterations one at a time on their values, so
-its iterations and its result are those of asking for one point at a
-time.
+the values, run together by rgflow.lockstep as the bisection of
+fixed_points is, so independent points flow as one batch: the pre-scan of
+a bracket with the cusp probe, the two stencil points of every derivative,
+and the pending points of every step of a peak_points call. After its two
+starting points, golden section asks in rounds for the points of its next
+_GOLDEN_LEVELS iterations along both branches of every comparison it
+cannot yet make (rgflow.lookahead), and takes the iterations one at a
+time on their values, so its iterations and its result are those of
+asking for one point at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .blocks import block_geometry
 from .concurrence import ConcurrenceCurve, concurrence_curves, flowed_concurrences
 from .errors import ScalingUnderflowError
-from .rgflow import step_counts
+from .rgflow import lockstep, lookahead, step_counts
 
 FD_STEP = 1e-6        # central-difference step of the derivative probe
 GOLDEN_TOL = 1e-8     # refinement interval width
@@ -116,23 +116,13 @@ def _golden_step(a: float, b: float, c: float, d: float, left: bool):
     return (a, b, c, d), c
 
 
-def _golden_tree(a: float, b: float, c: float, d: float, left: bool) -> list:
-    """The points that the next _GOLDEN_LEVELS golden-section iterations
-    from [a, b], inner points c < d, can ask for, level by level: the
-    first iteration is the one that left picks, each later one can keep
-    either part of its bracket, and an iteration takes place only where
-    the bracket before it is wider than GOLDEN_TOL."""
-    level = [_golden_step(a, b, c, d, left)]
-    points = []
-    for _ in range(_GOLDEN_LEVELS):
-        points += [point for _bracket, point in level]
-        level = [
-            _golden_step(*bracket, side)
-            for bracket, _point in level
-            if bracket[1] - bracket[0] > GOLDEN_TOL
-            for side in (True, False)
-        ]
-    return points
+def _golden_children(bracket):
+    """The golden-section iterations that can follow one that leaves
+    bracket (a, b, c, d): one keeping each part of it, where it is wider
+    than GOLDEN_TOL."""
+    if bracket[1] - bracket[0] <= GOLDEN_TOL:
+        return []
+    return [_golden_step(*bracket, left) for left in (True, False)]
 
 
 def _golden_max(lo: float, hi: float):
@@ -144,14 +134,14 @@ def _golden_max(lo: float, hi: float):
     point an iteration needs depends only on whether the iteration keeps
     the left or the right part of its bracket, so when an iteration needs
     a point it has no value for, it asks for every point that this and the
-    next _GOLDEN_LEVELS - 1 iterations can need (_golden_tree, up to
-    2^_GOLDEN_LEVELS - 1) and has not asked for before. Branches meet: a
-    point asked for on a branch not taken can be the very float that a
-    later iteration needs, which then needs no round. The iterations are
-    those of asking for one point at a time, with the same expressions and
-    comparisons, ties going right, so they ask for the same floats and
-    return the same result; the points they do not take cost only their
-    share of the batch."""
+    next _GOLDEN_LEVELS - 1 iterations can need (rgflow.lookahead over
+    _golden_children, up to 2^_GOLDEN_LEVELS - 1) and has not asked for
+    before. Branches meet: a point asked for on a branch not taken can be
+    the very float that a later iteration needs, which then needs no
+    round. The iterations are those of asking for one point at a time,
+    with the same expressions and comparisons, ties going right, so they
+    ask for the same floats and return the same result; the points they do
+    not take cost only their share of the batch."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -161,7 +151,8 @@ def _golden_max(lo: float, hi: float):
         left = fc < fd
         bracket, point = _golden_step(a, b, c, d, left)
         if point not in known:
-            asked = [p for p in _golden_tree(a, b, c, d, left) if p not in known]
+            tree = lookahead((bracket, point), _golden_children, _GOLDEN_LEVELS)
+            asked = [p for p in tree if p not in known]
             known.update(zip(asked, (yield asked)))
         a, b, c, d = bracket
         if left:
@@ -212,9 +203,9 @@ def _scan_then_golden(lo: float, hi: float, side: str, dists: list, vals):
 
 
 def _refine(curve: DerivativeCurve, side: str):
-    """(gamma_m, peak |dC/dgamma|) on one sign side of gamma, as a generator
-    that yields the points it needs the derivative probe at and is sent its
-    values (see _refined_peaks).
+    """(gamma_m, peak |dC/dgamma|) on one sign side of gamma, as a
+    generator for rgflow.lockstep that yields the points it needs the
+    derivative probe at and is sent its values (see _refined_peaks).
 
     The grid argmax is bracketed by its neighboring grid points and refined
     inside the bracket on the derivative probe (_abs_derivatives_at:
@@ -274,26 +265,14 @@ def _refine(curve: DerivativeCurve, side: str):
 def _refined_peaks(curves, side: str):
     """(gamma_m, peak |dC/dgamma|) of each of curves, all of one dimension,
     on one sign side of gamma (see _refine). The refinements run in
-    lockstep: each round probes the points that every unfinished one asks
-    for in one batch, each at its own curve's rg step. Every refinement
-    sees the values it would see alone, in the same order."""
-    runs = [_refine(curve, side) for curve in curves]
-    asks = {k: next(run) for k, run in enumerate(runs)}
-    peaks = [None] * len(runs)
-    while asks:
-        steps = np.concatenate([np.full(len(asked), curves[k].rg_step) for k, asked in asks.items()])
-        gammas = np.concatenate(list(asks.values()))
-        values = _abs_derivatives_at(curves[0].dimension, steps, gammas)
-        start = 0
-        for k, asked in list(asks.items()):
-            stop = start + len(asked)
-            try:
-                asks[k] = runs[k].send(values[start:stop])
-            except StopIteration as done:
-                peaks[k] = done.value
-                del asks[k]
-            start = stop
-    return peaks
+    rgflow.lockstep: each round probes the points that every unfinished one
+    asks for in one batch, each at its own curve's rg step. Every
+    refinement sees the values it would see alone, in the same order."""
+    steps = np.array([curve.rg_step for curve in curves])
+    return lockstep(
+        [_refine(curve, side) for curve in curves],
+        lambda owners, gammas: _abs_derivatives_at(curves[0].dimension, steps[owners], gammas),
+    )
 
 
 def _refined_peak(curve: DerivativeCurve, side: str):

@@ -196,6 +196,22 @@ def corner_pair_state(phi, geometry):
     return m @ m.T
 
 
+def bisect_one_at_a_time(f, a, b, fa, width):
+    """The root of f(x) - x in the bracket [a, b], whose residual at a is
+    fa, bisecting one midpoint per call of f down to a residual of exactly
+    0 or a bracket no wider than width."""
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        fm = f(mid) - mid
+        if fm == 0.0:
+            return mid
+        if (fa < 0) == (fm < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def fixed_points_one_at_a_time(solve, grid, slope_step=1e-5, merge_tol=1e-7, width=1e-12):
     """(gamma, stability, slope) of every root of gamma' = gamma on a grid
     of [-1, 1], bisecting each sign change one midpoint per solve and
@@ -204,21 +220,12 @@ def fixed_points_one_at_a_time(solve, grid, slope_step=1e-5, merge_tol=1e-7, wid
     gs = np.linspace(-1.0, 1.0, grid)
     res = solve(gs) - gs
     roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
+    def gamma_prime(g):
+        return float(solve([g])[0])
+
     for i in range(grid - 1):
         if res[i] * res[i + 1] < 0.0:
-            a, b, fa = gs[i], gs[i + 1], res[i]
-            root = None
-            while b - a > width:
-                mid = 0.5 * (a + b)
-                fm = float(solve([mid])[0]) - mid
-                if fm == 0.0:
-                    root = mid
-                    break
-                if (fa < 0) == (fm < 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append(float(0.5 * (a + b) if root is None else root))
+            roots.append(float(bisect_one_at_a_time(gamma_prime, gs[i], gs[i + 1], res[i], width)))
     merged = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > merge_tol:

@@ -274,6 +274,16 @@ def test_config_file_must_hold_an_object(tmp_path):
     assert proc.stderr.startswith("qrg-error: ")
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.json"
+    cfg.write_bytes(b'\xff{"dim": 1}')
+    assert cli.main(["scaling", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qrg-error: config: '{cfg}' is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2_with_prefix():
     proc = run_cli("flow", "--dim", "1", "--gamma0", "0.1", "--nope", expect=2)
     assert "qrg-error: " in proc.stderr

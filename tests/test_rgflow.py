@@ -8,10 +8,13 @@ from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interb
 from qrgxy.concurrence import concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, QRGError, StructureError
 from qrgxy.rgflow import (
+    _BISECT_WIDTH,
     GroundDoublet,
+    _bisect,
     fixed_points,
     gamma_prime,
     ground_doublet,
+    lockstep,
     renormalized_operators,
     rg_map,
     rg_trajectory,
@@ -21,7 +24,13 @@ from qrgxy.rgflow import (
 import qrgxy.pauli
 import qrgxy.rgflow
 
-from oracles import corner_pair_state, fixed_points_one_at_a_time, ground_doublet_full, xy_hamiltonian_per_bond
+from oracles import (
+    bisect_one_at_a_time,
+    corner_pair_state,
+    fixed_points_one_at_a_time,
+    ground_doublet_full,
+    xy_hamiltonian_per_bond,
+)
 from reference_data import ISING_DOUBLETS, KNOWN_FLOWS, known_flow, ket_index, vector_from_kets
 
 
@@ -549,6 +558,76 @@ def test_fixed_points_are_those_of_one_point_bisection(dim, grid):
     # per solve, and solve_many gives each point the bits of its batch of one
     want = fixed_points_one_at_a_time(lambda gs: solve_many(dim, gs).gamma_prime, grid)
     assert [(fp.gamma, fp.stability, fp.slope) for fp in fixed_points(dim, grid)] == want
+
+
+# maps gamma -> gamma' whose residuals meet the cases the bisection walk
+# branches on: a jump across the root, residuals of exactly 0 (which the
+# real map only reaches at +-1), and values rounded to few digits, whose
+# residuals are exactly 0 or change sign all over the bracket
+SYNTHETIC_MAPS = {
+    "step": lambda m, k: lambda x: x + (2.0 ** -k if x > m else -(2.0 ** -k)),
+    "zero band": lambda m, k: lambda x: x if abs(x - m) <= 10.0 ** -k else x + (x - m),
+    "rounded identity": lambda m, k: lambda x: round(x, k),
+    "rounded slope 3": lambda m, k: lambda x: round(m + 3.0 * (x - m), k),
+    "tanh": lambda m, k: lambda x: math.tanh(3.0 * (x - m)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SYNTHETIC_MAPS)),
+    center=st.floats(min_value=-1.0, max_value=1.0),
+    digits=st.integers(min_value=0, max_value=14),
+    a=st.floats(min_value=-1.0, max_value=1.0),
+    width=st.one_of(st.just(0.0), st.floats(min_value=_BISECT_WIDTH / 4.0, max_value=2.0)),
+)
+def test_lockstep_bisection_walks_as_one_point_bisection(kind, center, digits, a, width):
+    f = SYNTHETIC_MAPS[kind](center, digits)
+    b = a + width
+    fa = f(a) - a
+    needed, asked = [], []
+
+    def one(x):
+        needed.append(x)
+        return f(x)
+
+    def evaluate(owners, points):
+        assert owners == [0] * len(points)
+        asked.extend(points)
+        return [f(x) for x in points]
+
+    want = bisect_one_at_a_time(one, a, b, fa, _BISECT_WIDTH)
+    assert lockstep([_bisect(a, b, fa)], evaluate) == [want]
+    assert set(needed) <= set(asked)
+    assert len(set(asked)) == len(asked)
+    assert all(a <= x <= b for x in asked)
+
+
+def test_lockstep_sends_each_run_its_own_values():
+    # one evaluate call per round, for the points of every run still
+    # asking, each sent back to its run; a run that returns at once, here a
+    # bracket already narrow enough, asks for nothing
+    def run(k, rounds):
+        seen = []
+        for r in range(rounds):
+            points = [10.0 * k + r, 10.0 * k + r + 0.5][: 1 + r % 2]
+            seen.append((points, (yield points)))
+        return k, seen
+
+    calls = []
+
+    def evaluate(owners, points):
+        calls.append((owners, points))
+        return [(owner, x) for owner, x in zip(owners, points)]
+
+    done = lockstep([_bisect(0.0, _BISECT_WIDTH, -1.0), run(1, 2), run(2, 5)], evaluate)
+    assert done[0] == 0.5 * _BISECT_WIDTH
+    for k, rounds in ((1, 2), (2, 5)):
+        who, seen = done[k]
+        assert who == k and len(seen) == rounds
+        assert all(values == [(k, x) for x in points] for points, values in seen)
+    assert [owners for owners, _points in calls] == [[1, 2], [1, 1, 2, 2], [2], [2, 2], [2]]
+    assert lockstep([], evaluate) == [] and len(calls) == 5
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
