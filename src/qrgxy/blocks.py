@@ -24,9 +24,10 @@ bipartite: it couples its S+1 states of even k only to its S states of odd
 k, through the (S+1) x S block (J/4) A with A = a + gamma b, so its levels
 are plus and minus the singular values of (J/4) A, and 0. collective_spin
 holds a and b of S = d, the Gram tables of A^T A for every S = 1..d, the S = d
-restrictions of a corner's sx and (-i sy), the corner-pair state as a
-quadratic form on S = d, and the map from S = d back to the 2^n basis,
-which only output needs. No Hamiltonian matrix is built, not even a half.
+restrictions of a corner's sx and (-i sy), the four X-state entries of the
+corner-pair state as quadratic forms on the even half of S = d, and the map
+from S = d back to the 2^n basis, which only output needs. No Hamiltonian
+matrix is built, not even a half.
 """
 
 from __future__ import annotations
@@ -151,18 +152,9 @@ class CollectiveSpin(NamedTuple):
     lower: np.ndarray     # (3, 3, 2(d-1)): P0, P1, P2 of (m, h, r) of the halves of S = 1..d-1, both halves of S = 1 first
     half: np.ndarray      # (2, 2d+1): S = d positions of parity +1, -1, even k first
     corner: np.ndarray    # (2, 2(2d+1), 2(2d+1)): one corner's sx and (-i sy) restricted to S = d
-    pair: np.ndarray      # (4, 4, 2(2d+1), 2(2d+1)): two corners' reduced state, a quadratic form on S = d
+    pair: np.ndarray      # (4, 2d+1, 2d+1): rho00, rho11, rho33, rho03 of two corners, forms on the even half
     column: np.ndarray    # (2^n,): S = d position of each full-basis state
     weight: np.ndarray    # (2^n,): its amplitude 1/sqrt(C(2d, k)) in that Dicke state
-
-    def pair_state(self, vector: np.ndarray) -> np.ndarray:
-        """Reduced 4x4 state, legs (i, j), of any two corners of a normalized
-        S = d vector, or a (..., 4, 4) stack of them for a (..., 2(2d+1))
-        stack of vectors; its corner parts are Dicke states, the same for
-        every pair. A stack takes the same matrix-vector products, vector
-        by vector, as a single vector, so the two agree bit for bit."""
-        half = self.pair @ vector[..., None, None, :, None]
-        return (half[..., 0] @ vector[..., None, :, None])[..., 0]
 
 
 def _spin_operators(s: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -206,34 +198,23 @@ def _gram(coupling: np.ndarray) -> np.ndarray:
 
 
 def _pair_form(d: int) -> np.ndarray:
-    """The reduced state of two of the N = 2d corners as a quadratic form
-    in the S = d amplitudes, from the Dicke coefficients (Wang and Molmer,
-    Eur. Phys. J. D 18, 385 (2002)). A pair leg state meets the rest of D_k
-    with amplitude 1/sqrt(C(N, k)) on each of C(N-2, k - #down legs) rest
-    states, so pair entry (a, b) joins D_k to D_(k+q), q = #down(b) -
-    #down(a), with weight C(N-2, k - #down(a)) / sqrt(C(N, k) C(N, k+q)).
-    The center is traced out, so only equal center states meet."""
-    n, m = 2 * d, 2 * d + 1
-    k = np.arange(m)
-    hop = np.sqrt((n - k) * (k + 1.0))
-    entries = (  # ((a, b), q, weight times C(N, 2), over k)
-        ((0, 0), 0, (n - k) * (n - k - 1)),
-        ((1, 1), 0, k * (n - k)),
-        ((2, 2), 0, k * (n - k)),
-        ((1, 2), 0, k * (n - k)),
-        ((3, 3), 0, k * (k - 1)),
-        ((0, 1), 1, (n - k - 1) * hop),
-        ((0, 2), 1, (n - k - 1) * hop),
-        ((1, 3), 1, k * hop),
-        ((2, 3), 1, k * hop),
-        ((0, 3), 2, np.sqrt((n - k) * (n - k - 1) * (k + 1.0) * (k + 2.0))),
-    )
-    form = np.zeros((4, 4, 2 * m, 2 * m))
-    for (a, b), q, w in entries:
-        for c in (0, 1):
-            i = c * m + k[: m - q]
-            form[a, b, i, i + q] = form[b, a, i, i + q] = w[: m - q] / (n * (n - 1))
-    return form
+    """The reduced state of two of the N = 2d corners as quadratic forms in
+    the 2d+1 amplitudes of an even S = d vector on its half, from the Dicke
+    coefficients (Wang and Molmer, Eur. Phys. J. D 18, 385 (2002)). A pair
+    leg state meets the rest of D_k with amplitude 1/sqrt(C(N, k)) on each
+    of C(N-2, k - #down legs) rest states, so pair entry (a, b) joins D_k to
+    D_(k+q), q = #down(b) - #down(a), with weight C(N-2, k - #down(a)) /
+    sqrt(C(N, k) C(N, k+q)). The center is traced out, so only equal center
+    states meet. The q = 1 entries join the two halves and vanish; rho22
+    and rho12 have the weights of rho11. Four forms are left: rho00, rho11,
+    rho33 and rho03. On the even half the parity of k fixes the center
+    state, so k and k + 2 always share it."""
+    n = 2 * d
+    k = _halves(d)[0] % (n + 1)  # the down corners of each position of the half
+    rise = np.sqrt((n - k) * (n - k - 1) * (k + 1.0) * (k + 2.0))
+    forms = [np.diag(w) for w in ((n - k) * (n - k - 1), k * (n - k), k * (k - 1))]
+    forms.append(np.where(k[:, None] + 2 == k, rise[:, None], 0.0))
+    return np.stack(forms) / (n * (n - 1))
 
 
 @functools.cache

@@ -3,15 +3,18 @@ block and parameter sweeps, plus the general two-spin tools (the projector
 of a full-basis state, its two-spin partial trace, and the spin-flip
 concurrence of one 4x4 state) that serve as references.
 
-Every block is solved by rgflow.solve_many, and its corner-pair state is
-read off the S = d solution without touching the 2^n basis:
-block_concurrence takes a batch of one, flowed_concurrences flows a whole
-array of starting gammas together, each for its own number of steps,
+Every block is solved by rgflow.solve_many, which hands back phi1 as its
+2d+1 amplitudes on the even half of S = d, and the corner-pair
+concurrence is read off them through four quadratic forms
+(_pair_concurrence), without touching the 2^n basis: block_concurrence
+takes a batch of one, flowed_concurrences flows a whole array of starting
+gammas together, each for its own number of steps, and reads the forms
+once, after the flow, on the phi1 of each point's last step;
 concurrence_curves serves any set of steps from one flow of the grid, and
-concurrence_j_sweep solves its whole grid in one call. The corner-pair
-state and the map gamma -> gamma' depend on gamma alone (J only rescales
-the block), so the flow carries gamma only and solves at unit J; only the
-(gamma, j) sweep solves each block at its own J.
+concurrence_j_sweep solves its whole grid in one call. phi1 and the map
+gamma -> gamma' depend on gamma alone (J only rescales the block), so the
+flow carries gamma only and solves at unit J; only the (gamma, j) sweep
+solves each block at its own J.
 
 Everything is evaluated on the block ground state phi1 (the even-parity
 doublet member); using phi2 instead gives identical concurrences, which the
@@ -27,7 +30,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import CouplingParams, block_geometry, coupling_arrays
+from .blocks import CouplingParams, block_geometry, collective_spin, coupling_arrays
 from .errors import ContractError, QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import SIGMA_Y_REAL
@@ -133,19 +136,17 @@ def _corner_pairs(dimension: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(tuple(sorted((a.site, b.site))) for a, b in combinations(corners, 2))
 
 
-def _x_state_concurrence(rho):
-    """Concurrence of a real 4x4 X state, whose only nonzero off-diagonal
-    entries are rho[0, 3] and rho[1, 2] (and their transposes):
-    2 max(0, |rho03| - sqrt(rho11 rho22), |rho12| - sqrt(rho00 rho33)).
-    Exact, with no eigensolve and no noise floor; a (..., 4, 4) stack gives
-    one value per state."""
-    return 2.0 * np.maximum(
-        0.0,
-        np.maximum(
-            abs(rho[..., 0, 3]) - np.sqrt(rho[..., 1, 1] * rho[..., 2, 2]),
-            abs(rho[..., 1, 2]) - np.sqrt(rho[..., 0, 0] * rho[..., 3, 3]),
-        ),
-    )
+def _pair_concurrence(dimension: int, even: np.ndarray) -> np.ndarray:
+    """Corner-pair concurrence of each row of even, the (G, 2d+1) even-half
+    amplitudes of phi1 from rgflow.solve_many. The pair state is a real X
+    state whose rho22 and rho12 are rho11 bit for bit (blocks._pair_form),
+    so 2 max(0, |rho03| - sqrt(rho11 rho22), |rho12| - sqrt(rho00 rho33))
+    is 2 max(0, |rho03| - rho11, rho11 - sqrt(rho00 rho33)): exact, with no
+    eigensolve and no noise floor. einsum, with optimize left off, runs its
+    own loops and no BLAS, so a row gets the bits of its batch of one."""
+    pair = collective_spin(block_geometry(dimension)).pair
+    r00, r11, r33, r03 = np.einsum("gi,fij,gj->fg", even, pair, even)
+    return 2.0 * np.maximum(0.0, np.maximum(abs(r03) - r11, r11 - np.sqrt(r00 * r33)))
 
 
 def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrence:
@@ -158,11 +159,12 @@ def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrenc
     not. phi1 is symmetric under any permutation of the corners, so one
     representative pair is reduced and its value listed for every pair.
     phi1 has definite parity, so the pair's reduced state is an X state and
-    its concurrence has a closed form. The state does not depend on params.j
-    and is read off the unit-J solve of the block, a batch of one of
-    rgflow.solve_many.
+    its concurrence has a closed form in four of its entries, read off the
+    even-half amplitudes of phi1 (_pair_concurrence). phi1 does not depend
+    on params.j and comes from the unit-J solve of the block, a batch of
+    one of rgflow.solve_many.
     """
-    conc = float(_x_state_concurrence(solve_many(dimension, params.gamma).pair_state)[0])
+    conc = float(_pair_concurrence(dimension, solve_many(dimension, params.gamma).even)[0])
     pairs = _corner_pairs(dimension)
     return BlockConcurrence(per_pair=tuple((pair, conc) for pair in pairs), geometric_mean=conc)
 
@@ -172,12 +174,14 @@ def flowed_concurrences(dimension: int, rg_steps, gammas) -> np.ndarray:
     number of coarse-graining steps: rg_steps is one count for all gammas
     or one per gamma. All points flow together and carry gamma only: each
     step is one batched solve of the distinct gammas still flowing, which
-    gives the concurrence of the points that end there and gamma' of the
-    others, checked by the next solve."""
+    gives the even-half phi1 of the points that end there and gamma' of
+    the others, checked by the next solve. The concurrences of all points
+    are read off their phi1 in one _pair_concurrence call after the
+    flow."""
     # checked in the given order, since np.unique below sorts them
     gammas = coupling_arrays(1.0, gammas).gamma
     steps = step_counts(np.broadcast_to(rg_steps, gammas.shape))
-    values = np.empty(len(gammas))
+    even = np.empty((len(gammas), 2 * block_geometry(dimension).dimension + 1))
     points = np.arange(len(gammas))
     for step in range(steps.max(initial=-1) + 1):
         # flows meet, at the fixed points +-1 and 0 above all; np.unique has
@@ -188,9 +192,9 @@ def flowed_concurrences(dimension: int, rg_steps, gammas) -> np.ndarray:
         solved = solve_many(dimension, distinct)
         ends = steps[points] == step
         if np.count_nonzero(ends):
-            values[points[ends]] = _x_state_concurrence(solved.pair_state[where][ends])
+            even[points[ends]] = solved.even[where][ends]
         points, gammas = points[~ends], solved.gamma_prime[where][~ends]
-    return values
+    return _pair_concurrence(dimension, even)
 
 
 def flowed_concurrence(dimension: int, rg_step: int, gamma: float) -> float:
@@ -245,4 +249,4 @@ def concurrence_j_sweep(
         raise ValueError("all j values must be > 0")
     gammas, js = np.meshgrid(gamma_grid, j_grid, indexing="ij")
     solved = solve_many(dimension, gammas.reshape(-1), js.reshape(-1))
-    return _x_state_concurrence(solved.pair_state).reshape(gammas.shape)
+    return _pair_concurrence(dimension, solved.even).reshape(gammas.shape)

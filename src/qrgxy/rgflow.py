@@ -18,15 +18,16 @@ There is one block solver, and it takes whole arrays of points: solve_many
 finds the doublet of every block in one stacked eigensolve of d x d Gram
 matrices, one per parity half of S = d (each half is bipartite, so its
 ground vector follows from the Gram's top eigenvector), runs every check
-on every point and reads xi_x, xi_y, gamma' and the corner-pair state off
-the S = d vectors. Every block of the package goes through it, with
-no memo: gamma_prime and rg_map, and through them trajectories, take its
-batches of one; the concurrence flow (concurrence.flowed_concurrences)
-makes one batched solve per step and, since gamma' and the corner-pair
-state do not depend on J, carries gamma only; fixed_points solves its
-residual grid in one call, then the midpoints of the next four bisection
-levels of every sign-change bracket per call, and the slope stencils of
-all its roots in one more. Only
+on every point, reads xi_x, xi_y and gamma' off the S = d vectors and
+hands back phi1 as its 2d+1 amplitudes on the even half, off which
+concurrence reads the corner-pair state of the points where a flow ends.
+Every block of the package goes through it, with no memo: gamma_prime
+and rg_map, and through them trajectories, take its batches of one; the
+concurrence flow (concurrence.flowed_concurrences) makes one batched
+solve per step and, since gamma' and phi1 do not depend on J, carries
+gamma only; fixed_points solves its residual grid in one call, then the
+midpoints of the next four bisection levels of every sign-change bracket
+per call, and the slope stencils of all its roots in one more. Only
 ground_doublet, for output and for full-basis callers, embeds the doublet
 into the 2^n basis, and renormalized_operators projects such full-basis
 vectors. step_counts is the one rule for a number of rg steps. The
@@ -270,12 +271,13 @@ def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedO
 class BlockSolve(NamedTuple):
     """What the flow and the concurrence read off each block of a batch of
     G points, from solve_many. Since H_B(J) = J H_B(1), none of it depends
-    on J."""
+    on J. even holds the amplitudes of phi1 at the positions
+    blocks.CollectiveSpin.half[0]; phi1 is zero elsewhere."""
 
     xi_x2: np.ndarray        # (G,)
     xi_y2: np.ndarray        # (G,)
     gamma_prime: np.ndarray  # (G,)
-    pair_state: np.ndarray   # (G, 4, 4): reduced state of two corners of phi1, read-only
+    even: np.ndarray         # (G, 2d+1): phi1 on the even half of S = d, read-only
 
 
 def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
@@ -288,12 +290,13 @@ def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
     Everything is read off the two S = d ground vectors of each point,
     2(2d+1) wide, with the corner tables of blocks.CollectiveSpin: the
     projected corner sx and (-i sy), under the same checks as
-    renormalized_operators, and the corner-pair state of phi1. No 2^n
-    vector is built. Every check of the halves solve and of the projection
-    runs on every point; the first point that fails one raises the error
-    its batch of one would. The arithmetic of each point does not depend
-    on the others, so a point gives bit for bit what its batch of one
-    gives. An empty batch gives empty arrays.
+    renormalized_operators; phi1 is handed back as its amplitudes on the
+    even half, the only ones that are not zero. No 2^n vector is built.
+    Every check of the halves solve and of the projection runs on every
+    point; the first point that fails one raises the error its batch of
+    one would. The arithmetic of each point does not depend on the
+    others, so a point gives bit for bit what its batch of one gives. An
+    empty batch gives empty arrays.
     """
     return _solve(dimension, coupling_arrays(j, gammas))
 
@@ -340,9 +343,9 @@ def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
     if np.count_nonzero(over):
         rounding = over & (abs(gp) <= 1.0 + 1e-12)
         gp[rounding] = np.sign(gp[rounding])
-    state = spin.pair_state(ground[:, 0])
-    state.flags.writeable = False
-    return BlockSolve(xx, yy, gp, state)
+    even = ground[:, 0, spin.half[0]]
+    even.flags.writeable = False
+    return BlockSolve(xx, yy, gp, even)
 
 
 def gamma_prime(gamma: float, dimension: int) -> float:

@@ -15,7 +15,14 @@ from qrgxy.blocks import (
 from qrgxy.pauli import Axis
 from qrgxy.rgflow import ground_doublet
 
-from oracles import SX, SY, embed_complex, partial_trace_bruteforce, xy_hamiltonian_complex, xy_hamiltonian_per_bond
+from oracles import (
+    SX,
+    SY,
+    corner_pair_state,
+    embed_complex,
+    xy_hamiltonian_complex,
+    xy_hamiltonian_per_bond,
+)
 
 
 def _complex_twin(params, geometry):
@@ -163,26 +170,35 @@ def test_merged_collective_spin_levels_match_the_full_block(dim):
         assert np.max(np.abs(counted - full)) <= 1e-12
 
 
-# a corner's sx and (-i sy), restricted to S = d, and the reduced state of
-# two corners as a quadratic form on S = d, against the full basis
+# a corner's sx and (-i sy), restricted to S = d, and the X-state entries
+# rho00, rho11, rho33, rho03 of two corners of an even S = d vector as
+# quadratic forms on its even half, against the full basis
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_collective_spin_corner_tables_are_restrictions(dim):
     geometry = block_geometry(dim)
     n = geometry.n_sites
     spin = collective_spin(geometry)
     e = _embedding(geometry)
-    pair = sorted(c.site for c in geometry.corners[:2])
     rng = np.random.default_rng(dim)
     for corner in geometry.corners:
         sx = embed_complex(SX, corner.site, n).real
         ky = (-1j * embed_complex(SY, corner.site, n)).real
         assert np.max(np.abs(e.T @ sx @ e - spin.corner[0])) <= 1e-15
         assert np.max(np.abs(e.T @ ky @ e - spin.corner[1])) <= 1e-15
+    assert spin.pair.shape == (4, 2 * dim + 1, 2 * dim + 1)
+    even = spin.half[0]
     for _ in range(5):
-        v = rng.standard_normal(e.shape[1])
+        v = np.zeros(e.shape[1])
+        v[even] = rng.standard_normal(even.size)
         v /= np.linalg.norm(v)
-        want = partial_trace_bruteforce(e @ v, pair, n)
-        assert np.max(np.abs(spin.pair_state(v) - want)) <= 1e-15
+        rho = corner_pair_state(e @ v, geometry)
+        forms = [v[even] @ form @ v[even] for form in spin.pair]
+        assert np.max(np.abs(forms - rho[[0, 1, 3, 0], [0, 1, 3, 3]])) <= 1e-15
+        # the entries the forms leave out: rho22 and rho12 are rho11, and
+        # the q = 1 entries, which join the two halves, vanish
+        assert rho[1, 1] == rho[2, 2] == rho[1, 2] == rho[2, 1]
+        q1 = [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert all(rho[a, b] == rho[b, a] == 0.0 for a, b in q1)
 
 
 def test_collective_spin_is_read_only():

@@ -305,6 +305,22 @@ def test_numerical_contract_failures_exit_3():
     assert "degenerate" in proc.stderr
 
 
+def test_the_cli_pulls_in_no_undeclared_dependency():
+    # numpy is the one runtime dependency: scipy and mpmath may be
+    # installed, but no import and no run of the package may load them
+    code = (
+        "import json, sys, qrgxy.cli as c;"
+        "code = c.main(['concurrence', '--dim', '3', '--steps', '1', '--grid', '5']);"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath'))),"
+        " file=sys.stderr);"
+        "sys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == []
+    assert proc.stdout.startswith("dim,step,gamma,concurrence")
+
+
 def test_thread_count_never_changes_output():
     fixed = [
         ("concurrence", "--dim", "1", "--steps", "1", "--grid", "21"),
@@ -349,7 +365,7 @@ GOLDEN_FLOW_3D = """dim,step,gamma,j
 3,4,-1,0.613218105919
 """
 
-GOLDEN_GAMMA_M_3D = [-0.0021040362372556206, -9.14815447101092e-05, -4.070069948786908e-06]
+GOLDEN_GAMMA_M_3D = [-0.00210403356560512, -9.14815447101092e-05, -4.070069948786908e-06]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qrgxy.concurrence
 import qrgxy.rgflow
+import qrgxy.scaling
 from qrgxy.blocks import CouplingParams, block_geometry
 from qrgxy.concurrence import (
     ReducedDensityMatrix,
@@ -19,7 +21,8 @@ from qrgxy.concurrence import (
     wootters_concurrence,
 )
 from qrgxy.errors import ContractError
-from qrgxy.rgflow import ground_doublet, rg_trajectory
+from qrgxy.rgflow import fixed_points, gamma_prime, ground_doublet, rg_map, rg_trajectory
+from qrgxy.scaling import peak_points
 
 from oracles import (
     corner_pair_state,
@@ -397,11 +400,50 @@ def test_j_sweep_reduces_the_oracle_state_at_each_j():
 
 
 def test_ising_point_concurrence_is_at_the_rounding_floor():
-    # exactly 0 in exact arithmetic; the rounding of the S = d ground vector
-    # leaves at most a few ulps of 1/4 in |rho03| - sqrt(rho11 rho22)
+    # exactly 0 in exact arithmetic, at gamma = +-1 and after 40 steps from
+    # +-0.5, which flow there; the rounding of the S = d ground vector
+    # leaves at most a few ulps of 1/4 in |rho03| - rho11, reported as it is
     for dim in (1, 2, 3):
-        for g in (-1.0, 1.0):
-            assert 0.0 <= flowed_concurrence(dim, 0, g) <= 1e-15
+        values = flowed_concurrences(dim, [0, 0, 40, 40], [-1.0, 1.0, -0.5, 0.5])
+        assert np.all((0.0 <= values) & (values <= 4.5e-16))
+
+
+def test_the_pair_state_is_read_only_where_a_flow_ends(monkeypatch):
+    # the forms are read once per flow, after its last step, and never by
+    # the map, trajectories or fixed points
+    counts = {"kernel": 0, "flow": 0}
+    kernel, flow = qrgxy.concurrence._pair_concurrence, qrgxy.concurrence.flowed_concurrences
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counting_flow(*args):
+        counts["flow"] += 1
+        return flow(*args)
+
+    monkeypatch.setattr(qrgxy.concurrence, "_pair_concurrence", counting_kernel)
+    monkeypatch.setattr(qrgxy.concurrence, "flowed_concurrences", counting_flow)
+    monkeypatch.setattr(qrgxy.scaling, "flowed_concurrences", counting_flow)
+    gamma_prime(0.3, 3)
+    rg_map(CouplingParams(1.0, 0.3), 3)
+    rg_trajectory(CouplingParams(1.0, 0.3), 3, 4)
+    fixed_points(3, 100)
+    assert counts["kernel"] == 0
+    for steps, gammas in (
+        (0, [0.1, -0.4, 0.9]),
+        (3, [0.1, -0.4, 0.9]),
+        ([3, 0, 1, 0, 2], [0.1, 0.1, -0.4, 1.0, 0.5]),
+        ([4, 4], [0.2, -0.2]),
+        (2, []),
+    ):
+        counts["kernel"] = 0
+        flowed_concurrences(3, steps, gammas)
+        assert counts["kernel"] == 1
+    counts.update(kernel=0, flow=0)
+    peak_points(3, grid=51)
+    assert counts["flow"] > 1
+    assert counts["kernel"] == counts["flow"]
 
 
 def test_j_sweep_is_flat_in_j():

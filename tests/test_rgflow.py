@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
-from qrgxy.concurrence import concurrence_curve, flowed_concurrence
+from qrgxy.concurrence import _pair_concurrence, concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, QRGError, StructureError
 from qrgxy.rgflow import (
     _BISECT_WIDTH,
@@ -317,7 +317,10 @@ def test_block_solve_matches_the_full_basis_oracle(dim, gamma):
     solve = solve_many(dim, gamma)
     assert abs(solve.xi_x2[0] - ops.xi_x ** 2) <= 1e-14
     assert abs(solve.xi_y2[0] - ops.xi_y ** 2) <= 1e-14
-    assert np.max(np.abs(solve.pair_state[0] - corner_pair_state(phi1, geometry))) <= 1e-14
+    # the X-state entries rho00, rho11, rho33, rho03 of the corner pair
+    forms = [solve.even[0] @ form @ solve.even[0] for form in collective_spin(geometry).pair]
+    rho = corner_pair_state(phi1, geometry)
+    assert np.max(np.abs(forms - rho[[0, 1, 3, 0], [0, 1, 3, 3]])) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -333,7 +336,9 @@ def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
         (qrgxy.rgflow, "ground_doublet"),
     ):
         monkeypatch.setattr(module, name, refuse)
-    assert solve_many(dim, 0.3).pair_state.shape == (1, 4, 4)
+    even = solve_many(dim, 0.3).even
+    assert even.shape == (1, 2 * dim + 1)
+    assert not even.flags.writeable
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -364,20 +369,22 @@ def test_cold_block_solve_makes_one_eigh_of_the_gram_stack(monkeypatch, dim):
 )
 def test_batched_solve_is_the_scalar_solve_of_each_point(dim, gammas):
     batch = solve_many(dim, gammas)
+    concurrences = _pair_concurrence(dim, batch.even)
     for k, gamma in enumerate(gammas):
         one = solve_many(dim, gamma)
         assert batch.gamma_prime[k] == one.gamma_prime[0]
         assert abs(batch.xi_x2[k] - one.xi_x2[0]) <= 1e-15
         assert abs(batch.xi_y2[k] - one.xi_y2[0]) <= 1e-15
-        assert np.max(np.abs(batch.pair_state[k] - one.pair_state[0])) <= 1e-15
-    assert not batch.pair_state.flags.writeable
+        assert np.array_equal(batch.even[k], one.even[0])
+        assert concurrences[k] == _pair_concurrence(dim, one.even)[0]
+    assert not batch.even.flags.writeable
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_an_empty_batch_solves_to_empty_arrays(dim):
     solved = solve_many(dim, [])
-    assert [a.shape for a in solved] == [(0,), (0,), (0,), (0, 4, 4)]
-    assert not solved.pair_state.flags.writeable
+    assert [a.shape for a in solved] == [(0,), (0,), (0,), (0, 2 * dim + 1)]
+    assert not solved.even.flags.writeable
 
 
 def record_eigh_batches(monkeypatch):
