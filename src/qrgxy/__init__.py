@@ -19,14 +19,11 @@ from .blocks import (
     interblock_bonds,
 )
 from .concurrence import (
-    BlockConcurrence,
     ConcurrenceCurve,
-    ReducedDensityMatrix,
     block_concurrence,
     concurrence_curve,
     concurrence_curves,
     concurrence_j_sweep,
-    density_matrix,
     flowed_concurrence,
     flowed_concurrences,
     partial_trace_pair,
@@ -46,11 +43,9 @@ from .rgflow import (
     FixedPoint,
     GroundDoublet,
     RGTrajectory,
-    RenormalizedOperators,
     fixed_points,
     gamma_prime,
     ground_doublet,
-    renormalized_operators,
     rg_map,
     rg_trajectory,
     solve_many,
@@ -72,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "BlockConcurrence",
     "BlockGeometry",
     "ConcurrenceCurve",
     "ConfigError",
@@ -86,8 +80,6 @@ __all__ = [
     "GroundDoublet",
     "QRGError",
     "RGTrajectory",
-    "ReducedDensityMatrix",
-    "RenormalizedOperators",
     "ScalingFit",
     "ScalingUnderflowError",
     "StructureError",
@@ -97,7 +89,6 @@ __all__ = [
     "concurrence_curve",
     "concurrence_curves",
     "concurrence_j_sweep",
-    "density_matrix",
     "derivative_curve",
     "derivative_scaling",
     "eigh_symmetric",
@@ -112,7 +103,6 @@ __all__ = [
     "locate_max",
     "partial_trace_pair",
     "peak_points",
-    "renormalized_operators",
     "rg_map",
     "rg_trajectory",
     "solve_many",

@@ -5,7 +5,9 @@ coupling flows, concurrence curves with their derivatives, scaling fits,
 ground-state amplitude dumps, fixed-point structure, and (gamma, j) sweeps.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract error.
-Error messages are a single stderr line prefixed with 'qrg-error:'.
+A grid too large to allocate (say --grid 1125899906842625, 8 PiB of
+float64) is a configuration error too, exit code 2. Error messages are a
+single stderr line prefixed with 'qrg-error:'.
 
 Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
@@ -263,8 +265,8 @@ def cmd_scaling(args):
     _check_threads(args, cfg)
     out = _pick(args, cfg, "out")
     rows = peak_points(dim, steps, grid)
-    dfit = derivative_scaling(dim, points=rows)
-    efit = entanglement_exponent(dim, points=rows)
+    dfit = derivative_scaling(rows)
+    efit = entanglement_exponent(rows)
     report = {
         "dimension": dim,
         "points": [
@@ -473,6 +475,10 @@ def main(argv=None) -> int:
         # library-level precondition failures surfaced through the CLI count
         # as configuration mistakes
         print(f"qrg-error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the size it could not allocate
+        print(f"qrg-error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

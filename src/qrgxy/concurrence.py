@@ -1,7 +1,11 @@
 """Two-spin entanglement along the flow: the corner-pair concurrence of a
-block and parameter sweeps, plus the general two-spin tools (the projector
-of a full-basis state, its two-spin partial trace, and the spin-flip
-concurrence of one 4x4 state) that serve as references.
+block and parameter sweeps. Two general two-spin tools, which the pipeline
+does not call, stay beside them: partial_trace_pair, the reduced state of
+one pair of a full-basis density matrix, and wootters_concurrence, the
+concurrence of one 4x4 state (Wootters, PRL 80, 2245 (1998)). The
+corner-pair state of a block is an X state, so the pipeline reads its
+concurrence off the closed form instead, as Kargarian, Jafari and Langari
+do (PRA 76, 060304(R) (2007)).
 
 Every block is solved by rgflow.solve_many, which hands back phi1 as its
 2d+1 amplitudes on the even half of S = d, and the corner-pair
@@ -23,37 +27,23 @@ tests enforce rather than assume.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from itertools import combinations
-from typing import NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .blocks import CouplingParams, block_geometry, collective_spin, coupling_arrays
-from .errors import ContractError, QRGError
+from .errors import QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import SIGMA_Y_REAL
 from .rgflow import grid_size, solve_many, step_counts
 
-NORM_TOL = 1e-10
 LAMBDA_FLOOR = -1e-10
 # eigenvalues below this fraction of the largest are rounding products; see
 # wootters_concurrence
 LAMBDA_NOISE_RTOL = 1e-12
 
 _YY = -np.kron(SIGMA_Y_REAL, SIGMA_Y_REAL)  # real matrix of sigma^y x sigma^y
-
-
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    rho: np.ndarray  # 4x4, legs ordered (i, j)
-    pair: Tuple[int, int]
-
-
-class BlockConcurrence(NamedTuple):
-    per_pair: Tuple[Tuple[Tuple[int, int], float], ...]
-    geometric_mean: float
 
 
 @dataclass(frozen=True)
@@ -64,21 +54,7 @@ class ConcurrenceCurve:
     values: np.ndarray
 
 
-def _require_normalized(state) -> np.ndarray:
-    state = np.asarray(state, dtype=float)
-    nrm2 = float(state @ state)
-    if not abs(nrm2 - 1.0) <= NORM_TOL:
-        raise ContractError(f"state is not normalized: |psi|^2 = {nrm2:.12g}")
-    return state
-
-
-def density_matrix(state) -> np.ndarray:
-    """Rank-1 projector |state><state| of a normalized real state vector."""
-    state = _require_normalized(state)
-    return np.outer(state, state)
-
-
-def partial_trace_pair(rho, keep) -> ReducedDensityMatrix:
+def partial_trace_pair(rho, keep) -> np.ndarray:
     """Trace out all spins except the pair `keep` = (i, j); the surviving
     4x4 state keeps leg order (i, j)."""
     rho = np.asarray(rho, dtype=float)
@@ -95,11 +71,10 @@ def partial_trace_pair(rho, keep) -> ReducedDensityMatrix:
     ket = [i, j] + [k for k in range(n) if k not in (i, j)]
     bra = [n + ax for ax in ket]
     t = np.transpose(t, ket + bra).reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
-    reduced = np.trace(t, axis1=1, axis2=3)
-    return ReducedDensityMatrix(rho=reduced, pair=(int(i), int(j)))
+    return np.trace(t, axis1=1, axis2=3)
 
 
-def wootters_concurrence(rdm) -> float:
+def wootters_concurrence(rho) -> float:
     """max(sqrt(l4) - sqrt(l3) - sqrt(l2) - sqrt(l1), 0), the l's being the
     (descending) eigenvalues of sqrt(rho) rho~ sqrt(rho) with the spin-flipped
     rho~ = (yy) rho (yy), for one 4x4 state.
@@ -114,7 +89,7 @@ def wootters_concurrence(rdm) -> float:
     step from gamma = 0.3 gives 1.10e-6 here against the exact 7.36e-7).
     block_concurrence uses the exact X-state form instead.
     """
-    rho = rdm.rho if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm, dtype=float)
+    rho = np.asarray(rho, dtype=float)
     if rho.shape != (4, 4):
         raise ValueError(f"reduced state must be 4x4, got shape {rho.shape}")
     rho_t = _YY @ rho @ _YY
@@ -127,13 +102,6 @@ def wootters_concurrence(rdm) -> float:
     lam = np.where(lam < LAMBDA_NOISE_RTOL * max(lam[-1], 0.0), 0.0, lam)
     s = np.sqrt(np.clip(lam, 0.0, None))
     return float(max(s[3] - s[2] - s[1] - s[0], 0.0))
-
-
-@functools.cache
-def _corner_pairs(dimension: int) -> Tuple[Tuple[int, int], ...]:
-    """Every unordered corner pair (i, j), i < j."""
-    corners = block_geometry(dimension).corners
-    return tuple(tuple(sorted((a.site, b.site))) for a, b in combinations(corners, 2))
 
 
 def _pair_concurrence(dimension: int, even: np.ndarray) -> np.ndarray:
@@ -149,28 +117,24 @@ def _pair_concurrence(dimension: int, even: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum(0.0, np.maximum(abs(r03) - r11, r11 - np.sqrt(r00 * r33)))
 
 
-def block_concurrence(params: CouplingParams, dimension: int) -> BlockConcurrence:
-    """Concurrence of every unordered corner pair of the block; the pairs are
-    equal by symmetry, so their geometric mean is the common value.
+def block_concurrence(params: CouplingParams, dimension: int) -> float:
+    """Concurrence of a corner pair of the block; phi1 is symmetric under
+    any permutation of the corners, so every pair has this value.
 
     Corner pairs are the right pairs to trace to: corners are exactly the
     spins that mediate interblock bonds, and the corner-pair value reproduces
     the known maxima 1/(2d) at gamma = 0 where the center-corner pair does
-    not. phi1 is symmetric under any permutation of the corners, so one
-    representative pair is reduced and its value listed for every pair.
-    phi1 has definite parity, so the pair's reduced state is an X state and
-    its concurrence has a closed form in four of its entries, read off the
-    even-half amplitudes of phi1 (_pair_concurrence). phi1 does not depend
-    on params.j and comes from the unit-J solve of the block, a batch of
-    one of rgflow.solve_many.
+    not. phi1 has definite parity, so the pair's reduced state is an X
+    state and its concurrence has a closed form in four of its entries,
+    read off the even-half amplitudes of phi1 (_pair_concurrence). phi1
+    does not depend on params.j and comes from the unit-J solve of the
+    block, a batch of one of rgflow.solve_many.
     """
-    conc = float(_pair_concurrence(dimension, solve_many(dimension, params.gamma).even)[0])
-    pairs = _corner_pairs(dimension)
-    return BlockConcurrence(per_pair=tuple((pair, conc) for pair in pairs), geometric_mean=conc)
+    return float(_pair_concurrence(dimension, solve_many(dimension, params.gamma).even)[0])
 
 
 def flowed_concurrences(dimension: int, rg_steps, gammas) -> np.ndarray:
-    """Geometric-mean concurrence of each starting gamma after its own
+    """Corner-pair concurrence of each starting gamma after its own
     number of coarse-graining steps: rg_steps is one count for all gammas
     or one per gamma. All points flow together and carry gamma only: each
     step is one batched solve of the distinct gammas still flowing, which
@@ -198,7 +162,7 @@ def flowed_concurrences(dimension: int, rg_steps, gammas) -> np.ndarray:
 
 
 def flowed_concurrence(dimension: int, rg_step: int, gamma: float) -> float:
-    """Geometric-mean concurrence after rg_step coarse-graining steps applied
+    """Corner-pair concurrence after rg_step coarse-graining steps applied
     to the initial anisotropy gamma. Step 0 evaluates the block at gamma.
     The batch of one of flowed_concurrences."""
     return float(flowed_concurrences(dimension, rg_step, gamma)[0])

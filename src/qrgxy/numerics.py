@@ -3,18 +3,20 @@ square roots.
 
 Everything is real double precision. The block Hamiltonians and reduced
 density matrices are all real symmetric (see pauli / blocks), so no complex
-code path exists anywhere in the package. LAPACK sees only small stacks:
-the flow's one eigensolve per batch is of the d x d Gram matrices of the
-two parity halves of the S = d block (blocks.CollectiveSpin), d <= 3,
-stacked over every block of the batch, whose eigenvalues are the squared
-singular values behind the block's levels; the lower spins take their 1x1
-and 2x2 Grams in closed form, and the S = 0 block is zero and never solved.
-The concurrence adds 4x4 two-spin states. The symmetry and finiteness
-contract is checked once per stack. No Hamiltonian or Pauli operator on
-the 2^n basis is built: outside the test oracles, that basis appears only
-in the output vectors of rgflow.ground_doublet and in the projector of
-concurrence.density_matrix, 128 wide at most, far below the enforced
-ceiling.
+code path exists anywhere in the package. LAPACK sees only small stacks.
+The pipeline makes one eigensolve per batch, of the d x d Gram matrices
+of the two parity halves of the S = d block (blocks.CollectiveSpin),
+d <= 3, stacked over every block of the batch, whose eigenvalues are the
+squared singular values behind the block's levels; the lower spins take
+their 1x1 and 2x2 Grams in closed form, and the S = 0 block is zero and
+never solved. The corner-pair concurrence of the pipeline is a closed
+form and needs no LAPACK; only the general tool
+concurrence.wootters_concurrence, which the pipeline does not call, takes
+a square root and a spectrum of one 4x4 state. The symmetry and
+finiteness contract is checked once per stack. No Hamiltonian or Pauli
+operator on the 2^n basis is built: outside the test oracles, that basis
+appears only in the output vectors of rgflow.ground_doublet, 128 wide at
+most, far below the enforced ceiling.
 """
 
 from __future__ import annotations

@@ -29,11 +29,10 @@ gamma only; fixed_points solves its residual grid in one call, then the
 midpoints of the next four bisection levels of every sign-change bracket
 per call, and the slope stencils of all its roots in one more. Only
 ground_doublet, for output and for full-basis callers, embeds the doublet
-into the 2^n basis, and renormalized_operators projects such full-basis
-vectors. step_counts is the one rule for a number of rg steps. The
-bisection and the golden section of scaling are generators that ask, when
-they lack a value, for the points of their next few iterations along every
-branch (lookahead), and lockstep evaluates those of many at once.
+into the 2^n basis. step_counts is the one rule for a number of rg steps.
+The bisection and the golden section of scaling are generators that ask,
+when they lack a value, for the points of their next few iterations along
+every branch (lookahead), and lockstep evaluates those of many at once.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .blocks import (
 )
 from .errors import DegeneracyError, QRGError, StructureError
 from .numerics import eigh_symmetric
-from .pauli import spin_flip
 
 DEGENERACY_RTOL = 1e-8   # doublet splitting tolerance, relative to spectral spread
 STRUCTURE_TOL = 1e-9
@@ -78,17 +76,6 @@ class GroundDoublet:
     phi2: np.ndarray
     gap_to_third: float
     n_spins: int
-
-
-@dataclass(frozen=True)
-class RenormalizedOperators:
-    """Coefficients of the effective one-spin operators at one corner:
-    projecting sigma^x_corner onto the doublet gives xi_x sigma'^x, and
-    sigma^y_corner gives xi_y sigma'^y. Only the squares are gauge free."""
-
-    xi_x: float
-    xi_y: float
-    corner: int
 
 
 @dataclass(frozen=True)
@@ -227,44 +214,6 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
     )
 
 
-def _is_pure_sigma_x(d1, d2, off, off_t):
-    """Whether a projected sigma^x is off-diagonal and symmetric, for one
-    point or for arrays over a batch."""
-    return (np.maximum(abs(d1), abs(d2)) <= STRUCTURE_TOL) & (abs(off - off_t) <= STRUCTURE_TOL)
-
-
-def _sigma_x_error(d1: float, d2: float, off: float, off_t: float, corner: int) -> StructureError:
-    return StructureError(
-        f"projected sigma^x at site {corner} is not proportional to sigma'^x: "
-        f"diagonal ({d1:.3e}, {d2:.3e}), off-diagonals ({off:.12g}, {off_t:.12g})"
-    )
-
-
-def renormalized_operators(doublet: GroundDoublet, corner: int) -> RenormalizedOperators:
-    """Project the corner sigma^x and sigma^y onto the ground doublet.
-
-    sigma^x flips one spin, so it is parity-odd and its projection must have
-    zero diagonal; a violation means the doublet was not parity-pure and is
-    reported instead of silently absorbed. The y projection is evaluated
-    through the real matrix of (-i sigma^y): with real doublet vectors,
-    <phi1|sigma^y|phi2> = i <phi1|(-i sigma^y)|phi2>, and the pure sigma'^y
-    form pins xi_y = -<phi1|(-i sigma^y)|phi2>. Its diagonal vanishes
-    identically (the building block is antisymmetric), so no separate check
-    is needed there. solve_many takes the same projections in S = d.
-    """
-    flip, signs = spin_flip(corner, doublet.n_spins)
-    x1 = doublet.phi1[flip]  # phi1 @ sx
-    x2 = doublet.phi2[flip]
-    d1 = float(x1 @ doublet.phi1)
-    d2 = float(x2 @ doublet.phi2)
-    off = float(x1 @ doublet.phi2)
-    off_t = float(x2 @ doublet.phi1)
-    if not _is_pure_sigma_x(d1, d2, off, off_t):
-        raise _sigma_x_error(d1, d2, off, off_t, corner)
-    xi_y = -float((x1 * signs) @ doublet.phi2)
-    return RenormalizedOperators(xi_x=off, xi_y=xi_y, corner=corner)
-
-
 # -- the block solver --------------------------------------------------------
 
 
@@ -289,9 +238,13 @@ def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
 
     Everything is read off the two S = d ground vectors of each point,
     2(2d+1) wide, with the corner tables of blocks.CollectiveSpin: the
-    projected corner sx and (-i sy), under the same checks as
-    renormalized_operators; phi1 is handed back as its amplitudes on the
-    even half, the only ones that are not zero. No 2^n vector is built.
+    corner sx and (-i sy) projected onto the doublet. sx flips one spin,
+    so it is parity-odd and its projection must be a pure sigma'^x, zero
+    on the diagonal and symmetric; a point where it is not raises instead
+    of being squared away. With real vectors, <phi1|sy|phi2> is i times
+    <phi1|(-i sy)|phi2>, whose diagonal vanishes identically, so the y
+    projection needs no check. phi1 is handed back as its amplitudes on
+    the even half, the only ones that are not zero. No 2^n vector is built.
     Every check of the halves solve and of the projection runs on every
     point; the first point that fails one raises the error its batch of
     one would. The arithmetic of each point does not depend on the
@@ -322,10 +275,12 @@ def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
     total = tx + ty
     checks += [
         (
-            ~_is_pure_sigma_x(d1, d2, off, off_t),
-            lambda k: _sigma_x_error(
-                float(d1[k]), float(d2[k]), float(off[k]), float(off_t[k]),
-                interblock_bonds(geometry)[0][0],  # the x-axis representative corner
+            ~((np.maximum(abs(d1), abs(d2)) <= STRUCTURE_TOL) & (abs(off - off_t) <= STRUCTURE_TOL)),
+            # named by the x-axis representative corner
+            lambda k: StructureError(
+                f"projected sigma^x at site {interblock_bonds(geometry)[0][0]} is not "
+                f"proportional to sigma'^x: diagonal ({d1[k]:.3e}, {d2[k]:.3e}), "
+                f"off-diagonals ({off[k]:.12g}, {off_t[k]:.12g})"
             ),
         ),
         (

@@ -275,16 +275,10 @@ def _refined_peaks(curves, side: str):
     )
 
 
-def _refined_peak(curve: DerivativeCurve, side: str):
-    """(gamma_m, peak |dC/dgamma|) of one curve on one sign side of gamma;
-    see _refine."""
-    return _refined_peaks([curve], side)[0]
-
-
 def locate_max(curve: DerivativeCurve, side: str) -> float:
     """Position gamma_m of the derivative maximum on one sign side of gamma;
-    see _refined_peak for the refinement and its cusp-limited fallback."""
-    return _refined_peak(curve, side)[0]
+    see _refine for the refinement and its cusp-limited fallback."""
+    return _refined_peaks([curve], side)[0][0]
 
 
 def system_size(dimension: int, rg_step: int) -> int:
@@ -345,20 +339,11 @@ def peak_points(
     return [(step, n, gamma_m, peak) for step, n, (gamma_m, peak) in zip(steps, sizes, peaks)]
 
 
-def entanglement_exponent(
-    dimension: int,
-    steps: Sequence[int] | None = None,
-    grid: int = 2001,
-    points: Sequence[tuple] | None = None,
-) -> ExponentEstimate:
+def entanglement_exponent(rows: Sequence[tuple]) -> ExponentEstimate:
     """theta from the least-squares line through (ln N, ln(gamma_c - gamma_m))
-    with gamma_c = 0; theta = -slope.
-
-    points, when given, supplies precomputed (step, N, gamma_m, peak) rows
-    and skips the curve pipeline: that is how the fit identity itself gets
-    checked (an exact power law gamma_m = -N**-t must return theta = t), and
-    how the CLI avoids recomputing rows it already has."""
-    rows = points if points is not None else peak_points(dimension, steps, grid)
+    with gamma_c = 0; theta = -slope. rows are the (step, N, gamma_m, peak)
+    rows of peak_points, or any others: an exact power law gamma_m =
+    -N**-t must return theta = t."""
     for step, _n, gamma_m, _peak in rows:
         if -gamma_m < UNDERFLOW_FLOOR:
             raise ScalingUnderflowError(
@@ -372,15 +357,9 @@ def entanglement_exponent(
     return ExponentEstimate(theta=-fit.slope, gamma_c=0.0, fit=fit)
 
 
-def derivative_scaling(
-    dimension: int,
-    steps: Sequence[int] | None = None,
-    grid: int = 2001,
-    points: Sequence[tuple] | None = None,
-) -> ScalingFit:
-    """Least-squares line through (ln N, ln max|dC/dgamma|). points as in
-    entanglement_exponent."""
-    rows = points if points is not None else peak_points(dimension, steps, grid)
+def derivative_scaling(rows: Sequence[tuple]) -> ScalingFit:
+    """Least-squares line through (ln N, ln max|dC/dgamma|) of the
+    (step, N, gamma_m, peak) rows, as in entanglement_exponent."""
     for step, _n, _gamma_m, peak in rows:
         if not peak > 0.0:
             raise ScalingUnderflowError(

@@ -7,7 +7,15 @@ arithmetic is allowed here; only the production pipeline is restricted to
 real matrices.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from qrgxy.errors import ContractError, StructureError
+from qrgxy.pauli import spin_flip
+from qrgxy.rgflow import STRUCTURE_TOL
+
+NORM_TOL = 1e-10
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -158,6 +166,53 @@ def ground_doublet_full(params, geometry):
 
     rotated = plane @ pv
     return float(w[0]), gauged(rotated[:, 1]), gauged(rotated[:, 0]), float(w[2] - w[1])
+
+
+def density_matrix(state):
+    """Rank-1 projector |state><state| of a normalized real state vector."""
+    state = np.asarray(state, dtype=float)
+    nrm2 = float(state @ state)
+    if not abs(nrm2 - 1.0) <= NORM_TOL:
+        raise ContractError(f"state is not normalized: |psi|^2 = {nrm2:.12g}")
+    return np.outer(state, state)
+
+
+@dataclass(frozen=True)
+class RenormalizedOperators:
+    """Coefficients of the effective one-spin operators at one corner:
+    projecting sigma^x_corner onto the doublet gives xi_x sigma'^x, and
+    sigma^y_corner gives xi_y sigma'^y. Only the squares are gauge free."""
+
+    xi_x: float
+    xi_y: float
+    corner: int
+
+
+def renormalized_operators(doublet, corner):
+    """Project the corner sigma^x and sigma^y onto a full-basis ground
+    doublet (rgflow.GroundDoublet), as index flips of its 2^n vectors.
+
+    sigma^x flips one spin, so it is parity-odd and its projection must have
+    zero diagonal; a violation means the doublet was not parity-pure and is
+    reported instead of silently absorbed. The y projection is evaluated
+    through the real matrix of (-i sigma^y): with real doublet vectors,
+    <phi1|sigma^y|phi2> = i <phi1|(-i sigma^y)|phi2>, and the pure sigma'^y
+    form pins xi_y = -<phi1|(-i sigma^y)|phi2>. rgflow.solve_many takes the
+    same projections in S = d, under the same check."""
+    flip, signs = spin_flip(corner, doublet.n_spins)
+    x1 = doublet.phi1[flip]  # phi1 @ sx
+    x2 = doublet.phi2[flip]
+    d1 = float(x1 @ doublet.phi1)
+    d2 = float(x2 @ doublet.phi2)
+    off = float(x1 @ doublet.phi2)
+    off_t = float(x2 @ doublet.phi1)
+    if not (max(abs(d1), abs(d2)) <= STRUCTURE_TOL and abs(off - off_t) <= STRUCTURE_TOL):
+        raise StructureError(
+            f"projected sigma^x at site {corner} is not proportional to sigma'^x: "
+            f"diagonal ({d1:.3e}, {d2:.3e}), off-diagonals ({off:.12g}, {off_t:.12g})"
+        )
+    xi_y = -float((x1 * signs) @ doublet.phi2)
+    return RenormalizedOperators(xi_x=off, xi_y=xi_y, corner=corner)
 
 
 def wootters_concurrence_complex(rho):

@@ -5,6 +5,7 @@ it judged so a -v -s run doubles as a measurement report. The expensive
 full-resolution scaling sweep is computed once and shared.
 """
 
+import itertools
 import json
 import math
 import subprocess
@@ -31,10 +32,15 @@ from qrgxy.scaling import (
     derivative_scaling,
     entanglement_exponent,
     peak_points,
-    _refined_peak,
+    _refined_peaks,
 )
 
-from oracles import charpoly_eigenvalues
+from oracles import (
+    charpoly_eigenvalues,
+    ground_doublet_full,
+    partial_trace_bruteforce,
+    x_state_concurrence,
+)
 from reference_data import ISING_DOUBLETS, KNOWN_FLOWS, ket_index, known_flow, vector_from_kets
 from test_concurrence import partial_trace_max_error
 from test_numerics import random_symmetric
@@ -51,8 +57,8 @@ def scaling_data():
         rows = peak_points(dim, steps=None, grid=GRID)
         data[dim] = {
             "rows": rows,
-            "dfit": derivative_scaling(dim, points=rows),
-            "efit": entanglement_exponent(dim, points=rows),
+            "dfit": derivative_scaling(rows),
+            "efit": entanglement_exponent(rows),
         }
     return data
 
@@ -141,7 +147,7 @@ def test_acceptance_06_flow_sharpens_the_transition(scaling_data):
         peaks, positions = [], []
         for step in (0, 1, 2):
             curve = concurrence_curve(dim, step, GRID)
-            gm, pk = _refined_peak(derivative_curve(curve), "negative")
+            ((gm, pk),) = _refined_peaks([derivative_curve(curve)], "negative")
             peaks.append(pk)
             positions.append(gm)
             max_c[(dim, step)] = float(np.max(curve.values))
@@ -194,17 +200,21 @@ def test_acceptance_09_concurrence_is_j_independent():
 
 
 def test_acceptance_10_corner_pairs_are_equivalent():
-    """All corner-pair concurrences of a block agree with each other and
-    with their geometric mean to 1e-9, on a 51-point gamma grid, in every
-    dimension."""
+    """Each of the C(2d, 2) corner pairs, reduced on its own from the
+    full-basis doublet, has the concurrence of block_concurrence to 1e-9,
+    on a 51-point gamma grid, in every dimension."""
     for dim in (1, 2, 3):
+        geometry = block_geometry(dim)
+        pairs = [(a.site, b.site) for a, b in itertools.combinations(geometry.corners, 2)]
         worst = 0.0
         for g in np.linspace(-1.0, 1.0, 51):
-            bc = block_concurrence(CouplingParams(1.0, float(g)), dim)
-            vals = [c for _, c in bc.per_pair]
-            worst = max(worst, max(vals) - min(vals))
-            worst = max(worst, max(abs(c - bc.geometric_mean) for c in vals))
-        print(f"dim {dim}: worst pair/mean deviation = {worst:.3g}")
+            params = CouplingParams(1.0, float(g))
+            c = block_concurrence(params, dim)
+            phi1 = ground_doublet_full(params, geometry)[1]
+            for pair in pairs:
+                rho = partial_trace_bruteforce(phi1, pair, geometry.n_sites)
+                worst = max(worst, abs(x_state_concurrence(rho) - c))
+        print(f"dim {dim}: {len(pairs)} pairs, worst deviation from block_concurrence = {worst:.3g}")
         assert worst < 1e-9
 
 

@@ -284,6 +284,28 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# 2**50 + 1 float64 points are 8 PiB, more than any address space holds, so
+# the allocation fails at once and never touches memory
+HUGE_GRID = 2 ** 50 + 1
+
+
+@pytest.mark.parametrize("command", ["concurrence", "scaling", "fixed-points", "jsweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, command, source):
+    argv = [command, "--dim", "1"]
+    if source == "flag":
+        argv += ["--grid", str(HUGE_GRID)]
+    else:
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"grid": HUGE_GRID}))
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qrg-error: out of memory: Unable to allocate 8.00 PiB")
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2_with_prefix():
     proc = run_cli("flow", "--dim", "1", "--gamma0", "0.1", "--nope", expect=2)
     assert "qrg-error: " in proc.stderr

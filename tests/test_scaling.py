@@ -18,7 +18,6 @@ from qrgxy.scaling import (
     peak_points,
     system_size,
     _golden_max,
-    _refined_peak,
     _refined_peaks,
 )
 
@@ -111,7 +110,7 @@ def test_fit_identity_on_random_exact_lines(slope, intercept):
 
 def test_exponent_fit_inverts_exact_power_law():
     rows = [(s, 3 ** s, -float(3 ** s) ** -2.0, 1.0) for s in range(1, 6)]
-    est = entanglement_exponent(1, points=rows)
+    est = entanglement_exponent(rows)
     assert abs(est.theta - 2.0) < 1e-10
     assert est.gamma_c == 0.0
     assert est.fit.r_squared > 1.0 - 1e-12
@@ -119,7 +118,7 @@ def test_exponent_fit_inverts_exact_power_law():
 
 def test_derivative_fit_inverts_exact_power_law():
     rows = [(s, 5 ** s, -0.1, 5.0 * float(5 ** s) ** 1.5) for s in range(1, 5)]
-    fit = derivative_scaling(2, points=rows)
+    fit = derivative_scaling(rows)
     assert abs(fit.slope - 1.5) < 1e-10
     assert abs(fit.intercept - math.log(5.0)) < 1e-10
 
@@ -127,13 +126,13 @@ def test_derivative_fit_inverts_exact_power_law():
 def test_exponent_fit_rejects_collapsed_peak_position():
     rows = [(3, 27, -0.01, 1.0), (4, 81, -1e-13, 2.0)]
     with pytest.raises(ScalingUnderflowError, match="step 4"):
-        entanglement_exponent(1, points=rows)
+        entanglement_exponent(rows)
 
 
 def test_derivative_fit_rejects_vanished_peak():
     rows = [(2, 9, -0.1, 0.0), (3, 27, -0.05, 1.0)]
     with pytest.raises(ScalingUnderflowError, match="step 2"):
-        derivative_scaling(1, points=rows)
+        derivative_scaling(rows)
 
 
 # -- represented system size
@@ -234,10 +233,7 @@ def test_cusp_peak_values_follow_the_map_slope():
     # by the map derivative 3, and the bare curve has unit slope at 0
     c1 = concurrence_curve(1, 1, grid=201)
     c2 = concurrence_curve(1, 2, grid=201)
-    from qrgxy.scaling import _refined_peak
-
-    _, p1 = _refined_peak(derivative_curve(c1), "negative")
-    _, p2 = _refined_peak(derivative_curve(c2), "negative")
+    p1, p2 = (_refined_peaks([derivative_curve(c)], "negative")[0][1] for c in (c1, c2))
     assert abs(p1 - 3.0) < 1e-3
     assert abs(p2 - 9.0) < 1e-3
 
@@ -261,7 +257,7 @@ def test_lockstep_refinement_is_each_refinement_alone(dim, steps):
     # the refinements of several steps share their probe batches; each must
     # still see exactly its own values, and peak_points must report them
     curves = [derivative_curve(concurrence_curve(dim, step, 101)) for step in steps]
-    alone = [_refined_peak(curve, "negative") for curve in curves]
+    alone = [_refined_peaks([curve], "negative")[0] for curve in curves]
     assert _refined_peaks(curves, "negative") == alone
     assert [row[2:] for row in peak_points(dim, steps, 101)] == alone
 
@@ -359,6 +355,5 @@ def test_a_fit_needs_two_distinct_steps():
 
 def test_scaling_entry_points_reject_a_bad_dimension():
     # the default step table is looked up only after the dimension check
-    for fn, dim in ((peak_points, 4), (entanglement_exponent, 0), (derivative_scaling, 0)):
-        with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
-            fn(dim)
+    with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+        peak_points(4)
