@@ -1,12 +1,14 @@
 """Block-spin renormalization of the spin-1/2 XY chain and its 2D/3D
 square/cubic-lattice analogues.
 
-The package follows one pipeline: build the Hamiltonian of a single block of
-2d + 1 spins, project onto its degenerate ground doublet to obtain the
-renormalized couplings (gamma', j'), iterate that map, and measure Wootters
-concurrence between corner spins of the doublet state along the flow. The
-divergence of dC/dgamma at the isotropic point gamma = 0 is then fit against
-the effective system size to extract the entanglement-scaling exponent.
+The package follows one pipeline: find the degenerate ground doublet of a
+single block of 2d + 1 spins from its coupling tables in the collective
+corner spin (no Hamiltonian matrix is built), project onto it to obtain
+the renormalized couplings (gamma', j'), iterate that map, and read the
+concurrence between two corner spins of the doublet state along the flow
+off the closed form of an X state. The divergence of dC/dgamma at the
+isotropic point gamma = 0 is then fit against the effective system size
+to extract the entanglement-scaling exponent.
 
 Everything is real arithmetic: the Hamiltonians here have an even number of
 sigma^y factors per term, so all matrices are real symmetric.

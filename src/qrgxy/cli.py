@@ -9,6 +9,13 @@ A grid too large to allocate (say --grid 1125899906842625, 8 PiB of
 float64) is a configuration error too, exit code 2. Error messages are a
 single stderr line prefixed with 'qrg-error:'.
 
+One table, `_COMMANDS`, declares each command's help, runner and fields.
+A field `(name, argparse type, help, default, check)` gives the flag
+--name (with '-' for '_'), the config key `name`, its default and its
+check. `main` checks the fields in the order dim, j, the command's own,
+threads, format (where taken), out, and reports the first bad one; the
+runner gets the checked values and returns the text for --out.
+
 Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
 defaults. No environment variables are consulted. Every command checks
@@ -75,13 +82,6 @@ def _load_config(path):
     return cfg
 
 
-def _pick(args, cfg, name, default=None):
-    value = getattr(args, name, None)
-    if value is None:
-        value = cfg.get(name, default)
-    return value
-
-
 def _as_int(name, value, lo=None, hi=None):
     # int() would take true for 1 and cut 2.7 to 2
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -106,165 +106,143 @@ def _as_float(name, value):
         raise ConfigError(f"field '{name}' must be a number, got {value!r}")
 
 
-def _dim(args, cfg):
-    value = _pick(args, cfg, "dim")
+# Each check takes a field's name and its value (flag, else config key, else
+# default) and returns the checked value or raises ConfigError.
+
+def _int_in(lo, hi=None):
+    return lambda name, value: _as_int(name, value, lo, hi)
+
+
+def _dim(name, value):
     if value is None:
-        raise ConfigError("field 'dim' is required (1, 2 or 3)")
-    out = _as_int("dim", value)
+        raise ConfigError(f"field '{name}' is required (1, 2 or 3)")
+    out = _as_int(name, value)
     if out not in (1, 2, 3):
-        raise ConfigError(f"field 'dim' must be 1, 2 or 3, got {out}")
+        raise ConfigError(f"field '{name}' must be 1, 2 or 3, got {out}")
     return out
 
 
-def _coupling(args, cfg):
-    j = _as_float("j", _pick(args, cfg, "j", 1.0))
+def _coupling(name, value):
+    j = _as_float(name, value)
     if not 0 < j < math.inf:
-        raise ConfigError(f"field 'j' must be finite and > 0, got {j}")
+        raise ConfigError(f"field '{name}' must be finite and > 0, got {j}")
     return j
 
 
-def _gamma(args, cfg, name="gamma0", default=None, required=False):
-    value = _pick(args, cfg, name, default)
+def _gamma(name, value):
     if value is None:
-        if required:
-            raise ConfigError(f"field '{name}' is required")
-        return None
+        raise ConfigError(f"field '{name}' is required")
     out = _as_float(name, value)
     if not abs(out) <= 1:
         raise ConfigError(f"field '{name}' must lie in [-1, 1], got {out}")
     return out
 
 
-def _odd_grid(args, cfg, default, minimum):
-    grid = _as_int("grid", _pick(args, cfg, "grid", default), lo=minimum)
-    if grid % 2 == 0:
-        raise ConfigError(f"field 'grid' must be odd so gamma = 0 is a grid point, got {grid}")
-    return grid
+def _odd_grid(minimum):
+    def check(name, value):
+        grid = _as_int(name, value, lo=minimum)
+        if grid % 2 == 0:
+            raise ConfigError(f"field '{name}' must be odd so gamma = 0 is a grid point, got {grid}")
+        return grid
+    return check
 
 
-def _check_threads(args, cfg):
-    _as_int("threads", _pick(args, cfg, "threads", 1), lo=1)
+def _csv_or_json(name, value):
+    if value not in ("csv", "json"):
+        raise ConfigError(f"field '{name}' must be 'csv' or 'json', got {value!r}")
+    return value
 
 
-def _format(args, cfg):
-    fmt = getattr(args, "fmt", None)
-    if fmt is None:
-        fmt = cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"field 'format' must be 'csv' or 'json', got {fmt!r}")
-    return fmt
+def _path(name, value):
+    # open() would take true or 2 for a file descriptor to write and close
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"field '{name}' must be a string, got {value!r}")
+    return value
 
 
-def _step_list(args, cfg, dimension):
-    value = _pick(args, cfg, "steps")
+def _split(value):
+    """A string '1,2 3' as its comma- or space-separated items."""
+    return value.replace(",", " ").split() if isinstance(value, str) else value
+
+
+def _step_list(name, value):
     if value is None:
-        return tuple(DEFAULT_STEPS[dimension])
-    if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        value = parts
+        return None  # the runner takes the dimension's default
+    value = _split(value)
     if not isinstance(value, (list, tuple)):
         value = [value]
-    steps = tuple(_as_int("steps", s, lo=1, hi=64) for s in value)
+    steps = tuple(_as_int(name, s, lo=1, hi=64) for s in value)
     if len(set(steps)) < 2:
-        raise ConfigError(f"field 'steps' needs at least two distinct rg steps for a fit, got {list(steps)}")
+        raise ConfigError(f"field '{name}' needs at least two distinct rg steps for a fit, got {list(steps)}")
     return steps
 
 
-def _j_list(args, cfg, default=(0.1, 1.0, 10.0)):
-    value = _pick(args, cfg, "js", list(default))
-    if isinstance(value, str):
-        value = [p for p in value.replace(",", " ").split() if p]
+def _j_list(name, value):
+    value = _split(value)
     if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"field 'js' must be a non-empty list of couplings, got {value!r}")
-    js = tuple(_as_float("js", v) for v in value)
+        raise ConfigError(f"field '{name}' must be a non-empty list of couplings, got {value!r}")
+    js = tuple(_as_float(name, v) for v in value)
     if not all(0 < j < math.inf for j in js):
-        raise ConfigError(f"field 'js' must contain only finite positive couplings, got {list(js)}")
+        raise ConfigError(f"field '{name}' must contain only finite positive couplings, got {list(js)}")
     return js
 
 
-def _write(text: str, out) -> None:
-    if out is None:
+def _write(text: str, path, name) -> None:
+    """Write text to the path of field `name`, or to stdout if it is None."""
+    if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"field 'out': cannot write '{out}': {exc}")
+        raise ConfigError(f"field '{name}': cannot write '{path}': {exc}")
 
 
-def _emit_rows(header, rows, fmt, out):
-    """rows: list of dicts ordered like `header`. CSV uses %.12g floats."""
+def _table(header, rows, fmt, number=_fmt):
+    """rows: list of dicts keyed like `header`, in its order. CSV writes
+    floats with `number`."""
     if fmt == "json":
-        payload = [{k: row[k] for k in header} for row in rows]
-        _write(json.dumps(payload, indent=2) + "\n", out)
-        return
+        return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for key in header:
-            val = row[key]
-            cells.append(_fmt(val) if isinstance(val, float) else str(val))
-        lines.append(",".join(cells))
-    _write("\n".join(lines) + "\n", out)
+        cells = (row[k] for k in header)
+        lines.append(",".join(number(c) if isinstance(c, float) else str(c) for c in cells))
+    return "\n".join(lines) + "\n"
 
 
-# -- subcommands -----------------------------------------------------------
+# -- subcommands: the checked values in, the text for --out back ----------
 
-def cmd_flow(args):
-    cfg = _load_config(args.config)
-    dim = _dim(args, cfg)
-    j = _coupling(args, cfg)
-    gamma0 = _gamma(args, cfg, required=True)
-    steps = _as_int("steps", _pick(args, cfg, "steps", 2), lo=0, hi=64)
-    _check_threads(args, cfg)
-    fmt = _format(args, cfg)
-    out = _pick(args, cfg, "out")
-    traj = rg_trajectory(CouplingParams(j, gamma0), dim, steps)
+def _flow(v):
+    traj = rg_trajectory(CouplingParams(v["j"], v["gamma0"]), v["dim"], v["steps"])
     rows = [
-        {"dim": dim, "step": k, "gamma": float(p.gamma), "j": float(p.j)}
+        {"dim": v["dim"], "step": k, "gamma": float(p.gamma), "j": float(p.j)}
         for k, p in enumerate(traj.steps)
     ]
-    _emit_rows(["dim", "step", "gamma", "j"], rows, fmt, out)
-    return 0
+    return _table(["dim", "step", "gamma", "j"], rows, v["format"])
 
 
-def cmd_concurrence(args):
-    cfg = _load_config(args.config)
-    dim = _dim(args, cfg)
-    _coupling(args, cfg)
-    steps = _as_int("steps", _pick(args, cfg, "steps", 2), lo=0, hi=64)
-    grid = _odd_grid(args, cfg, default=2001, minimum=5)
-    _check_threads(args, cfg)
-    fmt = _format(args, cfg)
-    out = _pick(args, cfg, "out")
+def _concurrence(v):
     rows = []
-    for curve in concurrence_curves(dim, range(steps + 1), grid):
-        step = curve.rg_step
+    for curve in concurrence_curves(v["dim"], range(v["steps"] + 1), v["grid"]):
         deriv = derivative_curve(curve)
         for g, c, a in zip(curve.gamma_grid, curve.values, deriv.abs_derivative):
             rows.append(
                 {
-                    "dim": dim,
-                    "step": step,
+                    "dim": v["dim"],
+                    "step": curve.rg_step,
                     "gamma": float(g),
                     "concurrence": float(c),
                     "abs_derivative": float(a),
                 }
             )
-    _emit_rows(["dim", "step", "gamma", "concurrence", "abs_derivative"], rows, fmt, out)
-    return 0
+    return _table(["dim", "step", "gamma", "concurrence", "abs_derivative"], rows, v["format"])
 
 
-def cmd_scaling(args):
-    cfg = _load_config(args.config)
-    dim = _dim(args, cfg)
-    _coupling(args, cfg)
-    steps = _step_list(args, cfg, dim)
-    grid = _odd_grid(args, cfg, default=2001, minimum=5)
-    _check_threads(args, cfg)
-    out = _pick(args, cfg, "out")
-    rows = peak_points(dim, steps, grid)
+def _scaling(v):
+    dim = v["dim"]
+    steps = v["steps"] or tuple(DEFAULT_STEPS[dim])
+    rows = peak_points(dim, steps, v["grid"])
     dfit = derivative_scaling(rows)
     efit = entanglement_exponent(rows)
     report = {
@@ -292,52 +270,27 @@ def cmd_scaling(args):
             "step_range": [int(s) for s in steps],
         },
     }
-    _write(json.dumps(report, indent=2) + "\n", out)
-    return 0
+    return json.dumps(report, indent=2) + "\n"
 
 
-def cmd_groundstate(args):
-    cfg = _load_config(args.config)
-    dim = _dim(args, cfg)
-    j = _coupling(args, cfg)
-    gamma = _gamma(args, cfg, name="gamma0", default=1.0)
-    _check_threads(args, cfg)
-    fmt = _format(args, cfg)
-    out = _pick(args, cfg, "out")
-    geometry = block_geometry(dim)
-    doublet = ground_doublet(CouplingParams(j, gamma), geometry)
+def _groundstate(v):
+    geometry = block_geometry(v["dim"])
+    doublet = ground_doublet(CouplingParams(v["j"], v["gamma0"]), geometry)
     n = geometry.n_sites
-    if fmt == "json":
-        payload = [
-            {
-                "basis_index": i,
-                "basis_label": basis_label(i, n),
-                "phi1": float(doublet.phi1[i]),
-                "phi2": float(doublet.phi2[i]),
-            }
-            for i in range(2 ** n)
-        ]
-        _write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", out)
-        return 0
-    lines = ["basis_index,basis_label,phi1,phi2"]
-    for i in range(2 ** n):
-        lines.append(
-            "%d,%s,%s,%s"
-            % (i, basis_label(i, n), _amplitude(doublet.phi1[i]), _amplitude(doublet.phi2[i]))
-        )
-    _write("\n".join(lines) + "\n", out)
-    return 0
+    rows = [
+        {
+            "basis_index": i,
+            "basis_label": basis_label(i, n),
+            "phi1": float(doublet.phi1[i]),
+            "phi2": float(doublet.phi2[i]),
+        }
+        for i in range(2 ** n)
+    ]
+    return _table(["basis_index", "basis_label", "phi1", "phi2"], rows, v["format"], _amplitude)
 
 
-def cmd_fixed_points(args):
-    cfg = _load_config(args.config)
-    dim = _dim(args, cfg)
-    _coupling(args, cfg)
-    grid = _as_int("grid", _pick(args, cfg, "grid", 401), lo=100)
-    _check_threads(args, cfg)
-    out = _pick(args, cfg, "out")
-    curve_out = _pick(args, cfg, "curve_out")
-    points = fixed_points(dim, grid)
+def _fixed_points(v):
+    points = fixed_points(v["dim"], v["grid"])
     payload = [
         {
             "gamma": float(p.gamma),
@@ -346,95 +299,82 @@ def cmd_fixed_points(args):
         }
         for p in points
     ]
-    _write(json.dumps(payload, indent=2) + "\n", out)
-    if curve_out is not None:
-        gs = np.linspace(-1.0, 1.0, grid)
+    text = json.dumps(payload, indent=2) + "\n"
+    if v["curve_out"] is not None:
+        gs = np.linspace(-1.0, 1.0, v["grid"])
         lines = ["gamma,gamma_prime"]
-        gps = solve_many(dim, gs).gamma_prime
+        gps = solve_many(v["dim"], gs).gamma_prime
         lines.extend("%s,%s" % (_fmt(g), _fmt(gp)) for g, gp in zip(gs, gps))
-        _write("\n".join(lines) + "\n", curve_out)
-    return 0
+        # written before the roots, so a curve path that cannot be written
+        # leaves stdout empty like every other configuration error
+        _write("\n".join(lines) + "\n", v["curve_out"], "curve_out")
+    return text
 
 
-def cmd_jsweep(args):
-    cfg = _load_config(args.config)
-    dim = _dim(args, cfg)
-    _coupling(args, cfg)
-    grid = _odd_grid(args, cfg, default=21, minimum=3)
-    js = _j_list(args, cfg)
-    _check_threads(args, cfg)
-    out = _pick(args, cfg, "out")
-    gammas = np.linspace(-1.0, 1.0, grid)
-    values = concurrence_j_sweep(dim, gammas, js)
+def _jsweep(v):
+    gammas = np.linspace(-1.0, 1.0, v["grid"])
+    js = v["js"]
+    values = concurrence_j_sweep(v["dim"], gammas, js)
     spread = float(np.max(values.max(axis=1) - values.min(axis=1)))
     lines = ["gamma,j,concurrence"]
     for gi, g in enumerate(gammas):
         for ji, j in enumerate(js):
             lines.append("%s,%s,%s" % (_fmt(g), _fmt(j), _fmt(values[gi, ji])))
     lines.append("max_j_spread,%s" % _fmt(spread))
-    _write("\n".join(lines) + "\n", out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # -- entry point -----------------------------------------------------------
 
-def _flow_arguments(sp):
-    sp.add_argument("--gamma0", type=float, default=None, help="initial anisotropy in [-1, 1]")
-    sp.add_argument("--steps", type=int, default=None, help="number of rg steps (default 2)")
+_DIM = ("dim", int, "lattice dimension: 1, 2 or 3", None, _dim)
+_J = ("j", float, "coupling strength j > 0 (default 1)", 1.0, _coupling)
+# kept so existing invocations and configs stay valid; every command
+# checks it is >= 1, nothing reads it further
+_THREADS = ("threads", int, "accepted for compatibility; no effect, everything runs serially",
+            1, _int_in(1))
+_FORMAT = ("format", None, "csv (default) or json", "csv", _csv_or_json)
+_OUT = ("out", None, "output path (default: stdout)", None, _path)
 
 
-def _concurrence_arguments(sp):
-    sp.add_argument("--steps", type=int, default=None, help="emit steps 0..K (default 2)")
-    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 2001)")
+def _command(help_text, run, *own, fmt=False):
+    """A `_COMMANDS` entry: (help, runner, fields in check order)."""
+    return help_text, run, (_DIM, _J, *own, _THREADS, *((_FORMAT,) if fmt else ()), _OUT)
 
 
-def _scaling_arguments(sp):
-    sp.add_argument("--steps", default=None, help="comma list of rg steps (default per dimension)")
-    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 2001)")
-
-
-def _groundstate_arguments(sp):
-    sp.add_argument("--gamma0", type=float, default=None, help="anisotropy (default 1)")
-
-
-def _fixed_points_arguments(sp):
-    sp.add_argument("--grid", type=int, default=None, help="scan grid size (default 401, minimum 100)")
-    sp.add_argument("--curve-out", dest="curve_out", default=None,
-                    help="also write the gamma'(gamma) curve as CSV to this path")
-
-
-def _jsweep_arguments(sp):
-    sp.add_argument("--grid", type=int, default=None, help="odd gamma grid size (default 21)")
-    sp.add_argument("--js", default=None, help="comma list of couplings (default 0.1,1,10)")
-
-
-# name: (help, whether it takes --format, its own arguments, its handler)
 _COMMANDS = {
-    "flow": ("renormalized (gamma, j) per rg step", True, _flow_arguments, cmd_flow),
-    "concurrence": ("concurrence and |dC/dgamma| curves per rg step", True, _concurrence_arguments,
-                    cmd_concurrence),
-    "scaling": ("log-log fits of the derivative peak against system size", False, _scaling_arguments,
-                cmd_scaling),
-    "groundstate": ("ground-doublet amplitudes of one block", True, _groundstate_arguments, cmd_groundstate),
-    "fixed-points": ("roots of gamma' = gamma with stabilities", False, _fixed_points_arguments,
-                     cmd_fixed_points),
-    "jsweep": ("concurrence over a (gamma, j) grid", False, _jsweep_arguments, cmd_jsweep),
+    "flow": _command(
+        "renormalized (gamma, j) per rg step", _flow,
+        ("gamma0", float, "initial anisotropy in [-1, 1]", None, _gamma),
+        ("steps", int, "number of rg steps (default 2)", 2, _int_in(0, 64)),
+        fmt=True,
+    ),
+    "concurrence": _command(
+        "concurrence and |dC/dgamma| curves per rg step", _concurrence,
+        ("steps", int, "emit steps 0..K (default 2)", 2, _int_in(0, 64)),
+        ("grid", int, "odd gamma grid size (default 2001)", 2001, _odd_grid(5)),
+        fmt=True,
+    ),
+    "scaling": _command(
+        "log-log fits of the derivative peak against system size", _scaling,
+        ("steps", None, "comma list of rg steps (default per dimension)", None, _step_list),
+        ("grid", int, "odd gamma grid size (default 2001)", 2001, _odd_grid(5)),
+    ),
+    "groundstate": _command(
+        "ground-doublet amplitudes of one block", _groundstate,
+        ("gamma0", float, "anisotropy (default 1)", 1.0, _gamma),
+        fmt=True,
+    ),
+    "fixed-points": _command(
+        "roots of gamma' = gamma with stabilities", _fixed_points,
+        ("grid", int, "scan grid size (default 401, minimum 100)", 401, _int_in(100)),
+        ("curve_out", None, "also write the gamma'(gamma) curve as CSV to this path", None, _path),
+    ),
+    "jsweep": _command(
+        "concurrence over a (gamma, j) grid", _jsweep,
+        ("grid", int, "odd gamma grid size (default 21)", 21, _odd_grid(3)),
+        ("js", None, "comma list of couplings (default 0.1,1,10)", (0.1, 1.0, 10.0), _j_list),
+    ),
 }
-
-
-def _common_arguments(sp, fmt):
-    sp.add_argument("--dim", type=int, default=None, help="lattice dimension: 1, 2 or 3")
-    sp.add_argument("--j", type=float, default=None, help="coupling strength j > 0 (default 1)")
-    sp.add_argument("--config", default=None, help="JSON config file; flags override it")
-    sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    # kept so existing invocations and configs stay valid; every
-    # command checks it is >= 1, nothing reads it further
-    sp.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted for compatibility; no effect, everything runs serially",
-    )
-    if fmt:
-        sp.add_argument("--format", dest="fmt", default=None, help="csv (default) or json")
 
 
 def _build_parser(argv):
@@ -451,31 +391,35 @@ def _build_parser(argv):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     command = next((token for token in argv if token in _COMMANDS), None)
-    for name, (help_text, fmt, arguments, handler) in _COMMANDS.items():
+    for name, (help_text, _run, fields) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name == command:
-            _common_arguments(sp, fmt)
-            arguments(sp)
-            sp.set_defaults(func=handler)
+            sp.add_argument("--config", help="JSON config file; flags override it")
+            for field, type_, field_help, _default, _check in fields:
+                sp.add_argument("--" + field.replace("_", "-"), type=type_, help=field_help)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
+    _help, run, fields = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        cfg = _load_config(args.config)
+        values = {}
+        for name, _type, _text, default, check in fields:
+            value = getattr(args, name)
+            values[name] = check(name, cfg.get(name, default) if value is None else value)
+        _write(run(values), values["out"], "out")
+        return 0
+    except (ConfigError, ValueError) as exc:
+        # library-level precondition failures (ValueError) surfaced through
+        # the CLI count as configuration mistakes
         print(f"qrg-error: {exc}", file=sys.stderr)
         return 2
     except QRGError as exc:
         print(f"qrg-error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # library-level precondition failures surfaced through the CLI count
-        # as configuration mistakes
-        print(f"qrg-error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         # numpy names the size it could not allocate
         print(f"qrg-error: out of memory: {exc}", file=sys.stderr)

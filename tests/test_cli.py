@@ -409,3 +409,92 @@ def test_scaling_gamma_m_matches_the_golden_values(capsys):
     assert cli.main(["scaling", "--dim", "3", "--grid", "51"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [p["gamma_m"] for p in report["points"]] == GOLDEN_GAMMA_M_3D
+
+
+# a config value of the wrong type is refused by its field's check, before
+# anything is computed or written: none reaches a library call or open(),
+# which takes true or 2 for a file descriptor (capfd sees those writes)
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("groundstate", {"dim": 1, "gamma0": None}, "field 'gamma0' is required"),
+        ("flow", {"dim": 1, "gamma0": 0.2, "out": True}, "field 'out' must be a string, got True"),
+        ("flow", {"dim": 1, "gamma0": 0.2, "out": 2}, "field 'out' must be a string, got 2"),
+        ("fixed-points", {"dim": 1, "curve_out": ["a"]},
+         "field 'curve_out' must be a string, got ['a']"),
+    ],
+    ids=["gamma0-null", "out-true", "out-2", "curve_out-list"],
+)
+def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capfd, command, config, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"qrg-error: {message}\n"
+
+
+def test_a_null_out_or_curve_out_means_the_default(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": None, "curve_out": None}))
+    assert cli.main(["fixed-points", "--dim", "1", "--config", str(cfg)]) == 0
+    filed = capsys.readouterr().out
+    assert cli.main(["fixed-points", "--dim", "1"]) == 0
+    assert capsys.readouterr().out == filed
+
+
+def test_an_unwritable_curve_out_is_named_and_leaves_stdout_empty(tmp_path, capsys):
+    path = tmp_path / "missing" / "curve.csv"
+    assert cli.main(["fixed-points", "--dim", "1", "--grid", "101", "--curve-out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qrg-error: field 'curve_out': cannot write '{path}': ")
+    assert err.count("\n") == 1
+
+
+# with two bad fields the first in check order is reported: dim, j, the
+# command's own fields in their order, threads, format, out
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("fixed-points", {"dim": 0, "j": -1}, "field 'dim' must be 1, 2 or 3, got 0"),
+        ("scaling", {"dim": 1, "j": 0, "steps": 3}, "field 'j' must be finite and > 0, got 0.0"),
+        ("jsweep", {"dim": 1, "grid": 4, "js": [0]},
+         "field 'grid' must be odd so gamma = 0 is a grid point, got 4"),
+        ("concurrence", {"dim": 1, "grid": 4, "threads": 0}, "field 'grid' must be >= 5, got 4"),
+        ("flow", {"dim": 1, "gamma0": 0.1, "threads": 0, "format": "xml"},
+         "field 'threads' must be >= 1, got 0"),
+        ("groundstate", {"dim": 1, "format": "xml", "out": True},
+         "field 'format' must be 'csv' or 'json', got 'xml'"),
+    ],
+    ids=["dim-j", "j-steps", "grid-js", "grid-threads", "threads-format", "format-out"],
+)
+def test_the_first_bad_field_in_check_order_is_reported(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qrg-error: {message}\n"
+
+
+# the parser builds only the dispatched command's flags, so its --help is
+# the one place where they all show
+COMMAND_FLAGS = {
+    "flow": ["--gamma0", "--steps", "--format"],
+    "concurrence": ["--steps", "--grid", "--format"],
+    "scaling": ["--steps", "--grid"],
+    "groundstate": ["--gamma0", "--format"],
+    "fixed-points": ["--grid", "--curve-out"],
+    "jsweep": ["--grid", "--js"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_each_command_help_lists_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([command, "--help"])
+    assert stop.value.code == 0
+    listed = re.findall(r"^  (?:-\w, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    common = ["--help", "--config", "--dim", "--j", "--threads", "--out"]
+    assert sorted(listed) == sorted(common + COMMAND_FLAGS[command])
