@@ -24,10 +24,14 @@ bipartite: it couples its S+1 states of even k only to its S states of odd
 k, through the (S+1) x S block (J/4) A with A = a + gamma b, so its levels
 are plus and minus the singular values of (J/4) A, and 0. collective_spin
 holds a and b of S = d, the Gram tables of A^T A for every S = 1..d, the S = d
-restrictions of a corner's sx and (-i sy), the four X-state entries of the
-corner-pair state as quadratic forms on the even half of S = d, and the map
-from S = d back to the 2^n basis, which only output needs. No Hamiltonian
-matrix is built, not even a half.
+restrictions of a corner's sx and (-i sy), and the four X-state entries of
+the corner-pair state as quadratic forms on the even half of S = d. a and b
+are read off the ladder coefficients 2 sqrt(k (2S + 1 - k)) of the spin-S
+moves, and the corner tables are the spin-d operators placed on the two
+center states; no Kronecker product and no 2^n basis is used for them. The
+map from S = d back to the 2^n basis (embedding) is built apart, only when
+a caller asks for full-basis vectors. No Hamiltonian matrix is built, not
+even a half.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .pauli import SIGMA_X, SIGMA_Y_REAL, Axis, spin_flip
+from .pauli import Axis, spin_flip
 
 
 @dataclass(frozen=True)
@@ -153,18 +157,27 @@ class CollectiveSpin(NamedTuple):
     half: np.ndarray      # (2, 2d+1): S = d positions of parity +1, -1, even k first
     corner: np.ndarray    # (2, 2(2d+1), 2(2d+1)): one corner's sx and (-i sy) restricted to S = d
     pair: np.ndarray      # (4, 2d+1, 2d+1): rho00, rho11, rho33, rho03 of two corners, forms on the even half
-    column: np.ndarray    # (2^n,): S = d position of each full-basis state
-    weight: np.ndarray    # (2^n,): its amplitude 1/sqrt(C(2d, k)) in that Dicke state
+
+
+class Embedding(NamedTuple):
+    """The S = d block in the full 2^n basis, read-only: full-basis state
+    i has the amplitude weight[i] in the S = d basis state column[i]."""
+
+    column: np.ndarray  # (2^n,): S = d position of each full-basis state
+    weight: np.ndarray  # (2^n,): its amplitude 1/sqrt(C(2d, k)) in that Dicke state
+
+
+def _ladder(s: int) -> np.ndarray:
+    """sqrt(k (2s + 1 - k)) for k = 1..2s: the standard positive
+    coefficient sqrt(S(S+1) - M(M+1)) with which S+ takes k to k - 1 in the
+    spin-s basis k = s - M."""
+    k = np.arange(1, 2 * s + 1)
+    return np.sqrt(k * (2 * s + 1 - k))
 
 
 def _spin_operators(s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(2 Sx, -i 2 Sy) for spin s in the basis k = s - M, both real.
-
-    S+ lowers k with the standard positive coefficient
-    sqrt(S(S+1) - M(M+1)) = sqrt(k (2s + 1 - k)).
-    """
-    k = np.arange(1, 2 * s + 1)
-    raise_ = np.diag(np.sqrt(k * (2 * s + 1 - k)), 1)
+    """(2 Sx, -i 2 Sy) for spin s in the basis k = s - M, both real."""
+    raise_ = np.diag(_ladder(s), 1)
     return raise_ + raise_.T, raise_.T - raise_
 
 
@@ -179,13 +192,23 @@ def _halves(s: int) -> np.ndarray:
 def _coupling(s: int) -> np.ndarray:
     """(2, 2, s+1, s): a and b of the even and the odd half of the spin-s
     block, whose coupling block is a + gamma b at J = 4. H_B / (J/4) is
-    (1 + gamma) XX + (1 - gamma) YY, so a = XX + YY and b = XX - YY."""
-    two_sx, k_two_sy = _spin_operators(s)
-    xx = np.kron(SIGMA_X, two_sx)
-    yy = -np.kron(SIGMA_Y_REAL, k_two_sy)
-    return np.stack([
-        [term[np.ix_(h[: s + 1], h[s + 1 :])] for h in _halves(s)] for term in (xx + yy, xx - yy)
-    ])
+    (1 + gamma) XX + (1 - gamma) YY, so a = XX + YY and b = XX - YY.
+
+    XX + YY keeps the total Sz: it takes the center up together with k one
+    up (one corner down), or both down; XX - YY takes them opposite ways.
+    Each move of k between k - 1 and k has the weight 2 sqrt(k (2s + 1 - k)),
+    twice the ladder coefficient. Row i of a half is its state of k = 2i
+    and column j its state of k = 2j + 1, with the center up in the rows of
+    the even half and down in those of the odd one; so a joins k = 2i to
+    2i - 1 in the even half and to 2i + 1 in the odd one, and b the other
+    way round."""
+    ladder = 2.0 * _ladder(s)
+    i = np.arange(s)
+    up = np.zeros((s + 1, s))    # k = 2i to 2i + 1
+    down = np.zeros((s + 1, s))  # k = 2i to 2i - 1
+    up[i, i] = ladder[::2]
+    down[i + 1, i] = ladder[1::2]
+    return np.array([[down, up], [up, down]])
 
 
 def _gram(coupling: np.ndarray) -> np.ndarray:
@@ -219,8 +242,7 @@ def _pair_form(d: int) -> np.ndarray:
 
 @functools.cache
 def _collective_spin(dimension: int) -> CollectiveSpin:
-    geometry = block_geometry(dimension)
-    d, n = geometry.dimension, geometry.n_sites
+    d = block_geometry(dimension).dimension
     lower = np.zeros((3, 3, d - 1, 2))
     for s in range(1, d):
         gram = np.zeros((3, 2, 2, 2))
@@ -228,12 +250,9 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
         p, q, r = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
         lower[:, :, s - 1] = np.stack([0.5 * (p + q), 0.5 * (p - q), r], axis=1)
     coupling = _coupling(d)
-    two_sx, k_two_sy = _spin_operators(d)
-    corner = np.stack([np.kron(np.eye(2), two_sx), np.kron(np.eye(2), k_two_sy)]) / (2 * d)
-    down = {site: spin_flip(site, n)[1] < 0 for site in range(n)}
-    k_down = sum(down[c.site] for c in geometry.corners)
-    column = down[geometry.center] * (2 * d + 1) + k_down
-    weight = 1.0 / np.sqrt(np.bincount(column)[column])  # C(2d, k) states share (c, k)
+    width = 2 * d + 1
+    corner = np.zeros((2, 2 * width, 2 * width))  # the same on either center state
+    corner[:, :width, :width] = corner[:, width:, width:] = np.stack(_spin_operators(d)) / (2 * d)
     spin = CollectiveSpin(
         coupling=coupling,
         gram=_gram(coupling),
@@ -241,8 +260,6 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
         half=_halves(d),
         corner=corner,
         pair=_pair_form(d),
-        column=column,
-        weight=weight,
     )
     for arr in spin:
         arr.flags.writeable = False
@@ -250,17 +267,35 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
 
 
 def collective_spin(geometry: BlockGeometry) -> CollectiveSpin:
-    """The coupling and Gram tables of the S blocks, the S = d corner
-    tables and the S = d embedding of the geometry's dimension, built once
-    per dimension.
+    """The coupling and Gram tables of the S blocks and the S = d corner
+    tables of the geometry's dimension, built once per dimension.
 
     sy_c sy_k = -(K_c K_k) with the real K = -i sy, so YY_S is the real
     -(K (x) (-i 2 Sy)). A corner's sx restricted to S = d is 2 Sx / (2d), and
     likewise (-i sy), since every S = d state is symmetric in the corners.
-    Whether a site of a full-basis state is down is read off the signs of
-    pauli.spin_flip.
     """
     return _collective_spin(geometry.dimension)
+
+
+@functools.cache
+def _embedding(dimension: int) -> Embedding:
+    geometry = block_geometry(dimension)
+    d, n = geometry.dimension, geometry.n_sites
+    down = {site: spin_flip(site, n)[1] < 0 for site in range(n)}
+    k_down = sum(down[c.site] for c in geometry.corners)
+    column = down[geometry.center] * (2 * d + 1) + k_down
+    weight = 1.0 / np.sqrt(np.bincount(column)[column])  # C(2d, k) states share (c, k)
+    column.flags.writeable = False
+    weight.flags.writeable = False
+    return Embedding(column, weight)
+
+
+def embedding(geometry: BlockGeometry) -> Embedding:
+    """The map from S = d to the full 2^n basis of the geometry's
+    dimension, built once per dimension and only for callers that ask for
+    full-basis vectors (rgflow.ground_doublet). Whether a site of a
+    full-basis state is down is read off the signs of pauli.spin_flip."""
+    return _embedding(geometry.dimension)
 
 
 def interblock_bonds(geometry: BlockGeometry):

@@ -79,6 +79,14 @@ def _load_config(path):
         raise ConfigError(f"config: '{path}' is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: top level of '{path}' must be a JSON object")
+    # a misspelt key would silently leave its field at the default; a key
+    # of another command is kept, so that one file can serve several
+    known = {field[0] for _help, _run, fields in _COMMANDS.values() for field in fields}
+    unknown = [key for key in cfg if key not in known]
+    if unknown:
+        raise ConfigError(
+            f"config: '{path}' has keys that no command takes: {', '.join(map(repr, unknown))}"
+        )
     return cfg
 
 
@@ -378,12 +386,14 @@ _COMMANDS = {
 
 
 def _build_parser(argv):
-    """The parser for argv. Every command gets its subparser, so that
-    `qrg --help` and the invalid-choice errors list them all, but only the
-    command argv runs gets its arguments: building them all costs more
-    than the parse (argparse makes a help formatter for each argument).
-    The top level takes only -h, so the first token of argv that names a
-    command is the command argparse dispatches to."""
+    """The parser for argv, with only what argv can use: building parsers
+    costs more than the parse (argparse makes a help formatter for each
+    subparser and each argument). The top level takes only -h, so the first
+    token of argv that names a command is the command argparse dispatches
+    to, and only that one gets its arguments. When argv starts with that
+    command, it is the only subparser; otherwise (no command, -h, an
+    unknown command or a flag first) every command gets its subparser, so
+    that `qrg --help` and the errors that list the choices name them all."""
     parser = _Parser(
         prog="qrg",
         description="Block-spin renormalization of the spin-1/2 XY model: "
@@ -391,7 +401,9 @@ def _build_parser(argv):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     command = next((token for token in argv if token in _COMMANDS), None)
-    for name, (help_text, _run, fields) in _COMMANDS.items():
+    names = [command] if argv and argv[0] == command else list(_COMMANDS)
+    for name in names:
+        help_text, _run, fields = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         if name == command:
             sp.add_argument("--config", help="JSON config file; flags override it")

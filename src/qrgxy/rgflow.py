@@ -25,11 +25,14 @@ Every block of the package goes through it, with no memo: gamma_prime
 and rg_map, and through them trajectories, take its batches of one; the
 concurrence flow (concurrence.flowed_concurrences) makes one batched
 solve per step and, since gamma' and phi1 do not depend on J, carries
-gamma only; fixed_points solves its residual grid in one call, then the
-midpoints of the next four bisection levels of every sign-change bracket
-per call, and the slope stencils of all its roots in one more. Only
-ground_doublet, for output and for full-basis callers, embeds the doublet
-into the 2^n basis. step_counts is the one rule for a number of rg steps.
+gamma only; fixed_points solves its residual grid in one call and the
+slope stencils of all its roots in one more. That grid holds the exact 0,
+and the map fixes 0 and +-1 exactly, so the three fixed points are exact
+residual zeros; only a sign change between grid points would be bisected,
+with the midpoints of the next four bisection levels of every such
+bracket per call. Only ground_doublet, for output and for full-basis
+callers, embeds the doublet into the 2^n basis (blocks.embedding).
+step_counts is the one rule for a number of rg steps.
 The bisection and the golden section of scaling are generators that ask,
 when they lack a value, for the points of their next few iterations along
 every branch (lookahead), and lockstep evaluates those of many at once.
@@ -52,6 +55,7 @@ from .blocks import (
     block_geometry,
     collective_spin,
     coupling_arrays,
+    embedding,
     interblock_bonds,
 )
 from .errors import DegeneracyError, QRGError, StructureError
@@ -200,11 +204,11 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
     The flow does not need the 2^n vectors and reads the S = d solution
     instead; this is for output and for callers that work in the full
     basis."""
-    spin = collective_spin(geometry)
     checks: list = []
-    solved = _halves_ground(coupling_arrays(params.j, params.gamma), spin, checks)
+    solved = _halves_ground(coupling_arrays(params.j, params.gamma), collective_spin(geometry), checks)
     _raise_first(checks)
-    phi1, phi2 = (_fix_sign(spin.weight * u[spin.column]) for u in solved.ground[0])
+    embed = embedding(geometry)
+    phi1, phi2 = (_fix_sign(embed.weight * u[embed.column]) for u in solved.ground[0])
     return GroundDoublet(
         energy=float(solved.energy[0]),
         phi1=phi1,
@@ -425,20 +429,31 @@ def _bisect(a, b, fa):
 
 
 def fixed_points(dimension: int, grid: int = 401):
-    """Roots of gamma' = gamma on [-1, 1] by sign-change bisection, with
-    stability read off a finite-difference slope at each root (< 1 stable,
-    > 1 unstable). The residual grid is one batched solve; the brackets of
-    its sign changes are bisected in lockstep (_bisect), one solve per
-    round for _BISECT_LEVELS levels of every open bracket; the two-point
-    slope stencils of all roots are one more solve. The endpoints +-1 sit
-    exactly on the identity and are picked up as exact residual zeros."""
+    """Roots of gamma' = gamma on [-1, 1], with stability read off a
+    finite-difference slope at each root (< 1 stable, > 1 unstable).
+
+    The residual grid is np.linspace(-1, 1, grid) with the exact 0.0 on
+    it: as its middle point where the grid is odd, and as one point more
+    where it is even. The map is odd and sends 0, 1 and -1 exactly to
+    themselves, so the three fixed points are exact residual zeros at
+    every grid and no bracket ends at or straddles one. Any other sign
+    change of the residuals would be bisected in lockstep (_bisect), one
+    solve per round for _BISECT_LEVELS levels of every open bracket. The
+    two-point slope stencils of all roots are one more solve."""
     grid = grid_size(grid)
     if grid < 100:
         raise ValueError(f"fixed-point grid needs at least 100 points, got {grid}")
     gs = np.linspace(-1.0, 1.0, grid)
+    # linspace rounds the middle of 1177 odd grids up to 20001 to
+    # -1.1e-16, where the 1D residual's sign is rounding noise; np.insert,
+    # not np.union1d, whose first call imports numpy.ma
+    if grid % 2:
+        gs[grid // 2] = 0.0
+    else:
+        gs = np.insert(gs, grid // 2, 0.0)
     res = solve_many(dimension, gs).gamma_prime - gs
     roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
-    runs = [_bisect(gs[i], gs[i + 1], res[i]) for i in range(grid - 1) if res[i] * res[i + 1] < 0.0]
+    runs = [_bisect(gs[i], gs[i + 1], res[i]) for i in range(len(gs) - 1) if res[i] * res[i + 1] < 0.0]
     found = lockstep(runs, lambda _owners, mids: solve_many(dimension, mids).gamma_prime)
     roots += [float(r) for r in found]
     merged: list = []

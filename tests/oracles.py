@@ -146,6 +146,31 @@ def xy_hamiltonian_per_bond(j, gamma, n_spins, bonds):
     return h
 
 
+def collective_spin_kron_tables(s):
+    """(coupling, corner) of the spin-s block built from Kronecker products:
+    XX = sx (x) 2 Sx and YY = -(K (x) (-i 2 Sy)) on the basis (c, k) at
+    position c (2s + 1) + k, the coupling blocks a = XX + YY and
+    b = XX - YY cut out of them with np.ix_ at the rows and columns of each
+    parity half, and a corner's sx and (-i sy) as 1 (x) 2 Sx / (2s) and
+    1 (x) (-i 2 Sy) / (2s); blocks.CollectiveSpin holds the same tables of
+    s = d. The spin operators come from the ladder coefficients of S+."""
+    k = np.arange(1, 2 * s + 1)
+    raise_ = np.diag(np.sqrt(k * (2 * s + 1 - k)), 1)
+    two_sx, k_two_sy = raise_ + raise_.T, raise_.T - raise_
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ky = np.array([[0.0, -1.0], [1.0, 0.0]])
+    xx = np.kron(sx, two_sx)
+    yy = -np.kron(ky, k_two_sy)
+    kk = np.arange(2 * s + 1)
+    # the half of parity (-1)^(c + k) = (-1)^p: c = p at even k first, then c = 1 - p at odd k
+    halves = [np.concatenate([p * kk.size + kk[::2], (1 - p) * kk.size + kk[1::2]]) for p in (0, 1)]
+    coupling = np.stack([
+        [term[np.ix_(h[: s + 1], h[s + 1 :])] for h in halves] for term in (xx + yy, xx - yy)
+    ])
+    corner = np.stack([np.kron(np.eye(2), two_sx), np.kron(np.eye(2), k_two_sy)]) / (2 * s)
+    return coupling, corner
+
+
 def ground_doublet_full(params, geometry):
     """(energy, phi1, phi2, gap_to_third) from the full 2^n block: one eigh
     of the per-bond Kronecker build, then the 2x2 restriction of the parity
@@ -271,14 +296,16 @@ def fixed_points_one_at_a_time(solve, grid, slope_step=1e-5, merge_tol=1e-7, wid
     """(gamma, stability, slope) of every root of gamma' = gamma on a grid
     of [-1, 1], bisecting each sign change one midpoint per solve and
     taking each root's two-point slope stencil in a solve of its own.
-    solve maps an array of gammas to their gamma' values."""
-    gs = np.linspace(-1.0, 1.0, grid)
+    solve maps an array of gammas to their gamma' values. The grid is
+    np.linspace's, with the points that miss 0 by rounding alone (the
+    middle of an odd grid) replaced by one exact 0."""
+    gs = np.array(sorted([g for g in np.linspace(-1.0, 1.0, grid) if abs(g) > 1e-15] + [0.0]))
     res = solve(gs) - gs
     roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
     def gamma_prime(g):
         return float(solve([g])[0])
 
-    for i in range(grid - 1):
+    for i in range(len(gs) - 1):
         if res[i] * res[i + 1] < 0.0:
             roots.append(float(bisect_one_at_a_time(gamma_prime, gs[i], gs[i + 1], res[i], width)))
     merged = []

@@ -133,16 +133,19 @@ def test_groundstate_prints_no_negative_zero_and_exact_parity_zeros(dim, capsys)
 
 def test_fixed_points_json_and_curve_file(tmp_path):
     curve_path = tmp_path / "curve.csv"
-    proc = run_cli("fixed-points", "--dim", "1", "--grid", "101", "--curve-out", str(curve_path))
-    points = json.loads(proc.stdout)
-    assert [round(p["gamma"], 8) for p in points] == [-1.0, 0.0, 1.0]
-    assert [p["stability"] for p in points] == ["stable", "unstable", "stable"]
-    assert abs(points[1]["slope_at_root"] - 3.0) < 1e-4
-    lines = curve_path.read_text().strip().split("\n")
-    assert lines[0] == "gamma,gamma_prime"
-    assert len(lines) == 102
-    first = lines[1].split(",")
-    assert float(first[0]) == -1.0 and float(first[1]) == -1.0
+    for grid in (101, 100):
+        proc = run_cli("fixed-points", "--dim", "1", "--grid", str(grid), "--curve-out", str(curve_path))
+        points = json.loads(proc.stdout)
+        assert [p["gamma"] for p in points] == [-1.0, 0.0, 1.0]
+        assert [p["stability"] for p in points] == ["stable", "unstable", "stable"]
+        assert abs(points[1]["slope_at_root"] - 3.0) < 1e-4
+        lines = curve_path.read_text().strip().split("\n")
+        assert lines[0] == "gamma,gamma_prime"
+        # the curve is the grid asked for, without the 0.0 that the root
+        # scan puts in an even grid
+        assert [line.split(",")[0] for line in lines[1:]] == [cli._fmt(g) for g in np.linspace(-1.0, 1.0, grid)]
+        first = lines[1].split(",")
+        assert float(first[0]) == -1.0 and float(first[1]) == -1.0
 
 
 def test_jsweep_reports_flat_j_axis():
@@ -267,6 +270,24 @@ def test_config_file_accepts_whole_floats_as_integers(tmp_path, capsys):
     assert capsys.readouterr().out == filed
 
 
+# a key that is no command's field is refused, so that a misspelt one does
+# not silently leave its field at the default; a key of another command is
+# not, so that one config can serve several
+def test_config_keys_must_be_fields_of_some_command(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dim": 1, "gamma0": 0.3, "stpes": 1, "fromat": "json"}))
+    assert cli.main(["flow", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qrg-error: config: '{cfg}' has keys that no command takes: 'stpes', 'fromat'\n"
+    cfg.write_text(json.dumps({"dim": 1, "steps": "1,2", "grid": 51, "format": "json", "gamma0": 0.3,
+                               "curve_out": None, "js": [1.0]}))
+    assert cli.main(["scaling", "--config", str(cfg)]) == 0
+    shared = capsys.readouterr().out
+    assert cli.main(["scaling", "--dim", "1", "--steps", "1,2", "--grid", "51"]) == 0
+    assert capsys.readouterr().out == shared
+
+
 def test_config_file_must_hold_an_object(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("[1, 2, 3]")
@@ -367,9 +388,9 @@ GOLDEN_FIXED_POINTS_3D = """[
     "slope_at_root": 0.0
   },
   {
-    "gamma": 2.940335965727841e-13,
+    "gamma": 0.0,
     "stability": "unstable",
-    "slope_at_root": 22.999999563191725
+    "slope_at_root": 22.999999563204202
   },
   {
     "gamma": 1.0,
@@ -498,3 +519,52 @@ def test_each_command_help_lists_its_flags(command, capsys):
     listed = re.findall(r"^  (?:-\w, )?(--[\w-]+)", capsys.readouterr().out, re.M)
     common = ["--help", "--config", "--dim", "--j", "--threads", "--out"]
     assert sorted(listed) == sorted(common + COMMAND_FLAGS[command])
+
+
+_DESCRIPTION = cli._build_parser([]).description
+
+
+def _parser_of_every_command(argv):
+    """The parser with a subparser for each of the six commands, whatever
+    argv is, and the flags of the first command named in argv."""
+    parser = cli._Parser(prog="qrg", description=_DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((token for token in argv if token in cli._COMMANDS), None)
+    for name, (help_text, _run, fields) in cli._COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == command:
+            sp.add_argument("--config", help="JSON config file; flags override it")
+            for field, type_, field_help, _default, _check in fields:
+                sp.add_argument("--" + field.replace("_", "-"), type=type_, help=field_help)
+    return parser
+
+
+def _run_main(argv, capsys):
+    """(exit code, stdout, stderr) of cli.main(argv), also where argparse exits."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# argv that starts with a command builds that command's subparser only;
+# help, usage errors and their exit codes read as with all six
+@pytest.mark.parametrize(
+    "argv",
+    ["--help", "", "bogus", "-h scaling", "--dim 3 scaling", "scaling --bogus 1", "scaling scaling",
+     "fixed-points --grid x"] + [f"{command} --help" for command in cli._COMMANDS],
+)
+def test_a_parser_of_one_command_prints_what_one_of_all_six_does(argv, capsys, monkeypatch):
+    got = _run_main(argv.split(), capsys)
+    monkeypatch.setattr(cli, "_build_parser", _parser_of_every_command)
+    assert _run_main(argv.split(), capsys) == got
+    assert got[0] in (0, 2) and (got[1] or got[2])
+
+
+def test_a_command_given_first_gets_the_only_subparser():
+    assert cli._build_parser(["scaling", "--dim", "3"]).format_usage() == "usage: qrg [-h] {scaling} ...\n"
+    every = "{" + ",".join(cli._COMMANDS) + "}"
+    for argv in ([], ["-h", "scaling"], ["--dim", "3", "scaling"]):
+        assert every in cli._build_parser(argv).format_usage()

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from qrgxy.rgflow import (
     solve_many,
 )
 
-import qrgxy.pauli
+import qrgxy.blocks
 import qrgxy.rgflow
 
 from oracles import (
@@ -325,19 +326,24 @@ def test_block_solve_matches_the_full_basis_oracle(dim, gamma):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
-    collective_spin(block_geometry(dim))  # the per-dimension tables are built from the full basis once
+    # the per-dimension tables are built afresh here, and neither they nor
+    # the solve touch the 2^n basis: only ground_doublet's embedding does
+    fresh = functools.cache(qrgxy.blocks._collective_spin.__wrapped__)
+    monkeypatch.setattr(qrgxy.blocks, "_collective_spin", fresh)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the block solve reached a full-basis helper")
 
     for module, name in (
-        (qrgxy.pauli, "spin_flip"),
+        (qrgxy.blocks, "spin_flip"),
+        (qrgxy.rgflow, "embedding"),
         (qrgxy.rgflow, "ground_doublet"),
     ):
         monkeypatch.setattr(module, name, refuse)
     even = solve_many(dim, 0.3).even
     assert even.shape == (1, 2 * dim + 1)
     assert not even.flags.writeable
+    assert fresh.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -399,14 +405,12 @@ def record_eigh_batches(monkeypatch):
 
 
 def test_fixed_points_solve_count(monkeypatch):
-    # the residual grid in one call; the one bracket, about 0, bisected
-    # 35 levels deep, four levels of midpoints per call (15 points, and 7
-    # in the last call, whose bottom level is already narrow enough); the
-    # stencils of the three roots in one call
+    # the residual grid and the 0.0 put in it, 101 points, in one call; the
+    # roots -1, 0 and 1 are exact residual zeros, so nothing is bisected;
+    # the stencils of the three roots in one call
     batches = record_eigh_batches(monkeypatch)
     fixed_points(3, 100)
-    assert (len(batches), sum(batches)) == (11, 233)
-    assert min(batches) > 1
+    assert batches == [101, 6]
 
 
 # gamma' where the last bit of xi^2 depends on how it is squared, as the
@@ -557,11 +561,28 @@ def test_fixed_points_roots_and_stability(dim, slope0):
     assert fps[2].slope < 1.0
 
 
-@pytest.mark.parametrize("grid", [100, 101, 157, 401, 1000])
+# the exact 0.0 is on every residual grid: linspace misses it on every even
+# grid and rounds the middle of 197 to -1.1e-16, where the 1D residual's
+# sign is rounding noise
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fixed_points_do_not_depend_on_the_grid(dim):
+    want = [(fp.gamma, fp.stability, fp.slope) for fp in fixed_points(dim, 401)]
+    assert [(gamma, stability) for gamma, stability, _slope in want] == [
+        (-1.0, "stable"), (0.0, "unstable"), (1.0, "stable")
+    ]
+    assert np.linspace(-1.0, 1.0, 197)[98] == -2.0 ** -53
+    for grid in (100, 101, 197, 400, 1000):
+        got = [(fp.gamma, fp.stability, fp.slope) for fp in fixed_points(dim, grid)]
+        assert got == want
+        assert math.copysign(1.0, got[1][0]) == 1.0
+
+
+@pytest.mark.parametrize("grid", [100, 101, 157, 197, 401, 1000])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_fixed_points_are_those_of_one_point_bisection(dim, grid):
-    # the lockstep walk visits the very midpoints of bisecting one point
-    # per solve, and solve_many gives each point the bits of its batch of one
+    # on the same grid, solve_many gives each point the bits of its batch
+    # of one; the real map leaves no bracket to bisect, and the lockstep walk
+    # is held to one-point bisection on synthetic maps below
     want = fixed_points_one_at_a_time(lambda gs: solve_many(dim, gs).gamma_prime, grid)
     assert [(fp.gamma, fp.stability, fp.slope) for fp in fixed_points(dim, grid)] == want
 
