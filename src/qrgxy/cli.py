@@ -16,6 +16,14 @@ check. `main` checks the fields in the order dim, j, the command's own,
 threads, format (where taken), out, and reports the first bad one; the
 runner gets the checked values and returns the text for --out.
 
+`main` reads an exact argv itself (see `_exact_args`): a command, then
+pairs of one of its flags spelled out in full and a value that does not
+start with '-'. Every other argv (help, --flag=value, an abbreviated or
+unknown flag, a dash-leading value, a value of the wrong type) goes to
+argparse, which is imported only then, so help, usage and errors are
+argparse's. A stdout that cannot be written (a full disk, a closed pipe)
+is a configuration error of field 'out', like an --out path.
+
 Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
 defaults. No environment variables are consulted. Every command checks
@@ -28,9 +36,10 @@ so identical configuration produces byte-identical output.
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -59,10 +68,23 @@ def _amplitude(x) -> str:
     return "%.12f" % (round(float(x), 12) + 0.0)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse's own failures must follow the single-line error contract
-    def error(self, message):
-        self.exit(2, f"qrg-error: {message}\n")
+def _Parser(**kwargs):
+    """An argparse.ArgumentParser whose own failures follow the single-line
+    error contract."""
+    return _parser_class()(**kwargs)
+
+
+@functools.cache
+def _parser_class():
+    # imported on first use: an exact argv never needs argparse, which with
+    # the gettext and locale it loads costs more than the parse itself
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.exit(2, f"qrg-error: {message}\n")
+
+    return Parser
 
 
 # -- config loading and validation ----------------------------------------
@@ -198,7 +220,17 @@ def _j_list(name, value):
 def _write(text: str, path, name) -> None:
     """Write text to the path of field `name`, or to stdout if it is None."""
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the flush at exit would fail again and print a traceback; as
+            # the Python docs advise for SIGPIPE, stdout's descriptor goes
+            # to os.devnull so that flush has somewhere to write
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"field '{name}': cannot write stdout: {exc}")
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -385,15 +417,48 @@ _COMMANDS = {
 }
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _exact_args(argv):
+    """`vars()` of the namespace argparse would give for argv, when argv is
+    exact; None otherwise.
+
+    Exact: a command, then pairs of one of its flags (or --config) spelled
+    out in full and a value that does not start with '-' and that the
+    flag's type takes (int, float, or the string as given). A repeated flag
+    keeps its last value, as with argparse. A dash-leading value is left to
+    argparse, whose rule for which of them are numbers and which are flags
+    differs between Python versions."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = {"--config": ("config", None)}
+    flags.update((_flag(name), (name, type_)) for name, type_, *_ in _COMMANDS[argv[0]][2])
+    args = {"command": argv[0], **dict.fromkeys(name for name, _type in flags.values())}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or value.startswith("-"):
+            return None
+        name, type_ = flags[flag]
+        try:
+            args[name] = value if type_ is None else type_(value)
+        except ValueError:
+            return None
+    return args
+
+
 def _build_parser(argv):
-    """The parser for argv, with only what argv can use: building parsers
-    costs more than the parse (argparse makes a help formatter for each
-    subparser and each argument). The top level takes only -h, so the first
-    token of argv that names a command is the command argparse dispatches
-    to, and only that one gets its arguments. When argv starts with that
-    command, it is the only subparser; otherwise (no command, -h, an
-    unknown command or a flag first) every command gets its subparser, so
-    that `qrg --help` and the errors that list the choices name them all."""
+    """The argparse parser for an argv that is not exact (see `_exact_args`):
+    help, usage and errors, and the spellings only argparse reads
+    (--flag=value, abbreviations, dash-leading values). It holds only what
+    argv can use: building parsers costs more than the parse (argparse
+    makes a help formatter for each subparser and each argument). The top
+    level takes only -h, so the first token of argv that names a command is
+    the command argparse dispatches to, and only that one gets its
+    arguments. When argv starts with that command, it is the only
+    subparser; otherwise (no command, -h, an unknown command or a flag
+    first) every command gets its subparser, so that `qrg --help` and the
+    errors that list the choices name them all."""
     parser = _Parser(
         prog="qrg",
         description="Block-spin renormalization of the spin-1/2 XY model: "
@@ -408,19 +473,21 @@ def _build_parser(argv):
         if name == command:
             sp.add_argument("--config", help="JSON config file; flags override it")
             for field, type_, field_help, _default, _check in fields:
-                sp.add_argument("--" + field.replace("_", "-"), type=type_, help=field_help)
+                sp.add_argument(_flag(field), type=type_, help=field_help)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
-    _help, run, fields = _COMMANDS[args.command]
+    args = _exact_args(argv)
+    if args is None:
+        args = vars(_build_parser(argv).parse_args(argv))
+    _help, run, fields = _COMMANDS[args["command"]]
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args["config"])
         values = {}
         for name, _type, _text, default, check in fields:
-            value = getattr(args, name)
+            value = args[name]
             values[name] = check(name, cfg.get(name, default) if value is None else value)
         _write(run(values), values["out"], "out")
         return 0

@@ -1,11 +1,15 @@
+import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrgxy import cli
 from qrgxy.blocks import CouplingParams
@@ -351,11 +355,12 @@ def test_numerical_contract_failures_exit_3():
 def test_the_cli_pulls_in_no_undeclared_dependency():
     # numpy is the one runtime dependency: scipy and mpmath may be
     # installed, but no import and no run of the package may load them
+    # nor may an exact argv load argparse, which only help and errors need
     code = (
         "import json, sys, qrgxy.cli as c;"
         "code = c.main(['concurrence', '--dim', '3', '--steps', '1', '--grid', '5']);"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath'))),"
-        " file=sys.stderr);"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'mpmath', 'argparse'))), file=sys.stderr);"
         "sys.exit(code)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -554,7 +559,9 @@ def _run_main(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     ["--help", "", "bogus", "-h scaling", "--dim 3 scaling", "scaling --bogus 1", "scaling scaling",
-     "fixed-points --grid x"] + [f"{command} --help" for command in cli._COMMANDS],
+     "fixed-points --grid x", "fixed-points --dim=3 --grid 100", "fixed-points --gri 100 --dim 3",
+     "flow --dim 1 --gamma0 -1e-3", "fixed-points --grid 100 --grid x"]
+    + [f"{command} --help" for command in cli._COMMANDS],
 )
 def test_a_parser_of_one_command_prints_what_one_of_all_six_does(argv, capsys, monkeypatch):
     got = _run_main(argv.split(), capsys)
@@ -568,3 +575,115 @@ def test_a_command_given_first_gets_the_only_subparser():
     every = "{" + ",".join(cli._COMMANDS) + "}"
     for argv in ([], ["-h", "scaling"], ["--dim", "3", "scaling"]):
         assert every in cli._build_parser(argv).format_usage()
+
+
+def test_help_in_a_fresh_process_prints_what_the_parser_formats(monkeypatch):
+    # argparse is imported only for help and errors; the help it prints is
+    # that of the parser with all six commands
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parser_of_every_command(["--help"]).format_help()
+    proc = run_cli("--help")
+    assert proc.stdout == want and proc.stderr == ""
+
+
+# -- the exact argv that main reads without argparse ------------------------
+
+_ALL_FLAGS = sorted({cli._flag(field[0]) for _help, _run, fields in cli._COMMANDS.values() for field in fields})
+_VALUES = st.one_of(
+    st.integers(-3, 2001).map(str),
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from(["-0.26", "-1e-3", "", "x", "1,2", "0.1 1", *cli._COMMANDS]),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command and tokens over its flags: mostly exact pairs, and also
+    abbreviated and --flag=value flags, flags of other commands and -h."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    own = ["--config"] + [cli._flag(field[0]) for field in cli._COMMANDS[command][2]]
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        flag, value = draw(st.sampled_from(own)), draw(_VALUES)
+        kind = draw(st.sampled_from(["exact"] * 8 + ["abbreviated", "equals", "other", "help"]))
+        if kind == "abbreviated":
+            argv += [flag[:draw(st.integers(3, len(flag)))], value]
+        elif kind == "equals":
+            argv.append(f"{flag}={value}")
+        elif kind == "other":
+            argv += [draw(st.sampled_from(_ALL_FLAGS)), value]
+        elif kind == "help":
+            argv.append(draw(st.sampled_from(["-h", "--help"])))
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+def test_an_argv_read_exactly_parses_as_argparse_parses_it(argv):
+    args = cli._exact_args(argv)
+    if args is not None:
+        assert args == vars(cli._build_parser(argv).parse_args(argv))
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## Command line\n"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("qrg ")]
+
+
+def _bench_argv(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up while it is made
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [list(w.argv) for w in workloads.WORKLOADS.values()]
+
+
+def test_the_bench_and_readme_argv_are_read_exactly(monkeypatch):
+    readme = [argv for argv in _readme_examples() if not any(v.startswith("-") for v in argv[2::2])]
+    assert len(readme) == 5
+    for argv in _bench_argv(monkeypatch) + readme:
+        args = cli._exact_args(argv)
+        assert args is not None, argv
+        assert args == vars(cli._build_parser(argv).parse_args(argv))
+
+
+# -- a stdout that cannot be written -----------------------------------------
+
+class _FullStdout:
+    """A stdout on a descriptor whose every write fails, as on a full disk."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_stdout_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch):
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(fh.fileno()))
+        assert cli.main(["fixed-points", "--dim", "1"]) == 2
+        # its descriptor now points at os.devnull, so the flush at exit
+        # has nothing to fail on
+        os.write(fh.fileno(), b"flushed at exit")
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == "qrg-error: field 'out': cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_2_with_one_error_line():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qrgxy", "fixed-points", "--dim", "1"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == "qrg-error: field 'out': cannot write stdout: [Errno 28] No space left on device\n"
