@@ -23,15 +23,16 @@ the ground doublet lies in S = d (6 / 10 / 14 wide). Each half is
 bipartite: it couples its S+1 states of even k only to its S states of odd
 k, through the (S+1) x S block (J/4) A with A = a + gamma b, so its levels
 are plus and minus the singular values of (J/4) A, and 0. collective_spin
-holds a and b of S = d, the Gram tables of A^T A for every S = 1..d, the S = d
-restrictions of a corner's sx and (-i sy), and the four X-state entries of
-the corner-pair state as quadratic forms on the even half of S = d. a and b
-are read off the ladder coefficients 2 sqrt(k (2S + 1 - k)) of the spin-S
-moves, and the corner tables are the spin-d operators placed on the two
-center states; no Kronecker product and no 2^n basis is used for them. The
-map from S = d back to the 2^n basis (embedding) is built apart, only when
-a caller asks for full-basis vectors. No Hamiltonian matrix is built, not
-even a half.
+holds a and b of S = d, the Gram tables of A^T A for every S = 1..d and the
+S = d restrictions of a corner's sx and (-i sy). a and b are read off the
+ladder coefficients 2 sqrt(k (2S + 1 - k)) of the spin-S moves, and the
+corner tables are the spin-d operators placed on the two center states; no
+Kronecker product and no 2^n basis is used for them. Two tables are built
+apart, each only for the callers that need it: the four X-state entries of
+the corner-pair state as quadratic forms on the even half of S = d
+(pair_forms), read only where a concurrence is, and the map from S = d
+back to the 2^n basis (embedding), for callers that ask for full-basis
+vectors. No Hamiltonian matrix is built, not even a half.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ class CollectiveSpin(NamedTuple):
     lower: np.ndarray     # (3, 3, 2(d-1)): P0, P1, P2 of (m, h, r) of the halves of S = 1..d-1, both halves of S = 1 first
     half: np.ndarray      # (2, 2d+1): S = d positions of parity +1, -1, even k first
     corner: np.ndarray    # (2, 2(2d+1), 2(2d+1)): one corner's sx and (-i sy) restricted to S = d
-    pair: np.ndarray      # (4, 2d+1, 2d+1): rho00, rho11, rho33, rho03 of two corners, forms on the even half
 
 
 class Embedding(NamedTuple):
@@ -220,7 +220,8 @@ def _gram(coupling: np.ndarray) -> np.ndarray:
     return 0.5 * (tables + tables.swapaxes(-1, -2))
 
 
-def _pair_form(d: int) -> np.ndarray:
+@functools.cache
+def _pair_forms(dimension: int) -> np.ndarray:
     """The reduced state of two of the N = 2d corners as quadratic forms in
     the 2d+1 amplitudes of an even S = d vector on its half, from the Dicke
     coefficients (Wang and Molmer, Eur. Phys. J. D 18, 385 (2002)). A pair
@@ -232,12 +233,23 @@ def _pair_form(d: int) -> np.ndarray:
     and rho12 have the weights of rho11. Four forms are left: rho00, rho11,
     rho33 and rho03. On the even half the parity of k fixes the center
     state, so k and k + 2 always share it."""
+    d = block_geometry(dimension).dimension
     n = 2 * d
     k = _halves(d)[0] % (n + 1)  # the down corners of each position of the half
     rise = np.sqrt((n - k) * (n - k - 1) * (k + 1.0) * (k + 2.0))
     forms = [np.diag(w) for w in ((n - k) * (n - k - 1), k * (n - k), k * (k - 1))]
     forms.append(np.where(k[:, None] + 2 == k, rise[:, None], 0.0))
-    return np.stack(forms) / (n * (n - 1))
+    forms = np.stack(forms) / (n * (n - 1))
+    forms.flags.writeable = False
+    return forms
+
+
+def pair_forms(geometry: BlockGeometry) -> np.ndarray:
+    """(4, 2d+1, 2d+1): rho00, rho11, rho33 and rho03 of two corners as
+    quadratic forms on the even half of S = d, read-only; built once per
+    dimension and only where a concurrence is read
+    (concurrence._pair_concurrence)."""
+    return _pair_forms(geometry.dimension)
 
 
 @functools.cache
@@ -259,7 +271,6 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
         lower=lower.reshape(3, 3, -1),
         half=_halves(d),
         corner=corner,
-        pair=_pair_form(d),
     )
     for arr in spin:
         arr.flags.writeable = False

@@ -10,11 +10,14 @@ do (PRA 76, 060304(R) (2007)).
 Every block is solved by rgflow.solve_many, which hands back phi1 as its
 2d+1 amplitudes on the even half of S = d, and the corner-pair
 concurrence is read off them through four quadratic forms
-(_pair_concurrence), without touching the 2^n basis: block_concurrence
-takes a batch of one, flowed_concurrences flows a whole array of starting
-gammas together, each for its own number of steps, and reads the forms
-once, after the flow, on the phi1 of each point's last step;
-concurrence_curves serves any set of steps from one flow of the grid, and
+(_pair_concurrence, on blocks.pair_forms), without touching the 2^n
+basis: block_concurrence takes a batch of one; concurrence_searches runs
+searches that ask for batches of flows on rgflow.run_flows and reads the
+forms once per tick, on the phi1 of the last step of every flow of the
+searches that are done; flowed_concurrences is its one-search case, which
+flows a whole array of starting gammas together, each for its own number
+of steps, and reads the forms once, after the flow; concurrence_curves
+serves any set of steps from one flow of the grid, and
 concurrence_j_sweep solves its whole grid in one call. phi1 and the map
 gamma -> gamma' depend on gamma alone (J only rescales the block), so the
 flow carries gamma only and solves at unit J; only the (gamma, j) sweep
@@ -32,11 +35,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .blocks import CouplingParams, block_geometry, collective_spin, coupling_arrays
+from .blocks import CouplingParams, block_geometry, pair_forms
 from .errors import QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import SIGMA_Y_REAL
-from .rgflow import grid_size, solve_many, step_counts
+from .rgflow import grid_size, run_flows, solve_many, step_counts
 
 LAMBDA_FLOOR = -1e-10
 # eigenvalues below this fraction of the largest are rounding products; see
@@ -107,12 +110,12 @@ def wootters_concurrence(rho) -> float:
 def _pair_concurrence(dimension: int, even: np.ndarray) -> np.ndarray:
     """Corner-pair concurrence of each row of even, the (G, 2d+1) even-half
     amplitudes of phi1 from rgflow.solve_many. The pair state is a real X
-    state whose rho22 and rho12 are rho11 bit for bit (blocks._pair_form),
+    state whose rho22 and rho12 are rho11 bit for bit (blocks.pair_forms),
     so 2 max(0, |rho03| - sqrt(rho11 rho22), |rho12| - sqrt(rho00 rho33))
     is 2 max(0, |rho03| - rho11, rho11 - sqrt(rho00 rho33)): exact, with no
     eigensolve and no noise floor. einsum, with optimize left off, runs its
     own loops and no BLAS, so a row gets the bits of its batch of one."""
-    pair = collective_spin(block_geometry(dimension)).pair
+    pair = pair_forms(block_geometry(dimension))
     r00, r11, r33, r03 = np.einsum("gi,fij,gj->fg", even, pair, even)
     return 2.0 * np.maximum(0.0, np.maximum(abs(r03) - r11, r11 - np.sqrt(r00 * r33)))
 
@@ -133,32 +136,30 @@ def block_concurrence(params: CouplingParams, dimension: int) -> float:
     return float(_pair_concurrence(dimension, solve_many(dimension, params.gamma).even)[0])
 
 
+def concurrence_searches(dimension: int, searches: list) -> list:
+    """Run searches that ask for batches of flows (rgflow.run_flows) and
+    are sent the corner-pair concurrence at the end of each flow of the
+    batch, and return the value each returns, in order. The concurrences
+    of every search whose flows end in a tick are read off their phi1 in
+    one _pair_concurrence call."""
+    return run_flows(dimension, searches, lambda solved: _pair_concurrence(dimension, solved.even))
+
+
+def _ask_once(gammas, rg_steps):
+    """A search that asks for one batch of flows and returns its values."""
+    return (yield gammas, rg_steps)
+
+
 def flowed_concurrences(dimension: int, rg_steps, gammas) -> np.ndarray:
     """Corner-pair concurrence of each starting gamma after its own
     number of coarse-graining steps: rg_steps is one count for all gammas
-    or one per gamma. All points flow together and carry gamma only: each
-    step is one batched solve of the distinct gammas still flowing, which
-    gives the even-half phi1 of the points that end there and gamma' of
-    the others, checked by the next solve. The concurrences of all points
-    are read off their phi1 in one _pair_concurrence call after the
-    flow."""
-    # checked in the given order, since np.unique below sorts them
-    gammas = coupling_arrays(1.0, gammas).gamma
-    steps = step_counts(np.broadcast_to(rg_steps, gammas.shape))
-    even = np.empty((len(gammas), 2 * block_geometry(dimension).dimension + 1))
-    points = np.arange(len(gammas))
-    for step in range(steps.max(initial=-1) + 1):
-        # flows meet, at the fixed points +-1 and 0 above all; np.unique has
-        # a fixed cost that a two-point stencil would pay at every step
-        distinct, where = gammas, slice(None)
-        if len(set(gammas.tolist())) < len(gammas):
-            distinct, where = np.unique(gammas, return_inverse=True)
-        solved = solve_many(dimension, distinct)
-        ends = steps[points] == step
-        if np.count_nonzero(ends):
-            even[points[ends]] = solved.even[where][ends]
-        points, gammas = points[~ends], solved.gamma_prime[where][~ends]
-    return _pair_concurrence(dimension, even)
+    or one per gamma. The one-search case of concurrence_searches: all
+    points flow together and carry gamma only, each step one batched solve
+    of the distinct gammas still flowing, which gives the even-half phi1
+    of the points that end there and gamma' of the others, checked by the
+    next solve. The concurrences of all points are read off their phi1 in
+    one _pair_concurrence call after the flow."""
+    return concurrence_searches(dimension, [_ask_once(gammas, rg_steps)])[0]
 
 
 def flowed_concurrence(dimension: int, rg_step: int, gamma: float) -> float:

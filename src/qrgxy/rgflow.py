@@ -22,20 +22,27 @@ on every point, reads xi_x, xi_y and gamma' off the S = d vectors and
 hands back phi1 as its 2d+1 amplitudes on the even half, off which
 concurrence reads the corner-pair state of the points where a flow ends.
 Every block of the package goes through it, with no memo: gamma_prime
-and rg_map, and through them trajectories, take its batches of one; the
-concurrence flow (concurrence.flowed_concurrences) makes one batched
-solve per step and, since gamma' and phi1 do not depend on J, carries
-gamma only; fixed_points solves its residual grid in one call and the
-slope stencils of all its roots in one more. That grid holds the exact 0,
-and the map fixes 0 and +-1 exactly, so the three fixed points are exact
-residual zeros; only a sign change between grid points would be bisected,
-with the midpoints of the next four bisection levels of every such
-bracket per call. Only ground_doublet, for output and for full-basis
-callers, embeds the doublet into the 2^n basis (blocks.embedding).
-step_counts is the one rule for a number of rg steps.
-The bisection and the golden section of scaling are generators that ask,
-when they lack a value, for the points of their next few iterations along
-every branch (lookahead), and lockstep evaluates those of many at once.
+and rg_map, and through them trajectories, take its batches of one.
+Every search of the package runs on one scheduler of flows, run_flows: a
+search is a generator that asks for batches of flows, each flow a
+starting gamma and a number of rg steps, and is sent a read-out of the
+solve at the end of each. Each tick is one solve_many call on the
+distinct current gammas of every flow in flight, and since gamma' and
+phi1 do not depend on J, a flow carries gamma only. A search gets its
+values as soon as its own flows end and asks again in the next tick, so
+no search waits for another. The concurrence flow
+(concurrence.flowed_concurrences) is run_flows with one search, and the
+peak refinements of scaling run on it together. fixed_points solves its
+residual grid and the slope stencils of -1, 0 and 1 in one call. That
+grid holds the exact 0, and the map fixes 0 and +-1 exactly, so these
+are exact residual zeros; only a sign change between grid points would
+be bisected, with the midpoints of the next four bisection levels of
+every such bracket per tick, and its root's stencil solved in one call
+more. Only ground_doublet, for output and for full-basis callers, embeds
+the doublet into the 2^n basis (blocks.embedding). step_counts is the one
+rule for a number of rg steps. The bisection and the golden section of
+scaling ask, when they lack a value, for the points of their next few
+iterations along every branch (lookahead).
 """
 
 from __future__ import annotations
@@ -373,26 +380,87 @@ def lookahead(root, children, levels: int) -> list:
     return points
 
 
-def lockstep(runs: list, evaluate) -> list:
-    """Run the searches `runs` together and return the value each returns,
-    in order. A run is a generator that yields lists of points and is sent
-    their values; each round makes one evaluate(owners, points) call on the
-    points that every unfinished run asks for, where owners[i] is the index
-    of the run that asked for points[i]. A run may return before it asks."""
-    results = [None] * len(runs)
-    sends = dict.fromkeys(range(len(runs)))
-    while sends:
-        asks = {}
+class _Batch:
+    """The flows of the batch a search asked for last: those that end
+    first are held first."""
+
+    def __init__(self, gammas, steps, order, ended):
+        self.gammas = gammas  # the gamma each flow in flight has reached
+        self.steps = steps    # its steps left
+        self.order = order    # where each flow was asked for, or None if held in ask order
+        self.ended = ended    # the BlockSolve rows where flows ended, in that order
+
+
+def run_flows(dimension: int, searches: list, read) -> list:
+    """Run the searches `searches` on the flow and return the value each
+    returns, in order. A search is a generator that yields batches of
+    flows, each as (gammas, steps): the starting gammas and one number of
+    rg steps for all of them or one per gamma. It is sent one value per
+    flow, in the order asked, and it may return before it asks. read maps
+    the BlockSolve rows of the last step of flows to their values.
+
+    Each tick is one solve_many call on the distinct current gammas of
+    every flow in flight: a flow with steps left moves on to gamma', the
+    others end there. read is called at most once per tick, on the rows of
+    every search whose flows have all ended, and each of those searches is
+    sent its values and asks again at once, so that its next flows join
+    the next tick and no search waits for another. The starting gammas of
+    a batch are checked in the order given, as coupling_arrays checks
+    them, and its steps by step_counts. solve_many gives every point the
+    bits of its batch of one, so a search sees the values it sees alone."""
+    results = [None] * len(searches)
+    batches = {}  # search: its open batch
+    sends = dict.fromkeys(range(len(searches)))
+    while sends or batches:
         for k, values in sends.items():
             try:
-                asks[k] = runs[k].send(values)
+                gammas, steps = searches[k].send(values)
             except StopIteration as done:
                 results[k] = done.value
-        if not asks:
-            break
-        owners = [k for k, points in asks.items() for _ in points]
-        values = iter(evaluate(owners, [point for points in asks.values() for point in points]))
-        sends = {k: [next(values) for _ in points] for k, points in asks.items()}
+                continue
+            gammas, order, ended = coupling_arrays(1.0, gammas).gamma, None, []
+            if np.ndim(steps):
+                steps = step_counts(np.broadcast_to(steps, gammas.shape))
+                order = np.argsort(steps, kind="stable")
+                gammas, steps = gammas[order], steps[order]
+            else:
+                steps = np.full(len(gammas), step_counts(steps))
+            if not len(gammas):  # a batch of no flows ends at once
+                width = 2 * block_geometry(dimension).dimension + 1
+                ended.append(BlockSolve(np.empty(0), np.empty(0), np.empty(0), np.empty((0, width))))
+            batches[k] = _Batch(gammas, steps, order, ended)
+        flowing = [batch for batch in batches.values() if len(batch.gammas)]
+        if flowing:
+            gammas = np.concatenate([batch.gammas for batch in flowing])
+            # flows meet, at the fixed points +-1 and 0 above all; np.unique
+            # has a fixed cost that a two-point stencil would pay every tick
+            distinct, where = gammas, None
+            if len(set(gammas.tolist())) < len(gammas):
+                distinct, where = np.unique(gammas, return_inverse=True)
+            solved = solve_many(dimension, distinct)
+            at = 0
+            for batch in flowing:
+                n, ends = len(batch.gammas), int(batch.steps.searchsorted(0, side="right"))
+                ending, going = slice(at, at + ends), slice(at + ends, at + n)  # rows of solved
+                if where is not None:
+                    ending, going = where[ending], where[going]
+                if ends:
+                    batch.ended.append(BlockSolve(*(field[ending] for field in solved)))
+                batch.gammas, batch.steps = solved.gamma_prime[going], batch.steps[ends:] - 1
+                at += n
+        done = [k for k, batch in batches.items() if not len(batch.gammas)]
+        sends = {}
+        if done:
+            rows = [part for k in done for part in batches[k].ended]
+            values = read(BlockSolve(*map(np.concatenate, zip(*rows))))
+            for k in done:
+                batch = batches.pop(k)
+                n = sum(len(part.gamma_prime) for part in batch.ended)
+                mine, values = values[:n], values[n:]
+                sends[k] = mine
+                if batch.order is not None:  # back to the order asked
+                    sends[k] = np.empty_like(mine)
+                    sends[k][batch.order] = mine
     return results
 
 
@@ -407,17 +475,18 @@ def _halves(bracket):
 def _bisect(a, b, fa):
     """The root of gamma' - gamma in the sign-change bracket [a, b] with
     residual fa at a, by bisection down to a residual of exactly 0 or a
-    bracket no wider than _BISECT_WIDTH; a generator for lockstep that
-    yields the points it needs gamma' at. When a midpoint has no value, it
-    asks for those of the next _BISECT_LEVELS iterations (lookahead), then
-    steps one at a time as one-point bisection does, so it asks for the
-    floats that walk asks for and returns its root bit for bit."""
+    bracket no wider than _BISECT_WIDTH; a search for run_flows that asks
+    for flows of no step, one at each point it needs gamma' at, and reads
+    their gamma'. When a midpoint has no value, it asks for those of the
+    next _BISECT_LEVELS iterations (lookahead), then steps one at a time as
+    one-point bisection does, so it asks for the floats that walk asks for
+    and returns its root bit for bit."""
     known = {}
     while b - a > _BISECT_WIDTH:
         mid = 0.5 * (a + b)
         if mid not in known:
             asked = lookahead(((a, b), mid), _halves, _BISECT_LEVELS)
-            known.update(zip(asked, (yield asked)))
+            known.update(zip(asked, (yield asked, 0)))
         fm = known[mid] - mid
         if fm == 0.0:
             return mid
@@ -428,6 +497,11 @@ def _bisect(a, b, fa):
     return 0.5 * (a + b)
 
 
+def _slope_stencil(roots: np.ndarray):
+    """The two points of the slope stencil of each root, cut to [-1, 1]."""
+    return np.maximum(roots - FP_SLOPE_STEP, -1.0), np.minimum(roots + FP_SLOPE_STEP, 1.0)
+
+
 def fixed_points(dimension: int, grid: int = 401):
     """Roots of gamma' = gamma on [-1, 1], with stability read off a
     finite-difference slope at each root (< 1 stable, > 1 unstable).
@@ -436,10 +510,11 @@ def fixed_points(dimension: int, grid: int = 401):
     it: as its middle point where the grid is odd, and as one point more
     where it is even. The map is odd and sends 0, 1 and -1 exactly to
     themselves, so the three fixed points are exact residual zeros at
-    every grid and no bracket ends at or straddles one. Any other sign
-    change of the residuals would be bisected in lockstep (_bisect), one
-    solve per round for _BISECT_LEVELS levels of every open bracket. The
-    two-point slope stencils of all roots are one more solve."""
+    every grid and no bracket ends at or straddles one; their two-point
+    slope stencils go into the solve of the residual grid. Any other sign
+    change of the residuals would be bisected (_bisect) in run_flows, one
+    solve per tick for _BISECT_LEVELS levels of every open bracket, and
+    the stencils of any other root are one more solve."""
     grid = grid_size(grid)
     if grid < 100:
         raise ValueError(f"fixed-point grid needs at least 100 points, got {grid}")
@@ -451,19 +526,22 @@ def fixed_points(dimension: int, grid: int = 401):
         gs[grid // 2] = 0.0
     else:
         gs = np.insert(gs, grid // 2, 0.0)
-    res = solve_many(dimension, gs).gamma_prime - gs
+    stencils = np.concatenate(_slope_stencil(np.array([-1.0, 0.0, 1.0])))
+    gp = solve_many(dimension, np.concatenate([gs, stencils])).gamma_prime
+    known = dict(zip(stencils.tolist(), gp[len(gs):].tolist()))  # gamma' of the stencil points solved
+    res = gp[: len(gs)] - gs
     roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
     runs = [_bisect(gs[i], gs[i + 1], res[i]) for i in range(len(gs) - 1) if res[i] * res[i + 1] < 0.0]
-    found = lockstep(runs, lambda _owners, mids: solve_many(dimension, mids).gamma_prime)
-    roots += [float(r) for r in found]
+    roots += [float(r) for r in run_flows(dimension, runs, lambda solved: solved.gamma_prime)]
     merged: list = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > _FP_MERGE_TOL:
             merged.append(r)
-    lo = np.maximum(np.array(merged) - FP_SLOPE_STEP, -1.0)
-    hi = np.minimum(np.array(merged) + FP_SLOPE_STEP, 1.0)
-    gp_lo, gp_hi = solve_many(dimension, np.concatenate([lo, hi])).gamma_prime.reshape(2, -1)
-    slopes = abs((gp_hi - gp_lo) / (hi - lo))
+    lo, hi = _slope_stencil(np.array(merged))
+    missing = [g for g in np.concatenate([lo, hi]).tolist() if g not in known]
+    if missing:
+        known.update(zip(missing, solve_many(dimension, missing).gamma_prime.tolist()))
+    slopes = [abs((known[b] - known[a]) / (b - a)) for a, b in zip(lo.tolist(), hi.tolist())]
     return [
         FixedPoint(gamma=r, stability="stable" if slope < 1.0 else "unstable", slope=float(slope))
         for r, slope in zip(merged, slopes)

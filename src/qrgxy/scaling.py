@@ -11,15 +11,18 @@ N^(-theta), with gamma_c = 0 taken as exact.
 peak_points reads the curves of all its steps off one flow of the grid.
 The refinement probes the derivative through the full flow + concurrence
 pipeline. Its steps are generators that ask for probe points and are sent
-the values, run together by rgflow.lockstep as the bisection of
-fixed_points is, so independent points flow as one batch: the pre-scan of
-a bracket with the cusp probe, the two stencil points of every derivative,
-and the pending points of every step of a peak_points call. After its two
-starting points, golden section asks in rounds for the points of its next
-_GOLDEN_LEVELS iterations along both branches of every comparison it
-cannot yet make (rgflow.lookahead), and takes the iterations one at a
-time on their values, so its iterations and its result are those of
-asking for one point at a time.
+the values; _probed turns each batch of points into the flows of their
+stencils, and the refinements of all steps of a peak_points call run
+together on concurrence.concurrence_searches, each at its own pace: the
+flows of every batch in flight share each tick's solve, and a refinement
+asks for its next batch as soon as its own flows end, so the short flows
+of a low step do not wait for the long ones of a high step. A batch holds
+the pre-scan of a bracket with the cusp probe, or the two starting points
+of golden section, or the points of its next _GOLDEN_LEVELS iterations
+along both branches of every comparison it cannot yet make
+(rgflow.lookahead). Golden section takes the iterations one at a time on
+their values, so its iterations and its result are those of asking for
+one point at a time.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .blocks import block_geometry
-from .concurrence import ConcurrenceCurve, concurrence_curves, flowed_concurrences
+from .concurrence import ConcurrenceCurve, concurrence_curves, concurrence_searches
 from .errors import ScalingUnderflowError
-from .rgflow import lockstep, lookahead, step_counts
+from .rgflow import lookahead, step_counts
 
 FD_STEP = 1e-6        # central-difference step of the derivative probe
 GOLDEN_TOL = 1e-8     # refinement interval width
@@ -84,18 +87,24 @@ def derivative_curve(curve: ConcurrenceCurve) -> DerivativeCurve:
     )
 
 
-def _abs_derivatives_at(dimension: int, rg_steps, gammas) -> np.ndarray:
-    """The derivative probe: |dC/dgamma| after rg_steps coarse-graining
-    steps (one count for all gammas or one per gamma) at each of gammas, by
-    a central difference of half-width FD_STEP, cut to [-1, 1], through the
-    full flow + concurrence pipeline. Both stencil points of every gamma
-    flow in one batch."""
-    gammas = np.asarray(gammas, dtype=float)
-    lo = np.maximum(gammas - FD_STEP, -1.0)
-    hi = np.minimum(gammas + FD_STEP, 1.0)
-    steps = np.broadcast_to(rg_steps, gammas.shape)
-    c = flowed_concurrences(dimension, np.concatenate([steps, steps]), np.concatenate([lo, hi]))
-    return abs(c[len(gammas):] - c[: len(gammas)]) / (hi - lo)
+def _probed(search, rg_step: int):
+    """The point search `search` run on the derivative probe: |dC/dgamma|
+    after rg_step coarse-graining steps, by a central difference of
+    half-width FD_STEP, cut to [-1, 1], through the full flow + concurrence
+    pipeline. A search for concurrence.concurrence_searches: each batch of
+    points that `search` asks for becomes one batch of flows, both stencil
+    points of every point, and `search` is sent their differences."""
+    values = None
+    while True:
+        try:
+            points = search.send(values)
+        except StopIteration as done:
+            return done.value
+        gammas = np.asarray(points, dtype=float)
+        lo = np.maximum(gammas - FD_STEP, -1.0)
+        hi = np.minimum(gammas + FD_STEP, 1.0)
+        c = yield np.concatenate([lo, hi]), rg_step
+        values = abs(c[len(gammas):] - c[: len(gammas)]) / (hi - lo)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -204,13 +213,13 @@ def _scan_then_golden(lo: float, hi: float, side: str, dists: list, vals):
 
 def _refine(curve: DerivativeCurve, side: str):
     """(gamma_m, peak |dC/dgamma|) on one sign side of gamma, as a
-    generator for rgflow.lockstep that yields the points it needs the
-    derivative probe at and is sent its values (see _refined_peaks).
+    generator that yields the points it needs the derivative probe at and
+    is sent its values (see _probed and _refined_peaks).
 
     The grid argmax is bracketed by its neighboring grid points and refined
-    inside the bracket on the derivative probe (_abs_derivatives_at:
-    central difference, step 1e-6, computed through the full flow +
-    concurrence pipeline) down to an interval of 1e-8: a geometric pre-scan
+    inside the bracket on the derivative probe (_probed: central
+    difference, step 1e-6, computed through the full flow + concurrence
+    pipeline) down to an interval of 1e-8: a geometric pre-scan
     of the bracket, then golden section on the best scan cell (see
     _scan_then_golden). The refined position is classified by one extra
     probe at 2 * FD_STEP from the critical point, the closest position
@@ -264,15 +273,14 @@ def _refine(curve: DerivativeCurve, side: str):
 
 def _refined_peaks(curves, side: str):
     """(gamma_m, peak |dC/dgamma|) of each of curves, all of one dimension,
-    on one sign side of gamma (see _refine). The refinements run in
-    rgflow.lockstep: each round probes the points that every unfinished one
-    asks for in one batch, each at its own curve's rg step. Every
-    refinement sees the values it would see alone, in the same order."""
-    steps = np.array([curve.rg_step for curve in curves])
-    return lockstep(
-        [_refine(curve, side) for curve in curves],
-        lambda owners, gammas: _abs_derivatives_at(curves[0].dimension, steps[owners], gammas),
-    )
+    on one sign side of gamma (see _refine). The refinements run together
+    in concurrence.concurrence_searches, each probing at its own curve's rg
+    step and each at its own pace: the flows of every probe batch in
+    flight share each tick's solve, and a refinement asks for its next
+    batch as soon as its own flows end. Every refinement sees the values it
+    would see alone, in the same order."""
+    searches = [_probed(_refine(curve, side), curve.rg_step) for curve in curves]
+    return concurrence_searches(curves[0].dimension, searches)
 
 
 def locate_max(curve: DerivativeCurve, side: str) -> float:
@@ -323,7 +331,7 @@ def peak_points(
 ):
     """(step, N, gamma_m, peak |dC/dgamma|) rows for the requested steps,
     their curves read off one flow of the grid up to the largest step and
-    their peaks refined in lockstep (_refined_peaks).
+    their peaks refined together (_refined_peaks).
 
     gamma_m is taken on the negative side so the distance to the critical
     point gamma_c = 0 is the positive number -gamma_m.

@@ -188,14 +188,14 @@ def test_collective_spin_corner_tables_are_restrictions(dim):
         ky = (-1j * embed_complex(SY, corner.site, n)).real
         assert np.max(np.abs(e.T @ sx @ e - spin.corner[0])) <= 1e-15
         assert np.max(np.abs(e.T @ ky @ e - spin.corner[1])) <= 1e-15
-    assert spin.pair.shape == (4, 2 * dim + 1, 2 * dim + 1)
+    assert blocks.pair_forms(geometry).shape == (4, 2 * dim + 1, 2 * dim + 1)
     even = spin.half[0]
     for _ in range(5):
         v = np.zeros(e.shape[1])
         v[even] = rng.standard_normal(even.size)
         v /= np.linalg.norm(v)
         rho = corner_pair_state(e @ v, geometry)
-        forms = [v[even] @ form @ v[even] for form in spin.pair]
+        forms = [v[even] @ form @ v[even] for form in blocks.pair_forms(geometry)]
         assert np.max(np.abs(forms - rho[[0, 1, 3, 0], [0, 1, 3, 3]])) <= 1e-15
         # the entries the forms leave out: rho22 and rho12 are rho11, and
         # the q = 1 entries, which join the two halves, vanish
@@ -222,7 +222,7 @@ def test_collective_spin_tables_are_the_kronecker_builds(dim):
 
 def test_collective_spin_is_read_only():
     geometry = block_geometry(2)
-    for arr in (*collective_spin(geometry), *embedding(geometry)):
+    for arr in (*collective_spin(geometry), *embedding(geometry), blocks.pair_forms(geometry)):
         with pytest.raises(ValueError):
             arr.flat[0] = 0
 

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qrgxy.concurrence
 import qrgxy.rgflow
-import qrgxy.scaling
 from qrgxy.blocks import CouplingParams, block_geometry
 from qrgxy.concurrence import (
     block_concurrence,
@@ -397,21 +396,29 @@ def test_ising_point_concurrence_is_at_the_rounding_floor():
 
 def test_the_pair_state_is_read_only_where_a_flow_ends(monkeypatch):
     # the forms are read once per flow, after its last step, and never by
-    # the map, trajectories or fixed points
+    # the map, trajectories or fixed points; in peak_points, whose
+    # refinements share ticks, at most once per tick
     counts = {"kernel": 0, "flow": 0}
+    events = []
     kernel, flow = qrgxy.concurrence._pair_concurrence, qrgxy.concurrence.flowed_concurrences
+    solve = qrgxy.rgflow._solve
 
     def counting_kernel(*args):
         counts["kernel"] += 1
+        events.append("kernel")
         return kernel(*args)
 
     def counting_flow(*args):
         counts["flow"] += 1
         return flow(*args)
 
+    def logged_solve(*args):
+        events.append("solve")
+        return solve(*args)
+
     monkeypatch.setattr(qrgxy.concurrence, "_pair_concurrence", counting_kernel)
     monkeypatch.setattr(qrgxy.concurrence, "flowed_concurrences", counting_flow)
-    monkeypatch.setattr(qrgxy.scaling, "flowed_concurrences", counting_flow)
+    monkeypatch.setattr(qrgxy.rgflow, "_solve", logged_solve)
     gamma_prime(0.3, 3)
     rg_map(CouplingParams(1.0, 0.3), 3)
     rg_trajectory(CouplingParams(1.0, 0.3), 3, 4)
@@ -428,9 +435,12 @@ def test_the_pair_state_is_read_only_where_a_flow_ends(monkeypatch):
         flowed_concurrences(3, steps, gammas)
         assert counts["kernel"] == 1
     counts.update(kernel=0, flow=0)
+    events.clear()
     peak_points(3, grid=51)
-    assert counts["flow"] > 1
-    assert counts["kernel"] == counts["flow"]
+    # the curves are one flow; the refinements read in the ticks where
+    # their flows end, each tick one solve and at most one read after it
+    assert counts["flow"] == 1 and counts["kernel"] > 1
+    assert events[0] == "solve" and "kernel kernel" not in " ".join(events)
 
 
 def test_j_sweep_is_flat_in_j():

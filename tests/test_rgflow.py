@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds
+from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds, pair_forms
 from qrgxy.concurrence import _pair_concurrence, concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, QRGError, StructureError
 from qrgxy.rgflow import (
@@ -15,9 +15,10 @@ from qrgxy.rgflow import (
     fixed_points,
     gamma_prime,
     ground_doublet,
-    lockstep,
+    BlockSolve,
     rg_map,
     rg_trajectory,
+    run_flows,
     solve_many,
 )
 
@@ -319,7 +320,7 @@ def test_block_solve_matches_the_full_basis_oracle(dim, gamma):
     assert abs(solve.xi_x2[0] - ops.xi_x ** 2) <= 1e-14
     assert abs(solve.xi_y2[0] - ops.xi_y ** 2) <= 1e-14
     # the X-state entries rho00, rho11, rho33, rho03 of the corner pair
-    forms = [solve.even[0] @ form @ solve.even[0] for form in collective_spin(geometry).pair]
+    forms = [solve.even[0] @ form @ solve.even[0] for form in pair_forms(geometry)]
     rho = corner_pair_state(phi1, geometry)
     assert np.max(np.abs(forms - rho[[0, 1, 3, 0], [0, 1, 3, 3]])) <= 1e-14
 
@@ -343,6 +344,16 @@ def test_cold_block_solve_never_builds_a_full_basis_vector(monkeypatch, dim):
     even = solve_many(dim, 0.3).even
     assert even.shape == (1, 2 * dim + 1)
     assert not even.flags.writeable
+    assert fresh.cache_info().currsize == 1
+
+
+def test_only_a_concurrence_builds_the_pair_forms(monkeypatch):
+    fresh = functools.cache(qrgxy.blocks._pair_forms.__wrapped__)
+    monkeypatch.setattr(qrgxy.blocks, "_pair_forms", fresh)
+    fixed_points(3, 100)
+    rg_trajectory(CouplingParams(1.0, 0.3), 3, 2)
+    assert fresh.cache_info().currsize == 0
+    flowed_concurrence(3, 1, 0.3)
     assert fresh.cache_info().currsize == 1
 
 
@@ -405,12 +416,12 @@ def record_eigh_batches(monkeypatch):
 
 
 def test_fixed_points_solve_count(monkeypatch):
-    # the residual grid and the 0.0 put in it, 101 points, in one call; the
-    # roots -1, 0 and 1 are exact residual zeros, so nothing is bisected;
-    # the stencils of the three roots in one call
+    # one call: the residual grid and the 0.0 put in it, 101 points, and
+    # the two-point stencils of -1, 0 and 1, which the map fixes exactly;
+    # they are the only roots, so nothing is bisected and no stencil is left
     batches = record_eigh_batches(monkeypatch)
     fixed_points(3, 100)
-    assert batches == [101, 6]
+    assert batches == [107]
 
 
 # gamma' where the last bit of xi^2 depends on how it is squared, as the
@@ -581,7 +592,7 @@ def test_fixed_points_do_not_depend_on_the_grid(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_fixed_points_are_those_of_one_point_bisection(dim, grid):
     # on the same grid, solve_many gives each point the bits of its batch
-    # of one; the real map leaves no bracket to bisect, and the lockstep walk
+    # of one; the real map leaves no bracket to bisect, and the bisection walk
     # is held to one-point bisection on synthetic maps below
     want = fixed_points_one_at_a_time(lambda gs: solve_many(dim, gs).gamma_prime, grid)
     assert [(fp.gamma, fp.stability, fp.slope) for fp in fixed_points(dim, grid)] == want
@@ -600,6 +611,24 @@ SYNTHETIC_MAPS = {
 }
 
 
+def map_solve(f, calls=None):
+    """A stand-in for solve_many whose gamma' is f(gamma), for the searches
+    of run_flows on a synthetic map; calls gets the gammas of every call."""
+
+    def solve(dimension, gammas):
+        gammas = np.atleast_1d(np.asarray(gammas, dtype=float)).tolist()
+        if calls is not None:
+            calls.append(gammas)
+        n = len(gammas)
+        return BlockSolve(np.zeros(n), np.zeros(n), np.array([f(g) for g in gammas]), np.zeros((n, 2 * dimension + 1)))
+
+    return solve
+
+
+def read_gamma_prime(solved):
+    return solved.gamma_prime
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(sorted(SYNTHETIC_MAPS)),
@@ -608,9 +637,10 @@ SYNTHETIC_MAPS = {
     a=st.floats(min_value=-1.0, max_value=1.0),
     width=st.one_of(st.just(0.0), st.floats(min_value=_BISECT_WIDTH / 4.0, max_value=2.0)),
 )
-def test_lockstep_bisection_walks_as_one_point_bisection(kind, center, digits, a, width):
+def test_bisection_walks_as_one_point_bisection(kind, center, digits, a, width):
+    # the bracket is cut to [-1, 1], where run_flows checks the points
     f = SYNTHETIC_MAPS[kind](center, digits)
-    b = a + width
+    b = min(a + width, 1.0)
     fa = f(a) - a
     needed, asked = [], []
 
@@ -618,43 +648,114 @@ def test_lockstep_bisection_walks_as_one_point_bisection(kind, center, digits, a
         needed.append(x)
         return f(x)
 
-    def evaluate(owners, points):
-        assert owners == [0] * len(points)
-        asked.extend(points)
-        return [f(x) for x in points]
-
     want = bisect_one_at_a_time(one, a, b, fa, _BISECT_WIDTH)
-    assert lockstep([_bisect(a, b, fa)], evaluate) == [want]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qrgxy.rgflow, "solve_many", map_solve(f, asked))
+        assert run_flows(1, [_bisect(a, b, fa)], read_gamma_prime) == [want]
+    asked = [x for points in asked for x in points]
     assert set(needed) <= set(asked)
     assert len(set(asked)) == len(asked)
     assert all(a <= x <= b for x in asked)
 
 
-def test_lockstep_sends_each_run_its_own_values():
-    # one evaluate call per round, for the points of every run still
-    # asking, each sent back to its run; a run that returns at once, here a
-    # bracket already narrow enough, asks for nothing
-    def run(k, rounds):
-        seen = []
-        for r in range(rounds):
-            points = [10.0 * k + r, 10.0 * k + r + 0.5][: 1 + r % 2]
-            seen.append((points, (yield points)))
-        return k, seen
+def test_a_root_off_the_exact_three_gets_its_stencil_in_one_more_solve(monkeypatch):
+    # a map that fixes -1, 0 and 1 exactly and crosses gamma' = gamma at
+    # 0.3, which no grid point holds: the residual grid and the stencils of
+    # the exact three in one solve, the bisection in ticks, then one solve
+    # for the stencil of the bisected root
+    def f(x):
+        return x + 0.01 * x * (1.0 - x * x) * (x - 0.3)
 
     calls = []
+    monkeypatch.setattr(qrgxy.rgflow, "solve_many", map_solve(f, calls))
+    got = [(fp.gamma, fp.stability, fp.slope) for fp in fixed_points(1, 100)]
+    assert got == fixed_points_one_at_a_time(lambda gs: np.array([f(g) for g in gs]), 100)
+    assert [gamma for gamma, _stability, _slope in got] == [-1.0, 0.0, got[2][0], 1.0]
+    assert abs(got[2][0] - 0.3) < 1e-12
+    assert len(calls[0]) == 107 and len(calls[-1]) == 2 and len(calls) > 2
 
-    def evaluate(owners, points):
-        calls.append((owners, points))
-        return [(owner, x) for owner, x in zip(owners, points)]
 
-    done = lockstep([_bisect(0.0, _BISECT_WIDTH, -1.0), run(1, 2), run(2, 5)], evaluate)
+def test_run_flows_sends_each_search_its_own_values(monkeypatch):
+    # each search is sent, in the order it asked, the gamma' at the end of
+    # each of its flows, here half the gamma the flow reached; a search that
+    # returns at once, here a bracket already narrow enough, asks for
+    # nothing, and a batch of no flows is read at once, without a solve
+    calls, reads = [], []
+    monkeypatch.setattr(qrgxy.rgflow, "solve_many", map_solve(lambda g: 0.5 * g, calls))
+
+    def read(solved):
+        reads.append(len(solved.gamma_prime))
+        return solved.gamma_prime
+
+    def search(k, asks):
+        seen = []
+        for gammas, steps in asks:
+            seen.append((gammas, steps, (yield gammas, steps)))
+        return k, seen
+
+    asks = {1: [([0.1, 0.2], 1), ([0.3], 0)], 2: [([0.4, 0.5, 0.6], [2, 0, 1])], 3: [([], 2)]}
+    done = run_flows(1, [_bisect(0.0, _BISECT_WIDTH, -1.0)] + [search(k, a) for k, a in asks.items()], read)
     assert done[0] == 0.5 * _BISECT_WIDTH
-    for k, rounds in ((1, 2), (2, 5)):
+    for k, a in asks.items():
         who, seen = done[k]
-        assert who == k and len(seen) == rounds
-        assert all(values == [(k, x) for x in points] for points, values in seen)
-    assert [owners for owners, _points in calls] == [[1, 2], [1, 1, 2, 2], [2], [2, 2], [2]]
-    assert lockstep([], evaluate) == [] and len(calls) == 5
+        assert who == k and len(seen) == len(a)
+        for gammas, steps, values in seen:
+            # halving is exact
+            assert values.tolist() == [g * 0.5 ** (n + 1) for g, n in zip(gammas, np.broadcast_to(steps, len(gammas)))]
+    # one solve per tick on every flow in flight, the flows of a batch that
+    # end first first; one read per tick, for the searches that are done
+    assert calls == [[0.1, 0.2, 0.5, 0.6, 0.4], [0.05, 0.1, 0.3, 0.2], [0.1, 0.3]]
+    assert reads == [0, 2, 4]
+    assert run_flows(1, [], read) == [] and len(calls) == 3 and len(reads) == 3
+
+
+def test_a_search_asks_again_at_the_next_tick(monkeypatch):
+    # searches whose flows take 1, 2 and 3 steps and that ask 6, 4 and 3
+    # times need 12 ticks each, and together they take 12: rounds in which
+    # every search waits for the slowest would take 4 + 4 + 4 + 3 + 3 + 2
+    calls = []
+    monkeypatch.setattr(qrgxy.rgflow, "solve_many", map_solve(lambda g: 0.5 * g, calls))
+
+    def search(steps, asks):
+        for ask in range(asks):
+            start = 0.1 * steps + 0.01 * ask
+            (value,) = yield [start], steps
+            assert value == start * 0.5 ** (steps + 1)
+        return steps
+
+    assert run_flows(1, [search(1, 6), search(2, 4), search(3, 3)], read_gamma_prime) == [1, 2, 3]
+    assert [len(points) for points in calls] == [3] * 12
+
+
+def test_run_flows_checks_each_batch_in_the_order_asked(monkeypatch):
+    # the starting gammas of a batch are checked as it is asked, in the
+    # order given, and the first that fails raises the error of its batch
+    # of one; its steps are checked by step_counts
+    def search(gammas, steps=1):
+        yield [0.2], 1
+        yield gammas, steps
+
+    for gammas, bad in (([0.5, 2.0, -3.0], 2.0), ([0.1, math.nan, 5.0], math.nan)):
+        with pytest.raises(ValueError) as want:
+            solve_many(2, [bad])
+        with pytest.raises(ValueError) as info:
+            run_flows(2, [search([0.3]), search(gammas)], read_gamma_prime)
+        assert str(info.value) == str(want.value)
+    with pytest.raises(ValueError, match="whole number, got 1.5"):
+        run_flows(2, [search([0.1], 1.5)], read_gamma_prime)
+    with pytest.raises(ValueError, match="between 0 and 64, got 65"):
+        run_flows(2, [search([0.1, 0.2], [1, 65])], read_gamma_prime)
+    # a point that fails in a tick's solve raises the error of its batch of
+    # one: a corner table with a diagonal fails every point, each with its
+    # own text, and 0.2 is the first point of the first tick
+    spin = collective_spin(block_geometry(2))
+    fake = spin._replace(corner=spin.corner + np.eye(spin.corner.shape[-1]))
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+    want = _scalar_error(2, 0.2)
+    assert want[0] is StructureError and want[1] != _scalar_error(2, 0.3)[1]
+    with pytest.raises(want[0]) as info:
+        run_flows(2, [search([0.3, 0.4], 0), search([0.5])], read_gamma_prime)
+    assert str(info.value) == want[1]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -263,17 +263,18 @@ def test_lockstep_refinement_is_each_refinement_alone(dim, steps):
 
 
 def test_peak_points_solve_count(monkeypatch):
-    # one flow of the grid (4 calls, 106 points); the pre-scans with the
-    # cusp probes (4 calls, 119) and the golden starting pairs (4 calls, 36)
-    # of the three steps in lockstep; then golden rounds of up to 7 points
-    # per step, whose two stencil points each flow through step + 1 calls:
-    # 4 rounds of all three steps (4 calls each; step 3 is done after 14
-    # iterations in 4 rounds, since branches meet and a point asked for on
-    # a branch not taken is what a later iteration needs), 3 of steps 1 and
-    # 2 (3 calls each) and 2 of step 1 alone (2 calls each)
+    # one flow of the grid: ticks 0-3, 106 points. Then the refinements,
+    # each at its own pace, a batch of step s taking s + 1 ticks: the three
+    # pre-scans with their cusp probes share tick 4 (33 points); after the
+    # golden starting pairs come golden batches of up to 7 points, both
+    # stencil points of each. Step 1 asks at ticks 4, 6, ..., 24 and is
+    # done after tick 25, step 3 asks at 4, 8, ..., 24 and is done after
+    # 27, and step 2 asks at 4, 7, ..., 25 and 28 and is done after 30:
+    # 31 calls on the 979 points that rounds of all three, each waiting
+    # for step 3, asked for in 41
     batches = record_eigh_batches(monkeypatch)
     peak_points(3, grid=51)
-    assert (len(batches), sum(batches)) == (41, 979)
+    assert (len(batches), sum(batches)) == (31, 979)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
