@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -47,19 +46,28 @@ import numpy as np
 from .pauli import Axis, spin_flip
 
 
-@dataclass(frozen=True)
-class CouplingParams:
-    """Couplings at one RG step: finite exchange strength j > 0
-    (antiferromagnetic), anisotropy gamma in [-1, 1]."""
-
+class _Couplings(NamedTuple):
     j: float
     gamma: float
 
-    def __post_init__(self):
-        if not 0 < self.j < math.inf:
-            raise ValueError(f"coupling j must be finite and > 0, got {self.j}")
-        if not abs(self.gamma) <= 1:
-            raise ValueError(f"anisotropy gamma must lie in [-1, 1], got {self.gamma}")
+
+class CouplingParams(_Couplings):
+    """Couplings at one RG step: finite exchange strength j > 0
+    (antiferromagnetic), anisotropy gamma in [-1, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, j, gamma):
+        if not 0 < j < math.inf:
+            raise ValueError(f"coupling j must be finite and > 0, got {j}")
+        if not abs(gamma) <= 1:
+            raise ValueError(f"anisotropy gamma must lie in [-1, 1], got {gamma}")
+        return super().__new__(cls, j, gamma)
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that _replace, which goes through _make, is checked too
+        return cls(*iterable)
 
 
 class CouplingArrays(NamedTuple):
@@ -88,8 +96,7 @@ class Corner(NamedTuple):
     sign: int  # -1 or +1 side of the axis
 
 
-@dataclass(frozen=True)
-class BlockGeometry:
+class BlockGeometry(NamedTuple):
     dimension: int
     n_sites: int
     center: int

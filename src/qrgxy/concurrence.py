@@ -30,8 +30,7 @@ tests enforce rather than assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ LAMBDA_NOISE_RTOL = 1e-12
 _YY = -np.kron(SIGMA_Y_REAL, SIGMA_Y_REAL)  # real matrix of sigma^y x sigma^y
 
 
-@dataclass(frozen=True)
-class ConcurrenceCurve:
+class ConcurrenceCurve(NamedTuple):
     dimension: int
     rg_step: int
     gamma_grid: np.ndarray

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -72,8 +71,7 @@ DEGENERACY_RTOL = 1e-8   # doublet splitting tolerance, relative to spectral spr
 STRUCTURE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GroundDoublet:
+class GroundDoublet(NamedTuple):
     """Two orthonormal degenerate ground vectors, split by parity.
 
     phi1 is the even-parity member, phi2 the odd one, each exactly zero
@@ -89,14 +87,12 @@ class GroundDoublet:
     n_spins: int
 
 
-@dataclass(frozen=True)
-class RGTrajectory:
+class RGTrajectory(NamedTuple):
     dimension: int
     steps: Tuple[CouplingParams, ...]  # steps[0] = initial couplings
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     gamma: float
     stability: str  # "stable" | "unstable"
     slope: float    # |d gamma'/d gamma| at the root
@@ -530,8 +526,9 @@ def fixed_points(dimension: int, grid: int = 401):
     gp = solve_many(dimension, np.concatenate([gs, stencils])).gamma_prime
     known = dict(zip(stencils.tolist(), gp[len(gs):].tolist()))  # gamma' of the stencil points solved
     res = gp[: len(gs)] - gs
-    roots = [float(g) for g, r in zip(gs, res) if r == 0.0]
-    runs = [_bisect(gs[i], gs[i + 1], res[i]) for i in range(len(gs) - 1) if res[i] * res[i + 1] < 0.0]
+    roots = gs[np.flatnonzero(res == 0.0)].tolist()
+    brackets = np.flatnonzero(res[:-1] * res[1:] < 0.0).tolist()
+    runs = [_bisect(gs[i], gs[i + 1], res[i]) for i in brackets]
     roots += [float(r) for r in run_flows(dimension, runs, lambda solved: solved.gamma_prime)]
     merged: list = []
     for r in sorted(roots):

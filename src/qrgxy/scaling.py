@@ -18,17 +18,17 @@ flows of every batch in flight share each tick's solve, and a refinement
 asks for its next batch as soon as its own flows end, so the short flows
 of a low step do not wait for the long ones of a high step. A batch holds
 the pre-scan of a bracket with the cusp probe, or the two starting points
-of golden section, or the points of its next _GOLDEN_LEVELS iterations
-along both branches of every comparison it cannot yet make
-(rgflow.lookahead). Golden section takes the iterations one at a time on
-their values, so its iterations and its result are those of asking for
-one point at a time.
+of golden section with the points of its first _GOLDEN_LEVELS - 1
+iterations along both branches of the first comparison, or the points of
+its next _GOLDEN_LEVELS iterations along both branches of every comparison
+it cannot yet make (rgflow.lookahead). Golden section takes the iterations
+one at a time on their values, so its iterations and its result are those
+of asking for one point at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,24 +49,21 @@ UNDERFLOW_FLOOR = 1e-12
 DEFAULT_STEPS = {1: (1, 2, 3, 4, 5, 6), 2: (1, 2, 3, 4), 3: (1, 2, 3)}
 
 
-@dataclass(frozen=True)
-class DerivativeCurve:
+class DerivativeCurve(NamedTuple):
     gamma_grid: np.ndarray
     abs_derivative: np.ndarray
     rg_step: int
     dimension: int
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     points: Tuple[Tuple[float, float], ...]  # (ln N, ln value)
     slope: float
     intercept: float
     r_squared: float
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(NamedTuple):
     theta: float
     gamma_c: float
     fit: ScalingFit
@@ -139,23 +136,30 @@ def _golden_max(lo: float, hi: float):
     needs the function at and is sent their values, and returns (argmax,
     best value). Never evaluates outside [lo, hi].
 
-    It asks for the two starting points together, then in rounds. The
-    point an iteration needs depends only on whether the iteration keeps
-    the left or the right part of its bracket, so when an iteration needs
-    a point it has no value for, it asks for every point that this and the
-    next _GOLDEN_LEVELS - 1 iterations can need (rgflow.lookahead over
-    _golden_children, up to 2^_GOLDEN_LEVELS - 1) and has not asked for
-    before. Branches meet: a point asked for on a branch not taken can be
-    the very float that a later iteration needs, which then needs no
-    round. The iterations are those of asking for one point at a time,
-    with the same expressions and comparisons, ties going right, so they
-    ask for the same floats and return the same result; the points they do
-    not take cost only their share of the batch."""
+    It asks in rounds. The point an iteration needs depends only on
+    whether the iteration keeps the left or the right part of its bracket,
+    so the first round asks for the two starting points c and d together
+    with every point that the first _GOLDEN_LEVELS - 1 iterations can need
+    whichever way the first comparison goes (rgflow.lookahead over
+    _golden_children of each child of the starting bracket, up to
+    2^_GOLDEN_LEVELS - 2 points besides c and d). When a later iteration
+    needs a point it has no value for, it asks for every point that this
+    and the next _GOLDEN_LEVELS - 1 iterations can need (up to
+    2^_GOLDEN_LEVELS - 1) and has not asked for before. Branches meet: a
+    point asked for on a branch not taken can be the very float that a
+    later iteration needs, which then needs no round. The iterations are
+    those of asking for one point at a time, with the same expressions and
+    comparisons, ties going right, so they ask for the same floats and
+    return the same result; the points they do not take cost only their
+    share of the batch."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = yield [c, d]
-    known = {c: fc, d: fd}
+    tree = [p for child in _golden_children((a, b, c, d))
+            for p in lookahead(child, _golden_children, _GOLDEN_LEVELS - 1)]
+    asked = [c, d] + [p for p in tree if p not in (c, d)]
+    known = dict(zip(asked, (yield asked)))
+    fc, fd = known[c], known[d]
     while b - a > GOLDEN_TOL:
         left = fc < fd
         bracket, point = _golden_step(a, b, c, d, left)
@@ -225,8 +229,9 @@ def _refine(curve: DerivativeCurve, side: str):
     probe at 2 * FD_STEP from the critical point, the closest position
     whose difference stencil stays on a single side. The pre-scan and this
     cusp probe are independent of each other and go in one batch; golden
-    section asks for its two starting points together and then for the
-    points of _GOLDEN_LEVELS iterations per round (see _golden_max).
+    section asks for its two starting points together with the points of
+    its first _GOLDEN_LEVELS - 1 iterations, and then for the points of
+    _GOLDEN_LEVELS iterations per round (see _golden_max).
 
     * if the derivative there has dropped below (1 - 1e-3) of the refined
       peak, the peak is a genuine interior maximum and its position is

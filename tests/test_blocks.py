@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -230,17 +229,25 @@ def test_collective_spin_is_read_only():
 def test_collective_spin_is_keyed_on_the_dimension():
     # a geometry that cannot be hashed still finds the tables of its dimension
     geometry = block_geometry(2)
-    unhashable = dataclasses.replace(geometry, intra_bonds=list(geometry.intra_bonds))
+    unhashable = geometry._replace(intra_bonds=list(geometry.intra_bonds))
     assert collective_spin(unhashable) is collective_spin(geometry)
 
 
 def test_coupling_params_validation():
     CouplingParams(1e-6, 1.0)
     CouplingParams(10.0, -1.0)
+    valid = CouplingParams(1.0, 0.5)
     for j, gamma in [(0.0, 0.0), (-1.0, 0.0), (float("nan"), 0.0), (float("inf"), 0.1),
                      (1.0, 1.0001), (1.0, -2.0), (1.0, float("nan"))]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as want:
             CouplingParams(j, gamma)
+        # every way of making one is checked, with the same error
+        for make in (lambda: CouplingParams(gamma=gamma, j=j),
+                     lambda: CouplingParams._make([j, gamma]),
+                     lambda: valid._replace(j=j, gamma=gamma)):
+            with pytest.raises(ValueError) as got:
+                make()
+            assert str(got.value) == str(want.value)
 
 
 def test_coupling_arrays_raise_the_error_of_the_first_bad_point():

@@ -355,12 +355,14 @@ def test_numerical_contract_failures_exit_3():
 def test_the_cli_pulls_in_no_undeclared_dependency():
     # numpy is the one runtime dependency: scipy and mpmath may be
     # installed, but no import and no run of the package may load them
-    # nor may an exact argv load argparse, which only help and errors need
+    # nor may an exact argv load argparse, which only help and errors need,
+    # nor dataclasses, whose decorator costs start-up and whose records the
+    # package does not use
     code = (
         "import json, sys, qrgxy.cli as c;"
         "code = c.main(['concurrence', '--dim', '3', '--steps', '1', '--grid', '5']);"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'mpmath', 'argparse'))), file=sys.stderr);"
+        " if m.split('.')[0] in ('scipy', 'mpmath', 'argparse', 'dataclasses'))), file=sys.stderr);"
         "sys.exit(code)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,10 +1,13 @@
 """The documented surface: the README's library example runs as printed,
-and the package's export list is whole."""
+the package's export list is whole, and its records are read-only
+tuples."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import pytest
 
 import qrgxy
 
@@ -36,3 +39,21 @@ def test_every_exported_name_resolves_once():
     namespace = {}
     exec("from qrgxy import *", namespace)
     assert set(names) <= set(namespace)
+
+
+RECORDS = ("CouplingParams", "BlockGeometry", "GroundDoublet", "RGTrajectory", "FixedPoint",
+           "ConcurrenceCurve", "DerivativeCurve", "ScalingFit", "ExponentEstimate")
+
+
+def test_every_record_is_a_read_only_tuple():
+    for name in RECORDS:
+        cls = getattr(qrgxy, name)
+        record = cls(*[1.0] * len(cls._fields))
+        # a record is the tuple of its fields, as the README says
+        assert record == tuple(record) == (1.0,) * len(cls._fields)
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.5)
+            assert getattr(record, field) == 1.0
+        with pytest.raises(AttributeError):
+            record.extra = 0.5

@@ -265,16 +265,17 @@ def test_lockstep_refinement_is_each_refinement_alone(dim, steps):
 def test_peak_points_solve_count(monkeypatch):
     # one flow of the grid: ticks 0-3, 106 points. Then the refinements,
     # each at its own pace, a batch of step s taking s + 1 ticks: the three
-    # pre-scans with their cusp probes share tick 4 (33 points); after the
-    # golden starting pairs come golden batches of up to 7 points, both
-    # stencil points of each. Step 1 asks at ticks 4, 6, ..., 24 and is
-    # done after tick 25, step 3 asks at 4, 8, ..., 24 and is done after
-    # 27, and step 2 asks at 4, 7, ..., 25 and 28 and is done after 30:
-    # 31 calls on the 979 points that rounds of all three, each waiting
-    # for step 3, asked for in 41
+    # pre-scans with their cusp probes share tick 4 (33 points); each
+    # golden section then asks for its starting pair together with the 6
+    # points of its first two iterations along both branches, and then for
+    # batches of up to 7 points, both stencil points of each. Step 1 asks
+    # at ticks 4, 6, ..., 22 and is done after tick 23, step 3 asks at 4,
+    # 8, ..., 20 and is done after 23, and step 2 asks at 4, 7, ..., 25
+    # and is done after 27: 28 calls on 973 points, where asking for the
+    # starting pair alone took 31 calls on 979
     batches = record_eigh_batches(monkeypatch)
     peak_points(3, grid=51)
-    assert (len(batches), sum(batches)) == (31, 979)
+    assert (len(batches), sum(batches)) == (28, 973)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
