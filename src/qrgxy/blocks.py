@@ -22,17 +22,26 @@ split in two halves by parity; the S = 0 block is the zero 2x2 matrix, and
 the ground doublet lies in S = d (6 / 10 / 14 wide). Each half is
 bipartite: it couples its S+1 states of even k only to its S states of odd
 k, through the (S+1) x S block (J/4) A with A = a + gamma b, so its levels
-are plus and minus the singular values of (J/4) A, and 0. collective_spin
-holds a and b of S = d, the Gram tables of A^T A for every S = 1..d and the
-S = d restrictions of a corner's sx and (-i sy). a and b are read off the
-ladder coefficients 2 sqrt(k (2S + 1 - k)) of the spin-S moves, and the
-corner tables are the spin-d operators placed on the two center states; no
-Kronecker product and no 2^n basis is used for them. Two tables are built
-apart, each only for the callers that need it: the four X-state entries of
-the corner-pair state as quadratic forms on the even half of S = d
-(pair_forms), read only where a concurrence is, and the map from S = d
-back to the 2^n basis (embedding), for callers that ask for full-basis
-vectors. No Hamiltonian matrix is built, not even a half.
+are plus and minus the singular values of (J/4) A, and 0. The global
+spin flip commutes with H_B, and since the block has an odd number of
+spins it changes the parity: on S = d it reverses the basis and takes the
+even half onto the odd one. So the odd half's tables are the even half's
+with rows and columns reversed, each S block's two halves have equal
+levels, and the odd ground vector is the even one reversed.
+collective_spin holds a and b of S = d, the Gram tables of A^T A for every
+S = 1..d, the S = d restrictions of a corner's sx and (-i sy), and their
+projections onto the doublet as quadratic forms on the even half, off
+which the flow reads xi_x and xi_y. Where it builds them, it checks the
+mirror symmetry and the parity of the corner tables bit for bit, once per
+dimension, so that the solve need not check them per point. a and b are
+read off the ladder coefficients 2 sqrt(k (2S + 1 - k)) of the spin-S
+moves, and the corner tables are the spin-d operators placed on the two
+center states; no Kronecker product and no 2^n basis is used for them.
+Two tables are built apart, each only for the callers that need it: the
+four X-state entries of the corner-pair state as quadratic forms on the
+even half of S = d (pair_forms), read only where a concurrence is, and the
+map from S = d back to the 2^n basis (embedding), for callers that ask for
+full-basis vectors. No Hamiltonian matrix is built, not even a half.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from .errors import StructureError
 from .pauli import Axis, spin_flip
 
 
@@ -157,6 +167,18 @@ class CollectiveSpin(NamedTuple):
     half difference h of its diagonal and its off-diagonal r, linear in
     the Gram as the Gram is in P0, P1, P2, so that its eigenvalues are
     m +- hypot(h, r); the 1x1 Gram of S = 1 is padded with zeros.
+
+    The global spin flip takes (c, k) to (1 - c, 2S - k), which reverses
+    the S = d basis and takes each half onto the other, each of its two
+    blocks of states reversed: the odd half's coupling and Gram tables are
+    the even half's with rows and columns reversed, so the halves of each
+    S have equal levels, and the odd ground vector of S = d is the even
+    one reversed. The solve uses the even half only. With phi1 on the
+    even half and phi2 its reversal, <phi1|sx|phi2>, <phi2|sx|phi1> and
+    <phi1|(-i sy)|phi2> are quadratic forms on the 2d+1 even-half
+    amplitudes of phi1 (xi); <phi1|sx|phi1> and <phi2|sx|phi2> vanish,
+    since sx joins states of opposite parity only. _check_tables holds
+    the tables to all of this.
     """
 
     coupling: np.ndarray  # (2, 2, d+1, d): a and b of the even and the odd half of S = d
@@ -164,6 +186,7 @@ class CollectiveSpin(NamedTuple):
     lower: np.ndarray     # (3, 3, 2(d-1)): P0, P1, P2 of (m, h, r) of the halves of S = 1..d-1, both halves of S = 1 first
     half: np.ndarray      # (2, 2d+1): S = d positions of parity +1, -1, even k first
     corner: np.ndarray    # (2, 2(2d+1), 2(2d+1)): one corner's sx and (-i sy) restricted to S = d
+    xi: np.ndarray        # (3, 2d+1, 2d+1): <phi1|sx|phi2>, <phi2|sx|phi1>, <phi1|(-i sy)|phi2> on the even half
 
 
 class Embedding(NamedTuple):
@@ -259,6 +282,29 @@ def pair_forms(geometry: BlockGeometry) -> np.ndarray:
     return _pair_forms(geometry.dimension)
 
 
+def _check_tables(spin: CollectiveSpin) -> None:
+    """Refuse tables that break the symmetry the solve rests on, naming
+    the table: the odd half of S = d must be the even half with rows and
+    columns reversed, bit for bit, in coupling and gram; the two halves of
+    each S < d must have equal levels, so equal m and r, and h equal up to
+    its sign; and a corner's sx and (-i sy) must be exactly 0 within each
+    half, with sx symmetric bit for bit."""
+    for name in ("coupling", "gram"):
+        table = getattr(spin, name)
+        if table[:, 1].tobytes() != table[:, 0, ::-1, ::-1].tobytes():
+            raise StructureError(f"collective-spin table {name}: the odd half of S = d is not the even half reversed")
+    m, h, r = spin.lower.transpose(1, 2, 0).tolist()  # [P0, P1, P2] of each half, both halves of S = 1 first
+    for s in range(1, len(m) // 2 + 1):
+        e, o = 2 * s - 2, 2 * s - 1
+        if not (m[e] == m[o] and r[e] == r[o] and h[o] in (h[e], [-x for x in h[e]])):
+            raise StructureError(f"collective-spin table lower: the halves of S = {s} do not have equal levels")
+    sx, half = spin.corner[0], spin.half
+    if np.any(spin.corner[:, half[:, :, None], half[:, None]]) or sx.tobytes() != sx.T.tobytes():
+        raise StructureError(
+            "collective-spin table corner: a corner's sx or (-i sy) joins states of one parity, or its sx is not symmetric"
+        )
+
+
 @functools.cache
 def _collective_spin(dimension: int) -> CollectiveSpin:
     d = block_geometry(dimension).dimension
@@ -272,13 +318,19 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
     width = 2 * d + 1
     corner = np.zeros((2, 2 * width, 2 * width))  # the same on either center state
     corner[:, :width, :width] = corner[:, width:, width:] = np.stack(_spin_operators(d)) / (2 * d)
+    half = _halves(d)
+    # phi1 sits at half[0], and its spin flip phi2 at the mirror positions
+    sx, ky = corner[:, half[0, :, None], 2 * width - 1 - half[0]]
+    xi = np.stack([sx, sx.T, ky])  # sx is symmetric: _check_tables
     spin = CollectiveSpin(
         coupling=coupling,
         gram=_gram(coupling),
         lower=lower.reshape(3, 3, -1),
-        half=_halves(d),
+        half=half,
         corner=corner,
+        xi=xi,
     )
+    _check_tables(spin)
     for arr in spin:
         arr.flags.writeable = False
     return spin

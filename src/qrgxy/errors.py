@@ -21,7 +21,8 @@ class DegeneracyError(QRGError):
 
 class StructureError(QRGError):
     """The ground doublet or a projected operator lost its required form
-    (one even and one odd level, pure sigma'^x / sigma'^y structure)."""
+    (one even and one odd level, pure sigma'^x / sigma'^y structure), or a
+    collective-spin table broke the spin-flip symmetry the solve rests on."""
 
 
 class ScalingUnderflowError(QRGError):

@@ -5,11 +5,12 @@ Everything is real double precision. The block Hamiltonians and reduced
 density matrices are all real symmetric (see pauli / blocks), so no complex
 code path exists anywhere in the package. LAPACK sees only small stacks.
 The pipeline makes one eigensolve per batch, of the d x d Gram matrices
-of the two parity halves of the S = d block (blocks.CollectiveSpin),
+of the even parity half of the S = d block (blocks.CollectiveSpin),
 d <= 3, stacked over every block of the batch, whose eigenvalues are the
-squared singular values behind the block's levels; the lower spins take
-their 1x1 and 2x2 Grams in closed form, and the S = 0 block is zero and
-never solved. The corner-pair concurrence of the pipeline is a closed
+squared singular values behind the block's levels; the odd half is the
+spin-flip mirror of the even one, with the same levels, and is not
+solved; the lower spins take their 1x1 and 2x2 Grams in closed form, one
+half each, and the S = 0 block is zero and never solved. The corner-pair concurrence of the pipeline is a closed
 form and needs no LAPACK; only the general tool
 concurrence.wootters_concurrence, which the pipeline does not call, takes
 a square root and a spectrum of one 4x4 state. The symmetry and

@@ -15,12 +15,18 @@ single-representative-bond convention.
 
 The flow never leaves the collective corner spin S = d (2(2d+1) wide).
 There is one block solver, and it takes whole arrays of points: solve_many
-finds the doublet of every block in one stacked eigensolve of d x d Gram
-matrices, one per parity half of S = d (each half is bipartite, so its
-ground vector follows from the Gram's top eigenvector), runs every check
-on every point, reads xi_x, xi_y and gamma' off the S = d vectors and
-hands back phi1 as its 2d+1 amplitudes on the even half, off which
-concurrence reads the corner-pair state of the points where a flow ends.
+finds the doublet of every block in one stacked eigensolve of the d x d
+Gram matrices of the even parity half of S = d (the half is bipartite, so
+its ground vector follows from the Gram's top eigenvector). The global
+spin flip commutes with the block and, as the block has an odd number
+of spins, takes the even half onto the odd one: the odd member of the
+doublet is the even one reversed in the S = d basis, with the same
+level, and is never solved. blocks.collective_spin checks this symmetry
+of its tables once per dimension, where it builds them. solve_many runs
+every check that is left on every point, reads xi_x, xi_y and gamma' off
+the even half as quadratic forms and hands back phi1 as its 2d+1
+amplitudes on the even half, off which concurrence reads the
+corner-pair state of the points where a flow ends.
 Every block of the package goes through it, with no memo: gamma_prime
 and rg_map, and through them trajectories, take its batches of one.
 Every search of the package runs on one scheduler of flows, run_flows: a
@@ -67,7 +73,7 @@ from .blocks import (
 from .errors import DegeneracyError, QRGError, StructureError
 from .numerics import eigh_symmetric
 
-DEGENERACY_RTOL = 1e-8   # doublet splitting tolerance, relative to spectral spread
+DEGENERACY_RTOL = 1e-8   # least gap from the doublet to the third level, relative to the spectral spread
 STRUCTURE_TOL = 1e-9
 
 
@@ -107,14 +113,12 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 class HalvesGround(NamedTuple):
     """The ground doublets of a batch of G blocks in the S = d basis of
-    blocks.CollectiveSpin."""
+    blocks.CollectiveSpin. Only the even member is held: the odd one is its
+    global spin flip, the even vector reversed in the S = d basis."""
 
     energy: np.ndarray        # (G,)
     gap_to_third: np.ndarray  # (G,)
-    ground: np.ndarray        # (G, 2, 2(2d+1)): the even and the odd ground vector, each zero off its half
-
-
-_PARITY = np.array([[0], [1]])  # the even and the odd row of a doublet
+    even: np.ndarray          # (G, 2d+1): phi1 at the positions blocks.CollectiveSpin.half[0]
 
 
 def _raise_first(checks) -> None:
@@ -128,7 +132,7 @@ def _raise_first(checks) -> None:
 
 def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list) -> HalvesGround:
     """Solve each block of the batch in its collective corner spin S and
-    take the ground state of each parity half of S = d.
+    take the ground state of the even parity half of S = d.
 
     H couples the center only to the total corner spin, so it is the direct
     sum of center (x) spin-S blocks, S = 0..d, 2(2S+1) wide. Each S block
@@ -139,43 +143,41 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
     singular values of its coupling block A, and one 0 (see
     blocks.CollectiveSpin): the merged spectrum is symmetric about 0, its
     top level is -e1, and its lowest three levels are minus the three
-    largest singular values, or 0. The S = d halves are solved through
-    their d x d Gram matrices A^T A in one stacked eigh, which gives the
-    squared singular values and the top right singular vector v; the
-    ground vector of a half is [A v / |A v|, -v] / sqrt(2), where |A v| is
-    the top singular value. The
-    S = 1..d-1 halves give their squared singular values from the closed
-    form of their 1x1 and 2x2 Grams, since one of them can hold the third
-    level; the zero levels, of S = 0 and of each half, are not solved.
-    The checks go to `checks` for _raise_first.
+    largest singular values, or 0. The global spin flip takes each half
+    onto the other (blocks._check_tables holds the tables to it), so the
+    two halves of every S have the same levels: those of one half are
+    taken once and stand for both, which makes E1 = E2 and the doublet
+    exactly twofold. The even half of S = d is solved through its d x d
+    Gram matrix A^T A in one stacked eigh, which gives the squared
+    singular values and the top right singular vector v; the ground vector
+    of the half is [A v / |A v|, -v] / sqrt(2), where |A v| is the top
+    singular value. The S = 1..d-1 halves give their squared singular
+    values from the closed form of their 1x1 and 2x2 Grams, since one of
+    them can hold the third level; the zero levels, of S = 0 and of each
+    half, are not solved. The checks go to `checks` for _raise_first.
     """
     n = len(couplings.gamma)
-    gamma = couplings.gamma[:, None, None, None]
-    squares, right = eigh_symmetric(spin.gram[0] + gamma * (spin.gram[1] + gamma * spin.gram[2]))
-    # the width spelled out: -1 cannot be inferred for an empty batch
-    parts = [squares.reshape(n, 2 * squares.shape[-1]), np.zeros((n, 1))]
+    gamma = couplings.gamma[:, None, None]
+    gram = spin.gram[:, 0]
+    squares, right = eigh_symmetric(gram[0] + gamma * (gram[1] + gamma * gram[2]))
+    parts = [squares, np.zeros((n, 1))]
     if spin.lower.size:
-        lower = spin.lower[0] + gamma[..., 0] * (spin.lower[1] + gamma[..., 0] * spin.lower[2])
+        lower = spin.lower[..., ::2]  # the even half of each S
+        lower = lower[0] + gamma * (lower[1] + gamma * lower[2])
         mean, half, off = lower.transpose(1, 0, 2)
         radius = np.hypot(half, off)
         parts += [mean + radius, mean - radius]
     # minus J/4 times a singular value is a level; rounding can leave a
-    # vanishing squared one just below 0
+    # vanishing squared one just below 0. Each level comes twice, once in
+    # each half: the largest two of one half give E1 = E2 and E3
     scale = -0.25 * couplings.j[:, None]
-    largest = np.sort(np.concatenate(parts, axis=1), axis=1)[:, -3:]
-    e3, e2, e1 = (np.sqrt(np.maximum(largest, 0.0)) * scale).T
-    top = np.sqrt(np.maximum(squares[:, :, -1:], 0.0))  # (G, 2, 1): the top singular value of each S = d half
-    lowest = top[..., 0] * scale  # the ground level of each half
-    tol = DEGENERACY_RTOL * (-2.0 * e1)
+    largest = np.sort(np.concatenate(parts, axis=1), axis=1)[:, -2:]
+    e3, e2 = (np.sqrt(np.maximum(largest, 0.0)) * scale).T
+    top = np.sqrt(np.maximum(squares[:, -1:], 0.0))  # (G, 1): the top singular value of the even half of S = d
+    lowest = top[:, 0] * scale[:, 0]  # the ground level of each half of S = d
+    tol = DEGENERACY_RTOL * (-2.0 * e2)
     gap = e3 - e2
     checks += [
-        (
-            e2 - e1 > tol,
-            lambda k: DegeneracyError(
-                f"ground level not twofold degenerate: E1 = {e1[k]:.12g}, E2 = {e2[k]:.12g}, "
-                f"splitting {e2[k] - e1[k]:.3e} exceeds tolerance {tol[k]:.3e}"
-            ),
-        ),
         (
             gap <= tol,
             lambda k: DegeneracyError(
@@ -184,19 +186,19 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
             ),
         ),
         (
-            np.maximum(lowest[:, 0], lowest[:, 1]) > e2,
+            lowest > e2,
             lambda k: StructureError(
                 f"ground doublet is not one even and one odd level: lowest even "
-                f"{lowest[k, 0]:.12g}, lowest odd {lowest[k, 1]:.12g}, E2 = {e2[k]:.12g}"
+                f"{lowest[k]:.12g}, lowest odd {lowest[k]:.12g}, E2 = {e2[k]:.12g}"
             ),
         ),
     ]
+    coupling = spin.coupling[:, 0]
     v = right[..., -1]
-    u = ((spin.coupling[0] + gamma * spin.coupling[1]) @ v[..., None])[..., 0]
+    u = ((coupling[0] + gamma * coupling[1]) @ v[..., None])[..., 0]
     np.divide(u, top, out=u, where=top > 0.0)  # A = 0 only where a check fails
-    ground = np.zeros((n, 2, 2 * spin.half.shape[-1]))
-    ground[:, _PARITY, spin.half] = np.concatenate([u, -v], axis=-1) * math.sqrt(0.5)
-    return HalvesGround(energy=e1, gap_to_third=gap, ground=ground)
+    even = np.concatenate([u, -v], axis=-1) * math.sqrt(0.5)
+    return HalvesGround(energy=e2, gap_to_third=gap, even=even)
 
 
 def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDoublet:
@@ -204,14 +206,18 @@ def ground_doublet(params: CouplingParams, geometry: BlockGeometry) -> GroundDou
     _halves_ground and embedded into the full 2^n basis with exact zeros
     outside each vector's parity: the parity eigenstates that make the
     projected corner operators come out in pure sigma'^x / sigma'^y form.
-    The flow does not need the 2^n vectors and reads the S = d solution
-    instead; this is for output and for callers that work in the full
-    basis."""
+    phi2 is embedded from the even S = d vector reversed, so it is the
+    global spin flip of phi1 bit for bit, up to the sign gauge. The flow
+    does not need the 2^n vectors and reads the S = d solution instead;
+    this is for output and for callers that work in the full basis."""
+    spin = collective_spin(geometry)
     checks: list = []
-    solved = _halves_ground(coupling_arrays(params.j, params.gamma), collective_spin(geometry), checks)
+    solved = _halves_ground(coupling_arrays(params.j, params.gamma), spin, checks)
     _raise_first(checks)
+    vector = np.zeros(2 * spin.half.shape[-1])
+    vector[spin.half[0]] = solved.even[0]
     embed = embedding(geometry)
-    phi1, phi2 = (_fix_sign(embed.weight * u[embed.column]) for u in solved.ground[0])
+    phi1, phi2 = (_fix_sign(embed.weight * u[embed.column]) for u in (vector, vector[::-1]))
     return GroundDoublet(
         energy=float(solved.energy[0]),
         phi1=phi1,
@@ -238,25 +244,29 @@ class BlockSolve(NamedTuple):
 
 def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
     """The blocks at the points (j, gammas), solved together: one stacked
-    eigh of the d x d Grams of their S = d halves, whatever the number of
-    points, and the S < d levels in closed form. j is one number or one per
-    gamma; each point is solved at its own J, which scales its levels only,
-    so that its checks run at that J and its vectors do not depend on it.
+    eigh of the d x d Grams of the even half of their S = d blocks,
+    whatever the number of points, and the S < d levels in closed form. j
+    is one number or one per gamma; each point is solved at its own J,
+    which scales its levels only, so that its checks run at that J and its
+    vectors do not depend on it.
 
-    Everything is read off the two S = d ground vectors of each point,
-    2(2d+1) wide, with the corner tables of blocks.CollectiveSpin: the
-    corner sx and (-i sy) projected onto the doublet. sx flips one spin,
-    so it is parity-odd and its projection must be a pure sigma'^x, zero
-    on the diagonal and symmetric; a point where it is not raises instead
-    of being squared away. With real vectors, <phi1|sy|phi2> is i times
-    <phi1|(-i sy)|phi2>, whose diagonal vanishes identically, so the y
-    projection needs no check. phi1 is handed back as its amplitudes on
-    the even half, the only ones that are not zero. No 2^n vector is built.
-    Every check of the halves solve and of the projection runs on every
-    point; the first point that fails one raises the error its batch of
-    one would. The arithmetic of each point does not depend on the
-    others, so a point gives bit for bit what its batch of one gives. An
-    empty batch gives empty arrays.
+    Everything is read off the even S = d ground vector phi1 of each
+    point, its 2d+1 amplitudes on the even half: the odd one, phi2, is its
+    global spin flip, and the corner sx and (-i sy) projected onto the
+    doublet are quadratic forms on those amplitudes
+    (blocks.CollectiveSpin.xi). sx flips one spin, so it is parity-odd and
+    its projection must be a pure sigma'^x. Its diagonal vanishes
+    identically, as the corner tables are checked where they are built;
+    its two off-diagonals are read apart, and a point where they differ
+    raises instead of being squared away. With real vectors,
+    <phi1|sy|phi2> is i times <phi1|(-i sy)|phi2>, whose diagonal vanishes
+    identically, so the y projection needs no check. phi1 is handed back
+    as its even-half amplitudes, the only ones that are not zero. No 2^n
+    vector is built. Every check of the halves solve and of the
+    projection runs on every point; the first point that fails one raises
+    the error its batch of one would. The arithmetic of each point does
+    not depend on the others, so a point gives bit for bit what its batch
+    of one gives. An empty batch gives empty arrays.
     """
     return _solve(dimension, coupling_arrays(j, gammas))
 
@@ -266,28 +276,26 @@ def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
     geometry = block_geometry(dimension)
     spin = collective_spin(geometry)
     checks: list = []
-    ground = _halves_ground(couplings, spin, checks).ground
-    # <phi_a|sx|phi_b> and <phi_a|(-i sy)|phi_b> of each point
-    xy = ground[:, None] @ spin.corner @ ground.swapaxes(1, 2)[:, None]
-    x = xy[:, 0]
-    d1, d2, off, off_t = x[:, 0, 0], x[:, 1, 1], x[:, 0, 1], x[:, 1, 0]
-    # float_power is libm's pow, as Python's float ** 2 is, so the squares
-    # keep the bits of earlier releases; x * x rounds about 0.1% of them the
-    # other way, and near gamma = 0, where t_x - t_y cancels, one ulp of
-    # xi^2 moves gamma' by ~1e-12 relative
-    xx, yy = np.float_power(xy[:, :, 0, 1], 2).T
+    even = _halves_ground(couplings, spin, checks).even
+    # <phi1|sx|phi2>, <phi2|sx|phi1> and <phi1|(-i sy)|phi2> of each point;
+    # einsum, with optimize left off, runs its own loops and no BLAS, so a
+    # row gets the bits of its batch of one
+    off, off_t, y = np.einsum("gi,fij,gj->fg", even, spin.xi, even)
+    # float_power is libm's pow, as Python's float ** 2 is; x * x rounds
+    # about 0.1% of the squares the other way, and near gamma = 0, where
+    # t_x - t_y cancels, one ulp of xi^2 moves gamma' by ~1e-12 relative
+    xx, yy = np.float_power(off, 2), np.float_power(y, 2)
     gamma = couplings.gamma
     tx = (1.0 + gamma) * xx
     ty = (1.0 - gamma) * yy
     total = tx + ty
     checks += [
         (
-            ~((np.maximum(abs(d1), abs(d2)) <= STRUCTURE_TOL) & (abs(off - off_t) <= STRUCTURE_TOL)),
+            ~(abs(off - off_t) <= STRUCTURE_TOL),
             # named by the x-axis representative corner
             lambda k: StructureError(
                 f"projected sigma^x at site {interblock_bonds(geometry)[0][0]} is not "
-                f"proportional to sigma'^x: diagonal ({d1[k]:.3e}, {d2[k]:.3e}), "
-                f"off-diagonals ({off[k]:.12g}, {off_t[k]:.12g})"
+                f"proportional to sigma'^x: off-diagonals ({off[k]:.12g}, {off_t[k]:.12g})"
             ),
         ),
         (
@@ -305,7 +313,6 @@ def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
     if np.count_nonzero(over):
         rounding = over & (abs(gp) <= 1.0 + 1e-12)
         gp[rounding] = np.sign(gp[rounding])
-    even = ground[:, 0, spin.half[0]]
     even.flags.writeable = False
     return BlockSolve(xx, yy, gp, even)
 

@@ -13,6 +13,7 @@ from qrgxy.blocks import (
     interblock_bonds,
 )
 from qrgxy import blocks
+from qrgxy.errors import StructureError
 from qrgxy.pauli import Axis
 from qrgxy.rgflow import ground_doublet
 
@@ -217,6 +218,42 @@ def test_collective_spin_tables_are_the_kronecker_builds(dim):
     assert np.array_equal(spin.corner, corner)
     assert np.array_equal(np.signbit(spin.corner), corner < 0)
     assert np.count_nonzero(np.signbit(corner) & (corner == 0))
+
+
+def _moved(table, index):
+    """A copy of `table` with the entry at `index` moved by 1 ulp."""
+    moved = table.copy()
+    moved[index] = np.nextafter(moved[index], np.inf)
+    return moved
+
+
+# the spin flip reverses S = d and takes each half onto the other: the
+# tables are held to it once, where they are built, and a copy with one
+# entry off by an ulp is refused, naming its table
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_collective_spin_tables_pass_the_mirror_check(dim):
+    spin = collective_spin(block_geometry(dim))
+    blocks._check_tables(spin)
+    # odd-half entries of coupling and gram, and an sx entry within a half
+    moves = [("coupling", (0, 1, 0, 0)), ("gram", (0, 1, 0, 0)), ("corner", (0, 0, 0))]
+    if dim > 1:
+        moves.append(("lower", (0, 0, 1)))  # m of the odd half of S = 1
+    for name, index in moves:
+        fake = spin._replace(**{name: _moved(getattr(spin, name), index)})
+        with pytest.raises(StructureError, match=f"collective-spin table {name}:"):
+            blocks._check_tables(fake)
+    if dim > 2:
+        # h of the odd half of S = 2 is the even one's negated: negating one
+        # of its coefficients alone changes the levels
+        lower = spin.lower.copy()
+        lower[2, 1, 3] *= -1.0
+        with pytest.raises(StructureError, match="collective-spin table lower: the halves of S = 2"):
+            blocks._check_tables(spin._replace(lower=lower))
+    # sx must be symmetric: an entry of its cross-half block moved alone
+    even, odd = spin.half
+    fake = spin._replace(corner=_moved(spin.corner, (0, even[0], odd[0])))
+    with pytest.raises(StructureError, match="collective-spin table corner:"):
+        blocks._check_tables(fake)
 
 
 def test_collective_spin_is_read_only():

@@ -337,11 +337,12 @@ def test_unknown_flag_exits_2_with_prefix():
 
 
 def test_numerical_contract_failures_exit_3():
-    # force an impossible degeneracy tolerance so the solver's doublet check
-    # trips; that class of failure must map to exit code 3, not 2
+    # force an impossible degeneracy tolerance, one no third level clears,
+    # so the solver's doublet check trips; that class of failure must map
+    # to exit code 3, not 2
     code = (
         "import qrgxy.rgflow as r, qrgxy.cli as c, sys;"
-        "r.DEGENERACY_RTOL = -1.0;"
+        "r.DEGENERACY_RTOL = 1.0;"
         "sys.exit(c.main(['groundstate', '--dim', '1']))"
     )
     proc = subprocess.run(
@@ -349,7 +350,7 @@ def test_numerical_contract_failures_exit_3():
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("qrg-error: ")
-    assert "degenerate" in proc.stderr
+    assert "not twofold" in proc.stderr
 
 
 def test_the_cli_pulls_in_no_undeclared_dependency():
@@ -397,7 +398,7 @@ GOLDEN_FIXED_POINTS_3D = """[
   {
     "gamma": 0.0,
     "stability": "unstable",
-    "slope_at_root": 22.999999563204202
+    "slope_at_root": 22.999999563187554
   },
   {
     "gamma": 1.0,

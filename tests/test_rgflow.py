@@ -24,6 +24,7 @@ from qrgxy.rgflow import (
 
 import qrgxy.blocks
 import qrgxy.rgflow
+from qrgxy.pauli import spin_flip
 
 from oracles import (
     bisect_one_at_a_time,
@@ -129,29 +130,45 @@ def test_sector_doublet_matches_full_block_oracle(dim, gamma):
 
 
 def _fake_spin(dim, top, lower=()):
-    """The collective-spin cache of `dim` with diagonal coupling blocks and
-    b = 0: the even and the odd half of S = d have the singular values
-    top[0] and top[1], the halves of S = 1..d-1, in the order of
-    spin.lower, those of lower, so that at J = 4 and gamma = 0 the levels
-    of each half are minus and plus these, and 0."""
+    """The collective-spin tables of `dim` with diagonal coupling blocks and
+    b = 0, mirrored as the real ones are: each half of S = d has the
+    singular values top, and each half of S = 1..d-1 those of
+    lower[S - 1], so that at J = 4 and gamma = 0 the levels of each half
+    are minus and plus these, and 0."""
     spin = collective_spin(block_geometry(dim))
     coupling = np.zeros_like(spin.coupling)
-    for a, sigma in zip(coupling[0], top):
-        a[:dim] = np.diag(sigma)
+    coupling[0, 0, :dim] = np.diag(top)
+    coupling[:, 1] = coupling[:, 0, ::-1, ::-1]
     gram = np.zeros_like(spin.gram)
     gram[0] = coupling[0].swapaxes(-1, -2) @ coupling[0]
     fake_lower = np.zeros_like(spin.lower)
-    for k, sigma in enumerate(lower):
+    for s, sigma in enumerate(lower):
         big, small = np.square(list(sigma) + [0.0])[:2]
-        fake_lower[0, :, k] = 0.5 * (big + small), 0.5 * (big - small), 0.0
-    return spin._replace(coupling=coupling, gram=gram, lower=fake_lower)
+        fake_lower[0, :, 2 * s : 2 * s + 2] = [[0.5 * (big + small)], [0.5 * (big - small)], [0.0]]
+    fake = spin._replace(coupling=coupling, gram=gram, lower=fake_lower)
+    qrgxy.blocks._check_tables(fake)
+    return fake
 
 
-def test_two_lowest_levels_of_one_parity_raise_structure_error(monkeypatch):
-    # a fake sector cache whose two lowest levels are both even, with the odd
-    # ground level far above them: the doublet checks pass, parity must not
-    # (d = 2, since each half of S = 1 has one negative level only)
-    fake = _fake_spin(2, ([1.0, 1.0], [0.5, 0.25]), ([0.125], [0.125]))
+def test_two_lowest_levels_of_one_parity_raise_structure_error():
+    # tables whose two lowest levels are both even, with the odd ground
+    # level above them, break the spin-flip mirror: they are refused where
+    # the tables are checked, before any point is solved
+    spin = _fake_spin(2, [1.0, 1.0], [[0.125]])
+    coupling, gram = spin.coupling.copy(), spin.gram.copy()
+    coupling[0, 1] *= 0.5
+    gram[0, 1] *= 0.25
+    fake = spin._replace(coupling=coupling, gram=gram)
+    with pytest.raises(StructureError, match="collective-spin table coupling: the odd half"):
+        qrgxy.blocks._check_tables(fake)
+
+
+def test_a_ground_doublet_outside_the_top_spin_raises_structure_error(monkeypatch):
+    # a fake sector cache whose lowest level pair lies in S = 1, with the
+    # ground level of each S = d half far above it: the doublet and gap
+    # checks pass, the one that asks for one even and one odd level of
+    # S = d must not
+    fake = _fake_spin(2, [0.5, 0.25], [[1.0]])
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(StructureError, match="one even and one odd"):
         ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2))
@@ -159,34 +176,44 @@ def test_two_lowest_levels_of_one_parity_raise_structure_error(monkeypatch):
 
 def test_doublet_tolerance_is_relative_to_the_spectral_spread(monkeypatch):
     # the spectrum is symmetric about 0, so its spread, top level minus E1,
-    # is -2 E1: at E1 = -1 the tolerance is 2e-8, which a splitting of
-    # 1.5e-8 passes and one of 2.5e-8 fails
-    for splitting, passes in ((1.5e-8, True), (2.5e-8, False)):
-        fake = _fake_spin(1, ([1.0], [1.0 - splitting]))
+    # is -2 E1: at E1 = -1 the tolerance is 2e-8, which a third level
+    # 2.5e-8 above the doublet passes and one 1.5e-8 above fails
+    for gap, passes in ((2.5e-8, True), (1.5e-8, False)):
+        fake = _fake_spin(2, [1.0, 1.0 - gap])
         monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
         if passes:
-            ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
+            ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2))
         else:
-            with pytest.raises(DegeneracyError, match="exceeds tolerance 2.000e-08"):
-                ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1))
+            with pytest.raises(DegeneracyError, match="falls inside the doublet tolerance 2.000e-08"):
+                ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2))
 
 
 def test_third_level_of_a_lower_spin_block_sets_the_gap(monkeypatch):
     # the S = 1 block of d = 2 holds the third level, 0.5 above the doublet;
     # the S = d halves alone would put it 0.75 above, the zero levels 1
-    top = ([1.0, 0.25], [1.0, 0.25])
-    fake = _fake_spin(2, top, ([0.5], [0.5]))
+    fake = _fake_spin(2, [1.0, 0.25], [[0.5]])
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2)).gap_to_third == 0.5
-    fake = _fake_spin(2, top, ([1.0], [0.5]))
+    fake = _fake_spin(2, [1.0, 0.25], [[1.0]])
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(DegeneracyError, match="third level"):
         ground_doublet(CouplingParams(4.0, 0.0), block_geometry(2))
     # the zero levels, of S = 0 and of each half, are never solved, yet
     # they count
-    fake = _fake_spin(1, ([1.0], [1.0]))
+    fake = _fake_spin(1, [1.0])
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(1)).gap_to_third == 1.0
+
+
+def _asymmetric_sx(dim):
+    """The collective-spin tables of `dim` with <phi1|sx|phi2> read through
+    a form that is not the transpose of the <phi2|sx|phi1> one: the two
+    off-diagonals of the projected sx differ by |phi1|^2 = 1 at every point,
+    each point with its own values."""
+    spin = collective_spin(block_geometry(dim))
+    xi = spin.xi.copy()
+    xi[0] += np.eye(xi.shape[-1])
+    return spin._replace(xi=xi)
 
 
 # -- projected corner operators, by the full-basis oracle
@@ -251,8 +278,9 @@ def test_corner_operators_reject_parity_mixed_vectors():
 
 
 def test_degeneracy_guard_trips_when_tolerance_is_impossible(monkeypatch):
-    monkeypatch.setattr(qrgxy.rgflow, "DEGENERACY_RTOL", -1.0)
-    with pytest.raises(DegeneracyError, match="degenerate"):
+    # no third level lies more than the spectral spread above the doublet
+    monkeypatch.setattr(qrgxy.rgflow, "DEGENERACY_RTOL", 1.0)
+    with pytest.raises(DegeneracyError, match="not twofold"):
         ground_doublet(CouplingParams(1.0, 0.5), block_geometry(1))
 
 
@@ -285,6 +313,32 @@ def test_gamma_prime_is_odd():
     for dim in (1, 2, 3):
         for g in (0.05, 0.3, 0.62, 0.97):
             assert abs(gamma_prime(g, dim) + gamma_prime(-g, dim)) < 1e-9
+
+
+# the global spin flip takes phi1 onto phi2, bit for bit up to the sign
+# gauge
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("gamma", [-1.0, -0.3, 0.0, 0.7, 1.0])
+def test_phi2_is_the_spin_flip_of_phi1_bitwise(dim, gamma):
+    doublet = ground_doublet(CouplingParams(1.0, gamma), block_geometry(dim))
+    n = doublet.n_spins
+    index = np.arange(2 ** n)
+    for site in range(n):
+        index = index[spin_flip(site, n)[0]]
+    flipped = doublet.phi1[index]
+    assert any(np.array_equal(doublet.phi2, sign * flipped) for sign in (1.0, -1.0))
+
+
+# a quarter turn about z takes H(gamma) to H(-gamma) and sigma^x to
+# sigma^y: gamma' is odd and xi_x^2 and xi_y^2 swap, bit for bit, as the
+# exact fixed-point roots of fixed_points need
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_map_is_odd_and_swaps_xi_bitwise(dim):
+    gs = np.linspace(-1.0, 1.0, 2001)[1:-1]
+    plus, minus = solve_many(dim, gs), solve_many(dim, -gs)
+    assert np.array_equal(minus.gamma_prime, -plus.gamma_prime)
+    assert np.array_equal(plus.xi_x2, minus.xi_y2)
+    assert np.array_equal(plus.xi_y2, minus.xi_x2)
 
 
 def test_gamma_prime_amplifies_anisotropy():
@@ -359,8 +413,8 @@ def test_only_a_concurrence_builds_the_pair_forms(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cold_block_solve_makes_one_eigh_of_the_gram_stack(monkeypatch, dim):
-    # a batch of one and a batch of five each make one eigh of their d x d
-    # Gram stack and no eigvalsh
+    # a batch of one and a batch of five each make one eigh of the d x d
+    # Grams of their even S = d halves and no eigvalsh
     shapes = {"eigh": [], "eigvalsh": []}
     for name, calls in shapes.items():
         def recording(a, *args, _real=getattr(np.linalg, name), _calls=calls, **kwargs):
@@ -375,7 +429,7 @@ def test_cold_block_solve_makes_one_eigh_of_the_gram_stack(monkeypatch, dim):
         for calls in shapes.values():
             calls.clear()
         solve()
-        assert shapes == {"eigh": [(batch, 2, dim, dim)], "eigvalsh": []}
+        assert shapes == {"eigh": [(batch, dim, dim)], "eigvalsh": []}
 
 
 @settings(max_examples=40, deadline=None)
@@ -428,10 +482,10 @@ def test_fixed_points_solve_count(monkeypatch):
 # Gram solve computes it; near gamma = 0, t_x - t_y cancels and one ulp of
 # xi^2 moves gamma' by ~1e-12 relative
 GOLDEN_GAMMA_PRIME = [
-    (1, 0.3665738120065143, 0.8188699868453527),
-    (2, 1.081602518910922e-06, 1.1897627707229275e-05),
-    (3, 5.034867904158609e-06, 0.0001158019612381703),
-    (3, 2.223105778133823e-06, 5.11314328490258e-05),
+    (1, 0.3665738120065143, 0.8188699868453526),
+    (2, 1.081602518910922e-06, 1.1897627707673364e-05),
+    (3, 5.034867904158609e-06, 0.00011580196123817034),
+    (3, 2.223105778133823e-06, 5.113143284902579e-05),
 ]
 
 
@@ -466,8 +520,9 @@ def test_batch_raises_the_scalar_error_of_its_first_failing_point(monkeypatch):
     with pytest.raises(want[0]) as info:
         solve_many(2, [0.3, 0.7, -1.0, 0.5])
     assert str(info.value) == want[1]
-    # a corner table with a diagonal fails every point, each with its own text
-    fake = spin._replace(corner=spin.corner + np.eye(spin.corner.shape[-1]))
+    # an sx form that is not the transpose of its mirror fails every point,
+    # each with its own text
+    fake = _asymmetric_sx(2)
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     first, second = _scalar_error(2, 0.3), _scalar_error(2, 0.6)
     assert first[0] is StructureError and first[1] != second[1]
@@ -477,10 +532,10 @@ def test_batch_raises_the_scalar_error_of_its_first_failing_point(monkeypatch):
 
 
 def test_block_solve_checks_the_projected_corner_sigma_x(monkeypatch):
-    # a corner table with a diagonal: the doublet no longer projects it onto
-    # a pure sigma'^x, and the solve says so instead of squaring it away
-    spin = collective_spin(block_geometry(2))
-    fake = spin._replace(corner=spin.corner + np.eye(spin.corner.shape[-1]))
+    # an sx form that is not the transpose of its mirror: the doublet no
+    # longer projects sx onto a pure sigma'^x, and the solve says so instead
+    # of squaring it away
+    fake = _asymmetric_sx(2)
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(StructureError, match="at site 2 is not proportional to sigma'"):
         solve_many(2, 0.3)
@@ -746,10 +801,9 @@ def test_run_flows_checks_each_batch_in_the_order_asked(monkeypatch):
     with pytest.raises(ValueError, match="between 0 and 64, got 65"):
         run_flows(2, [search([0.1, 0.2], [1, 65])], read_gamma_prime)
     # a point that fails in a tick's solve raises the error of its batch of
-    # one: a corner table with a diagonal fails every point, each with its
-    # own text, and 0.2 is the first point of the first tick
-    spin = collective_spin(block_geometry(2))
-    fake = spin._replace(corner=spin.corner + np.eye(spin.corner.shape[-1]))
+    # one: an asymmetric sx form fails every point, each with its own
+    # text, and 0.2 is the first point of the first tick
+    fake = _asymmetric_sx(2)
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     want = _scalar_error(2, 0.2)
     assert want[0] is StructureError and want[1] != _scalar_error(2, 0.3)[1]
