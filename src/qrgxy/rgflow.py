@@ -42,13 +42,10 @@ peak refinements of scaling run on it together. fixed_points solves its
 residual grid and the slope stencils of -1, 0 and 1 in one call. That
 grid holds the exact 0, and the map fixes 0 and +-1 exactly, so these
 are exact residual zeros; only a sign change between grid points would
-be bisected, with the midpoints of the next four bisection levels of
-every such bracket per tick, and its root's stencil solved in one call
-more. Only ground_doublet, for output and for full-basis callers, embeds
-the doublet into the 2^n basis (blocks.embedding). step_counts is the one
-rule for a number of rg steps. The bisection and the golden section of
-scaling ask, when they lack a value, for the points of their next few
-iterations along every branch (lookahead).
+be bisected, one midpoint of every such bracket per tick, and its root's
+stencil solved in one call more. Only ground_doublet, for output and for
+full-basis callers, embeds the doublet into the 2^n basis
+(blocks.embedding). step_counts is the one rule for a number of rg steps.
 """
 
 from __future__ import annotations
@@ -365,22 +362,6 @@ def rg_trajectory(initial: CouplingParams, dimension: int, n_steps: int) -> RGTr
 FP_SLOPE_STEP = 1e-5
 _FP_MERGE_TOL = 1e-7
 _BISECT_WIDTH = 1e-12
-_BISECT_LEVELS = 4  # bisection levels of every open bracket per solve
-
-
-def lookahead(root, children, levels: int) -> list:
-    """The points of the next `levels` iterations of a search, level by
-    level: root is the (state, point) of the first iteration, and
-    children(state) gives the (state, point) of each iteration that can
-    follow one that leaves state, none where the search would stop there.
-    A search that asks for these points in one round can take that many
-    iterations on their values whichever way each one goes."""
-    level = [root]
-    points = [root[1]]
-    for _ in range(levels - 1):
-        level = [child for state, _point in level for child in children(state)]
-        points += [point for _state, point in level]
-    return points
 
 
 class _Batch:
@@ -467,30 +448,16 @@ def run_flows(dimension: int, searches: list, read) -> list:
     return results
 
 
-def _halves(bracket):
-    """The bisection iterations that can follow one that leaves bracket:
-    one on each half of it, where that half is wider than _BISECT_WIDTH."""
-    lo, hi = bracket
-    mid = 0.5 * (lo + hi)
-    return [((a, b), 0.5 * (a + b)) for a, b in ((lo, mid), (mid, hi)) if b - a > _BISECT_WIDTH]
-
-
 def _bisect(a, b, fa):
     """The root of gamma' - gamma in the sign-change bracket [a, b] with
     residual fa at a, by bisection down to a residual of exactly 0 or a
     bracket no wider than _BISECT_WIDTH; a search for run_flows that asks
-    for flows of no step, one at each point it needs gamma' at, and reads
-    their gamma'. When a midpoint has no value, it asks for those of the
-    next _BISECT_LEVELS iterations (lookahead), then steps one at a time as
-    one-point bisection does, so it asks for the floats that walk asks for
-    and returns its root bit for bit."""
-    known = {}
+    for one flow of no step per tick, at the midpoint, and reads its
+    gamma'."""
     while b - a > _BISECT_WIDTH:
         mid = 0.5 * (a + b)
-        if mid not in known:
-            asked = lookahead(((a, b), mid), _halves, _BISECT_LEVELS)
-            known.update(zip(asked, (yield asked, 0)))
-        fm = known[mid] - mid
+        (gp,) = yield [mid], 0
+        fm = gp - mid
         if fm == 0.0:
             return mid
         if (fa < 0) == (fm < 0):
@@ -515,9 +482,9 @@ def fixed_points(dimension: int, grid: int = 401):
     themselves, so the three fixed points are exact residual zeros at
     every grid and no bracket ends at or straddles one; their two-point
     slope stencils go into the solve of the residual grid. Any other sign
-    change of the residuals would be bisected (_bisect) in run_flows, one
-    solve per tick for _BISECT_LEVELS levels of every open bracket, and
-    the stencils of any other root are one more solve."""
+    change of the residuals would be bisected (_bisect) in run_flows, the
+    midpoints of every open bracket in one solve per tick, and the
+    stencils of any other root are one more solve."""
     grid = grid_size(grid)
     if grid < 100:
         raise ValueError(f"fixed-point grid needs at least 100 points, got {grid}")

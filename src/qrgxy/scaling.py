@@ -17,13 +17,9 @@ together on concurrence.concurrence_searches, each at its own pace: the
 flows of every batch in flight share each tick's solve, and a refinement
 asks for its next batch as soon as its own flows end, so the short flows
 of a low step do not wait for the long ones of a high step. A batch holds
-the pre-scan of a bracket with the cusp probe, or the two starting points
-of golden section with the points of its first _GOLDEN_LEVELS - 1
-iterations along both branches of the first comparison, or the points of
-its next _GOLDEN_LEVELS iterations along both branches of every comparison
-it cannot yet make (rgflow.lookahead). Golden section takes the iterations
-one at a time on their values, so its iterations and its result are those
-of asking for one point at a time.
+the pre-scan of a bracket with the cusp probe, or one round of a section
+search (_section_max): seven points across the bracket at first, then the
+six new points of a bracket four times narrower around the best one.
 """
 
 from __future__ import annotations
@@ -35,10 +31,10 @@ import numpy as np
 from .blocks import block_geometry
 from .concurrence import ConcurrenceCurve, concurrence_curves, concurrence_searches
 from .errors import ScalingUnderflowError
-from .rgflow import lookahead, step_counts
+from .rgflow import step_counts
 
 FD_STEP = 1e-6        # central-difference step of the derivative probe
-GOLDEN_TOL = 1e-8     # refinement interval width
+PEAK_TOL = 1e-8       # width of the bracket a peak search ends on
 CUSP_PROBE = 2.0      # in units of FD_STEP; see _refine
 CUSP_DROP = 1e-3      # relative drop separating an interior peak from a cusp
 PLATEAU_FRACTION = 0.9
@@ -104,75 +100,31 @@ def _probed(search, rg_step: int):
         values = abs(c[len(gammas):] - c[: len(gammas)]) / (hi - lo)
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_LEVELS = 3  # golden-section iterations per round of probes
-
-
-def _golden_step(a: float, b: float, c: float, d: float, left: bool):
-    """One golden-section iteration on the bracket [a, b] with inner points
-    c < d: the bracket it leaves and the new inner point it asks for. It
-    keeps the left part [a, d] when left (f(c) < f(d)), else the right
-    part [c, b]."""
-    if left:
-        a, c = c, d
-        d = a + _INVPHI * (b - a)
-        return (a, b, c, d), d
-    b, d = d, c
-    c = b - _INVPHI * (b - a)
-    return (a, b, c, d), c
-
-
-def _golden_children(bracket):
-    """The golden-section iterations that can follow one that leaves
-    bracket (a, b, c, d): one keeping each part of it, where it is wider
-    than GOLDEN_TOL."""
-    if bracket[1] - bracket[0] <= GOLDEN_TOL:
-        return []
-    return [_golden_step(*bracket, left) for left in (True, False)]
-
-
-def _golden_max(lo: float, hi: float):
-    """Golden-section maximization as a generator: it yields the points it
-    needs the function at and is sent their values, and returns (argmax,
-    best value). Never evaluates outside [lo, hi].
-
-    It asks in rounds. The point an iteration needs depends only on
-    whether the iteration keeps the left or the right part of its bracket,
-    so the first round asks for the two starting points c and d together
-    with every point that the first _GOLDEN_LEVELS - 1 iterations can need
-    whichever way the first comparison goes (rgflow.lookahead over
-    _golden_children of each child of the starting bracket, up to
-    2^_GOLDEN_LEVELS - 2 points besides c and d). When a later iteration
-    needs a point it has no value for, it asks for every point that this
-    and the next _GOLDEN_LEVELS - 1 iterations can need (up to
-    2^_GOLDEN_LEVELS - 1) and has not asked for before. Branches meet: a
-    point asked for on a branch not taken can be the very float that a
-    later iteration needs, which then needs no round. The iterations are
-    those of asking for one point at a time, with the same expressions and
-    comparisons, ties going right, so they ask for the same floats and
-    return the same result; the points they do not take cost only their
-    share of the batch."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    tree = [p for child in _golden_children((a, b, c, d))
-            for p in lookahead(child, _golden_children, _GOLDEN_LEVELS - 1)]
-    asked = [c, d] + [p for p in tree if p not in (c, d)]
-    known = dict(zip(asked, (yield asked)))
-    fc, fd = known[c], known[d]
-    while b - a > GOLDEN_TOL:
-        left = fc < fd
-        bracket, point = _golden_step(a, b, c, d, left)
-        if point not in known:
-            tree = lookahead((bracket, point), _golden_children, _GOLDEN_LEVELS)
-            asked = [p for p in tree if p not in known]
-            known.update(zip(asked, (yield asked)))
-        a, b, c, d = bracket
-        if left:
-            fc, fd = fd, known[point]
-        else:
-            fc, fd = known[point], fc
-    return 0.5 * (a + b), max(fc, fd)
+def _section_max(lo: float, hi: float):
+    """Maximization over [lo, hi] as a generator: it yields the batches of
+    points it needs the function at and is sent their values, and returns
+    (argmax, its value), a point it asked for. It holds a center c and a
+    half-width h, at first those of [lo, hi]. Its first batch asks for the
+    seven points c + h k / 4, k = -3..3. Each round keeps the best point
+    as c, ties going right, cuts h to h / 4 and asks for the six points
+    c + h k / 4 other than c, whose value it has, so each round narrows
+    the bracket 4 times. It stops once 2h <= PEAK_TOL: a bracket no wider
+    than that asks for its midpoint alone. Every point lies inside
+    [lo, hi], and none is asked twice."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if 2.0 * h <= PEAK_TOL:
+        (fc,) = yield [c]
+        return c, fc
+    points = [c + 0.25 * k * h for k in range(-3, 4)]
+    values = list((yield points))
+    while True:
+        best = max(range(7), key=lambda i: (values[i], i))
+        c, fc, h = points[best], values[best], 0.25 * h
+        if 2.0 * h <= PEAK_TOL:
+            return c, fc
+        points = [c + 0.25 * k * h for k in range(-3, 4)]
+        new = list((yield points[:3] + points[4:]))
+        values = new[:3] + [fc] + new[3:]
 
 
 def _scan_distances(lo: float, hi: float, side: str) -> list:
@@ -193,26 +145,27 @@ def _scan_distances(lo: float, hi: float, side: str) -> list:
     return dists
 
 
-def _scan_then_golden(lo: float, hi: float, side: str, dists: list, vals):
+def _scan_then_section(lo: float, hi: float, side: str, dists: list, vals):
     """Maximize a function over the bracket [lo, hi] lying on one side of
     gamma = 0, given its values `vals` at the pre-scan distances `dists`;
-    a generator like _golden_max.
+    a generator like _section_max.
 
     Deep rg steps push the derivative maximum orders of magnitude inside a
     single grid cell, right next to the critical point, while the rest of
     the cell is exactly flat (the concurrence clamps to zero well before the
-    anisotropic fixed point). Golden section started blind on such a cell
-    ties on the flat part and walks away from the peak, so the geometric
-    pre-scan (_scan_distances) localizes it first, and golden section then
-    refines the best scan cell. All evaluations stay inside [lo, hi]."""
+    anisotropic fixed point). A section search started blind on such a
+    cell ties on the flat part and can walk away from the peak, so the
+    geometric pre-scan (_scan_distances) localizes it first, and the
+    section search then refines the best scan cell. All evaluations stay
+    inside [lo, hi]."""
     if not dists:
-        return (yield from _golden_max(lo, hi))
+        return (yield from _section_max(lo, hi))
     m = int(np.argmax(vals))
     d_in = dists[m - 1] if m > 0 else dists[0]
     d_out = dists[m + 1] if m + 1 < len(dists) else dists[-1]
     if side == "positive":
-        return (yield from _golden_max(d_in, d_out))
-    return (yield from _golden_max(-d_out, -d_in))
+        return (yield from _section_max(d_in, d_out))
+    return (yield from _section_max(-d_out, -d_in))
 
 
 def _refine(curve: DerivativeCurve, side: str):
@@ -223,15 +176,14 @@ def _refine(curve: DerivativeCurve, side: str):
     The grid argmax is bracketed by its neighboring grid points and refined
     inside the bracket on the derivative probe (_probed: central
     difference, step 1e-6, computed through the full flow + concurrence
-    pipeline) down to an interval of 1e-8: a geometric pre-scan
-    of the bracket, then golden section on the best scan cell (see
-    _scan_then_golden). The refined position is classified by one extra
+    pipeline) down to an interval of PEAK_TOL: a geometric pre-scan of the
+    bracket, then a section search on the best scan cell (see
+    _scan_then_section). The refined position is classified by one extra
     probe at 2 * FD_STEP from the critical point, the closest position
     whose difference stencil stays on a single side. The pre-scan and this
-    cusp probe are independent of each other and go in one batch; golden
-    section asks for its two starting points together with the points of
-    its first _GOLDEN_LEVELS - 1 iterations, and then for the points of
-    _GOLDEN_LEVELS iterations per round (see _golden_max).
+    cusp probe are independent of each other and go in one batch; the
+    section search then asks for 7 points and for 6 per round (see
+    _section_max).
 
     * if the derivative there has dropped below (1 - 1e-3) of the refined
       peak, the peak is a genuine interior maximum and its position is
@@ -240,7 +192,7 @@ def _refine(curve: DerivativeCurve, side: str):
     * otherwise the derivative stays at its supremum essentially all the
       way into the critical point, i.e. the curve has a cusp there rather
       than an interior maximum. The refined position is then meaningless
-      (golden section lands on evaluation noise somewhere in the flat
+      (the search lands on evaluation noise somewhere in the flat
       approach region, wherever its probe sequence happens to stall), so
       the reported gamma_m falls back to the outermost grid point on the
       requested side whose tabulated derivative is still within 10% of the
@@ -267,7 +219,7 @@ def _refine(curve: DerivativeCurve, side: str):
     sign = 1.0 if side == "positive" else -1.0
     dists = _scan_distances(lo, hi, side)
     *scan, near = yield [sign * dist for dist in dists] + [sign * CUSP_PROBE * FD_STEP]
-    gamma_hat, peak = yield from _scan_then_golden(lo, hi, side, dists, scan)
+    gamma_hat, peak = yield from _scan_then_section(lo, hi, side, dists, scan)
     if near < (1.0 - CUSP_DROP) * peak:
         return float(gamma_hat), float(peak)
     side_d = d[side_idx]

@@ -321,28 +321,3 @@ def fixed_points_one_at_a_time(solve, grid, slope_step=1e-5, merge_tol=1e-7, wid
         out.append((r, "stable" if slope < 1.0 else "unstable", slope))
     return out
 
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_max_one_at_a_time(lo, hi, tol=1e-8):
-    """Golden-section maximization as a generator that yields the points it
-    needs and is sent their values: the two starting points together, then
-    one point per iteration, since each depends on the last comparison;
-    ties keep the right part. Returns (argmax, best value)."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = yield [c, d]
-    while b - a > tol:
-        if fc < fd:
-            a = c
-            c, fc = d, fd
-            d = a + _INVPHI * (b - a)
-            (fd,) = yield [d]
-        else:
-            b = d
-            d, fd = c, fc
-            c = b - _INVPHI * (b - a)
-            (fc,) = yield [c]
-    return 0.5 * (a + b), max(fc, fd)

@@ -416,7 +416,7 @@ GOLDEN_FLOW_3D = """dim,step,gamma,j
 3,4,-1,0.613218105919
 """
 
-GOLDEN_GAMMA_M_3D = [-0.00210403356560512, -9.14815447101092e-05, -4.070069948786908e-06]
+GOLDEN_GAMMA_M_3D = [-0.0021040292968749997, -9.148437499999999e-05, -4.071289062499999e-06]
 
 
 @pytest.mark.parametrize(

@@ -707,17 +707,15 @@ def test_bisection_walks_as_one_point_bisection(kind, center, digits, a, width):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qrgxy.rgflow, "solve_many", map_solve(f, asked))
         assert run_flows(1, [_bisect(a, b, fa)], read_gamma_prime) == [want]
-    asked = [x for points in asked for x in points]
-    assert set(needed) <= set(asked)
-    assert len(set(asked)) == len(asked)
-    assert all(a <= x <= b for x in asked)
+    assert asked == [[x] for x in needed]  # one midpoint per tick, in order
+    assert all(a <= x <= b for x in needed)
 
 
 def test_a_root_off_the_exact_three_gets_its_stencil_in_one_more_solve(monkeypatch):
     # a map that fixes -1, 0 and 1 exactly and crosses gamma' = gamma at
     # 0.3, which no grid point holds: the residual grid and the stencils of
-    # the exact three in one solve, the bisection in ticks, then one solve
-    # for the stencil of the bisected root
+    # the exact three in one solve, the bisection in 35 ticks of one
+    # midpoint each, then one solve for the stencil of the bisected root
     def f(x):
         return x + 0.01 * x * (1.0 - x * x) * (x - 0.3)
 
@@ -814,8 +812,8 @@ def test_run_flows_checks_each_batch_in_the_order_asked(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_every_point_of_a_fine_grid_passes_every_check(dim):
-    # the bisection solves midpoints it then does not take; none of them
-    # may raise where bisecting one point per solve would not
+    # a bisection or a peak search may ask for any point of [-1, 1]; none
+    # of a fine grid may fail a check
     gs = np.linspace(-1.0, 1.0, 20001)
     assert np.all(np.abs(solve_many(dim, gs).gamma_prime) <= 1.0)
 

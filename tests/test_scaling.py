@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrgxy.concurrence import ConcurrenceCurve, concurrence_curve
 from qrgxy.errors import ScalingUnderflowError
 from qrgxy.rgflow import fixed_points
-import qrgxy.scaling
 from qrgxy.scaling import (
-    GOLDEN_TOL,
+    PEAK_TOL,
     derivative_curve,
     derivative_scaling,
     entanglement_exponent,
@@ -17,11 +16,10 @@ from qrgxy.scaling import (
     locate_max,
     peak_points,
     system_size,
-    _golden_max,
     _refined_peaks,
+    _section_max,
 )
 
-from oracles import golden_max_one_at_a_time
 from test_rgflow import record_eigh_batches
 
 
@@ -266,48 +264,30 @@ def test_peak_points_solve_count(monkeypatch):
     # one flow of the grid: ticks 0-3, 106 points. Then the refinements,
     # each at its own pace, a batch of step s taking s + 1 ticks: the three
     # pre-scans with their cusp probes share tick 4 (33 points); each
-    # golden section then asks for its starting pair together with the 6
-    # points of its first two iterations along both branches, and then for
-    # batches of up to 7 points, both stencil points of each. Step 1 asks
-    # at ticks 4, 6, ..., 22 and is done after tick 23, step 3 asks at 4,
-    # 8, ..., 20 and is done after 23, and step 2 asks at 4, 7, ..., 25
-    # and is done after 27: 28 calls on 973 points, where asking for the
-    # starting pair alone took 31 calls on 979
+    # section search then asks for its first 7 points and for 6 per round,
+    # both stencil points of each, in 10, 7 and 5 batches for steps 1, 2
+    # and 3. Step 1 asks at ticks 4, 6, ..., 24 and is done after tick 25,
+    # step 2 asks at 4, 7, ..., 25 and step 3 at 4, 8, ..., 24, both done
+    # after tick 27: 28 calls on 975 points
     batches = record_eigh_batches(monkeypatch)
     peak_points(3, grid=51)
-    assert (len(batches), sum(batches)) == (28, 973)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("grid", [51, 101, 2001])
-def test_peak_points_are_those_of_one_point_golden_section(monkeypatch, dim, grid):
-    rows = peak_points(dim, grid=grid)
-    monkeypatch.setattr(qrgxy.scaling, "_golden_max", golden_max_one_at_a_time)
-    assert peak_points(dim, grid=grid) == rows
-
-
-@pytest.mark.parametrize("dim", [1, 2])  # a 1D cusp and a smooth 2D peak
-def test_located_maxima_are_those_of_one_point_golden_section(monkeypatch, dim):
-    d = derivative_curve(concurrence_curve(dim, 1, grid=201))
-    found = [locate_max(d, side) for side in ("negative", "positive")]
-    monkeypatch.setattr(qrgxy.scaling, "_golden_max", golden_max_one_at_a_time)
-    assert [locate_max(d, side) for side in ("negative", "positive")] == found
+    assert (len(batches), sum(batches)) == (28, 975)
 
 
 def _drive(search, f):
-    """Run a maximization generator on f: its result and every point it
-    asked for, in order."""
-    asked = []
+    """Run a maximization generator on f: its result and every batch of
+    points it asked for, in order."""
+    batches = []
     try:
         points = next(search)
         while True:
-            asked += points
+            batches.append(list(points))
             points = search.send(np.array([f(x) for x in points]))
     except StopIteration as done:
-        return done.value, asked
+        return done.value, batches
 
 
-# test functions with the ties golden section meets in the pipeline: the
+# test functions with the ties a peak search meets in the pipeline: the
 # flat top of the 1D cusp, the exactly-zero concurrence flank, and values
 # that agree to the last digit kept
 SYNTHETIC = {
@@ -326,20 +306,36 @@ SYNTHETIC = {
     center=st.floats(min_value=-1.0, max_value=1.0),
     digits=st.integers(min_value=0, max_value=12),
     lo=st.floats(min_value=-1.0, max_value=1.0),
-    width=st.one_of(st.just(0.0), st.floats(min_value=GOLDEN_TOL / 4.0, max_value=2.0)),
+    width=st.one_of(st.just(0.0), st.floats(min_value=PEAK_TOL / 4.0, max_value=2.0)),
 )
-def test_golden_rounds_walk_as_one_point_golden_section(kind, center, digits, lo, width):
+@example(kind="rounded peak", center=0.25, digits=12, lo=0.3, width=0.0)
+@example(kind="rounded peak", center=0.3, digits=12, lo=0.3, width=PEAK_TOL / 2.0)
+def test_section_rounds_stay_in_the_bracket_and_keep_their_best(kind, center, digits, lo, width):
     f = SYNTHETIC[kind](center, digits)
     hi = lo + width
-    result, asked = _drive(_golden_max(lo, hi), f)
-    want, needed = _drive(golden_max_one_at_a_time(lo, hi), f)
-    assert result == want
-    assert set(needed) <= set(asked)
-    # no point is asked for twice, but the starting pair is one point when
-    # the bracket is
-    start, rounds = asked[:2], asked[2:]
-    assert len(set(rounds)) == len(rounds) and not set(start) & set(rounds)
+    (point, value), batches = _drive(_section_max(lo, hi), f)
+    asked = [x for batch in batches for x in batch]
     assert all(lo <= x <= hi for x in asked)
+    assert len(set(asked)) == len(asked)
+    if hi - lo <= PEAK_TOL:  # a bracket this narrow asks for its midpoint once
+        assert batches == [[0.5 * (lo + hi)]]
+    else:
+        assert len(batches[0]) == 7 and all(len(batch) <= 6 for batch in batches[1:])
+    assert point in asked and value == f(point)
+    assert all(value >= f(x) for x in batches[-1])
+    if kind == "rounded peak" and digits >= 10 and lo <= center <= hi:
+        # rounding leaves the peak a flat top of value 0, at least 1.4e-6
+        # wide; ties go right, so the search ends on that top within
+        # PEAK_TOL of its right end
+        assert value == 0.0
+        assert point + PEAK_TOL > hi or f(point + PEAK_TOL) < 0.0
+
+
+@pytest.mark.parametrize("center", [-0.7, -1e-5, 0.0, 0.3, 0.999])
+def test_section_search_ends_within_the_tolerance_of_a_sharp_peak(center):
+    (point, value), _batches = _drive(_section_max(-1.0, 1.0), lambda x: -((x - center) ** 2))
+    assert abs(point - center) <= 0.5 * PEAK_TOL
+    assert value == -((point - center) ** 2)
 
 
 def test_peak_points_needs_two_steps():
