@@ -162,7 +162,15 @@ class CollectiveSpin(NamedTuple):
     with both signs, plus one exact 0. They are the square roots of the
     eigenvalues of the S x S Gram matrix A^T A = P0 + gamma P1 + gamma^2 P2,
     held here at J = 4. S = d keeps A for the ground vectors and its Gram
-    for one stacked eigensolve. S = 1..d-1 are needed for levels only, and
+    for the top eigenpair. A is bidiagonal: a and b hold entries only at
+    (i, i) and (i + 1, i). Its Gram is a star: only the row and the column
+    of one position, main, hold off-diagonal entries, and the diagonal
+    entry at main, P0 + gamma^2 P2 there, is the largest at every
+    |gamma| <= 1 and strictly at gamma = 0, so that its top eigenpair
+    solves a secular equation in the other diagonal entries
+    (rgflow._star_top). star indexes the entries that equation reads: the
+    diagonal at main, then at the other positions k in order, then the
+    main column at those k. S = 1..d-1 are needed for levels only, and
     their Grams are at most 2x2 (d <= 3): each is held as the mean m and
     half difference h of its diagonal and its off-diagonal r, linear in
     the Gram as the Gram is in P0, P1, P2, so that its eigenvalues are
@@ -176,17 +184,19 @@ class CollectiveSpin(NamedTuple):
     one reversed. The solve uses the even half only. With phi1 on the
     even half and phi2 its reversal, <phi1|sx|phi2>, <phi2|sx|phi1> and
     <phi1|(-i sy)|phi2> are quadratic forms on the 2d+1 even-half
-    amplitudes of phi1 (xi); <phi1|sx|phi1> and <phi2|sx|phi2> vanish,
-    since sx joins states of opposite parity only. _check_tables holds
-    the tables to all of this.
+    amplitudes of phi1 (xi), and so are the difference and the sum of the
+    first and the last, one of which vanishes at gamma = 0;
+    <phi1|sx|phi1> and <phi2|sx|phi2> vanish, since sx joins states of
+    opposite parity only. _check_tables holds the tables to all of this.
     """
 
     coupling: np.ndarray  # (2, 2, d+1, d): a and b of the even and the odd half of S = d
     gram: np.ndarray      # (3, 2, d, d): P0, P1, P2 of the even and the odd half of S = d
+    star: np.ndarray      # (2, 2d-1): row and column in the even half's Gram of D_m, of the other D_k and of their c_k
     lower: np.ndarray     # (3, 3, 2(d-1)): P0, P1, P2 of (m, h, r) of the halves of S = 1..d-1, both halves of S = 1 first
     half: np.ndarray      # (2, 2d+1): S = d positions of parity +1, -1, even k first
     corner: np.ndarray    # (2, 2(2d+1), 2(2d+1)): one corner's sx and (-i sy) restricted to S = d
-    xi: np.ndarray        # (3, 2d+1, 2d+1): <phi1|sx|phi2>, <phi2|sx|phi1>, <phi1|(-i sy)|phi2> on the even half
+    xi: np.ndarray        # (5, 2d+1, 2d+1): <phi1|sx|phi2>, <phi2|sx|phi1>, <phi1|(-i sy)|phi2>, xi[0] - xi[2], xi[0] + xi[2]
 
 
 class Embedding(NamedTuple):
@@ -216,7 +226,7 @@ def _halves(s: int) -> np.ndarray:
     spin-s block, each half's s+1 states of even k first, then its s
     states of odd k."""
     k = np.arange(2 * s + 1)
-    return np.stack([np.concatenate([p * k.size + k[::2], (1 - p) * k.size + k[1::2]]) for p in (0, 1)])
+    return np.array([np.concatenate([p * k.size + k[::2], (1 - p) * k.size + k[1::2]]) for p in (0, 1)])
 
 
 def _coupling(s: int) -> np.ndarray:
@@ -243,10 +253,12 @@ def _coupling(s: int) -> np.ndarray:
 
 def _gram(coupling: np.ndarray) -> np.ndarray:
     """(3, ...): P0, P1, P2 of the Gram matrix (a + gamma b)^T (a + gamma b)
-    of coupling tables a, b, each made exactly symmetric."""
-    a, b = coupling
-    at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
-    tables = np.stack([at @ a, at @ b + bt @ a, bt @ b])
+    of coupling tables a, b, each made exactly symmetric. Each column of a
+    and of b holds one ladder coefficient, so each entry is one product of
+    two of them: summed over the rows without BLAS, adding exact zeros."""
+    # products[i, k] = table_i^T table_k, summed over the rows
+    products = (coupling[:, None, ..., :, :, None] * coupling[None, ..., :, None, :]).sum(axis=-3)
+    tables = np.array([products[0, 0], products[0, 1] + products[1, 0], products[1, 1]])
     return 0.5 * (tables + tables.swapaxes(-1, -2))
 
 
@@ -288,7 +300,11 @@ def _check_tables(spin: CollectiveSpin) -> None:
     columns reversed, bit for bit, in coupling and gram; the two halves of
     each S < d must have equal levels, so equal m and r, and h equal up to
     its sign; and a corner's sx and (-i sy) must be exactly 0 within each
-    half, with sx symmetric bit for bit."""
+    half, with sx symmetric bit for bit. The even half of S = d must have
+    the shapes rgflow._halves_ground reads it through: a and b bidiagonal,
+    and a star Gram around main = star[0, 0], P0, P1, P2 exactly symmetric
+    and finite, with P1's diagonal zero, P0's diagonal strictly largest at
+    main and P0 + P2's no larger elsewhere than at main."""
     for name in ("coupling", "gram"):
         table = getattr(spin, name)
         if table[:, 1].tobytes() != table[:, 0, ::-1, ::-1].tobytes():
@@ -298,6 +314,25 @@ def _check_tables(spin: CollectiveSpin) -> None:
         e, o = 2 * s - 2, 2 * s - 1
         if not (m[e] == m[o] and r[e] == r[o] and h[o] in (h[e], [-x for x in h[e]])):
             raise StructureError(f"collective-spin table lower: the halves of S = {s} do not have equal levels")
+    tables = spin.coupling[:, 0].tolist()  # a and b of the even half
+    if any(x for t in tables for i, row in enumerate(t) for j, x in enumerate(row) if i - j not in (0, 1)):
+        raise StructureError("collective-spin table coupling: a or b of the even half of S = d is not bidiagonal")
+    grams = spin.gram[:, 0]
+    main, d = int(spin.star[0, 0]), grams.shape[-1]
+    p0, p1, p2 = grams.tolist()
+    others = [k for k in range(d) if k != main]
+    if not (
+        grams.tobytes() == grams.swapaxes(-1, -2).tobytes()
+        and np.isfinite(grams).all()
+        and not any(p[i][j] for p in (p0, p1, p2) for i in others for j in others if i != j)
+        and not any(p1[k][k] for k in range(d))
+        and all(p0[k][k] < p0[main][main] for k in others)
+        and all(p0[k][k] + p2[k][k] <= p0[main][main] + p2[main][main] for k in others)
+    ):
+        raise StructureError(
+            "collective-spin table gram: the Gram of the even half of S = d is not a symmetric star "
+            "whose diagonal is largest at its main position"
+        )
     sx, half = spin.corner[0], spin.half
     if np.any(spin.corner[:, half[:, :, None], half[:, None]]) or sx.tobytes() != sx.T.tobytes():
         raise StructureError(
@@ -313,18 +348,22 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
         gram = np.zeros((3, 2, 2, 2))
         gram[..., :s, :s] = _gram(_coupling(s))
         p, q, r = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
-        lower[:, :, s - 1] = np.stack([0.5 * (p + q), 0.5 * (p - q), r], axis=1)
+        lower[:, :, s - 1] = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1)
     coupling = _coupling(d)
     width = 2 * d + 1
     corner = np.zeros((2, 2 * width, 2 * width))  # the same on either center state
-    corner[:, :width, :width] = corner[:, width:, width:] = np.stack(_spin_operators(d)) / (2 * d)
+    corner[:, :width, :width] = corner[:, width:, width:] = np.array(_spin_operators(d)) / (2 * d)
     half = _halves(d)
     # phi1 sits at half[0], and its spin flip phi2 at the mirror positions
     sx, ky = corner[:, half[0, :, None], 2 * width - 1 - half[0]]
-    xi = np.stack([sx, sx.T, ky])  # sx is symmetric: _check_tables
+    xi = np.array([sx, sx.T, ky, sx - ky, sx + ky])  # sx is symmetric: _check_tables
+    gram = _gram(coupling)
+    main = int(np.argmax(np.diagonal(gram[0, 0])))
+    positions = [main] + [k for k in range(d) if k != main]
     spin = CollectiveSpin(
         coupling=coupling,
-        gram=_gram(coupling),
+        gram=gram,
+        star=np.array([positions + positions[1:], positions + [main] * (d - 1)]),
         lower=lower.reshape(3, 3, -1),
         half=half,
         corner=corner,

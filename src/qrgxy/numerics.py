@@ -3,17 +3,14 @@ square roots.
 
 Everything is real double precision. The block Hamiltonians and reduced
 density matrices are all real symmetric (see pauli / blocks), so no complex
-code path exists anywhere in the package. LAPACK sees only small stacks.
-The pipeline makes one eigensolve per batch, of the d x d Gram matrices
-of the even parity half of the S = d block (blocks.CollectiveSpin),
-d <= 3, stacked over every block of the batch, whose eigenvalues are the
-squared singular values behind the block's levels; the odd half is the
-spin-flip mirror of the even one, with the same levels, and is not
-solved; the lower spins take their 1x1 and 2x2 Grams in closed form, one
-half each, and the S = 0 block is zero and never solved. The corner-pair concurrence of the pipeline is a closed
-form and needs no LAPACK; only the general tool
+code path exists anywhere in the package. The pipeline calls nothing
+here: it solves the d x d Gram matrices of the even parity half of the
+S = d block (blocks.CollectiveSpin), d <= 3, through their secular
+equation (rgflow._star_top), with no LAPACK, and its corner-pair
+concurrence is a closed form. Only the general tool
 concurrence.wootters_concurrence, which the pipeline does not call, takes
-a square root and a spectrum of one 4x4 state. The symmetry and
+a square root and a spectrum of one 4x4 state here, and the tests hold
+the secular solve to eigh_symmetric of the same Grams. The symmetry and
 finiteness contract is checked once per stack. No Hamiltonian or Pauli
 operator on the 2^n basis is built: outside the test oracles, that basis
 appears only in the output vectors of rgflow.ground_doublet, 128 wide at
@@ -79,9 +76,10 @@ def eigh_symmetric(a) -> EigenDecomposition:
     (..., n, n) stack gives (..., n) eigenvalues and (..., n, n) vectors.
 
     LAPACK's symmetric solver does the actual work; this wrapper enforces the
-    symmetry and finiteness contract up front and is the single eigensolver
-    entry point for the whole package, so every caller gets the same
-    ordering and the same orthonormality guarantees.
+    symmetry and finiteness contract up front, so every caller gets the
+    same ordering and the same orthonormality guarantees. The flow does
+    not call it (rgflow._star_top): its callers are
+    concurrence.wootters_concurrence and the tests.
     """
     a = _require_symmetric(a)
     w, v = np.linalg.eigh(a)

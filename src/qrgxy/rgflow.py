@@ -15,13 +15,14 @@ single-representative-bond convention.
 
 The flow never leaves the collective corner spin S = d (2(2d+1) wide).
 There is one block solver, and it takes whole arrays of points: solve_many
-finds the doublet of every block in one stacked eigensolve of the d x d
-Gram matrices of the even parity half of S = d (the half is bipartite, so
-its ground vector follows from the Gram's top eigenvector). The global
-spin flip commutes with the block and, as the block has an odd number
-of spins, takes the even half onto the odd one: the odd member of the
-doublet is the even one reversed in the S = d basis, with the same
-level, and is never solved. blocks.collective_spin checks this symmetry
+finds the doublet of every block from the d x d Gram matrices of the even
+parity half of S = d (the half is bipartite, so its ground vector follows
+from the Gram's top eigenvector), each a star whose top eigenpair solves
+a secular equation, for all points at once and with no BLAS or LAPACK
+call. The global spin flip commutes with the block and, as the block has
+an odd number of spins, takes the even half onto the odd one: the odd
+member of the doublet is the even one reversed in the S = d basis, with
+the same level, and is never solved. blocks.collective_spin checks this symmetry
 of its tables once per dimension, where it builds them. solve_many runs
 every check that is left on every point, reads xi_x, xi_y and gamma' off
 the even half as quadratic forms and hands back phi1 as its 2d+1
@@ -68,7 +69,6 @@ from .blocks import (
     interblock_bonds,
 )
 from .errors import DegeneracyError, QRGError, StructureError
-from .numerics import eigh_symmetric
 
 DEGENERACY_RTOL = 1e-8   # least gap from the doublet to the third level, relative to the spectral spread
 STRUCTURE_TOL = 1e-9
@@ -127,6 +127,78 @@ def _raise_first(checks) -> None:
         raise next(error(k) for mask, error in checks if mask[k])
 
 
+NEWTON_STEPS = 3  # on the secular equation of the 3D Gram (_star_top)
+
+
+def _star_top(entries: np.ndarray, d: int):
+    """The top eigenvalue mu, the second eigenvalue (None where d = 1) and
+    the top eigenvector of each of G d x d Grams, d <= 3, that are stars
+    (blocks.CollectiveSpin): only the row and the column of the main
+    position hold off-diagonal entries, and the main diagonal entry D_m is
+    the largest. entries is (2d - 1, G): D_m, the other diagonal entries
+    D_k, and the main-column entries c_k at the other positions k, in
+    order. With x = mu - D_m and delta_k = D_m - D_k, the top pair solves
+    the secular equation (Golub, SIAM Review 15, 318 (1973))
+
+        x = sum_k c_k^2 / (x + delta_k),    v_k = c_k v_m / (x + delta_k).
+
+    Where d = 2 its root is x = c^2 / (h + sqrt(h^2 + c^2)), h = delta / 2,
+    whose denominator stays positive where the two diagonal entries meet,
+    at |gamma| = 1; the second eigenvalue is then the trace less mu. Where
+    d = 3, Newton's method takes NEWTON_STEPS steps on it from the d = 2
+    root with the two deltas merged at their mean, each step written as
+    one ratio of sums of nonnegative terms; the second eigenvalue is the
+    larger root of the quadratic left by dividing mu out of the
+    characteristic polynomial. Every step is + - * / or sqrt, so a row's
+    bits depend neither on its batch nor on a BLAS build, and x and the
+    v_k, which vanish at gamma = 0, keep their relative precision there.
+    The vector comes as d arrays, main first, with v_m > 0. Where d = 2, a
+    Gram that is a multiple of the identity, whose top is not single and
+    fails the degeneracy check, gives v_k = 0 instead of 0 / 0."""
+    top = entries[0]
+    if d == 1:
+        return top, None, (np.ones_like(top),)
+    if d == 2:
+        _, other, off = entries
+        half = 0.5 * (top - other)
+        den = half + np.sqrt(half * half + off * off)
+        ratio = np.divide(off, den, out=np.zeros_like(den), where=den > 0.0)
+        x = off * ratio
+        main = 1.0 / np.sqrt(1.0 + ratio * ratio)
+        return top + x, other - x, (main, ratio * main)
+    other, off = entries[1:3], entries[3:]  # (2, G) each: the D_k and the c_k
+    delta = top - other
+    w = off * off
+    pull, spread = w[0] + w[1], delta[0] + delta[1]
+    quarter = 0.25 * spread
+    x = pull / (quarter + np.sqrt(quarter * quarter + pull))
+    for _ in range(NEWTON_STEPS):
+        # x - f / f' for f = x - sum(t), f' = 1 + sum(t / (x + delta))
+        shift = x + delta
+        t = w / shift
+        slope = t / shift
+        slope = slope[0] + slope[1]
+        x = (x * slope + (t[0] + t[1])) / (1.0 + slope)
+    ratio = off / (x + delta)
+    square = ratio * ratio
+    main = 1.0 / np.sqrt(1.0 + square[0] + square[1])
+    # the characteristic polynomial in x' = lambda - D_m is x'^3 + c2 x'^2 +
+    # c1 x' - c0, c2 = sum(delta), c1 = prod(delta) - sum(c^2); over
+    # (x' - x) it leaves x'^2 + t x' + c1 + x t, t = c2 + x
+    t = spread + x
+    half = 0.5 * t
+    rest = (delta[0] * delta[1] - pull) + x * t
+    second = top + (np.sqrt(np.maximum(half * half - rest, 0.0)) - half)
+    return top + x, second, (main, *(ratio * main))
+
+
+def _star_entries(spin: CollectiveSpin, gamma: np.ndarray) -> np.ndarray:
+    """(2d - 1, G): the entries of the even S = d Grams at the points
+    gamma that _star_top reads, P0 + gamma (P1 + gamma P2) of each."""
+    star = spin.gram[:, 0, spin.star[0], spin.star[1], None]
+    return star[0] + gamma * (star[1] + gamma * star[2])
+
+
 def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list) -> HalvesGround:
     """Solve each block of the batch in its collective corner spin S and
     take the ground state of the even parity half of S = d.
@@ -145,33 +217,39 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
     two halves of every S have the same levels: those of one half are
     taken once and stand for both, which makes E1 = E2 and the doublet
     exactly twofold. The even half of S = d is solved through its d x d
-    Gram matrix A^T A in one stacked eigh, which gives the squared
-    singular values and the top right singular vector v; the ground vector
-    of the half is [A v / |A v|, -v] / sqrt(2), where |A v| is the top
-    singular value. The S = 1..d-1 halves give their squared singular
-    values from the closed form of their 1x1 and 2x2 Grams, since one of
-    them can hold the third level; the zero levels, of S = 0 and of each
-    half, are not solved. The checks go to `checks` for _raise_first.
+    Gram matrix A^T A, a star, whose largest two eigenvalues, the squared
+    singular values, and top eigenvector v come from its secular equation
+    (_star_top); the ground vector of the half is [A v / |A v|, -v] /
+    sqrt(2), where |A v| is the top singular value and A v, A bidiagonal,
+    is two products summed per entry. The S = 1..d-1 halves give their
+    squared singular values from the closed form of their 1x1 and 2x2
+    Grams, since one of them can hold the third level; the zero levels, of
+    S = 0 and of each half, are not solved. The checks go to `checks` for
+    _raise_first. No step calls BLAS or LAPACK.
     """
-    n = len(couplings.gamma)
-    gamma = couplings.gamma[:, None, None]
-    gram = spin.gram[:, 0]
-    squares, right = eigh_symmetric(gram[0] + gamma * (gram[1] + gamma * gram[2]))
-    parts = [squares, np.zeros((n, 1))]
+    n, d = len(couplings.gamma), spin.gram.shape[-1]
+    gamma = couplings.gamma
+    squares, second, top_vector = _star_top(_star_entries(spin, gamma), d)
+    v = np.empty((d, n))
+    v[spin.star[0, :d]] = top_vector
+    parts = [squares[:, None], np.zeros((n, 1))]
+    if second is not None:
+        parts.append(second[:, None])
     if spin.lower.size:
         lower = spin.lower[..., ::2]  # the even half of each S
-        lower = lower[0] + gamma * (lower[1] + gamma * lower[2])
+        g = gamma[:, None, None]
+        lower = lower[0] + g * (lower[1] + g * lower[2])
         mean, half, off = lower.transpose(1, 0, 2)
         radius = np.hypot(half, off)
         parts += [mean + radius, mean - radius]
     # minus J/4 times a singular value is a level; rounding can leave a
     # vanishing squared one just below 0. Each level comes twice, once in
     # each half: the largest two of one half give E1 = E2 and E3
-    scale = -0.25 * couplings.j[:, None]
+    scale = -0.25 * couplings.j
     largest = np.sort(np.concatenate(parts, axis=1), axis=1)[:, -2:]
-    e3, e2 = (np.sqrt(np.maximum(largest, 0.0)) * scale).T
-    top = np.sqrt(np.maximum(squares[:, -1:], 0.0))  # (G, 1): the top singular value of the even half of S = d
-    lowest = top[:, 0] * scale[:, 0]  # the ground level of each half of S = d
+    e3, e2 = np.sqrt(np.maximum(largest, 0.0)).T * scale
+    top = np.sqrt(np.maximum(squares, 0.0))  # the top singular value of the even half of S = d
+    lowest = top * scale  # the ground level of each half of S = d
     tol = DEGENERACY_RTOL * (-2.0 * e2)
     gap = e3 - e2
     checks += [
@@ -190,11 +268,17 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
             ),
         ),
     ]
-    coupling = spin.coupling[:, 0]
-    v = right[..., -1]
-    u = ((coupling[0] + gamma * coupling[1]) @ v[..., None])[..., 0]
+    # A v, A = a + gamma b bidiagonal (blocks._check_tables): entry i is
+    # A[i, i] v[i] + A[i, i - 1] v[i - 1]; row by row, a and b hold their
+    # (i, i) entries every d + 1 places from 0 and their (i + 1, i) ones
+    # from d
+    ladder = spin.coupling[:, 0].reshape(2, -1, 1)
+    diagonal, below = ladder[:, :: d + 1], ladder[:, d :: d + 1]  # (2, d, 1) each
+    u = np.zeros((d + 1, n))
+    u[:-1] = (diagonal[0] + gamma * diagonal[1]) * v
+    u[1:] += (below[0] + gamma * below[1]) * v
     np.divide(u, top, out=u, where=top > 0.0)  # A = 0 only where a check fails
-    even = np.concatenate([u, -v], axis=-1) * math.sqrt(0.5)
+    even = (np.concatenate([u, -v]) * math.sqrt(0.5)).T
     return HalvesGround(energy=e2, gap_to_third=gap, even=even)
 
 
@@ -240,9 +324,9 @@ class BlockSolve(NamedTuple):
 
 
 def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
-    """The blocks at the points (j, gammas), solved together: one stacked
-    eigh of the d x d Grams of the even half of their S = d blocks,
-    whatever the number of points, and the S < d levels in closed form. j
+    """The blocks at the points (j, gammas), solved together: the d x d
+    Grams of the even half of their S = d blocks through their secular
+    equation (_star_top), and the S < d levels in closed form. j
     is one number or one per gamma; each point is solved at its own J,
     which scales its levels only, so that its checks run at that J and its
     vectors do not depend on it.
@@ -251,8 +335,8 @@ def solve_many(dimension: int, gammas, j=1.0) -> BlockSolve:
     point, its 2d+1 amplitudes on the even half: the odd one, phi2, is its
     global spin flip, and the corner sx and (-i sy) projected onto the
     doublet are quadratic forms on those amplitudes
-    (blocks.CollectiveSpin.xi). sx flips one spin, so it is parity-odd and
-    its projection must be a pure sigma'^x. Its diagonal vanishes
+    (blocks.CollectiveSpin.xi), read in one einsum. sx flips one spin, so
+    it is parity-odd and its projection must be a pure sigma'^x. Its diagonal vanishes
     identically, as the corner tables are checked where they are built;
     its two off-diagonals are read apart, and a point where they differ
     raises instead of being squared away. With real vectors,
@@ -274,18 +358,18 @@ def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
     spin = collective_spin(geometry)
     checks: list = []
     even = _halves_ground(couplings, spin, checks).even
-    # <phi1|sx|phi2>, <phi2|sx|phi1> and <phi1|(-i sy)|phi2> of each point;
+    # <phi1|sx|phi2>, <phi2|sx|phi1>, <phi1|(-i sy)|phi2> and the
+    # difference and the sum of the first and the last of each point;
     # einsum, with optimize left off, runs its own loops and no BLAS, so a
     # row gets the bits of its batch of one
-    off, off_t, y = np.einsum("gi,fij,gj->fg", even, spin.xi, even)
-    # float_power is libm's pow, as Python's float ** 2 is; x * x rounds
-    # about 0.1% of the squares the other way, and near gamma = 0, where
-    # t_x - t_y cancels, one ulp of xi^2 moves gamma' by ~1e-12 relative
-    xx, yy = np.float_power(off, 2), np.float_power(y, 2)
+    off, off_t, y, minus, plus = np.einsum("gi,fij,gj->fg", even, spin.xi, even)
+    xx, yy = off * off, y * y
     gamma = couplings.gamma
-    tx = (1.0 + gamma) * xx
-    ty = (1.0 - gamma) * yy
-    total = tx + ty
+    # t_x + t_y = (1 + gamma) xx + (1 - gamma) yy, up to J/4. Near gamma =
+    # 0, xx - yy cancels, but one factor of (xi_x - xi_y)(xi_x + xi_y)
+    # vanishes and keeps its relative precision, read as its own form
+    squares, difference = xx + yy, minus * plus
+    total = squares + gamma * difference
     checks += [
         (
             ~(abs(off - off_t) <= STRUCTURE_TOL),
@@ -304,8 +388,10 @@ def _solve(dimension: int, couplings: CouplingArrays) -> BlockSolve:
         ),
     ]
     _raise_first(checks)
-    gp = (tx - ty) / total
-    # the ratio is <= 1 in magnitude up to rounding; clamp only that much
+    # gamma' = (t_x - t_y) / (t_x + t_y) = (ratio + gamma) / (1 + gamma ratio)
+    ratio = difference / squares
+    gp = (ratio + gamma) / (1.0 + gamma * ratio)
+    # gamma' is <= 1 in magnitude up to rounding; clamp only that much
     over = abs(gp) > 1.0
     if np.count_nonzero(over):
         rounding = over & (abs(gp) <= 1.0 + 1e-12)

@@ -24,6 +24,7 @@ six new points of a bracket four times narrower around the best one.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -260,25 +261,23 @@ def system_size(dimension: int, rg_step: int) -> int:
 
 
 def fit_loglog(ln_x: Sequence[float], ln_y: Sequence[float]) -> ScalingFit:
-    """Ordinary least squares through the (ln x, ln y) points."""
-    x = np.asarray(ln_x, dtype=float)
-    y = np.asarray(ln_y, dtype=float)
+    """Ordinary least squares through the (ln x, ln y) points, in closed
+    form on the centered points, every sum taken by math.fsum, correctly
+    rounded, so that no BLAS kernel or summation order sets the bits."""
+    x = np.atleast_1d(np.asarray(ln_x, dtype=float))
+    y = np.atleast_1d(np.asarray(ln_y, dtype=float))
     # min and max, not np.unique: the first np.unique call of a process
     # imports numpy.ma, which costs more than the fit
     if x.size != y.size or x.size < 2 or x.min() == x.max():
         raise ValueError("need (x, y) points of equal count with at least two distinct x")
-    slope, intercept = np.polyfit(x, y, 1)
+    x_mean, y_mean = math.fsum(x) / x.size, math.fsum(y) / y.size
+    dx, dy = x - x_mean, y - y_mean
+    slope = math.fsum(dx * dy) / math.fsum(dx * dx)
+    intercept = y_mean - slope * x_mean
     resid = y - (slope * x + intercept)
-    ss_res = float(resid @ resid)
-    centered = y - y.mean()
-    ss_tot = float(centered @ centered)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ScalingFit(
-        points=tuple(zip(x.tolist(), y.tolist())),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=float(r2),
-    )
+    ss_tot = math.fsum(dy * dy)
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - math.fsum(resid * resid) / ss_tot
+    return ScalingFit(points=tuple(zip(x.tolist(), y.tolist())), slope=slope, intercept=intercept, r_squared=r2)
 
 
 def peak_points(

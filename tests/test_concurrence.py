@@ -30,6 +30,7 @@ from oracles import (
     wootters_concurrence_complex,
     x_state_concurrence,
 )
+from test_rgflow import record_solve_batches
 
 
 def random_state(rng, dim):
@@ -362,16 +363,12 @@ def test_j_sweep_solves_every_point_at_its_own_j(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("step", [0, 2])
 def test_curve_makes_one_eigh_per_step(monkeypatch, dim, step):
-    calls = []
-    real = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    # the name is kept from when each solve was one eigh: the curve is one
+    # flow of the grid, one solve of its distinct gammas per tick, and no
+    # np.linalg call
+    calls = record_solve_batches(monkeypatch)
     concurrence_curve(dim, step, 101)
-    assert len(calls) <= step + 1
+    assert len(calls) == step + 1 and calls[0] == 101
 
 
 def test_j_sweep_reduces_the_oracle_state_at_each_j():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qrgxy.blocks import CouplingParams, block_geometry, collective_spin, interblock_bonds, pair_forms
 from qrgxy.concurrence import _pair_concurrence, concurrence_curve, flowed_concurrence
 from qrgxy.errors import DegeneracyError, QRGError, StructureError
+from qrgxy.numerics import eigh_symmetric
 from qrgxy.rgflow import (
     _BISECT_WIDTH,
     GroundDoublet,
@@ -154,7 +155,7 @@ def test_two_lowest_levels_of_one_parity_raise_structure_error():
     # tables whose two lowest levels are both even, with the odd ground
     # level above them, break the spin-flip mirror: they are refused where
     # the tables are checked, before any point is solved
-    spin = _fake_spin(2, [1.0, 1.0], [[0.125]])
+    spin = _fake_spin(2, [1.0, 0.75], [[0.125]])
     coupling, gram = spin.coupling.copy(), spin.gram.copy()
     coupling[0, 1] *= 0.5
     gram[0, 1] *= 0.25
@@ -411,25 +412,43 @@ def test_only_a_concurrence_builds_the_pair_forms(monkeypatch):
     assert fresh.cache_info().currsize == 1
 
 
+def record_solve_batches(monkeypatch):
+    """The batch size of every rgflow._solve call made from now on. Any
+    np.linalg function called from now on fails the test: the blocks are
+    solved through the secular equation of their Grams, with no LAPACK."""
+    batches = []
+
+    def recording(dimension, couplings, _real=qrgxy.rgflow._solve):
+        batches.append(len(couplings.gamma))
+        return _real(dimension, couplings)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow path called np.linalg")
+
+    monkeypatch.setattr(qrgxy.rgflow, "_solve", recording)
+    for name in dir(np.linalg):
+        value = getattr(np.linalg, name)
+        if callable(value) and not isinstance(value, type) and not name.startswith("_"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    return batches
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cold_block_solve_makes_one_eigh_of_the_gram_stack(monkeypatch, dim):
-    # a batch of one and a batch of five each make one eigh of the d x d
-    # Grams of their even S = d halves and no eigvalsh
-    shapes = {"eigh": [], "eigvalsh": []}
-    for name, calls in shapes.items():
-        def recording(a, *args, _real=getattr(np.linalg, name), _calls=calls, **kwargs):
-            _calls.append(np.shape(a))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
+    # the name is kept from when the Grams went to LAPACK's eigh: a batch of
+    # one and a batch of five are each one solve of the whole batch, and
+    # neither, nor the tables built afresh for them, calls np.linalg
+    fresh = functools.cache(qrgxy.blocks._collective_spin.__wrapped__)
+    monkeypatch.setattr(qrgxy.blocks, "_collective_spin", fresh)
+    batches = record_solve_batches(monkeypatch)
     for batch, solve in (
         (1, lambda: gamma_prime(0.3, dim)),
         (5, lambda: solve_many(dim, np.linspace(-0.8, 0.8, 5))),
     ):
-        for calls in shapes.values():
-            calls.clear()
+        batches.clear()
         solve()
-        assert shapes == {"eigh": [(batch, dim, dim)], "eigvalsh": []}
+        assert batches == [batch]
+    assert fresh.cache_info().currsize == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,35 +476,23 @@ def test_an_empty_batch_solves_to_empty_arrays(dim):
     assert not solved.even.flags.writeable
 
 
-def record_eigh_batches(monkeypatch):
-    """The batch size of every np.linalg.eigh call made from now on."""
-    batches = []
-
-    def recording(a, *args, _real=np.linalg.eigh, **kwargs):
-        batches.append(np.shape(a)[0])
-        return _real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    return batches
-
-
 def test_fixed_points_solve_count(monkeypatch):
     # one call: the residual grid and the 0.0 put in it, 101 points, and
     # the two-point stencils of -1, 0 and 1, which the map fixes exactly;
     # they are the only roots, so nothing is bisected and no stencil is left
-    batches = record_eigh_batches(monkeypatch)
+    batches = record_solve_batches(monkeypatch)
     fixed_points(3, 100)
     assert batches == [107]
 
 
-# gamma' where the last bit of xi^2 depends on how it is squared, as the
-# Gram solve computes it; near gamma = 0, t_x - t_y cancels and one ulp of
-# xi^2 moves gamma' by ~1e-12 relative
+# gamma' to the bit, at points near gamma = 0 where t_x - t_y cancels
+# unless it is read as (xi_x - xi_y)(xi_x + xi_y); each lies within 4.1
+# ulps of a 60-digit solve of the same tables
 GOLDEN_GAMMA_PRIME = [
-    (1, 0.3665738120065143, 0.8188699868453526),
-    (2, 1.081602518910922e-06, 1.1897627707673364e-05),
-    (3, 5.034867904158609e-06, 0.00011580196123817034),
-    (3, 2.223105778133823e-06, 5.113143284902579e-05),
+    (1, 0.3665738120065143, 0.8188699868453527),
+    (2, 1.081602518910922e-06, 1.189762770742291e-05),
+    (3, 5.034867904158609e-06, 0.00011580196123814562),
+    (3, 2.223105778133823e-06, 5.1131432849086633e-05),
 ]
 
 
@@ -539,6 +546,38 @@ def test_block_solve_checks_the_projected_corner_sigma_x(monkeypatch):
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     with pytest.raises(StructureError, match="at site 2 is not proportional to sigma'"):
         solve_many(2, 0.3)
+
+
+# the secular solve of the star Grams against LAPACK's eigh of the same
+# assembled Grams, on the grid, both signs of |gamma| from 1e-12 to 1e-2,
+# 0, +-2^-53 and +-1. Measured: at most 0 / 2 / 3 ulps off the top
+# eigenvalue, 4 / 7 ulps (d = 2 / 3) off the second, and 0 / 1.5 / 3.75
+# eps off the unit top vector, for d = 1 / 2 / 3; the bounds are about
+# twice the worst of these
+SMALL_GAMMAS = np.geomspace(1e-12, 1e-2, 41)
+ORACLE_GAMMAS = np.concatenate(
+    [np.linspace(-1.0, 1.0, 2001), SMALL_GAMMAS, -SMALL_GAMMAS, [0.0, 2.0**-53, -(2.0**-53), 1.0, -1.0]]
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_star_solve_matches_eigh_of_the_assembled_gram(dim):
+    spin = collective_spin(block_geometry(dim))
+    p0, p1, p2 = spin.gram[:, 0]
+    g = ORACLE_GAMMAS[:, None, None]
+    want, vectors = eigh_symmetric(p0 + g * (p1 + g * p2))
+    top, second, star_vector = qrgxy.rgflow._star_top(qrgxy.rgflow._star_entries(spin, ORACLE_GAMMAS), dim)
+    main = spin.star[0, 0]
+    vector = np.empty((dim, len(ORACLE_GAMMAS)))
+    vector[spin.star[0, :dim]] = star_vector
+    assert np.all(vector[main] > 0.0)
+    want_vector = (vectors[..., -1] * np.sign(vectors[:, main, -1])[:, None]).T
+    assert np.max(np.abs(top - want[:, -1]) / np.spacing(want[:, -1])) <= 6.0
+    assert np.max(np.abs(vector - want_vector)) <= 8.0 * np.finfo(float).eps
+    if dim == 1:
+        assert second is None
+    else:
+        assert np.max(np.abs(second - want[:, -2]) / np.spacing(want[:, -2])) <= 14.0
 
 
 # the S = d Grams, the S = 1..d-1 Grams and the zero levels hold every
