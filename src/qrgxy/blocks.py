@@ -343,13 +343,17 @@ def _check_tables(spin: CollectiveSpin) -> None:
 @functools.cache
 def _collective_spin(dimension: int) -> CollectiveSpin:
     d = block_geometry(dimension).dimension
-    lower = np.zeros((3, 3, d - 1, 2))
-    for s in range(1, d):
-        gram = np.zeros((3, 2, 2, 2))
-        gram[..., :s, :s] = _gram(_coupling(s))
-        p, q, r = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
-        lower[:, :, s - 1] = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1)
-    coupling = _coupling(d)
+    # the tables of S = 1..d in one stack, each padded with exact zeros to
+    # the (d+1) x d of S = d, so that one _gram call builds every Gram
+    stack = np.zeros((2, d, 2, d + 1, d))
+    for s in range(1, d + 1):
+        stack[:, s - 1, :, : s + 1, :s] = _coupling(s)
+    grams = _gram(stack)
+    coupling, gram = np.ascontiguousarray(stack[:, -1]), np.ascontiguousarray(grams[:, -1])
+    lower = np.zeros((3, 3, 0))
+    if d > 1:  # the Grams of S = 1..d-1 are at most 2 x 2
+        p, q, r = grams[:, :-1, :, 0, 0], grams[:, :-1, :, 1, 1], grams[:, :-1, :, 0, 1]
+        lower = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1).reshape(3, 3, -1)
     width = 2 * d + 1
     corner = np.zeros((2, 2 * width, 2 * width))  # the same on either center state
     corner[:, :width, :width] = corner[:, width:, width:] = np.array(_spin_operators(d)) / (2 * d)
@@ -357,14 +361,13 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
     # phi1 sits at half[0], and its spin flip phi2 at the mirror positions
     sx, ky = corner[:, half[0, :, None], 2 * width - 1 - half[0]]
     xi = np.array([sx, sx.T, ky, sx - ky, sx + ky])  # sx is symmetric: _check_tables
-    gram = _gram(coupling)
     main = int(np.argmax(np.diagonal(gram[0, 0])))
     positions = [main] + [k for k in range(d) if k != main]
     spin = CollectiveSpin(
         coupling=coupling,
         gram=gram,
         star=np.array([positions + positions[1:], positions + [main] * (d - 1)]),
-        lower=lower.reshape(3, 3, -1),
+        lower=lower,
         half=half,
         corner=corner,
         xi=xi,

@@ -167,6 +167,15 @@ def flowed_concurrence(dimension: int, rg_step: int, gamma: float) -> float:
     return float(flowed_concurrences(dimension, rg_step, gamma)[0])
 
 
+def checked_grid(grid) -> int:
+    """The number of points of a uniform gamma grid over [-1, 1]: a whole
+    number, odd so that gamma = 0 is a grid point, and at least 3."""
+    grid = grid_size(grid)
+    if grid < 3 or grid % 2 == 0:
+        raise ValueError(f"gamma grid must be odd and >= 3, got {grid}")
+    return grid
+
+
 def concurrence_curves(
     dimension: int,
     rg_steps: Sequence[int],
@@ -176,9 +185,7 @@ def concurrence_curves(
     [-1, 1] (odd so that gamma = 0 is a grid point), one curve for each of
     rg_steps, all read off one flow of the grid up to the largest step (the
     copies of the grid for the different steps are solved once per step)."""
-    grid = grid_size(grid)
-    if grid < 3 or grid % 2 == 0:
-        raise ValueError(f"gamma grid must be odd and >= 3, got {grid}")
+    grid = checked_grid(grid)
     gs = np.linspace(-1.0, 1.0, grid)
     rg_steps = tuple(step_counts(list(rg_steps)).tolist())
     steps, gammas = np.repeat(rg_steps, grid), np.tile(gs, len(rg_steps))

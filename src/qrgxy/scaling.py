@@ -8,16 +8,19 @@ quantities extracted here are the growth of the derivative maximum with
 represented system size N and the exponent theta in gamma_m = gamma_c -
 N^(-theta), with gamma_c = 0 taken as exact.
 
-peak_points reads the curves of all its steps off one flow of the grid.
-The refinement probes the derivative through the full flow + concurrence
-pipeline. Its steps are generators that ask for probe points and are sent
+peak_points finds the peaks without the grid: the refinement probes the
+derivative through the full flow + concurrence pipeline over the whole
+side, and only a step whose peak is a cusp at the critical point, every
+step in 1D and no default step in 2D or 3D, reads its gamma_m off a grid
+curve, the curves of all such steps read off one flow of the grid. The
+refinement's steps are generators that ask for probe points and are sent
 the values; _probed turns each batch of points into the flows of their
 stencils, and the refinements of all steps of a peak_points call run
 together on concurrence.concurrence_searches, each at its own pace: the
 flows of every batch in flight share each tick's solve, and a refinement
 asks for its next batch as soon as its own flows end, so the short flows
 of a low step do not wait for the long ones of a high step. A batch holds
-the pre-scan of a bracket with the cusp probe, or one round of a section
+the pre-scan of the side with the cusp probe, or one round of a section
 search (_section_max): seven points across the bracket at first, then the
 six new points of a bracket four times narrower around the best one.
 """
@@ -30,7 +33,7 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .blocks import block_geometry
-from .concurrence import ConcurrenceCurve, concurrence_curves, concurrence_searches
+from .concurrence import ConcurrenceCurve, checked_grid, concurrence_curves, concurrence_searches
 from .errors import ScalingUnderflowError
 from .rgflow import step_counts
 
@@ -128,39 +131,28 @@ def _section_max(lo: float, hi: float):
         values = new[:3] + [fc] + new[3:]
 
 
-def _scan_distances(lo: float, hi: float, side: str) -> list:
-    """Distances from gamma = 0 of the geometric pre-scan of the bracket
-    [lo, hi] lying on one side of gamma = 0: factor-2 steps from the
-    innermost stencil-clean distance out to the far bracket edge; empty when
-    no part of the bracket is stencil-clean."""
-    if side == "positive":
-        dmin, dmax = max(lo, CUSP_PROBE * FD_STEP), hi
-    else:
-        dmin, dmax = max(-hi, CUSP_PROBE * FD_STEP), -lo
-    if not dmin < dmax:
-        return []
-    dists = [dmin]
-    while dists[-1] * 2.0 < dmax:
+def _scan_distances() -> list:
+    """Distances from gamma = 0 of the geometric pre-scan of one side:
+    factor-2 steps from the innermost stencil-clean distance, CUSP_PROBE *
+    FD_STEP, out to the side's edge 1."""
+    dists = [CUSP_PROBE * FD_STEP]
+    while dists[-1] * 2.0 < 1.0:
         dists.append(dists[-1] * 2.0)
-    dists.append(dmax)
+    dists.append(1.0)
     return dists
 
 
-def _scan_then_section(lo: float, hi: float, side: str, dists: list, vals):
-    """Maximize a function over the bracket [lo, hi] lying on one side of
-    gamma = 0, given its values `vals` at the pre-scan distances `dists`;
-    a generator like _section_max.
+def _scan_then_section(side: str, dists: list, vals):
+    """Maximize a function over one side of gamma = 0, given its values
+    `vals` at the pre-scan distances `dists`; a generator like _section_max.
 
-    Deep rg steps push the derivative maximum orders of magnitude inside a
-    single grid cell, right next to the critical point, while the rest of
-    the cell is exactly flat (the concurrence clamps to zero well before the
-    anisotropic fixed point). A section search started blind on such a
-    cell ties on the flat part and can walk away from the peak, so the
-    geometric pre-scan (_scan_distances) localizes it first, and the
-    section search then refines the best scan cell. All evaluations stay
-    inside [lo, hi]."""
-    if not dists:
-        return (yield from _section_max(lo, hi))
+    Deep rg steps push the derivative maximum orders of magnitude closer to
+    the critical point than the scale of the side, while much of the side
+    is exactly flat (the concurrence clamps to zero well before the
+    anisotropic fixed point). A section search started blind on the side
+    ties on the flat part and can walk away from the peak, so the geometric
+    pre-scan (_scan_distances) localizes it first, and the section search
+    then refines the best scan cell, the scan points next to the best one."""
     m = int(np.argmax(vals))
     d_in = dists[m - 1] if m > 0 else dists[0]
     d_out = dists[m + 1] if m + 1 < len(dists) else dists[-1]
@@ -169,81 +161,97 @@ def _scan_then_section(lo: float, hi: float, side: str, dists: list, vals):
     return (yield from _section_max(-d_out, -d_in))
 
 
-def _refine(curve: DerivativeCurve, side: str):
-    """(gamma_m, peak |dC/dgamma|) on one sign side of gamma, as a
-    generator that yields the points it needs the derivative probe at and
-    is sent its values (see _probed and _refined_peaks).
+def _refine(side: str):
+    """(gamma, peak |dC/dgamma|, interior) of the derivative maximum on one
+    sign side of gamma, as a generator that yields the points it needs the
+    derivative probe at and is sent its values (see _probed and
+    _refinements).
 
-    The grid argmax is bracketed by its neighboring grid points and refined
-    inside the bracket on the derivative probe (_probed: central
-    difference, step 1e-6, computed through the full flow + concurrence
-    pipeline) down to an interval of PEAK_TOL: a geometric pre-scan of the
-    bracket, then a section search on the best scan cell (see
+    The derivative probe (_probed: central difference, step 1e-6, computed
+    through the full flow + concurrence pipeline) is maximized over the
+    whole side down to an interval of PEAK_TOL: a geometric pre-scan of
+    the side, then a section search on the best scan cell (see
     _scan_then_section). The refined position is classified by one extra
     probe at 2 * FD_STEP from the critical point, the closest position
     whose difference stencil stays on a single side. The pre-scan and this
-    cusp probe are independent of each other and go in one batch; the
-    section search then asks for 7 points and for 6 per round (see
-    _section_max).
+    cusp probe go in one batch; the section search then asks for 7 points
+    and for 6 per round (see _section_max).
 
     * if the derivative there has dropped below (1 - 1e-3) of the refined
-      peak, the peak is a genuine interior maximum and its position is
-      gamma_m (the smooth, higher-dimensional situation: the probe at the
-      near point sits far down the flank, at a small fraction of the peak);
+      peak, the peak is a genuine interior maximum (the smooth,
+      higher-dimensional situation: the probe at the near point sits far
+      down the flank, at a small fraction of the peak), interior is True
+      and the refined position is gamma_m;
     * otherwise the derivative stays at its supremum essentially all the
       way into the critical point, i.e. the curve has a cusp there rather
-      than an interior maximum. The refined position is then meaningless
-      (the search lands on evaluation noise somewhere in the flat
-      approach region, wherever its probe sequence happens to stall), so
-      the reported gamma_m falls back to the outermost grid point on the
-      requested side whose tabulated derivative is still within 10% of the
-      side maximum: the knee where the divergence visibly saturates at grid
-      resolution. The knee still marches monotonically toward the critical
-      point with the rg step, which is what downstream fits need.
+      than an interior maximum, and interior is False. The refined
+      position is then meaningless (the search lands on evaluation noise
+      somewhere in the flat approach region, wherever its probe sequence
+      happens to stall), and gamma_m is read off a grid curve instead
+      (_located).
 
     The peak value always comes from the refined probe; in both regimes it
     saturates at the derivative supremum on the side.
     """
     if side not in ("positive", "negative"):
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+    sign = 1.0 if side == "positive" else -1.0
+    dists = _scan_distances()
+    *scan, near = yield [sign * dist for dist in dists] + [sign * CUSP_PROBE * FD_STEP]
+    gamma_hat, peak = yield from _scan_then_section(side, dists, scan)
+    return float(gamma_hat), float(peak), bool(near < (1.0 - CUSP_DROP) * peak)
+
+
+def _refinements(dimension: int, rg_steps, side: str) -> list:
+    """The _refine result of each of rg_steps on one sign side of gamma.
+    The refinements run together in concurrence.concurrence_searches, each
+    probing at its own rg step and each at its own pace: the flows of every
+    probe batch in flight share each tick's solve, and a refinement asks
+    for its next batch as soon as its own flows end. Every refinement sees
+    the values it would see alone, in the same order."""
+    searches = [_probed(_refine(side), step) for step in rg_steps]
+    return concurrence_searches(dimension, searches)
+
+
+def _located(curve: DerivativeCurve, side: str, refined) -> Tuple[float, float]:
+    """(gamma_m, peak |dC/dgamma|) on one sign side of gamma from the
+    _refine result `refined` at the curve's rg step, once the curve passes
+    the side checks: the refined position when the peak is interior, else
+    the knee of the cusp, the outermost grid point on the side whose
+    tabulated derivative is still within 10% of the side maximum, where
+    the divergence visibly saturates at grid resolution. The knee still
+    marches monotonically toward the critical point with the rg step,
+    which is what downstream fits need."""
     g = np.asarray(curve.gamma_grid, dtype=float)
     d = np.asarray(curve.abs_derivative, dtype=float)
     if not np.any(d > 0.0):
         raise ValueError("cannot locate a maximum of an all-zero derivative curve")
-    mask = (g > 0.0) if side == "positive" else (g < 0.0)
-    side_idx = np.flatnonzero(mask)
+    side_idx = np.flatnonzero((g > 0.0) if side == "positive" else (g < 0.0))
     if side_idx.size == 0 or not np.any(d[side_idx] > 0.0):
         raise ValueError(f"derivative curve vanishes on the {side} side")
-    i = int(side_idx[int(np.argmax(d[side_idx]))])
-    lo = g[i - 1] if i > 0 else g[i]
-    hi = g[i + 1] if i + 1 < g.size else g[i]
-    sign = 1.0 if side == "positive" else -1.0
-    dists = _scan_distances(lo, hi, side)
-    *scan, near = yield [sign * dist for dist in dists] + [sign * CUSP_PROBE * FD_STEP]
-    gamma_hat, peak = yield from _scan_then_section(lo, hi, side, dists, scan)
-    if near < (1.0 - CUSP_DROP) * peak:
-        return float(gamma_hat), float(peak)
+    gamma_hat, peak, interior = refined
+    if interior:
+        return gamma_hat, peak
     side_d = d[side_idx]
     plateau = side_idx[side_d >= PLATEAU_FRACTION * float(side_d.max())]
     edge = plateau[-1] if side == "positive" else plateau[0]
-    return float(g[int(edge)]), float(peak)
+    return float(g[int(edge)]), peak
 
 
 def _refined_peaks(curves, side: str):
     """(gamma_m, peak |dC/dgamma|) of each of curves, all of one dimension,
-    on one sign side of gamma (see _refine). The refinements run together
-    in concurrence.concurrence_searches, each probing at its own curve's rg
-    step and each at its own pace: the flows of every probe batch in
-    flight share each tick's solve, and a refinement asks for its next
-    batch as soon as its own flows end. Every refinement sees the values it
-    would see alone, in the same order."""
-    searches = [_probed(_refine(curve, side), curve.rg_step) for curve in curves]
-    return concurrence_searches(curves[0].dimension, searches)
+    on one sign side of gamma: the refinements at the curves' rg steps
+    (_refinements), each placed by _located on its curve. A curve serves
+    only its dimension, its rg step, the side checks and the knee of a
+    cusp."""
+    refined = _refinements(curves[0].dimension, [curve.rg_step for curve in curves], side)
+    return [_located(curve, side, r) for curve, r in zip(curves, refined)]
 
 
 def locate_max(curve: DerivativeCurve, side: str) -> float:
     """Position gamma_m of the derivative maximum on one sign side of gamma;
-    see _refine for the refinement and its cusp-limited fallback."""
+    see _refine for the refinement and _located for its cusp-limited
+    fallback."""
     return _refined_peaks([curve], side)[0][0]
 
 
@@ -285,9 +293,13 @@ def peak_points(
     steps: Sequence[int] | None = None,
     grid: int = 2001,
 ):
-    """(step, N, gamma_m, peak |dC/dgamma|) rows for the requested steps,
-    their curves read off one flow of the grid up to the largest step and
-    their peaks refined together (_refined_peaks).
+    """(step, N, gamma_m, peak |dC/dgamma|) rows for the requested steps.
+    The peaks of all steps are refined first, together and without the
+    grid (_refinements); only the steps whose cusp probe finds no interior
+    maximum, every step in 1D and none of the default 2D and 3D steps,
+    then get their curves, read off one flow of the grid, for the side
+    checks and the knee (_located). So in 2D and 3D gamma_m does not
+    depend on the grid.
 
     gamma_m is taken on the negative side so the distance to the critical
     point gamma_c = 0 is the positive number -gamma_m.
@@ -298,9 +310,16 @@ def peak_points(
     if len(set(steps)) < 2:
         raise ValueError(f"scaling needs at least two distinct rg steps, got {steps}")
     sizes = [system_size(dimension, step) for step in steps]
-    curves = [derivative_curve(curve) for curve in concurrence_curves(dimension, steps, grid)]
-    peaks = _refined_peaks(curves, "negative")
-    return [(step, n, gamma_m, peak) for step, n, (gamma_m, peak) in zip(steps, sizes, peaks)]
+    grid = checked_grid(grid)
+    if grid < 5:
+        raise ValueError(f"derivative needs at least 5 grid points, got {grid}")
+    peaks = _refinements(dimension, steps, "negative")
+    cusps = [k for k, (_gamma, _peak, interior) in enumerate(peaks) if not interior]
+    if cusps:
+        curves = concurrence_curves(dimension, [steps[k] for k in cusps], grid)
+        for k, curve in zip(cusps, curves):
+            peaks[k] = _located(derivative_curve(curve), "negative", peaks[k])
+    return [(step, n, *peak[:2]) for step, n, peak in zip(steps, sizes, peaks)]
 
 
 def entanglement_exponent(rows: Sequence[tuple]) -> ExponentEstimate:

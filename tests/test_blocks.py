@@ -220,6 +220,23 @@ def test_collective_spin_tables_are_the_kronecker_builds(dim):
     assert np.count_nonzero(np.signbit(corner) & (corner == 0))
 
 
+# the Grams of S = 1..d are built in one stack, each S padded with exact
+# zeros to the (d+1) x d of S = d: they are the per-S builds bit for bit
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_collective_spin_stacked_tables_are_the_per_spin_builds(dim):
+    spin = collective_spin(block_geometry(dim))
+    lower = np.zeros((3, 3, dim - 1, 2))
+    for s in range(1, dim):
+        gram = np.zeros((3, 2, 2, 2))
+        gram[..., :s, :s] = blocks._gram(blocks._coupling(s))
+        p, q, r = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
+        lower[:, :, s - 1] = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1)
+    coupling = blocks._coupling(dim)
+    for table, want in ((spin.coupling, coupling), (spin.gram, blocks._gram(coupling)),
+                        (spin.lower, lower.reshape(3, 3, -1))):
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
+
+
 def _moved(table, index):
     """A copy of `table` with the entry at `index` moved by 1 ulp."""
     moved = table.copy()

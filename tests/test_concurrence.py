@@ -434,10 +434,15 @@ def test_the_pair_state_is_read_only_where_a_flow_ends(monkeypatch):
     counts.update(kernel=0, flow=0)
     events.clear()
     peak_points(3, grid=51)
-    # the curves are one flow; the refinements read in the ticks where
-    # their flows end, each tick one solve and at most one read after it
-    assert counts["flow"] == 1 and counts["kernel"] > 1
+    # every 3D step has an interior peak, so no curve is flowed; the
+    # refinements read in the ticks where their flows end, each tick one
+    # solve and at most one read after it
+    assert counts["flow"] == 0 and counts["kernel"] > 1
     assert events[0] == "solve" and "kernel kernel" not in " ".join(events)
+    # every 1D step ends at a cusp: its curves, for the knee, are one flow
+    counts.update(kernel=0, flow=0)
+    peak_points(1, (1, 2), grid=51)
+    assert counts["flow"] == 1
 
 
 def test_j_sweep_is_flat_in_j():

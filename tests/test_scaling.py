@@ -173,6 +173,7 @@ def test_a_grid_size_must_be_a_whole_number():
         (lambda: fixed_points(1, 100.5), "100.5"),
         (lambda: concurrence_curve(1, 1, 5.5), "5.5"),
         (lambda: peak_points(1, (1, 2), 51.5), "51.5"),
+        (lambda: peak_points(3, (1, 2), 51.5), "51.5"),
         (lambda: concurrence_curve(1, 1, math.nan), "nan"),
     ):
         with pytest.raises(ValueError, match=f"grid must be a whole number, got {bad}"):
@@ -183,13 +184,25 @@ def test_a_grid_size_must_be_a_whole_number():
 
 
 def test_locate_max_rejects_flat_and_one_sided_curves():
-    flat = derivative_curve(make_curve(np.zeros(11)))
-    with pytest.raises(ValueError, match="all-zero"):
-        locate_max(flat, "negative")
+    # in 3D at step 1 the refinement finds an interior peak without the
+    # curve; the curve still has to pass the side checks
     g = np.linspace(-1.0, 1.0, 41)
-    ramp = derivative_curve(make_curve(np.where(g > 0.0, g, 0.0) ** 2))
-    with pytest.raises(ValueError, match="negative side"):
-        locate_max(ramp, "negative")
+    for dim, step in ((1, 0), (3, 1)):
+        flat = derivative_curve(make_curve(np.zeros(11), dim=dim, step=step))
+        with pytest.raises(ValueError, match="all-zero"):
+            locate_max(flat, "negative")
+        ramp = derivative_curve(make_curve(np.where(g > 0.0, g, 0.0) ** 2, dim=dim, step=step))
+        with pytest.raises(ValueError, match="negative side"):
+            locate_max(ramp, "negative")
+
+
+def test_peak_points_checks_a_grid_that_no_curve_needs():
+    # no 3D default step reads the grid, which is still held to what a
+    # cusp step would need of it
+    with pytest.raises(ValueError, match="odd and >= 3, got 50"):
+        peak_points(3, grid=50)
+    with pytest.raises(ValueError, match="at least 5 grid points, got 3"):
+        peak_points(3, grid=3)
 
 
 def test_locate_max_side_argument_checked():
@@ -261,18 +274,40 @@ def test_lockstep_refinement_is_each_refinement_alone(dim, steps):
 
 
 def test_peak_points_solve_count(monkeypatch):
-    # one flow of the grid: ticks 0-3, 106 points. Then the refinements,
-    # each at its own pace, a batch of step s taking s + 1 ticks: the three
-    # pre-scans with their cusp probes share tick 4 (33 points); each
+    # no flow of the grid: every 3D step has an interior peak. The
+    # refinements run each at its own pace, a batch of step s taking s + 1
+    # ticks: the three pre-scans of the whole side, 20 distances from
+    # 2e-6 to 1, with their cusp probes share tick 0 (39 points); each
     # section search then asks for its first 7 points and for 6 per round,
     # both stencil points of each, in 10, 7 and 5 batches for steps 1, 2
-    # and 3. Step 1 asks at ticks 4, 6, ..., 24 and is done after tick 25,
-    # step 2 asks at 4, 7, ..., 25 and step 3 at 4, 8, ..., 24, both done
-    # after tick 27: 28 calls on 976 points. Flows that meet in a tick are
+    # and 3. Step 1 asks at ticks 0, 2, ..., 20 and is done after tick 21,
+    # step 2 asks at 0, 3, ..., 21 and step 3 at 0, 4, ..., 20, both done
+    # after tick 23: 24 calls on 881 points. Flows that meet in a tick are
     # solved once, so the points move with the bits of gamma'
     batches = record_solve_batches(monkeypatch)
     peak_points(3, grid=51)
-    assert (len(batches), sum(batches)) == (28, 976)
+    assert (len(batches), sum(batches)) == (24, 881)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_2d_and_3d_peaks_do_not_depend_on_the_grid(dim, monkeypatch):
+    # the default steps all have interior peaks, found without the grid:
+    # the rows are the same at every grid, and no solve batch is as large
+    # as the grid
+    rows = [peak_points(dim, grid=grid) for grid in (51, 201)]
+    batches = record_solve_batches(monkeypatch)
+    rows.append(peak_points(dim, grid=2001))
+    assert rows[0] == rows[1] == rows[2]
+    assert max(batches) < 2001
+
+
+def test_a_cusp_step_in_3d_falls_back_to_the_grid_knee():
+    # step 4 in 3D leaves no interior maximum at the cusp probe's
+    # resolution, so its gamma_m is the knee of its grid curve, -0.04 on a
+    # 51-point grid; step 5 too
+    rows = peak_points(3, steps=(4, 5), grid=51)
+    assert [row[0] for row in rows] == [4, 5]
+    assert [row[2] for row in rows] == [-0.040000000000000036] * 2
 
 
 def _drive(search, f):
