@@ -23,7 +23,9 @@ call. The global spin flip commutes with the block and, as the block has
 an odd number of spins, takes the even half onto the odd one: the odd
 member of the doublet is the even one reversed in the S = d basis, with
 the same level, and is never solved. blocks.collective_spin checks this symmetry
-of its tables once per dimension, where it builds them. solve_many runs
+of its tables once per dimension, where it builds them, and the entries
+the solve reads of them are cut out once per dimension too
+(_solve_tables). solve_many runs
 every check that is left on every point, reads xi_x, xi_y and gamma' off
 the even half as quadratic forms and hands back phi1 as its 2d+1
 amplitudes on the even half, off which concurrence reads the
@@ -33,11 +35,14 @@ and rg_map, and through them trajectories, take its batches of one.
 Every search of the package runs on one scheduler of flows, run_flows: a
 search is a generator that asks for batches of flows, each flow a
 starting gamma and a number of rg steps, and is sent a read-out of the
-solve at the end of each. Each tick is one solve_many call on the
-distinct current gammas of every flow in flight, and since gamma' and
-phi1 do not depend on J, a flow carries gamma only. A search gets its
-values as soon as its own flows end and asks again in the next tick, so
-no search waits for another. The concurrence flow
+solve at the end of each. The starting gammas of a batch are range-checked
+once, as it is asked, and a batch with one number of steps per flow is
+held as one batch per number. Each tick is one solve of the distinct
+current gammas of every flow in flight, in which a gamma' is checked only
+where it leaves [-1, 1], and since gamma' and phi1 do not depend on J, a
+flow carries gamma only. A batch ends as one slice of a tick's solve; a
+search gets its values as soon as its own flows end and asks again in
+the next tick, so no search waits for another. The concurrence flow
 (concurrence.flowed_concurrences) is run_flows with one search, and the
 peak refinements of scaling run on it together. fixed_points solves its
 residual grid and the slope stencils of -1, 0 and 1 in one call. That
@@ -152,12 +157,12 @@ def _star_top(entries: np.ndarray, d: int):
     characteristic polynomial. Every step is + - * / or sqrt, so a row's
     bits depend neither on its batch nor on a BLAS build, and x and the
     v_k, which vanish at gamma = 0, keep their relative precision there.
-    The vector comes as d arrays, main first, with v_m > 0. Where d = 2, a
-    Gram that is a multiple of the identity, whose top is not single and
-    fails the degeneracy check, gives v_k = 0 instead of 0 / 0."""
+    The vector comes as one (d, G) array, main first, with v_m > 0. Where
+    d = 2, a Gram that is a multiple of the identity, whose top is not
+    single and fails the degeneracy check, gives v_k = 0 instead of 0 / 0."""
     top = entries[0]
     if d == 1:
-        return top, None, (np.ones_like(top),)
+        return top, None, np.ones((1, len(top)))
     if d == 2:
         _, other, off = entries
         half = 0.5 * (top - other)
@@ -165,7 +170,7 @@ def _star_top(entries: np.ndarray, d: int):
         ratio = np.divide(off, den, out=np.zeros_like(den), where=den > 0.0)
         x = off * ratio
         main = 1.0 / np.sqrt(1.0 + ratio * ratio)
-        return top + x, other - x, (main, ratio * main)
+        return top + x, other - x, np.stack([main, ratio * main])
     other, off = entries[1:3], entries[3:]  # (2, G) each: the D_k and the c_k
     delta = top - other
     w = off * off
@@ -189,14 +194,39 @@ def _star_top(entries: np.ndarray, d: int):
     half = 0.5 * t
     rest = (delta[0] * delta[1] - pull) + x * t
     second = top + (np.sqrt(np.maximum(half * half - rest, 0.0)) - half)
-    return top + x, second, (main, *(ratio * main))
+    return top + x, second, np.concatenate([main[None], ratio * main])
 
 
-def _star_entries(spin: CollectiveSpin, gamma: np.ndarray) -> np.ndarray:
-    """(2d - 1, G): the entries of the even S = d Grams at the points
-    gamma that _star_top reads, P0 + gamma (P1 + gamma P2) of each."""
-    star = spin.gram[:, 0, spin.star[0], spin.star[1], None]
-    return star[0] + gamma * (star[1] + gamma * star[2])
+_TABLES: dict = {}  # d: (spin, its _solve_tables) of the CollectiveSpin of d solved last
+
+
+def _solve_tables(spin: CollectiveSpin) -> tuple:
+    """What _halves_ground reads of spin, read-only, each entry the spin's
+    own bit for bit: poly, P0, P1 and P2 (3, 2d - 1 + 3(d - 1), 1) of the
+    2d - 1 entries of the even S = d Gram that _star_top reads and then of
+    m, h and r of the even half of each S = 1..d-1 (CollectiveSpin.lower);
+    place (d,), the entry of the star vector, main first, that lands at
+    each position; and ladder (2, 2d, 1), a and b of the even half of
+    S = d at (i, i), then at (i + 1, i). They are cut once per dimension,
+    and again only where the solve is handed other tables of that
+    dimension, as a test's fake."""
+    d = spin.gram.shape[-1]
+    cut = _TABLES.get(d)
+    if cut is None or cut[0] is not spin:
+        star = spin.gram[:, 0, spin.star[0], spin.star[1]]
+        lower = spin.lower[..., ::2].reshape(3, -1)  # the even halves
+        # a and b hold their (i, i) entries every d + 1 places from 0, row
+        # by row, and their (i + 1, i) ones from d (blocks._check_tables)
+        ladder = spin.coupling[:, 0].reshape(2, -1)
+        tables = (
+            np.concatenate([star, lower], axis=1)[..., None],
+            np.argsort(spin.star[0, :d]),
+            np.concatenate([ladder[:, :: d + 1], ladder[:, d :: d + 1]], axis=1)[..., None],
+        )
+        for table in tables:
+            table.flags.writeable = False
+        cut = _TABLES[d] = (spin, tables)
+    return cut[1]
 
 
 def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list) -> HalvesGround:
@@ -227,27 +257,24 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
     S = 0 and of each half, are not solved. The checks go to `checks` for
     _raise_first. No step calls BLAS or LAPACK.
     """
-    n, d = len(couplings.gamma), spin.gram.shape[-1]
+    poly, place, ladder = _solve_tables(spin)
     gamma = couplings.gamma
-    squares, second, top_vector = _star_top(_star_entries(spin, gamma), d)
-    v = np.empty((d, n))
-    v[spin.star[0, :d]] = top_vector
-    parts = [squares[:, None], np.zeros((n, 1))]
-    if second is not None:
-        parts.append(second[:, None])
-    if spin.lower.size:
-        lower = spin.lower[..., ::2]  # the even half of each S
-        g = gamma[:, None, None]
-        lower = lower[0] + g * (lower[1] + g * lower[2])
-        mean, half, off = lower.transpose(1, 0, 2)
+    n, d = len(gamma), len(place)
+    entries = poly[0] + gamma * (poly[1] + gamma * poly[2])
+    squares, second, v = _star_top(entries[: 2 * d - 1], d)
+    v = v.take(place, axis=0)
+    levels = [squares[None], np.zeros((1, n))]
+    if d > 1:
+        mean, half, off = entries[2 * d - 1 :].reshape(3, d - 1, n)
         radius = np.hypot(half, off)
-        parts += [mean + radius, mean - radius]
+        levels += [second[None], mean + radius, mean - radius]
     # minus J/4 times a singular value is a level; rounding can leave a
     # vanishing squared one just below 0. Each level comes twice, once in
     # each half: the largest two of one half give E1 = E2 and E3
     scale = -0.25 * couplings.j
-    largest = np.sort(np.concatenate(parts, axis=1), axis=1)[:, -2:]
-    e3, e2 = np.sqrt(np.maximum(largest, 0.0)).T * scale
+    levels = np.concatenate(levels)
+    levels.sort(axis=0)
+    e3, e2 = np.sqrt(np.maximum(levels[-2:], 0.0)) * scale
     top = np.sqrt(np.maximum(squares, 0.0))  # the top singular value of the even half of S = d
     lowest = top * scale  # the ground level of each half of S = d
     tol = DEGENERACY_RTOL * (-2.0 * e2)
@@ -269,14 +296,11 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
         ),
     ]
     # A v, A = a + gamma b bidiagonal (blocks._check_tables): entry i is
-    # A[i, i] v[i] + A[i, i - 1] v[i - 1]; row by row, a and b hold their
-    # (i, i) entries every d + 1 places from 0 and their (i + 1, i) ones
-    # from d
-    ladder = spin.coupling[:, 0].reshape(2, -1, 1)
-    diagonal, below = ladder[:, :: d + 1], ladder[:, d :: d + 1]  # (2, d, 1) each
+    # A[i, i] v[i] + A[i, i - 1] v[i - 1]
+    ladder = ladder[0] + gamma * ladder[1]
     u = np.zeros((d + 1, n))
-    u[:-1] = (diagonal[0] + gamma * diagonal[1]) * v
-    u[1:] += (below[0] + gamma * below[1]) * v
+    u[:-1] = ladder[:d] * v
+    u[1:] += ladder[d:] * v
     np.divide(u, top, out=u, where=top > 0.0)  # A = 0 only where a check fails
     even = (np.concatenate([u, -v]) * math.sqrt(0.5)).T
     return HalvesGround(energy=e2, gap_to_third=gap, even=even)
@@ -450,15 +474,14 @@ _FP_MERGE_TOL = 1e-7
 _BISECT_WIDTH = 1e-12
 
 
-class _Batch:
-    """The flows of the batch a search asked for last: those that end
-    first are held first."""
+class _Ask:
+    """The flows of the batch a search asked for last."""
 
-    def __init__(self, gammas, steps, order, ended):
-        self.gammas = gammas  # the gamma each flow in flight has reached
-        self.steps = steps    # its steps left
-        self.order = order    # where each flow was asked for, or None if held in ask order
-        self.ended = ended    # the BlockSolve rows where flows ended, in that order
+    def __init__(self, flows, order):
+        self.flows = flows  # how many it asked for
+        self.order = order  # where each flow was asked for, or None if held in ask order
+        self.flowing = 0    # its batches of one step count still in flight
+        self.ended = []     # the BlockSolve rows where the others ended, in that order
 
 
 def run_flows(dimension: int, searches: list, read) -> list:
@@ -469,68 +492,92 @@ def run_flows(dimension: int, searches: list, read) -> list:
     flow, in the order asked, and it may return before it asks. read maps
     the BlockSolve rows of the last step of flows to their values.
 
-    Each tick is one solve_many call on the distinct current gammas of
-    every flow in flight: a flow with steps left moves on to gamma', the
-    others end there. read is called at most once per tick, on the rows of
-    every search whose flows have all ended, and each of those searches is
-    sent its values and asks again at once, so that its next flows join
-    the next tick and no search waits for another. The starting gammas of
-    a batch are checked in the order given, as coupling_arrays checks
-    them, and its steps by step_counts. solve_many gives every point the
-    bits of its batch of one, so a search sees the values it sees alone."""
+    The starting gammas of a batch are checked once, as it is asked, in
+    the order given, as coupling_arrays checks them, and its steps by
+    step_counts; a batch with one count per gamma is then held as one
+    batch per count, the smallest first, each carrying its count as an
+    int. Each tick is one solve of the distinct current gammas of every
+    flow in flight: a flow with steps left moves on to gamma', the others
+    end there, and the rows of a batch that ends are the slice of the
+    tick's solve that holds its flows, gathered instead only where flows
+    met and the tick solved them once. A gamma' is checked only where it
+    leaves [-1, 1], by more than the solve's rounding clamp, which faked
+    tables alone can make: the next tick raises the error coupling_arrays
+    gives its first such point, as solve_many would. read is called at
+    most once per tick, on the rows of every search whose flows have all
+    ended, and each of those searches is sent its values and asks again
+    at once, so that its next flows join the next tick and no search
+    waits for another. The solve gives every point the bits of its batch
+    of one, so a search sees the values it sees alone."""
     results = [None] * len(searches)
-    batches = {}  # search: its open batch
+    asks = {}     # search: its open _Ask
+    flowing = []  # [search, flows, steps left] of each batch in flight, in the order of gammas
+    gammas = []   # the gammas each batch in flight has reached
     sends = dict.fromkeys(range(len(searches)))
-    while sends or batches:
+    while sends or flowing:
         for k, values in sends.items():
             try:
-                gammas, steps = searches[k].send(values)
+                start, steps = searches[k].send(values)
             except StopIteration as done:
                 results[k] = done.value
                 continue
-            gammas, order, ended = coupling_arrays(1.0, gammas).gamma, None, []
+            start, order = coupling_arrays(1.0, start).gamma, None
             if np.ndim(steps):
-                steps = step_counts(np.broadcast_to(steps, gammas.shape))
-                order = np.argsort(steps, kind="stable")
-                gammas, steps = gammas[order], steps[order]
+                counts = step_counts(np.broadcast_to(steps, start.shape))
+                order = np.argsort(counts, kind="stable")
+                start, counts = start[order], counts[order]
+                firsts = np.flatnonzero(np.diff(counts, prepend=-1))  # of each count
+                batches = zip(np.split(start, firsts[1:]), counts[firsts].tolist())
             else:
-                steps = np.full(len(gammas), step_counts(steps))
-            if not len(gammas):  # a batch of no flows ends at once
+                batches = [(start, int(step_counts(steps)))]
+            asks[k] = ask = _Ask(len(start), order)
+            if not len(start):  # a batch of no flows ends at once
                 width = 2 * block_geometry(dimension).dimension + 1
-                ended.append(BlockSolve(np.empty(0), np.empty(0), np.empty(0), np.empty((0, width))))
-            batches[k] = _Batch(gammas, steps, order, ended)
-        flowing = [batch for batch in batches.values() if len(batch.gammas)]
+                ask.ended.append(BlockSolve(np.empty(0), np.empty(0), np.empty(0), np.empty((0, width))))
+                continue
+            for part, count in batches:
+                flowing.append([k, len(part), count])
+                gammas.append(part)
+                ask.flowing += 1
         if flowing:
-            gammas = np.concatenate([batch.gammas for batch in flowing])
+            current = np.concatenate(gammas)
             # flows meet, at the fixed points +-1 and 0 above all; np.unique
             # has a fixed cost that a two-point stencil would pay every tick
-            distinct, where = gammas, None
-            if len(set(gammas.tolist())) < len(gammas):
-                distinct, where = np.unique(gammas, return_inverse=True)
-            solved = solve_many(dimension, distinct)
-            at = 0
+            distinct, where = current, None
+            if len(set(current.tolist())) < len(current):
+                distinct, where = np.unique(current, return_inverse=True)
+            if not abs(distinct).max() <= 1.0:  # a gamma' beyond the clamp
+                coupling_arrays(1.0, distinct)  # raises
+            solved = _solve(dimension, CouplingArrays(np.ones(len(distinct)), distinct))
+            moved = solved.gamma_prime if where is None else solved.gamma_prime[where]
+            at, going, gammas = 0, [], []
             for batch in flowing:
-                n, ends = len(batch.gammas), int(batch.steps.searchsorted(0, side="right"))
-                ending, going = slice(at, at + ends), slice(at + ends, at + n)  # rows of solved
-                if where is not None:
-                    ending, going = where[ending], where[going]
-                if ends:
-                    batch.ended.append(BlockSolve(*(field[ending] for field in solved)))
-                batch.gammas, batch.steps = solved.gamma_prime[going], batch.steps[ends:] - 1
+                k, n, left = batch
+                if left:
+                    batch[2] = left - 1
+                    going.append(batch)
+                    gammas.append(moved[at : at + n])
+                else:
+                    ask = asks[k]
+                    ask.flowing -= 1
+                    rows = slice(at, at + n) if where is None else where[at : at + n]
+                    ask.ended.append(BlockSolve(*(field[rows] for field in solved)))
                 at += n
-        done = [k for k, batch in batches.items() if not len(batch.gammas)]
+            flowing = going
+        done = [k for k, ask in asks.items() if not ask.flowing]
         sends = {}
         if done:
-            rows = [part for k in done for part in batches[k].ended]
+            rows = [part for k in done for part in asks[k].ended]
             values = read(BlockSolve(*map(np.concatenate, zip(*rows))))
+            at = 0
             for k in done:
-                batch = batches.pop(k)
-                n = sum(len(part.gamma_prime) for part in batch.ended)
-                mine, values = values[:n], values[n:]
+                ask = asks.pop(k)
+                mine = values[at : at + ask.flows]
+                at += ask.flows
                 sends[k] = mine
-                if batch.order is not None:  # back to the order asked
+                if ask.order is not None:  # back to the order asked
                     sends[k] = np.empty_like(mine)
-                    sends[k][batch.order] = mine
+                    sends[k][ask.order] = mine
     return results
 
 

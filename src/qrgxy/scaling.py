@@ -90,18 +90,20 @@ def _probed(search, rg_step: int):
     half-width FD_STEP, cut to [-1, 1], through the full flow + concurrence
     pipeline. A search for concurrence.concurrence_searches: each batch of
     points that `search` asks for becomes one batch of flows, both stencil
-    points of every point, and `search` is sent their differences."""
+    points of every point, and `search` is sent their differences. A batch
+    holds 6 to 21 points, so the stencils and the differences are taken
+    point by point on floats, each by the operation an array would take,
+    to the same bits."""
     values = None
     while True:
         try:
             points = search.send(values)
         except StopIteration as done:
             return done.value
-        gammas = np.asarray(points, dtype=float)
-        lo = np.maximum(gammas - FD_STEP, -1.0)
-        hi = np.minimum(gammas + FD_STEP, 1.0)
-        c = yield np.concatenate([lo, hi]), rg_step
-        values = abs(c[len(gammas):] - c[: len(gammas)]) / (hi - lo)
+        lo = [max(gamma - FD_STEP, -1.0) for gamma in points]
+        hi = [min(gamma + FD_STEP, 1.0) for gamma in points]
+        c = (yield lo + hi, rg_step).tolist()
+        values = [abs(b - a) / (h - l) for a, b, l, h in zip(c, c[len(points) :], lo, hi)]
 
 
 def _section_max(lo: float, hi: float):

@@ -561,12 +561,50 @@ ORACLE_GAMMAS = np.concatenate(
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
+def test_solve_tables_are_cut_once_from_the_tables_solved(dim, monkeypatch):
+    # what the solve reads of the collective-spin tables is cut out of
+    # them once per dimension, bit for bit and read-only, and again only
+    # for other tables, which are then solved from their own
+    monkeypatch.setattr(qrgxy.rgflow, "_TABLES", {})
+    spin = collective_spin(block_geometry(dim))
+    gammas = np.linspace(-1.0, 1.0, 9)
+    want = solve_many(dim, gammas)
+    cut = qrgxy.rgflow._TABLES[dim]
+    solve_many(dim, 0.3)
+    gamma_prime(-0.2, dim)
+    assert qrgxy.rgflow._TABLES == {dim: cut} and cut[0] is spin
+    poly, place, ladders = cut[1]
+    star, lower = np.split(poly[..., 0], [2 * dim - 1], axis=1)
+    assert star.tobytes() == spin.gram[:, 0, spin.star[0], spin.star[1]].tobytes()
+    assert lower.tobytes() == spin.lower[..., ::2].tobytes()
+    for table, ladder in zip(spin.coupling[:, 0], ladders[..., 0]):
+        assert ladder.tobytes() == np.concatenate([np.diagonal(table), np.diagonal(table, -1)]).tobytes()
+    placed = np.empty(dim, dtype=int)
+    placed[spin.star[0, :dim]] = np.arange(dim)
+    assert place.tolist() == placed.tolist()
+    assert not any(table.flags.writeable for table in cut[1])
+    # a fake of the same dimension is solved from its own tables: at J = 4
+    # and gamma = 0 its ground level is minus its largest singular value
+    top = {1: [0.75], 2: [0.75, 0.25], 3: [0.25, 0.75, 0.125]}[dim]  # largest at main
+    fake = _fake_spin(dim, top, [[0.0625], [0.0625, 0.03125]][: dim - 1])
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
+    assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(dim)).energy == -0.75
+    assert qrgxy.rgflow._TABLES[dim][0] is fake
+    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", collective_spin)
+    again = solve_many(dim, gammas)
+    assert all(np.array_equal(a, b) for a, b in zip(again, want))
+    assert qrgxy.rgflow._TABLES[dim][0] is spin
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_star_solve_matches_eigh_of_the_assembled_gram(dim):
     spin = collective_spin(block_geometry(dim))
     p0, p1, p2 = spin.gram[:, 0]
     g = ORACLE_GAMMAS[:, None, None]
     want, vectors = eigh_symmetric(p0 + g * (p1 + g * p2))
-    top, second, star_vector = qrgxy.rgflow._star_top(qrgxy.rgflow._star_entries(spin, ORACLE_GAMMAS), dim)
+    star = qrgxy.rgflow._solve_tables(spin)[0][:, : 2 * dim - 1]  # the star's entries
+    entries = star[0] + ORACLE_GAMMAS * (star[1] + ORACLE_GAMMAS * star[2])
+    top, second, star_vector = qrgxy.rgflow._star_top(entries, dim)
     main = spin.star[0, 0]
     vector = np.empty((dim, len(ORACLE_GAMMAS)))
     vector[spin.star[0, :dim]] = star_vector
@@ -706,11 +744,13 @@ SYNTHETIC_MAPS = {
 
 
 def map_solve(f, calls=None):
-    """A stand-in for solve_many whose gamma' is f(gamma), for the searches
-    of run_flows on a synthetic map; calls gets the gammas of every call."""
+    """A stand-in for rgflow._solve, which solve_many and each tick of
+    run_flows call on checked points, whose gamma' is f(gamma), for the
+    searches of run_flows on a synthetic map; calls gets the gammas of
+    every call."""
 
-    def solve(dimension, gammas):
-        gammas = np.atleast_1d(np.asarray(gammas, dtype=float)).tolist()
+    def solve(dimension, couplings):
+        gammas = couplings.gamma.tolist()
         if calls is not None:
             calls.append(gammas)
         n = len(gammas)
@@ -744,7 +784,7 @@ def test_bisection_walks_as_one_point_bisection(kind, center, digits, a, width):
 
     want = bisect_one_at_a_time(one, a, b, fa, _BISECT_WIDTH)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qrgxy.rgflow, "solve_many", map_solve(f, asked))
+        patch.setattr(qrgxy.rgflow, "_solve", map_solve(f, asked))
         assert run_flows(1, [_bisect(a, b, fa)], read_gamma_prime) == [want]
     assert asked == [[x] for x in needed]  # one midpoint per tick, in order
     assert all(a <= x <= b for x in needed)
@@ -759,7 +799,7 @@ def test_a_root_off_the_exact_three_gets_its_stencil_in_one_more_solve(monkeypat
         return x + 0.01 * x * (1.0 - x * x) * (x - 0.3)
 
     calls = []
-    monkeypatch.setattr(qrgxy.rgflow, "solve_many", map_solve(f, calls))
+    monkeypatch.setattr(qrgxy.rgflow, "_solve", map_solve(f, calls))
     got = [(fp.gamma, fp.stability, fp.slope) for fp in fixed_points(1, 100)]
     assert got == fixed_points_one_at_a_time(lambda gs: np.array([f(g) for g in gs]), 100)
     assert [gamma for gamma, _stability, _slope in got] == [-1.0, 0.0, got[2][0], 1.0]
@@ -773,7 +813,7 @@ def test_run_flows_sends_each_search_its_own_values(monkeypatch):
     # returns at once, here a bracket already narrow enough, asks for
     # nothing, and a batch of no flows is read at once, without a solve
     calls, reads = [], []
-    monkeypatch.setattr(qrgxy.rgflow, "solve_many", map_solve(lambda g: 0.5 * g, calls))
+    monkeypatch.setattr(qrgxy.rgflow, "_solve", map_solve(lambda g: 0.5 * g, calls))
 
     def read(solved):
         reads.append(len(solved.gamma_prime))
@@ -806,7 +846,7 @@ def test_a_search_asks_again_at_the_next_tick(monkeypatch):
     # times need 12 ticks each, and together they take 12: rounds in which
     # every search waits for the slowest would take 4 + 4 + 4 + 3 + 3 + 2
     calls = []
-    monkeypatch.setattr(qrgxy.rgflow, "solve_many", map_solve(lambda g: 0.5 * g, calls))
+    monkeypatch.setattr(qrgxy.rgflow, "_solve", map_solve(lambda g: 0.5 * g, calls))
 
     def search(steps, asks):
         for ask in range(asks):
@@ -847,6 +887,32 @@ def test_run_flows_checks_each_batch_in_the_order_asked(monkeypatch):
     with pytest.raises(want[0]) as info:
         run_flows(2, [search([0.3, 0.4], 0), search([0.5])], read_gamma_prime)
     assert str(info.value) == want[1]
+
+
+def test_a_gamma_prime_that_leaves_the_range_stops_the_flow(monkeypatch):
+    # the starting gammas are checked as they are asked, a gamma' only as
+    # the next tick solves it: one beyond [-1, 1] raises there the error
+    # that CouplingParams, and solve_many, give it; the solve clamps only
+    # rounding, so only faked tables or a faked map get here
+    calls = []
+    monkeypatch.setattr(qrgxy.rgflow, "_solve", map_solve(lambda g: 2.0 * g, calls))
+
+    def search(steps):
+        return (yield [0.3, -0.1, 0.6], steps)
+
+    with pytest.raises(ValueError) as want:
+        CouplingParams(1.0, 1.2)
+    for steps in (2, [2, 2, 2], [0, 1, 2]):
+        calls.clear()
+        with pytest.raises(ValueError, match=r"anisotropy gamma must lie in \[-1, 1\], got 1.2") as info:
+            run_flows(1, [search(steps)], read_gamma_prime)
+        assert str(info.value) == str(want.value)
+    # the tick that would move on -0.2 and 1.2, in the last batch, raises
+    # before it solves
+    assert calls == [[0.3, -0.1, 0.6]]
+    # the gamma' of the solve where a flow ends is read, not solved, and so
+    # not checked
+    assert run_flows(1, [search(0)], read_gamma_prime)[0].tolist() == [0.6, -0.2, 1.2]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -20,6 +20,9 @@ from qrgxy.scaling import (
     _section_max,
 )
 
+import qrgxy.blocks
+import qrgxy.rgflow
+
 from test_rgflow import record_solve_batches
 
 
@@ -287,6 +290,25 @@ def test_peak_points_solve_count(monkeypatch):
     batches = record_solve_batches(monkeypatch)
     peak_points(3, grid=51)
     assert (len(batches), sum(batches)) == (24, 881)
+
+
+def test_peak_points_checks_each_flow_once(monkeypatch):
+    # the starting gammas of every batch are range-checked as it is asked:
+    # 25 batches of 396 flows, the three pre-scans and the 10, 7 and 5
+    # section batches of steps 1, 2 and 3 (test_peak_points_solve_count);
+    # the gamma' that the 24 ticks move the flows on to are not checked again
+    calls = []
+    real = qrgxy.rgflow.coupling_arrays
+
+    def counting(j, gamma):
+        calls.append(len(np.atleast_1d(gamma)))
+        return real(j, gamma)
+
+    monkeypatch.setattr(qrgxy.rgflow, "coupling_arrays", counting)
+    monkeypatch.setattr(qrgxy.blocks, "coupling_arrays", counting)
+    peak_points(3, grid=51)
+    assert len(calls) == 25
+    assert sum(calls) == 396
 
 
 @pytest.mark.parametrize("dim", [2, 3])
