@@ -31,20 +31,22 @@ levels, and the odd ground vector is the even one reversed.
 collective_spin holds a and b of S = d, the Gram tables of A^T A for every
 S = 1..d, the S = d restrictions of a corner's sx and (-i sy), and their
 projections onto the doublet as quadratic forms on the even half, off
-which the flow reads xi_x and xi_y. Where it builds them, it checks the
-mirror symmetry and the parity of the corner tables bit for bit, once per
-dimension, so that the solve need not check them per point. a and b are
-read off the ladder coefficients 2 sqrt(k (2S + 1 - k)) of the spin-S
-moves, and the corner tables are the spin-d operators placed on the two
-center states; no Kronecker product and no 2^n basis is used for them.
-Two tables are built apart, each only for the callers that need it: the
-four X-state entries of the corner-pair state as quadratic forms on the
-even half of S = d (pair_forms), read only where a concurrence is, and the
-map from S = d back to the 2^n basis (embedding), for callers that ask for
-full-basis vectors. No Hamiltonian matrix is built, not even a half.
+which the flow reads xi_x and xi_y. It is the one owner of these tables:
+each is a closed form in the ladder coefficients 2 sqrt(k (2S + 1 - k))
+of the spin-S moves (a and b are bidiagonal, so each Gram table is a
+diagonal of squared coefficients or an off-diagonal of their products),
+and the corner tables are the spin-d operators over 2d placed on the two
+center states; no Kronecker product, no matrix product and no 2^n basis
+is used for them. Where it builds them, it checks the mirror symmetry and
+the parity of the corner tables bit for bit, once per dimension, so that
+the solve need not check them per point, and cuts out of them, once, the
+entries the solve reads (_solve_entries). Two tables are built apart,
+each only for the callers that need it: the four X-state entries of the
+corner-pair state as quadratic forms on the even half of S = d
+(pair_forms), read only where a concurrence is, and the map from S = d
+back to the 2^n basis (embedding), for callers that ask for full-basis
+vectors. No Hamiltonian matrix is built, not even a half.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -89,9 +91,12 @@ class CouplingArrays(NamedTuple):
 
 
 def coupling_arrays(j, gamma) -> CouplingArrays:
-    """gamma as a 1-D array and j broadcast to its shape; the first point
-    that CouplingParams would refuse raises CouplingParams' own error."""
+    """gamma, one number or a 1-D batch, as a 1-D array and j broadcast to
+    its shape; any other shape is refused, and the first point that
+    CouplingParams would refuse raises CouplingParams' own error."""
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    if gamma.ndim != 1:
+        raise ValueError(f"gamma must be one number or a 1-D batch, got an array of shape {gamma.shape}")
     j = np.full_like(gamma, j)
     ok = (0 < j) & (j < math.inf) & (abs(gamma) <= 1)
     if np.count_nonzero(ok) < ok.size:
@@ -188,6 +193,10 @@ class CollectiveSpin(NamedTuple):
     first and the last, one of which vanishes at gamma = 0;
     <phi1|sx|phi1> and <phi2|sx|phi2> vanish, since sx joins states of
     opposite parity only. _check_tables holds the tables to all of this.
+
+    The last three fields are the entries of these tables that
+    rgflow._halves_ground reads, each bit for bit, laid out for its
+    arithmetic and cut once by _solve_entries.
     """
 
     coupling: np.ndarray  # (2, 2, d+1, d): a and b of the even and the odd half of S = d
@@ -197,6 +206,9 @@ class CollectiveSpin(NamedTuple):
     half: np.ndarray      # (2, 2d+1): S = d positions of parity +1, -1, even k first
     corner: np.ndarray    # (2, 2(2d+1), 2(2d+1)): one corner's sx and (-i sy) restricted to S = d
     xi: np.ndarray        # (5, 2d+1, 2d+1): <phi1|sx|phi2>, <phi2|sx|phi1>, <phi1|(-i sy)|phi2>, xi[0] - xi[2], xi[0] + xi[2]
+    poly: np.ndarray      # (3, 2d-1 + 3(d-1), 1): P0, P1, P2 of the star entries of the even Gram, then of lower's even halves
+    place: np.ndarray     # (d,): the entry of the star vector, main first, that lands at each position
+    ladder: np.ndarray    # (2, 2d, 1): a and b of the even half of S = d at (i, i), then at (i + 1, i)
 
 
 class Embedding(NamedTuple):
@@ -215,51 +227,12 @@ def _ladder(s: int) -> np.ndarray:
     return np.sqrt(k * (2 * s + 1 - k))
 
 
-def _spin_operators(s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(2 Sx, -i 2 Sy) for spin s in the basis k = s - M, both real."""
-    raise_ = np.diag(_ladder(s), 1)
-    return raise_ + raise_.T, raise_.T - raise_
-
-
 def _halves(s: int) -> np.ndarray:
     """(2, 2s+1): the positions of parity (-1)^(c+k) = +1 and -1 in the
     spin-s block, each half's s+1 states of even k first, then its s
     states of odd k."""
     k = np.arange(2 * s + 1)
     return np.array([np.concatenate([p * k.size + k[::2], (1 - p) * k.size + k[1::2]]) for p in (0, 1)])
-
-
-def _coupling(s: int) -> np.ndarray:
-    """(2, 2, s+1, s): a and b of the even and the odd half of the spin-s
-    block, whose coupling block is a + gamma b at J = 4. H_B / (J/4) is
-    (1 + gamma) XX + (1 - gamma) YY, so a = XX + YY and b = XX - YY.
-
-    XX + YY keeps the total Sz: it takes the center up together with k one
-    up (one corner down), or both down; XX - YY takes them opposite ways.
-    Each move of k between k - 1 and k has the weight 2 sqrt(k (2s + 1 - k)),
-    twice the ladder coefficient. Row i of a half is its state of k = 2i
-    and column j its state of k = 2j + 1, with the center up in the rows of
-    the even half and down in those of the odd one; so a joins k = 2i to
-    2i - 1 in the even half and to 2i + 1 in the odd one, and b the other
-    way round."""
-    ladder = 2.0 * _ladder(s)
-    i = np.arange(s)
-    up = np.zeros((s + 1, s))    # k = 2i to 2i + 1
-    down = np.zeros((s + 1, s))  # k = 2i to 2i - 1
-    up[i, i] = ladder[::2]
-    down[i + 1, i] = ladder[1::2]
-    return np.array([[down, up], [up, down]])
-
-
-def _gram(coupling: np.ndarray) -> np.ndarray:
-    """(3, ...): P0, P1, P2 of the Gram matrix (a + gamma b)^T (a + gamma b)
-    of coupling tables a, b, each made exactly symmetric. Each column of a
-    and of b holds one ladder coefficient, so each entry is one product of
-    two of them: summed over the rows without BLAS, adding exact zeros."""
-    # products[i, k] = table_i^T table_k, summed over the rows
-    products = (coupling[:, None, ..., :, :, None] * coupling[None, ..., :, None, :]).sum(axis=-3)
-    tables = np.array([products[0, 0], products[0, 1] + products[1, 0], products[1, 1]])
-    return 0.5 * (tables + tables.swapaxes(-1, -2))
 
 
 @functools.cache
@@ -340,47 +313,75 @@ def _check_tables(spin: CollectiveSpin) -> None:
         )
 
 
+def _solve_entries(spin: CollectiveSpin) -> CollectiveSpin:
+    """spin with poly, place and ladder cut out of its other tables,
+    read-only: the star entries of the even Gram of S = d
+    (gram[:, 0] at star) and the even halves of lower, as polynomials in
+    gamma; the position of each entry of the star vector; and the two
+    diagonals of a and b of the even half of S = d. The tables are built
+    with them, and a test that hands the solve other tables cuts them
+    here too."""
+    star = spin.gram[:, 0, spin.star[0], spin.star[1]]
+    lower = spin.lower[..., ::2].reshape(3, -1)  # the even halves
+    bands = spin.coupling[:, 0]
+    poly = np.concatenate([star, lower], axis=1)[..., None]
+    place = np.argsort(spin.star[0, : spin.gram.shape[-1]])
+    ladder = np.concatenate([np.diagonal(bands, 0, -2, -1), np.diagonal(bands, -1, -2, -1)], axis=1)[..., None]
+    for table in (poly, place, ladder):
+        table.flags.writeable = False
+    return spin._replace(poly=poly, place=place, ladder=ladder)
+
+
 @functools.cache
 def _collective_spin(dimension: int) -> CollectiveSpin:
     d = block_geometry(dimension).dimension
-    # the tables of S = 1..d in one stack, each padded with exact zeros to
-    # the (d+1) x d of S = d, so that one _gram call builds every Gram
-    stack = np.zeros((2, d, 2, d + 1, d))
+    # Row i of a half is its state of k = 2i and column i its state of
+    # k = 2i + 1. a = XX + YY keeps the total Sz and b = XX - YY does not, so
+    # a joins row i to column i - 1 and b to column i in the even half, whose
+    # rows have the center up, and the other way round in the odd one. up
+    # and down are twice the ladder coefficients of the moves from row i to
+    # column i and from row i + 1 to column i.
+    lower = np.zeros((3, 3, d - 1, 2))  # P0, P1, P2 of (m, h, r) of each half of S = 1..d-1
     for s in range(1, d + 1):
-        stack[:, s - 1, :, : s + 1, :s] = _coupling(s)
-    grams = _gram(stack)
-    coupling, gram = np.ascontiguousarray(stack[:, -1]), np.ascontiguousarray(grams[:, -1])
-    lower = np.zeros((3, 3, 0))
-    if d > 1:  # the Grams of S = 1..d-1 are at most 2 x 2
-        p, q, r = grams[:, :-1, :, 0, 0], grams[:, :-1, :, 1, 1], grams[:, :-1, :, 0, 1]
-        lower = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1).reshape(3, 3, -1)
+        ladder = 2.0 * _ladder(s)
+        up, down = ladder[::2], ladder[1::2]
+        ups, downs, cross = np.diag(up * up), np.diag(down * down), np.diag(down[:-1] * up[1:], 1)
+        gram = np.array([[downs, ups], [cross + cross.T] * 2, [ups, downs]])  # P0, P1, P2 of each half
+        if s < d:  # at most 2 x 2, S = 1 padded with zeros
+            padded = np.zeros((3, 2, 2, 2))
+            padded[..., :s, :s] = gram
+            p, q, r = padded[..., 0, 0], padded[..., 1, 1], padded[..., 0, 1]
+            lower[:, :, s - 1] = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1)
+    # S = d, the last in the loop, keeps a and b: down at (i + 1, i), up at (i, i)
+    a, b = np.eye(d + 1, d, -1) * down, np.eye(d + 1, d) * up  # of the even half
+    coupling = np.array([[a, b], [b, a]])
     width = 2 * d + 1
+    step = _ladder(d) / (2 * d)  # a corner's share of the S = d ladder
     corner = np.zeros((2, 2 * width, 2 * width))  # the same on either center state
-    corner[:, :width, :width] = corner[:, width:, width:] = np.array(_spin_operators(d)) / (2 * d)
+    corner[:, :width, :width] = corner[:, width:, width:] = [
+        np.diag(step, 1) + np.diag(step, -1),  # 2 Sx / (2d)
+        np.diag(step, -1) - np.diag(step, 1),  # -i 2 Sy / (2d)
+    ]
     half = _halves(d)
     # phi1 sits at half[0], and its spin flip phi2 at the mirror positions
     sx, ky = corner[:, half[0, :, None], 2 * width - 1 - half[0]]
     xi = np.array([sx, sx.T, ky, sx - ky, sx + ky])  # sx is symmetric: _check_tables
     main = int(np.argmax(np.diagonal(gram[0, 0])))
     positions = [main] + [k for k in range(d) if k != main]
-    spin = CollectiveSpin(
-        coupling=coupling,
-        gram=gram,
-        star=np.array([positions + positions[1:], positions + [main] * (d - 1)]),
-        lower=lower,
-        half=half,
-        corner=corner,
-        xi=xi,
-    )
+    star = np.array([positions + positions[1:], positions + [main] * (d - 1)])
+    lower = lower.reshape(3, 3, 2 * (d - 1))
+    spin = CollectiveSpin(coupling, gram, star, lower, half, corner, xi, poly=None, place=None, ladder=None)
     _check_tables(spin)
+    spin = _solve_entries(spin)  # cuts poly, place and ladder
     for arr in spin:
         arr.flags.writeable = False
     return spin
 
 
 def collective_spin(geometry: BlockGeometry) -> CollectiveSpin:
-    """The coupling and Gram tables of the S blocks and the S = d corner
-    tables of the geometry's dimension, built once per dimension.
+    """The coupling and Gram tables of the S blocks, the S = d corner
+    tables and the entries the solve reads of them, of the geometry's
+    dimension, built once per dimension.
 
     sy_c sy_k = -(K_c K_k) with the real K = -i sy, so YY_S is the real
     -(K (x) (-i 2 Sy)). A corner's sx restricted to S = d is 2 Sx / (2d), and

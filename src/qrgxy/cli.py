@@ -34,8 +34,6 @@ do not depend on J. --threads has no effect: every command runs serially,
 so identical configuration produces byte-identical output.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import math

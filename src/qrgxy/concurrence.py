@@ -28,8 +28,6 @@ doublet member); using phi2 instead gives identical concurrences, which the
 tests enforce rather than assume.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np

@@ -17,8 +17,6 @@ appears only in the output vectors of rgflow.ground_doublet, 128 wide at
 most, far below the enforced ceiling.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -14,8 +14,6 @@ spin_flip gives the action of a one-site sigma^x or K on a 2^n vector as an
 index permutation and a sign vector.
 """
 
-from __future__ import annotations
-
 import functools
 from enum import Enum
 from typing import Tuple

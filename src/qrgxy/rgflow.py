@@ -22,14 +22,15 @@ a secular equation, for all points at once and with no BLAS or LAPACK
 call. The global spin flip commutes with the block and, as the block has
 an odd number of spins, takes the even half onto the odd one: the odd
 member of the doublet is the even one reversed in the S = d basis, with
-the same level, and is never solved. blocks.collective_spin checks this symmetry
-of its tables once per dimension, where it builds them, and the entries
-the solve reads of them are cut out once per dimension too
-(_solve_tables). solve_many runs
-every check that is left on every point, reads xi_x, xi_y and gamma' off
-the even half as quadratic forms and hands back phi1 as its 2d+1
-amplitudes on the even half, off which concurrence reads the
-corner-pair state of the points where a flow ends.
+the same level, and is never solved. blocks.collective_spin owns the
+tables: it checks this symmetry of them once per dimension, where it
+builds them, and hands the solve the entries it reads of them, cut out
+once per dimension too, as fields of the same record (poly, place and
+ladder); the flow keeps no tables of its own. solve_many runs every
+check that is left on every point, reads xi_x, xi_y and gamma' off the
+even half as quadratic forms and hands back phi1 as its 2d+1 amplitudes
+on the even half, off which concurrence reads the corner-pair state of
+the points where a flow ends.
 Every block of the package goes through it, with no memo: gamma_prime
 and rg_map, and through them trajectories, take its batches of one.
 Every search of the package runs on one scheduler of flows, run_flows: a
@@ -53,8 +54,6 @@ stencil solved in one call more. Only ground_doublet, for output and for
 full-basis callers, embeds the doublet into the 2^n basis
 (blocks.embedding). step_counts is the one rule for a number of rg steps.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -197,38 +196,6 @@ def _star_top(entries: np.ndarray, d: int):
     return top + x, second, np.concatenate([main[None], ratio * main])
 
 
-_TABLES: dict = {}  # d: (spin, its _solve_tables) of the CollectiveSpin of d solved last
-
-
-def _solve_tables(spin: CollectiveSpin) -> tuple:
-    """What _halves_ground reads of spin, read-only, each entry the spin's
-    own bit for bit: poly, P0, P1 and P2 (3, 2d - 1 + 3(d - 1), 1) of the
-    2d - 1 entries of the even S = d Gram that _star_top reads and then of
-    m, h and r of the even half of each S = 1..d-1 (CollectiveSpin.lower);
-    place (d,), the entry of the star vector, main first, that lands at
-    each position; and ladder (2, 2d, 1), a and b of the even half of
-    S = d at (i, i), then at (i + 1, i). They are cut once per dimension,
-    and again only where the solve is handed other tables of that
-    dimension, as a test's fake."""
-    d = spin.gram.shape[-1]
-    cut = _TABLES.get(d)
-    if cut is None or cut[0] is not spin:
-        star = spin.gram[:, 0, spin.star[0], spin.star[1]]
-        lower = spin.lower[..., ::2].reshape(3, -1)  # the even halves
-        # a and b hold their (i, i) entries every d + 1 places from 0, row
-        # by row, and their (i + 1, i) ones from d (blocks._check_tables)
-        ladder = spin.coupling[:, 0].reshape(2, -1)
-        tables = (
-            np.concatenate([star, lower], axis=1)[..., None],
-            np.argsort(spin.star[0, :d]),
-            np.concatenate([ladder[:, :: d + 1], ladder[:, d :: d + 1]], axis=1)[..., None],
-        )
-        for table in tables:
-            table.flags.writeable = False
-        cut = _TABLES[d] = (spin, tables)
-    return cut[1]
-
-
 def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list) -> HalvesGround:
     """Solve each block of the batch in its collective corner spin S and
     take the ground state of the even parity half of S = d.
@@ -257,7 +224,7 @@ def _halves_ground(couplings: CouplingArrays, spin: CollectiveSpin, checks: list
     S = 0 and of each half, are not solved. The checks go to `checks` for
     _raise_first. No step calls BLAS or LAPACK.
     """
-    poly, place, ladder = _solve_tables(spin)
+    poly, place, ladder = spin.poly, spin.place, spin.ladder
     gamma = couplings.gamma
     n, d = len(gamma), len(place)
     entries = poly[0] + gamma * (poly[1] + gamma * poly[2])
@@ -455,7 +422,7 @@ def step_counts(n_steps) -> np.ndarray:
 def grid_size(grid) -> int:
     """The number of points of a gamma grid as an int: a whole number,
     given as an int or a float."""
-    if not (np.isfinite(grid) and grid == np.floor(grid)):
+    if not (isinstance(grid, (int, np.integer)) or (math.isfinite(grid) and grid == math.floor(grid))):
         raise ValueError(f"grid must be a whole number, got {grid}")
     return int(grid)
 

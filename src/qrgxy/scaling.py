@@ -25,8 +25,6 @@ search (_section_max): seven points across the bracket at first, then the
 six new points of a bracket four times narrower around the best one.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Sequence, Tuple
 

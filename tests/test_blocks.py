@@ -15,7 +15,7 @@ from qrgxy.blocks import (
 from qrgxy import blocks
 from qrgxy.errors import StructureError
 from qrgxy.pauli import Axis
-from qrgxy.rgflow import ground_doublet
+from qrgxy.rgflow import ground_doublet, solve_many
 
 from oracles import (
     SX,
@@ -204,36 +204,45 @@ def test_collective_spin_corner_tables_are_restrictions(dim):
         assert all(rho[a, b] == rho[b, a] == 0.0 for a, b in q1)
 
 
-# the tables read off the ladder coefficients are the Kronecker builds bit
-# for bit, but for the sign of some corner zeros: np.kron wrote those off
-# the two center blocks as 0 * (-x) = -0.0, and no zero is -0.0 now
+# the tables read off the ladder coefficients in closed form are the
+# Kronecker builds bit for bit, but for the sign of some corner zeros:
+# np.kron wrote those off the two center blocks as 0 * (-x) = -0.0, and no
+# zero is -0.0 now
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_collective_spin_tables_are_the_kronecker_builds(dim):
     spin = collective_spin(block_geometry(dim))
-    for s in range(1, dim + 1):  # S < d gives the Gram tables of spin.lower
-        coupling, corner = collective_spin_kron_tables(s)
-        assert np.array_equal(blocks._coupling(s), coupling)
-        assert np.array_equal(np.signbit(blocks._coupling(s)), np.signbit(coupling))
+    coupling, corner = collective_spin_kron_tables(dim)
     assert np.array_equal(spin.coupling, coupling)
+    assert np.array_equal(np.signbit(spin.coupling), np.signbit(coupling))
     assert np.array_equal(spin.corner, corner)
     assert np.array_equal(np.signbit(spin.corner), corner < 0)
     assert np.count_nonzero(np.signbit(corner) & (corner == 0))
 
 
-# the Grams of S = 1..d are built in one stack, each S padded with exact
-# zeros to the (d+1) x d of S = d: they are the per-S builds bit for bit
+def _kron_grams(s):
+    """(3, 2, s, s): P0, P1, P2 of the Gram (a + gamma b)^T (a + gamma b)
+    of each half of spin s, from the Kronecker-built a and b. Each column
+    of a and of b holds one entry, so each Gram entry is one product of
+    two of them plus exact zeros, whatever order the products are summed in."""
+    a, b = collective_spin_kron_tables(s)[0]
+    at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+    return np.array([at @ a, at @ b + bt @ a, bt @ b])
+
+
+# the Gram tables of S = 1..d, read off the ladder coefficients in closed
+# form, are the Grams of the Kronecker-built coupling tables of each S bit
+# for bit, sign bits included: those of S = d as they are, those of
+# S = 1..d-1 as the m, h and r of spin.lower, S = 1 padded with zeros
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_collective_spin_stacked_tables_are_the_per_spin_builds(dim):
     spin = collective_spin(block_geometry(dim))
     lower = np.zeros((3, 3, dim - 1, 2))
     for s in range(1, dim):
         gram = np.zeros((3, 2, 2, 2))
-        gram[..., :s, :s] = blocks._gram(blocks._coupling(s))
+        gram[..., :s, :s] = _kron_grams(s)
         p, q, r = gram[..., 0, 0], gram[..., 1, 1], gram[..., 0, 1]
         lower[:, :, s - 1] = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1)
-    coupling = blocks._coupling(dim)
-    for table, want in ((spin.coupling, coupling), (spin.gram, blocks._gram(coupling)),
-                        (spin.lower, lower.reshape(3, 3, -1))):
+    for table, want in ((spin.gram, _kron_grams(dim)), (spin.lower, lower.reshape(3, 3, -1))):
         assert table.shape == want.shape and table.tobytes() == want.tobytes()
 
 
@@ -344,6 +353,17 @@ def test_coupling_arrays_raise_the_error_of_the_first_bad_point():
         with pytest.raises(ValueError) as got:
             coupling_arrays([1.0, j, 0.5], [0.2, gamma, 7.0])
         assert str(got.value) == str(want.value)
+
+
+def test_a_batch_of_gammas_must_be_one_dimensional():
+    # a 2-D batch is refused by its shape where the couplings are checked,
+    # before numpy would fail to reshape it inside the solve
+    with pytest.raises(ValueError, match=r"gamma must be one number or a 1-D batch, got an array of shape \(1, 2\)"):
+        solve_many(3, [[0.1, 0.2]])
+    with pytest.raises(ValueError, match=r"of shape \(2, 1\)"):
+        coupling_arrays(1.0, [[0.1], [0.2]])
+    assert coupling_arrays(1.0, 0.5).gamma.shape == (1,)
+    assert coupling_arrays(1.0, []).gamma.shape == (0,)
 
 
 def test_coupling_params_frozen():

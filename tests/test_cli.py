@@ -229,6 +229,10 @@ BAD_INVOCATIONS = [
     ("jsweep", "--dim", "1", "--js", "inf", "--grid", "3"),
     ("jsweep", "--dim", "1", "--js", "1,nan", "--grid", "3"),
     ("groundstate", "--dim", "1", "--config", "/nonexistent/config.json"),
+    # a grid of 2**64 points or more, past every numpy integer
+    ("fixed-points", "--dim", "1", "--grid", "100000000000000000001"),
+    ("scaling", "--dim", "1", "--grid", "100000000000000000001"),
+    ("concurrence", "--dim", "1", "--grid", "100000000000000000001"),
 ]
 
 
@@ -358,12 +362,13 @@ def test_the_cli_pulls_in_no_undeclared_dependency():
     # installed, but no import and no run of the package may load them
     # nor may an exact argv load argparse, which only help and errors need,
     # nor dataclasses, whose decorator costs start-up and whose records the
-    # package does not use
+    # package does not use, nor __future__: under its string annotations
+    # each NamedTuple record compiles a ForwardRef per field
     code = (
         "import json, sys, qrgxy.cli as c;"
         "code = c.main(['concurrence', '--dim', '3', '--steps', '1', '--grid', '5']);"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'mpmath', 'argparse', 'dataclasses'))), file=sys.stderr);"
+        " if m.split('.')[0] in ('scipy', 'mpmath', 'argparse', 'dataclasses', '__future__'))), file=sys.stderr);"
         "sys.exit(code)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

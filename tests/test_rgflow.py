@@ -135,7 +135,8 @@ def _fake_spin(dim, top, lower=()):
     b = 0, mirrored as the real ones are: each half of S = d has the
     singular values top, and each half of S = 1..d-1 those of
     lower[S - 1], so that at J = 4 and gamma = 0 the levels of each half
-    are minus and plus these, and 0."""
+    are minus and plus these, and 0. The solve's entries are cut from
+    these tables, as from the real ones."""
     spin = collective_spin(block_geometry(dim))
     coupling = np.zeros_like(spin.coupling)
     coupling[0, 0, :dim] = np.diag(top)
@@ -148,7 +149,7 @@ def _fake_spin(dim, top, lower=()):
         fake_lower[0, :, 2 * s : 2 * s + 2] = [[0.5 * (big + small)], [0.5 * (big - small)], [0.0]]
     fake = spin._replace(coupling=coupling, gram=gram, lower=fake_lower)
     qrgxy.blocks._check_tables(fake)
-    return fake
+    return qrgxy.blocks._solve_entries(fake)
 
 
 def test_two_lowest_levels_of_one_parity_raise_structure_error():
@@ -515,11 +516,11 @@ def test_batch_raises_the_scalar_error_of_its_first_failing_point(monkeypatch):
     spin = collective_spin(block_geometry(2))
     xx = 0.5 * (spin.coupling[0] + spin.coupling[1])
     gram, lower = (np.sum(t, axis=0) / 4.0 for t in (spin.gram, spin.lower))
-    fake = spin._replace(
+    fake = qrgxy.blocks._solve_entries(spin._replace(
         coupling=np.stack([xx, xx]),
         gram=np.stack([gram, 2.0 * gram, gram]),
         lower=np.stack([lower, 2.0 * lower, lower]),
-    )
+    ))
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     solve_many(2, [0.3, 0.7, 0.5])
     want = _scalar_error(2, -1.0)
@@ -561,39 +562,28 @@ ORACLE_GAMMAS = np.concatenate(
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_solve_tables_are_cut_once_from_the_tables_solved(dim, monkeypatch):
+def test_solve_entries_are_cut_from_the_tables(dim, monkeypatch):
     # what the solve reads of the collective-spin tables is cut out of
-    # them once per dimension, bit for bit and read-only, and again only
-    # for other tables, which are then solved from their own
-    monkeypatch.setattr(qrgxy.rgflow, "_TABLES", {})
+    # them where they are built, bit for bit and read-only, and a fake is
+    # solved from the entries cut out of its own tables
     spin = collective_spin(block_geometry(dim))
-    gammas = np.linspace(-1.0, 1.0, 9)
-    want = solve_many(dim, gammas)
-    cut = qrgxy.rgflow._TABLES[dim]
-    solve_many(dim, 0.3)
-    gamma_prime(-0.2, dim)
-    assert qrgxy.rgflow._TABLES == {dim: cut} and cut[0] is spin
-    poly, place, ladders = cut[1]
-    star, lower = np.split(poly[..., 0], [2 * dim - 1], axis=1)
+    star, lower = np.split(spin.poly[..., 0], [2 * dim - 1], axis=1)
     assert star.tobytes() == spin.gram[:, 0, spin.star[0], spin.star[1]].tobytes()
     assert lower.tobytes() == spin.lower[..., ::2].tobytes()
-    for table, ladder in zip(spin.coupling[:, 0], ladders[..., 0]):
+    for table, ladder in zip(spin.coupling[:, 0], spin.ladder[..., 0]):
         assert ladder.tobytes() == np.concatenate([np.diagonal(table), np.diagonal(table, -1)]).tobytes()
     placed = np.empty(dim, dtype=int)
     placed[spin.star[0, :dim]] = np.arange(dim)
-    assert place.tolist() == placed.tolist()
-    assert not any(table.flags.writeable for table in cut[1])
-    # a fake of the same dimension is solved from its own tables: at J = 4
-    # and gamma = 0 its ground level is minus its largest singular value
+    assert spin.place.tolist() == placed.tolist()
+    # at J = 4 and gamma = 0 a fake's ground level is minus its largest
+    # singular value
     top = {1: [0.75], 2: [0.75, 0.25], 3: [0.25, 0.75, 0.125]}[dim]  # largest at main
     fake = _fake_spin(dim, top, [[0.0625], [0.0625, 0.03125]][: dim - 1])
+    for cut in (spin, fake):
+        assert not any(table.flags.writeable for table in (cut.poly, cut.place, cut.ladder))
+    assert fake.poly.tobytes() != spin.poly.tobytes()
     monkeypatch.setattr(qrgxy.rgflow, "collective_spin", lambda geometry: fake)
     assert ground_doublet(CouplingParams(4.0, 0.0), block_geometry(dim)).energy == -0.75
-    assert qrgxy.rgflow._TABLES[dim][0] is fake
-    monkeypatch.setattr(qrgxy.rgflow, "collective_spin", collective_spin)
-    again = solve_many(dim, gammas)
-    assert all(np.array_equal(a, b) for a, b in zip(again, want))
-    assert qrgxy.rgflow._TABLES[dim][0] is spin
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -602,12 +592,11 @@ def test_star_solve_matches_eigh_of_the_assembled_gram(dim):
     p0, p1, p2 = spin.gram[:, 0]
     g = ORACLE_GAMMAS[:, None, None]
     want, vectors = eigh_symmetric(p0 + g * (p1 + g * p2))
-    star = qrgxy.rgflow._solve_tables(spin)[0][:, : 2 * dim - 1]  # the star's entries
+    star = spin.poly[:, : 2 * dim - 1]  # the star's entries
     entries = star[0] + ORACLE_GAMMAS * (star[1] + ORACLE_GAMMAS * star[2])
     top, second, star_vector = qrgxy.rgflow._star_top(entries, dim)
     main = spin.star[0, 0]
-    vector = np.empty((dim, len(ORACLE_GAMMAS)))
-    vector[spin.star[0, :dim]] = star_vector
+    vector = star_vector[spin.place]
     assert np.all(vector[main] > 0.0)
     want_vector = (vectors[..., -1] * np.sign(vectors[:, main, -1])[:, None]).T
     assert np.max(np.abs(top - want[:, -1]) / np.spacing(want[:, -1])) <= 6.0

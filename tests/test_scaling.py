@@ -172,6 +172,9 @@ def test_a_grid_size_must_be_a_whole_number():
     assert [fp.gamma for fp in fixed_points(1, 100.0)] == [fp.gamma for fp in fixed_points(1, 100)]
     assert np.array_equal(concurrence_curve(1, 1, 5.0).values, concurrence_curve(1, 1, 5).values)
     assert peak_points(1, (1, 2), 51.0) == peak_points(1, (1, 2), 51)
+    # an int past every float or numpy integer is whole as it is
+    for whole in (10**20 + 1, 10**400 + 1, np.int64(101)):
+        assert qrgxy.rgflow.grid_size(whole) == whole
     for call, bad in (
         (lambda: fixed_points(1, 100.5), "100.5"),
         (lambda: concurrence_curve(1, 1, 5.5), "5.5"),
