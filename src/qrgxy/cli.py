@@ -6,8 +6,10 @@ ground-state amplitude dumps, fixed-point structure, and (gamma, j) sweeps.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract error.
 A grid too large to allocate (say --grid 1125899906842625, 8 PiB of
-float64) is a configuration error too, exit code 2. Error messages are a
-single stderr line prefixed with 'qrg-error:'.
+float64) is a configuration error too, exit code 2, and so is one of more
+points than numpy can describe as one float64 array, refused by the grid
+field's check. Error messages are a single stderr line prefixed with
+'qrg-error:'.
 
 One table, `_COMMANDS`, declares each command's help, runner and fields.
 A field `(name, argparse type, help, default, check)` gives the flag
@@ -166,10 +168,13 @@ def _gamma(name, value):
     return out
 
 
-def _odd_grid(minimum):
+def _grid(minimum, odd=True):
     def check(name, value):
-        grid = _as_int(name, value, lo=minimum)
-        if grid % 2 == 0:
+        # half the float64 points that one numpy array can hold: linspace
+        # counts its points in float64 and, a few dozen short of the full
+        # count, refuses in numpy's words instead of failing to allocate
+        grid = _as_int(name, value, minimum, np.iinfo(np.intp).max // 16)
+        if odd and grid % 2 == 0:
             raise ConfigError(f"field '{name}' must be odd so gamma = 0 is a grid point, got {grid}")
         return grid
     return check
@@ -389,13 +394,13 @@ _COMMANDS = {
     "concurrence": _command(
         "concurrence and |dC/dgamma| curves per rg step", _concurrence,
         ("steps", int, "emit steps 0..K (default 2)", 2, _int_in(0, 64)),
-        ("grid", int, "odd gamma grid size (default 2001)", 2001, _odd_grid(5)),
+        ("grid", int, "odd gamma grid size (default 2001)", 2001, _grid(5)),
         fmt=True,
     ),
     "scaling": _command(
         "log-log fits of the derivative peak against system size", _scaling,
         ("steps", None, "comma list of rg steps (default per dimension)", None, _step_list),
-        ("grid", int, "odd gamma grid size (default 2001)", 2001, _odd_grid(5)),
+        ("grid", int, "odd gamma grid size (default 2001)", 2001, _grid(5)),
     ),
     "groundstate": _command(
         "ground-doublet amplitudes of one block", _groundstate,
@@ -404,12 +409,12 @@ _COMMANDS = {
     ),
     "fixed-points": _command(
         "roots of gamma' = gamma with stabilities", _fixed_points,
-        ("grid", int, "scan grid size (default 401, minimum 100)", 401, _int_in(100)),
+        ("grid", int, "scan grid size (default 401, minimum 100)", 401, _grid(100, odd=False)),
         ("curve_out", None, "also write the gamma'(gamma) curve as CSV to this path", None, _path),
     ),
     "jsweep": _command(
         "concurrence over a (gamma, j) grid", _jsweep,
-        ("grid", int, "odd gamma grid size (default 21)", 21, _odd_grid(3)),
+        ("grid", int, "odd gamma grid size (default 21)", 21, _grid(3)),
         ("js", None, "comma list of couplings (default 0.1,1,10)", (0.1, 1.0, 10.0), _j_list),
     ),
 }

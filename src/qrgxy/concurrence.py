@@ -11,17 +11,15 @@ Every block is solved by rgflow.solve_many, which hands back phi1 as its
 2d+1 amplitudes on the even half of S = d, and the corner-pair
 concurrence is read off them through four quadratic forms
 (_pair_concurrence, on blocks.pair_forms), without touching the 2^n
-basis: block_concurrence takes a batch of one; concurrence_searches runs
-searches that ask for batches of flows on rgflow.run_flows and reads the
-forms once per tick, on the phi1 of the last step of every flow of the
-searches that are done; flowed_concurrences is its one-search case, which
-flows a whole array of starting gammas together, each for its own number
-of steps, and reads the forms once, after the flow; concurrence_curves
-serves any set of steps from one flow of the grid, and
-concurrence_j_sweep solves its whole grid in one call. phi1 and the map
-gamma -> gamma' depend on gamma alone (J only rescales the block), so the
-flow carries gamma only and solves at unit J; only the (gamma, j) sweep
-solves each block at its own J.
+basis: block_concurrence takes a batch of one; flowed_concurrences flows
+a whole array of starting gammas together on rgflow.run_flows, one
+rgflow.flow per distinct number of steps, and reads the forms once, on
+the phi1 where the flows end; concurrence_curves flows its grid once,
+one solve of the whole grid per tick, and reads the forms at each step
+asked for; and concurrence_j_sweep solves its whole grid in one call.
+phi1 and the map gamma -> gamma' depend on gamma alone (J only rescales
+the block), so the flow carries gamma only and solves at unit J; only
+the (gamma, j) sweep solves each block at its own J.
 
 Everything is evaluated on the block ground state phi1 (the even-parity
 doublet member); using phi2 instead gives identical concurrences, which the
@@ -32,11 +30,11 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import CouplingParams, block_geometry, pair_forms
+from .blocks import CouplingParams, block_geometry, coupling_arrays, pair_forms
 from .errors import QRGError
 from .numerics import eigh_symmetric, sqrt_psd
 from .pauli import SIGMA_Y_REAL
-from .rgflow import grid_size, run_flows, solve_many, step_counts
+from .rgflow import flow, grid_size, run_flows, solve_many, step_counts
 
 LAMBDA_FLOOR = -1e-10
 # eigenvalues below this fraction of the largest are rounding products; see
@@ -132,30 +130,23 @@ def block_concurrence(params: CouplingParams, dimension: int) -> float:
     return float(_pair_concurrence(dimension, solve_many(dimension, params.gamma).even)[0])
 
 
-def concurrence_searches(dimension: int, searches: list) -> list:
-    """Run searches that ask for batches of flows (rgflow.run_flows) and
-    are sent the corner-pair concurrence at the end of each flow of the
-    batch, and return the value each returns, in order. The concurrences
-    of every search whose flows end in a tick are read off their phi1 in
-    one _pair_concurrence call."""
-    return run_flows(dimension, searches, lambda solved: _pair_concurrence(dimension, solved.even))
-
-
-def _ask_once(gammas, rg_steps):
-    """A search that asks for one batch of flows and returns its values."""
-    return (yield gammas, rg_steps)
-
-
 def flowed_concurrences(dimension: int, rg_steps, gammas) -> np.ndarray:
     """Corner-pair concurrence of each starting gamma after its own
     number of coarse-graining steps: rg_steps is one count for all gammas
-    or one per gamma. The one-search case of concurrence_searches: all
-    points flow together and carry gamma only, each step one batched solve
-    of the distinct gammas still flowing, which gives the even-half phi1
-    of the points that end there and gamma' of the others, checked by the
-    next solve. The concurrences of all points are read off their phi1 in
-    one _pair_concurrence call after the flow."""
-    return concurrence_searches(dimension, [_ask_once(gammas, rg_steps)])[0]
+    or one per gamma. The gammas are checked first, then the counts. The
+    points of each distinct count are one flow (rgflow.flow), all flows
+    in one rgflow.run_flows call, so each tick is one batched solve of the
+    gammas still flowing; the concurrences of all points are read off the
+    phi1 where their flows end in one _pair_concurrence call, and put back
+    in the order given."""
+    gammas = coupling_arrays(1.0, gammas).gamma
+    counts = np.broadcast_to(step_counts(rg_steps), gammas.shape)
+    steps = sorted(set(counts.tolist())) or [0]  # no gammas: one flow of none
+    parts = [np.flatnonzero(counts == step) for step in steps]
+    ends = run_flows(dimension, [flow(gammas[part], step) for part, step in zip(parts, steps)])
+    values = np.empty(len(gammas))
+    values[np.concatenate(parts)] = _pair_concurrence(dimension, np.concatenate([end.even for end in ends]))
+    return values
 
 
 def flowed_concurrence(dimension: int, rg_step: int, gamma: float) -> float:
@@ -181,16 +172,26 @@ def concurrence_curves(
 ) -> Tuple[ConcurrenceCurve, ...]:
     """Concurrence against the initial gamma on a uniform odd grid over
     [-1, 1] (odd so that gamma = 0 is a grid point), one curve for each of
-    rg_steps, all read off one flow of the grid up to the largest step (the
-    copies of the grid for the different steps are solved once per step)."""
+    rg_steps, all read off one flow of the grid: max(rg_steps) + 1 ticks of
+    one solve of the whole grid each, the concurrence read at each step
+    asked for."""
     grid = checked_grid(grid)
     gs = np.linspace(-1.0, 1.0, grid)
     rg_steps = tuple(step_counts(list(rg_steps)).tolist())
-    steps, gammas = np.repeat(rg_steps, grid), np.tile(gs, len(rg_steps))
-    values = flowed_concurrences(dimension, steps, gammas)
+
+    def along(gammas):
+        values = {}
+        for step in range(max(rg_steps, default=-1) + 1):
+            solved = yield gammas
+            if step in rg_steps:
+                values[step] = _pair_concurrence(dimension, solved.even)
+            gammas = solved.gamma_prime
+        return values
+
+    (values,) = run_flows(dimension, [along(gs)])
     return tuple(
-        ConcurrenceCurve(dimension=dimension, rg_step=step, gamma_grid=gs, values=row)
-        for step, row in zip(rg_steps, values.reshape(len(rg_steps), grid))
+        ConcurrenceCurve(dimension=dimension, rg_step=step, gamma_grid=gs, values=values[step])
+        for step in rg_steps
     )
 
 

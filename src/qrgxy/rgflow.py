@@ -33,26 +33,24 @@ on the even half, off which concurrence reads the corner-pair state of
 the points where a flow ends.
 Every block of the package goes through it, with no memo: gamma_prime
 and rg_map, and through them trajectories, take its batches of one.
-Every search of the package runs on one scheduler of flows, run_flows: a
-search is a generator that asks for batches of flows, each flow a
-starting gamma and a number of rg steps, and is sent a read-out of the
-solve at the end of each. The starting gammas of a batch are range-checked
-once, as it is asked, and a batch with one number of steps per flow is
-held as one batch per number. Each tick is one solve of the distinct
-current gammas of every flow in flight, in which a gamma' is checked only
-where it leaves [-1, 1], and since gamma' and phi1 do not depend on J, a
-flow carries gamma only. A batch ends as one slice of a tick's solve; a
-search gets its values as soon as its own flows end and asks again in
-the next tick, so no search waits for another. The concurrence flow
-(concurrence.flowed_concurrences) is run_flows with one search, and the
-peak refinements of scaling run on it together. fixed_points solves its
-residual grid and the slope stencils of -1, 0 and 1 in one call. That
-grid holds the exact 0, and the map fixes 0 and +-1 exactly, so these
-are exact residual zeros; only a sign change between grid points would
-be bisected, one midpoint of every such bracket per tick, and its root's
-stencil solved in one call more. Only ground_doublet, for output and for
-full-basis callers, embeds the doublet into the 2^n basis
-(blocks.embedding). step_counts is the one rule for a number of rg steps.
+Every search of the package runs on one tick loop, run_flows: a search
+is a generator that yields the gammas it needs solved in this tick and is
+sent back their BlockSolve rows. Each tick is one solve of the gammas of
+every search that asks in it, concatenated in ask order, with one range
+check; since gamma' and phi1 do not depend on J, a flow carries gamma
+only. A flow (flow) is the search that asks for its starting gammas and
+then for their gamma' at each of its steps, and returns the rows of the
+last; the concurrence flow (concurrence.flowed_concurrences) runs one
+flow per distinct number of steps, and each peak refinement of scaling
+runs its probe batches as flows, all refinements in one run_flows call.
+fixed_points solves its residual grid and the slope stencils of -1, 0
+and 1 in one call. That grid holds the exact 0, and the map fixes 0 and
++-1 exactly, so these are exact residual zeros; only a sign change
+between grid points would be bisected, one midpoint of every such
+bracket per tick, and its root's stencil solved in one call more. Only
+ground_doublet, for output and for full-basis callers, embeds the
+doublet into the 2^n basis (blocks.embedding). step_counts is the one
+rule for a number of rg steps.
 """
 
 import functools
@@ -434,6 +432,59 @@ def rg_trajectory(initial: CouplingParams, dimension: int, n_steps: int) -> RGTr
     return RGTrajectory(dimension=dimension, steps=tuple(steps))
 
 
+# -- flows -------------------------------------------------------------------
+
+
+def flow(gammas, steps):
+    """The flow of the starting gammas `gammas` for `steps` rg steps, as a
+    search for run_flows: it asks for the gammas at the first tick and for
+    their gamma' at each of the next `steps`, and returns the BlockSolve
+    rows of the last. steps is checked by step_counts."""
+    steps = int(step_counts(steps))
+    solved = yield gammas
+    for _ in range(steps):
+        solved = yield solved.gamma_prime
+    return solved
+
+
+def run_flows(dimension: int, searches: list) -> list:
+    """Run the searches `searches` on the block solve and return the value
+    each returns, in order. A search is a generator that yields the gammas
+    it needs solved in this tick and is sent back their BlockSolve rows,
+    in the order asked; it may return before it asks.
+
+    Each tick is one solve of the gammas of every search that asks in it,
+    concatenated in the order of the searches, and each search asks again
+    in the next tick, so no search waits for another. A tick's gammas are
+    range-checked at once; where one fails, coupling_arrays checks each
+    search's gammas in ask order and raises the error its batch of one
+    gives the first bad point. Only faked tables or a faked map take a
+    gamma' out of [-1, 1], by more than the solve's rounding clamp. The
+    solve gives every point the bits of its batch of one, so a search sees
+    the values it sees alone."""
+    results = [None] * len(searches)
+    sends = dict.fromkeys(range(len(searches)))
+    while True:
+        asks = {}
+        for k, rows in sends.items():
+            try:
+                asks[k] = searches[k].send(rows)
+            except StopIteration as done:
+                results[k] = done.value
+        if not asks:
+            return results
+        gammas = np.concatenate(list(asks.values()), dtype=float)
+        if not (abs(gammas) <= 1.0).all():
+            for ask in asks.values():
+                coupling_arrays(1.0, ask)  # raises for the first bad point
+        solved = _solve(dimension, CouplingArrays(np.ones(len(gammas)), gammas))
+        sends, at = {}, 0
+        for k, ask in asks.items():
+            rows = slice(at, at + len(ask))
+            sends[k] = BlockSolve(*(field[rows] for field in solved))
+            at = rows.stop
+
+
 # -- fixed points ----------------------------------------------------------
 
 FP_SLOPE_STEP = 1e-5
@@ -441,123 +492,14 @@ _FP_MERGE_TOL = 1e-7
 _BISECT_WIDTH = 1e-12
 
 
-class _Ask:
-    """The flows of the batch a search asked for last."""
-
-    def __init__(self, flows, order):
-        self.flows = flows  # how many it asked for
-        self.order = order  # where each flow was asked for, or None if held in ask order
-        self.flowing = 0    # its batches of one step count still in flight
-        self.ended = []     # the BlockSolve rows where the others ended, in that order
-
-
-def run_flows(dimension: int, searches: list, read) -> list:
-    """Run the searches `searches` on the flow and return the value each
-    returns, in order. A search is a generator that yields batches of
-    flows, each as (gammas, steps): the starting gammas and one number of
-    rg steps for all of them or one per gamma. It is sent one value per
-    flow, in the order asked, and it may return before it asks. read maps
-    the BlockSolve rows of the last step of flows to their values.
-
-    The starting gammas of a batch are checked once, as it is asked, in
-    the order given, as coupling_arrays checks them, and its steps by
-    step_counts; a batch with one count per gamma is then held as one
-    batch per count, the smallest first, each carrying its count as an
-    int. Each tick is one solve of the distinct current gammas of every
-    flow in flight: a flow with steps left moves on to gamma', the others
-    end there, and the rows of a batch that ends are the slice of the
-    tick's solve that holds its flows, gathered instead only where flows
-    met and the tick solved them once. A gamma' is checked only where it
-    leaves [-1, 1], by more than the solve's rounding clamp, which faked
-    tables alone can make: the next tick raises the error coupling_arrays
-    gives its first such point, as solve_many would. read is called at
-    most once per tick, on the rows of every search whose flows have all
-    ended, and each of those searches is sent its values and asks again
-    at once, so that its next flows join the next tick and no search
-    waits for another. The solve gives every point the bits of its batch
-    of one, so a search sees the values it sees alone."""
-    results = [None] * len(searches)
-    asks = {}     # search: its open _Ask
-    flowing = []  # [search, flows, steps left] of each batch in flight, in the order of gammas
-    gammas = []   # the gammas each batch in flight has reached
-    sends = dict.fromkeys(range(len(searches)))
-    while sends or flowing:
-        for k, values in sends.items():
-            try:
-                start, steps = searches[k].send(values)
-            except StopIteration as done:
-                results[k] = done.value
-                continue
-            start, order = coupling_arrays(1.0, start).gamma, None
-            if np.ndim(steps):
-                counts = step_counts(np.broadcast_to(steps, start.shape))
-                order = np.argsort(counts, kind="stable")
-                start, counts = start[order], counts[order]
-                firsts = np.flatnonzero(np.diff(counts, prepend=-1))  # of each count
-                batches = zip(np.split(start, firsts[1:]), counts[firsts].tolist())
-            else:
-                batches = [(start, int(step_counts(steps)))]
-            asks[k] = ask = _Ask(len(start), order)
-            if not len(start):  # a batch of no flows ends at once
-                width = 2 * block_geometry(dimension).dimension + 1
-                ask.ended.append(BlockSolve(np.empty(0), np.empty(0), np.empty(0), np.empty((0, width))))
-                continue
-            for part, count in batches:
-                flowing.append([k, len(part), count])
-                gammas.append(part)
-                ask.flowing += 1
-        if flowing:
-            current = np.concatenate(gammas)
-            # flows meet, at the fixed points +-1 and 0 above all; np.unique
-            # has a fixed cost that a two-point stencil would pay every tick
-            distinct, where = current, None
-            if len(set(current.tolist())) < len(current):
-                distinct, where = np.unique(current, return_inverse=True)
-            if not abs(distinct).max() <= 1.0:  # a gamma' beyond the clamp
-                coupling_arrays(1.0, distinct)  # raises
-            solved = _solve(dimension, CouplingArrays(np.ones(len(distinct)), distinct))
-            moved = solved.gamma_prime if where is None else solved.gamma_prime[where]
-            at, going, gammas = 0, [], []
-            for batch in flowing:
-                k, n, left = batch
-                if left:
-                    batch[2] = left - 1
-                    going.append(batch)
-                    gammas.append(moved[at : at + n])
-                else:
-                    ask = asks[k]
-                    ask.flowing -= 1
-                    rows = slice(at, at + n) if where is None else where[at : at + n]
-                    ask.ended.append(BlockSolve(*(field[rows] for field in solved)))
-                at += n
-            flowing = going
-        done = [k for k, ask in asks.items() if not ask.flowing]
-        sends = {}
-        if done:
-            rows = [part for k in done for part in asks[k].ended]
-            values = read(BlockSolve(*map(np.concatenate, zip(*rows))))
-            at = 0
-            for k in done:
-                ask = asks.pop(k)
-                mine = values[at : at + ask.flows]
-                at += ask.flows
-                sends[k] = mine
-                if ask.order is not None:  # back to the order asked
-                    sends[k] = np.empty_like(mine)
-                    sends[k][ask.order] = mine
-    return results
-
-
 def _bisect(a, b, fa):
     """The root of gamma' - gamma in the sign-change bracket [a, b] with
     residual fa at a, by bisection down to a residual of exactly 0 or a
     bracket no wider than _BISECT_WIDTH; a search for run_flows that asks
-    for one flow of no step per tick, at the midpoint, and reads its
-    gamma'."""
+    for the midpoint alone in each tick and reads its gamma'."""
     while b - a > _BISECT_WIDTH:
         mid = 0.5 * (a + b)
-        (gp,) = yield [mid], 0
-        fm = gp - mid
+        fm = (yield [mid]).gamma_prime[0] - mid
         if fm == 0.0:
             return mid
         if (fa < 0) == (fm < 0):
@@ -603,7 +545,7 @@ def fixed_points(dimension: int, grid: int = 401):
     roots = gs[np.flatnonzero(res == 0.0)].tolist()
     brackets = np.flatnonzero(res[:-1] * res[1:] < 0.0).tolist()
     runs = [_bisect(gs[i], gs[i + 1], res[i]) for i in brackets]
-    roots += [float(r) for r in run_flows(dimension, runs, lambda solved: solved.gamma_prime)]
+    roots += [float(r) for r in run_flows(dimension, runs)]
     merged: list = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > _FP_MERGE_TOL:

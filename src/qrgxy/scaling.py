@@ -14,15 +14,16 @@ side, and only a step whose peak is a cusp at the critical point, every
 step in 1D and no default step in 2D or 3D, reads its gamma_m off a grid
 curve, the curves of all such steps read off one flow of the grid. The
 refinement's steps are generators that ask for probe points and are sent
-the values; _probed turns each batch of points into the flows of their
-stencils, and the refinements of all steps of a peak_points call run
-together on concurrence.concurrence_searches, each at its own pace: the
-flows of every batch in flight share each tick's solve, and a refinement
-asks for its next batch as soon as its own flows end, so the short flows
-of a low step do not wait for the long ones of a high step. A batch holds
-the pre-scan of the side with the cusp probe, or one round of a section
-search (_section_max): seven points across the bracket at first, then the
-six new points of a bracket four times narrower around the best one.
+the values; _probed turns each batch of points into one flow of their
+stencils (rgflow.flow) and reads the concurrences where it ends, and the
+refinements of all steps of a peak_points call run together in one
+rgflow.run_flows call, each at its own pace: the flows of every batch in
+flight share each tick's solve, and a refinement asks for its next batch
+as soon as its own flow ends, so the short flows of a low step do not
+wait for the long ones of a high step. A batch holds the pre-scan of the
+side with the cusp probe, or one round of a section search
+(_section_max): seven points across the bracket at first, then the six
+new points of a bracket four times narrower around the best one.
 """
 
 import math
@@ -31,9 +32,9 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .blocks import block_geometry
-from .concurrence import ConcurrenceCurve, checked_grid, concurrence_curves, concurrence_searches
+from .concurrence import ConcurrenceCurve, _pair_concurrence, checked_grid, concurrence_curves
 from .errors import ScalingUnderflowError
-from .rgflow import step_counts
+from .rgflow import flow, run_flows, step_counts
 
 FD_STEP = 1e-6        # central-difference step of the derivative probe
 PEAK_TOL = 1e-8       # width of the bracket a peak search ends on
@@ -82,16 +83,17 @@ def derivative_curve(curve: ConcurrenceCurve) -> DerivativeCurve:
     )
 
 
-def _probed(search, rg_step: int):
+def _probed(search, dimension: int, rg_step: int):
     """The point search `search` run on the derivative probe: |dC/dgamma|
     after rg_step coarse-graining steps, by a central difference of
     half-width FD_STEP, cut to [-1, 1], through the full flow + concurrence
-    pipeline. A search for concurrence.concurrence_searches: each batch of
-    points that `search` asks for becomes one batch of flows, both stencil
-    points of every point, and `search` is sent their differences. A batch
-    holds 6 to 21 points, so the stencils and the differences are taken
-    point by point on floats, each by the operation an array would take,
-    to the same bits."""
+    pipeline. A search for rgflow.run_flows: each batch of points that
+    `search` asks for becomes one flow (rgflow.flow) of both stencil points
+    of every point, the corner-pair concurrences are read off the rows
+    where it ends, and `search` is sent their differences. A batch holds 6
+    to 21 points, so the stencils and the differences are taken point by
+    point on floats, each by the operation an array would take, to the
+    same bits."""
     values = None
     while True:
         try:
@@ -100,7 +102,8 @@ def _probed(search, rg_step: int):
             return done.value
         lo = [max(gamma - FD_STEP, -1.0) for gamma in points]
         hi = [min(gamma + FD_STEP, 1.0) for gamma in points]
-        c = (yield lo + hi, rg_step).tolist()
+        end = yield from flow(lo + hi, rg_step)
+        c = _pair_concurrence(dimension, end.even).tolist()
         values = [abs(b - a) / (h - l) for a, b, l, h in zip(c, c[len(points) :], lo, hi)]
 
 
@@ -204,13 +207,13 @@ def _refine(side: str):
 
 def _refinements(dimension: int, rg_steps, side: str) -> list:
     """The _refine result of each of rg_steps on one sign side of gamma.
-    The refinements run together in concurrence.concurrence_searches, each
+    The refinements run together in one rgflow.run_flows call, each
     probing at its own rg step and each at its own pace: the flows of every
     probe batch in flight share each tick's solve, and a refinement asks
-    for its next batch as soon as its own flows end. Every refinement sees
+    for its next batch as soon as its own flow ends. Every refinement sees
     the values it would see alone, in the same order."""
-    searches = [_probed(_refine(side), step) for step in rg_steps]
-    return concurrence_searches(dimension, searches)
+    searches = [_probed(_refine(side), dimension, step) for step in rg_steps]
+    return run_flows(dimension, searches)
 
 
 def _located(curve: DerivativeCurve, side: str, refined) -> Tuple[float, float]:

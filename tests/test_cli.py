@@ -335,6 +335,18 @@ def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, comman
     assert err.count("\n") == 1
 
 
+# a grid of more points than one numpy float64 array can describe is
+# refused by the grid field's check, which names the field and the value,
+# not in numpy's words
+@pytest.mark.parametrize("command", ["concurrence", "scaling", "fixed-points", "jsweep"])
+@pytest.mark.parametrize("grid", [2 ** 59 + 1, 2 ** 60 + 1, 10 ** 20 + 1])
+def test_a_grid_past_numpy_array_sizes_is_a_config_error(capsys, command, grid):
+    assert cli.main([command, "--dim", "1", "--grid", str(grid)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qrg-error: field 'grid' must be <= {2 ** 59 - 1}, got {grid}\n"
+
+
 def test_unknown_flag_exits_2_with_prefix():
     proc = run_cli("flow", "--dim", "1", "--gamma0", "0.1", "--nope", expect=2)
     assert "qrg-error: " in proc.stderr

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qrgxy.concurrence
 import qrgxy.rgflow
+import qrgxy.scaling
 from qrgxy.blocks import CouplingParams, block_geometry
 from qrgxy.concurrence import (
     block_concurrence,
@@ -296,18 +297,15 @@ def _record_solves(monkeypatch):
 
 def test_curve_solves_each_gamma_of_its_trajectories_once(monkeypatch):
     # the flow and the concurrence read one unit-J solve per gamma and step:
-    # one batched call per step, on the distinct gammas the trajectories
-    # reach at that step
+    # one batched call per step, on the gamma each trajectory reaches at
+    # that step, the whole grid in grid order
     grid = np.linspace(-1.0, 1.0, 21)
     trajectories = [rg_trajectory(CouplingParams(1.0, float(g)), 2, 2).steps for g in grid]
     calls = _record_solves(monkeypatch)
     concurrence_curve(2, 2, 21)
     assert len(calls) == 3
     for step, points in enumerate(calls):
-        gammas = {steps[step].gamma for steps in trajectories}
-        assert len(points) == len(gammas)
-        assert {g for g, _j in points} == gammas
-        assert all(j == 1.0 for _g, j in points)
+        assert points == [(steps[step].gamma, 1.0) for steps in trajectories]
 
 
 def test_curves_of_one_flow_are_the_curves_of_each_step():
@@ -338,6 +336,18 @@ def test_a_step_count_must_be_a_whole_number():
     assert np.array_equal(whole, flowed_concurrences(2, [1, 2, 0], [0.1, 0.2, 0.3]))
 
 
+def test_the_gammas_are_checked_before_the_counts():
+    # the first bad gamma raises CouplingParams' own text, even where a
+    # count is bad too
+    for gammas in ([0.1, 1.5, -2.0], [0.1, math.nan, 3.0]):
+        with pytest.raises(ValueError) as want:
+            CouplingParams(1.0, gammas[1])
+        for steps in (1, 65, [0, 1.5, 70]):
+            with pytest.raises(ValueError) as info:
+                flowed_concurrences(2, steps, gammas)
+            assert str(info.value) == str(want.value)
+
+
 def test_curve_steps_follow_the_flow_step_rule():
     # whole-number float steps come back as the ints they stand for, and a
     # step out of range raises the flow's own error
@@ -361,14 +371,15 @@ def test_j_sweep_solves_every_point_at_its_own_j(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("step", [0, 2])
+@pytest.mark.parametrize("step", [0, 2, (0, 3, 1)])
 def test_curve_makes_one_eigh_per_step(monkeypatch, dim, step):
-    # the name is kept from when each solve was one eigh: the curve is one
-    # flow of the grid, one solve of its distinct gammas per tick, and no
-    # np.linalg call
+    # the name is kept from when each solve was one eigh: the curves are
+    # one flow of the grid, one solve of the whole grid per tick up to the
+    # largest step, and no np.linalg call
+    steps = step if isinstance(step, tuple) else (step,)
     calls = record_solve_batches(monkeypatch)
-    concurrence_curve(dim, step, 101)
-    assert len(calls) == step + 1 and calls[0] == 101
+    concurrence_curves(dim, steps, 101)
+    assert calls == [101] * (max(steps) + 1)
 
 
 def test_j_sweep_reduces_the_oracle_state_at_each_j():
@@ -392,9 +403,9 @@ def test_ising_point_concurrence_is_at_the_rounding_floor():
 
 
 def test_the_pair_state_is_read_only_where_a_flow_ends(monkeypatch):
-    # the forms are read once per flow, after its last step, and never by
-    # the map, trajectories or fixed points; in peak_points, whose
-    # refinements share ticks, at most once per tick
+    # the forms are read once per flowed_concurrences call, after the last
+    # step of its flows, and never by the map, trajectories or fixed
+    # points; in peak_points once per probe batch, where its flow ends
     counts = {"kernel": 0, "flow": 0}
     events = []
     kernel, flow = qrgxy.concurrence._pair_concurrence, qrgxy.concurrence.flowed_concurrences
@@ -414,6 +425,7 @@ def test_the_pair_state_is_read_only_where_a_flow_ends(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(qrgxy.concurrence, "_pair_concurrence", counting_kernel)
+    monkeypatch.setattr(qrgxy.scaling, "_pair_concurrence", counting_kernel)
     monkeypatch.setattr(qrgxy.concurrence, "flowed_concurrences", counting_flow)
     monkeypatch.setattr(qrgxy.rgflow, "_solve", logged_solve)
     gamma_prime(0.3, 3)
@@ -434,15 +446,26 @@ def test_the_pair_state_is_read_only_where_a_flow_ends(monkeypatch):
     counts.update(kernel=0, flow=0)
     events.clear()
     peak_points(3, grid=51)
-    # every 3D step has an interior peak, so no curve is flowed; the
-    # refinements read in the ticks where their flows end, each tick one
-    # solve and at most one read after it
-    assert counts["flow"] == 0 and counts["kernel"] > 1
-    assert events[0] == "solve" and "kernel kernel" not in " ".join(events)
+    # every 3D step has an interior peak, so no curve is flowed; the 25
+    # probe batches, the three pre-scans and the 10, 7 and 5 section
+    # batches of steps 1, 2 and 3, are read each once, after the tick
+    # where its flow ends
+    assert counts["flow"] == 0 and counts["kernel"] == 25
+    assert events[0] == "solve"
     # every 1D step ends at a cusp: its curves, for the knee, are one flow
-    counts.update(kernel=0, flow=0)
+    # of the grid, read once at each of the two steps
+    curves = []
+
+    def counting_curves(*args):
+        curves.append(args)
+        return concurrence_curves(*args)
+
+    monkeypatch.setattr(qrgxy.scaling, "concurrence_curves", counting_curves)
     peak_points(1, (1, 2), grid=51)
-    assert counts["flow"] == 1
+    assert curves == [(1, [1, 2], 51)]
+    counts.update(kernel=0, flow=0)
+    concurrence_curves(1, [1, 2], 51)
+    assert counts == {"kernel": 2, "flow": 0}
 
 
 def test_j_sweep_is_flat_in_j():

@@ -14,6 +14,7 @@ from qrgxy.rgflow import (
     GroundDoublet,
     _bisect,
     fixed_points,
+    flow,
     gamma_prime,
     ground_doublet,
     BlockSolve,
@@ -748,10 +749,6 @@ def map_solve(f, calls=None):
     return solve
 
 
-def read_gamma_prime(solved):
-    return solved.gamma_prime
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(sorted(SYNTHETIC_MAPS)),
@@ -774,7 +771,7 @@ def test_bisection_walks_as_one_point_bisection(kind, center, digits, a, width):
     want = bisect_one_at_a_time(one, a, b, fa, _BISECT_WIDTH)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qrgxy.rgflow, "_solve", map_solve(f, asked))
-        assert run_flows(1, [_bisect(a, b, fa)], read_gamma_prime) == [want]
+        assert run_flows(1, [_bisect(a, b, fa)]) == [want]
     assert asked == [[x] for x in needed]  # one midpoint per tick, in order
     assert all(a <= x <= b for x in needed)
 
@@ -797,37 +794,36 @@ def test_a_root_off_the_exact_three_gets_its_stencil_in_one_more_solve(monkeypat
 
 
 def test_run_flows_sends_each_search_its_own_values(monkeypatch):
-    # each search is sent, in the order it asked, the gamma' at the end of
-    # each of its flows, here half the gamma the flow reached; a search that
-    # returns at once, here a bracket already narrow enough, asks for
-    # nothing, and a batch of no flows is read at once, without a solve
-    calls, reads = [], []
+    # each search is sent, in the order it asked, the rows of the gammas it
+    # asked for, here flows whose gamma' is half the gamma they reached; a
+    # search that returns at once, here a bracket already narrow enough,
+    # asks for nothing, and a flow of no gammas takes an empty part of each
+    # tick
+    calls = []
     monkeypatch.setattr(qrgxy.rgflow, "_solve", map_solve(lambda g: 0.5 * g, calls))
-
-    def read(solved):
-        reads.append(len(solved.gamma_prime))
-        return solved.gamma_prime
 
     def search(k, asks):
         seen = []
         for gammas, steps in asks:
-            seen.append((gammas, steps, (yield gammas, steps)))
+            end = yield from flow(gammas, steps)
+            assert isinstance(end, BlockSolve)
+            seen.append((gammas, steps, end.gamma_prime))
         return k, seen
 
-    asks = {1: [([0.1, 0.2], 1), ([0.3], 0)], 2: [([0.4, 0.5, 0.6], [2, 0, 1])], 3: [([], 2)]}
-    done = run_flows(1, [_bisect(0.0, _BISECT_WIDTH, -1.0)] + [search(k, a) for k, a in asks.items()], read)
+    asks = {1: [([0.1, 0.2], 1), ([0.3], 0)], 2: [([0.4, 0.5, 0.6], 2)], 3: [([], 2)]}
+    done = run_flows(1, [_bisect(0.0, _BISECT_WIDTH, -1.0)] + [search(k, a) for k, a in asks.items()])
     assert done[0] == 0.5 * _BISECT_WIDTH
     for k, a in asks.items():
         who, seen = done[k]
         assert who == k and len(seen) == len(a)
         for gammas, steps, values in seen:
             # halving is exact
-            assert values.tolist() == [g * 0.5 ** (n + 1) for g, n in zip(gammas, np.broadcast_to(steps, len(gammas)))]
-    # one solve per tick on every flow in flight, the flows of a batch that
-    # end first first; one read per tick, for the searches that are done
-    assert calls == [[0.1, 0.2, 0.5, 0.6, 0.4], [0.05, 0.1, 0.3, 0.2], [0.1, 0.3]]
-    assert reads == [0, 2, 4]
-    assert run_flows(1, [], read) == [] and len(calls) == 3 and len(reads) == 3
+            assert values.tolist() == [g * 0.5 ** (steps + 1) for g in gammas]
+    # one solve per tick on the gammas of every search that asks in it, in
+    # the order of the searches; a search whose flow ends asks its next
+    # flow in the next tick
+    assert calls == [[0.1, 0.2, 0.4, 0.5, 0.6], [0.05, 0.1, 0.2, 0.25, 0.3], [0.3, 0.1, 0.125, 0.15]]
+    assert run_flows(1, []) == [] and len(calls) == 3
 
 
 def test_a_search_asks_again_at_the_next_tick(monkeypatch):
@@ -840,32 +836,33 @@ def test_a_search_asks_again_at_the_next_tick(monkeypatch):
     def search(steps, asks):
         for ask in range(asks):
             start = 0.1 * steps + 0.01 * ask
-            (value,) = yield [start], steps
+            (value,) = (yield from flow([start], steps)).gamma_prime
             assert value == start * 0.5 ** (steps + 1)
         return steps
 
-    assert run_flows(1, [search(1, 6), search(2, 4), search(3, 3)], read_gamma_prime) == [1, 2, 3]
+    assert run_flows(1, [search(1, 6), search(2, 4), search(3, 3)]) == [1, 2, 3]
     assert [len(points) for points in calls] == [3] * 12
 
 
 def test_run_flows_checks_each_batch_in_the_order_asked(monkeypatch):
-    # the starting gammas of a batch are checked as it is asked, in the
-    # order given, and the first that fails raises the error of its batch
-    # of one; its steps are checked by step_counts
+    # the gammas of a tick are range-checked together; where one fails,
+    # each search's gammas are checked in the order asked, and the first
+    # that fails raises the error of its batch of one; a flow's steps are
+    # checked by step_counts
     def search(gammas, steps=1):
-        yield [0.2], 1
-        yield gammas, steps
+        yield from flow([0.2], 1)
+        yield from flow(gammas, steps)
 
     for gammas, bad in (([0.5, 2.0, -3.0], 2.0), ([0.1, math.nan, 5.0], math.nan)):
         with pytest.raises(ValueError) as want:
             solve_many(2, [bad])
         with pytest.raises(ValueError) as info:
-            run_flows(2, [search([0.3]), search(gammas)], read_gamma_prime)
+            run_flows(2, [search([0.3]), search(gammas)])
         assert str(info.value) == str(want.value)
     with pytest.raises(ValueError, match="whole number, got 1.5"):
-        run_flows(2, [search([0.1], 1.5)], read_gamma_prime)
+        run_flows(2, [search([0.1], 1.5)])
     with pytest.raises(ValueError, match="between 0 and 64, got 65"):
-        run_flows(2, [search([0.1, 0.2], [1, 65])], read_gamma_prime)
+        run_flows(2, [search([0.1, 0.2], 65)])
     # a point that fails in a tick's solve raises the error of its batch of
     # one: an asymmetric sx form fails every point, each with its own
     # text, and 0.2 is the first point of the first tick
@@ -874,34 +871,34 @@ def test_run_flows_checks_each_batch_in_the_order_asked(monkeypatch):
     want = _scalar_error(2, 0.2)
     assert want[0] is StructureError and want[1] != _scalar_error(2, 0.3)[1]
     with pytest.raises(want[0]) as info:
-        run_flows(2, [search([0.3, 0.4], 0), search([0.5])], read_gamma_prime)
+        run_flows(2, [search([0.3, 0.4], 0), search([0.5])])
     assert str(info.value) == want[1]
 
 
 def test_a_gamma_prime_that_leaves_the_range_stops_the_flow(monkeypatch):
-    # the starting gammas are checked as they are asked, a gamma' only as
-    # the next tick solves it: one beyond [-1, 1] raises there the error
-    # that CouplingParams, and solve_many, give it; the solve clamps only
-    # rounding, so only faked tables or a faked map get here
+    # the gammas of a tick are checked as it solves them: a gamma' beyond
+    # [-1, 1] raises in the next tick the error that CouplingParams, and
+    # solve_many, give it; the solve clamps only rounding, so only faked
+    # tables or a faked map get here
     calls = []
     monkeypatch.setattr(qrgxy.rgflow, "_solve", map_solve(lambda g: 2.0 * g, calls))
 
-    def search(steps):
-        return (yield [0.3, -0.1, 0.6], steps)
-
     with pytest.raises(ValueError) as want:
         CouplingParams(1.0, 1.2)
-    for steps in (2, [2, 2, 2], [0, 1, 2]):
+    for flows in (
+        [flow([0.3, -0.1, 0.6], 2)],
+        [flow([0.3], 2), flow([-0.1], 2), flow([0.6], 2)],
+        [flow([0.3], 0), flow([-0.1], 1), flow([0.6], 2)],
+    ):
         calls.clear()
         with pytest.raises(ValueError, match=r"anisotropy gamma must lie in \[-1, 1\], got 1.2") as info:
-            run_flows(1, [search(steps)], read_gamma_prime)
+            run_flows(1, flows)
         assert str(info.value) == str(want.value)
-    # the tick that would move on -0.2 and 1.2, in the last batch, raises
-    # before it solves
-    assert calls == [[0.3, -0.1, 0.6]]
+        # the tick that would move on -0.2 and 1.2 raises before it solves
+        assert calls == [[0.3, -0.1, 0.6]]
     # the gamma' of the solve where a flow ends is read, not solved, and so
     # not checked
-    assert run_flows(1, [search(0)], read_gamma_prime)[0].tolist() == [0.6, -0.2, 1.2]
+    assert run_flows(1, [flow([0.3, -0.1, 0.6], 0)])[0].gamma_prime.tolist() == [0.6, -0.2, 1.2]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -288,18 +288,17 @@ def test_peak_points_solve_count(monkeypatch):
     # both stencil points of each, in 10, 7 and 5 batches for steps 1, 2
     # and 3. Step 1 asks at ticks 0, 2, ..., 20 and is done after tick 21,
     # step 2 asks at 0, 3, ..., 21 and step 3 at 0, 4, ..., 20, both done
-    # after tick 23: 24 calls on 881 points. Flows that meet in a tick are
-    # solved once, so the points move with the bits of gamma'
+    # after tick 23: 24 calls on 1128 points, each tick solving every
+    # gamma that every flow in flight asks for
     batches = record_solve_batches(monkeypatch)
     peak_points(3, grid=51)
-    assert (len(batches), sum(batches)) == (24, 881)
+    assert (len(batches), sum(batches)) == (24, 1128)
 
 
 def test_peak_points_checks_each_flow_once(monkeypatch):
-    # the starting gammas of every batch are range-checked as it is asked:
-    # 25 batches of 396 flows, the three pre-scans and the 10, 7 and 5
-    # section batches of steps 1, 2 and 3 (test_peak_points_solve_count);
-    # the gamma' that the 24 ticks move the flows on to are not checked again
+    # each of the 24 ticks range-checks its gammas in one test, and
+    # coupling_arrays runs only where that test fails: the probe points
+    # and the gamma' the flows move on to all lie in [-1, 1]
     calls = []
     real = qrgxy.rgflow.coupling_arrays
 
@@ -310,8 +309,7 @@ def test_peak_points_checks_each_flow_once(monkeypatch):
     monkeypatch.setattr(qrgxy.rgflow, "coupling_arrays", counting)
     monkeypatch.setattr(qrgxy.blocks, "coupling_arrays", counting)
     peak_points(3, grid=51)
-    assert len(calls) == 25
-    assert sum(calls) == 396
+    assert calls == []
 
 
 @pytest.mark.parametrize("dim", [2, 3])
