@@ -23,8 +23,14 @@ pairs of one of its flags spelled out in full and a value that does not
 start with '-'. Every other argv (help, --flag=value, an abbreviated or
 unknown flag, a dash-leading value, a value of the wrong type) goes to
 argparse, which is imported only then, so help, usage and errors are
-argparse's. A stdout that cannot be written (a full disk, a closed pipe)
-is a configuration error of field 'out', like an --out path.
+argparse's. A stdout that cannot be written (a full disk, a closed pipe,
+an encoding without the characters of the text) is a configuration error
+of field 'out', like an --out path.
+
+One function, `_table`, writes every table (flow, concurrence,
+groundstate, jsweep and the --curve-out curve) from its columns of Python
+scalars: CSV as one `%` row template per table, JSON as one object per
+row.
 
 Configuration precedence: command-line flags override an optional JSON config
 file (--config PATH, keys named like the flags), which overrides built-in
@@ -56,16 +62,6 @@ from .scaling import (
     entanglement_exponent,
     peak_points,
 )
-
-
-def _fmt(x) -> str:
-    return "%.12g" % float(x)
-
-
-def _amplitude(x) -> str:
-    # rounding to the printed digits first lets + 0.0 also clear amplitudes
-    # below 5e-13 that would otherwise print as -0.000000000000
-    return "%.12f" % (round(float(x), 12) + 0.0)
 
 
 def _Parser(**kwargs):
@@ -226,10 +222,13 @@ def _write(text: str, path, name) -> None:
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
-        except OSError as exc:
-            # the flush at exit would fail again and print a traceback; as
-            # the Python docs advise for SIGPIPE, stdout's descriptor goes
-            # to os.devnull so that flush has somewhere to write
+        except (OSError, UnicodeEncodeError) as exc:
+            # an encoding stdout has no characters for (the basis labels'
+            # arrows under PYTHONIOENCODING=ascii) fails before a byte is
+            # written; after an OSError the flush at exit would fail again
+            # and print a traceback, so, as the Python docs advise for
+            # SIGPIPE, stdout's descriptor goes to os.devnull so that flush
+            # has somewhere to write
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
@@ -242,44 +241,40 @@ def _write(text: str, path, name) -> None:
         raise ConfigError(f"field '{name}': cannot write '{path}': {exc}")
 
 
-def _table(header, rows, fmt, number=_fmt):
-    """rows: list of dicts keyed like `header`, in its order. CSV writes
-    floats with `number`."""
+def _table(header, columns, fmt, template):
+    """The table whose columns (sequences of Python scalars, one per name
+    in `header`) are `columns`: JSON, one object per row keyed by `header`,
+    or CSV, the header line and then `template % row` for each row."""
+    rows = zip(*columns)
     if fmt == "json":
-        return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
-    lines = [",".join(header)]
-    for row in rows:
-        cells = (row[k] for k in header)
-        lines.append(",".join(number(c) if isinstance(c, float) else str(c) for c in cells))
-    return "\n".join(lines) + "\n"
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2, ensure_ascii=False) + "\n"
+    return "\n".join([",".join(header), *(template % row for row in rows)]) + "\n"
 
 
 # -- subcommands: the checked values in, the text for --out back ----------
 
 def _flow(v):
-    traj = rg_trajectory(CouplingParams(v["j"], v["gamma0"]), v["dim"], v["steps"])
-    rows = [
-        {"dim": v["dim"], "step": k, "gamma": float(p.gamma), "j": float(p.j)}
-        for k, p in enumerate(traj.steps)
-    ]
-    return _table(["dim", "step", "gamma", "j"], rows, v["format"])
+    steps = rg_trajectory(CouplingParams(v["j"], v["gamma0"]), v["dim"], v["steps"]).steps
+    columns = (
+        [v["dim"]] * len(steps),
+        range(len(steps)),
+        [float(p.gamma) for p in steps],
+        [float(p.j) for p in steps],
+    )
+    return _table(["dim", "step", "gamma", "j"], columns, v["format"], "%d,%d,%.12g,%.12g")
 
 
 def _concurrence(v):
-    rows = []
-    for curve in concurrence_curves(v["dim"], range(v["steps"] + 1), v["grid"]):
-        deriv = derivative_curve(curve)
-        for g, c, a in zip(curve.gamma_grid, curve.values, deriv.abs_derivative):
-            rows.append(
-                {
-                    "dim": v["dim"],
-                    "step": curve.rg_step,
-                    "gamma": float(g),
-                    "concurrence": float(c),
-                    "abs_derivative": float(a),
-                }
-            )
-    return _table(["dim", "step", "gamma", "concurrence", "abs_derivative"], rows, v["format"])
+    curves = concurrence_curves(v["dim"], range(v["steps"] + 1), v["grid"])
+    columns = (
+        [v["dim"]] * (len(curves) * v["grid"]),
+        [curve.rg_step for curve in curves for _ in range(v["grid"])],
+        np.concatenate([curve.gamma_grid for curve in curves]).tolist(),
+        np.concatenate([curve.values for curve in curves]).tolist(),
+        np.concatenate([derivative_curve(curve).abs_derivative for curve in curves]).tolist(),
+    )
+    header = ["dim", "step", "gamma", "concurrence", "abs_derivative"]
+    return _table(header, columns, v["format"], "%d,%d,%.12g,%.12g,%.12g")
 
 
 def _scaling(v):
@@ -320,16 +315,14 @@ def _groundstate(v):
     geometry = block_geometry(v["dim"])
     doublet = ground_doublet(CouplingParams(v["j"], v["gamma0"]), geometry)
     n = geometry.n_sites
-    rows = [
-        {
-            "basis_index": i,
-            "basis_label": basis_label(i, n),
-            "phi1": float(doublet.phi1[i]),
-            "phi2": float(doublet.phi2[i]),
-        }
-        for i in range(2 ** n)
-    ]
-    return _table(["basis_index", "basis_label", "phi1", "phi2"], rows, v["format"], _amplitude)
+    indices = range(2 ** n)
+    phis = [doublet.phi1.tolist(), doublet.phi2.tolist()]
+    if v["format"] == "csv":
+        # rounding to the printed digits first lets + 0.0 also clear
+        # amplitudes below 5e-13 that would otherwise print as -0.000000000000
+        phis = [[round(x, 12) + 0.0 for x in phi] for phi in phis]
+    columns = (indices, [basis_label(i, n) for i in indices], *phis)
+    return _table(["basis_index", "basis_label", "phi1", "phi2"], columns, v["format"], "%d,%s,%.12f,%.12f")
 
 
 def _fixed_points(v):
@@ -345,12 +338,10 @@ def _fixed_points(v):
     text = json.dumps(payload, indent=2) + "\n"
     if v["curve_out"] is not None:
         gs = np.linspace(-1.0, 1.0, v["grid"])
-        lines = ["gamma,gamma_prime"]
-        gps = solve_many(v["dim"], gs).gamma_prime
-        lines.extend("%s,%s" % (_fmt(g), _fmt(gp)) for g, gp in zip(gs, gps))
+        columns = (gs.tolist(), solve_many(v["dim"], gs).gamma_prime.tolist())
         # written before the roots, so a curve path that cannot be written
         # leaves stdout empty like every other configuration error
-        _write("\n".join(lines) + "\n", v["curve_out"], "curve_out")
+        _write(_table(["gamma", "gamma_prime"], columns, "csv", "%.12g,%.12g"), v["curve_out"], "curve_out")
     return text
 
 
@@ -359,12 +350,9 @@ def _jsweep(v):
     js = v["js"]
     values = concurrence_j_sweep(v["dim"], gammas, js)
     spread = float(np.max(values.max(axis=1) - values.min(axis=1)))
-    lines = ["gamma,j,concurrence"]
-    for gi, g in enumerate(gammas):
-        for ji, j in enumerate(js):
-            lines.append("%s,%s,%s" % (_fmt(g), _fmt(j), _fmt(values[gi, ji])))
-    lines.append("max_j_spread,%s" % _fmt(spread))
-    return "\n".join(lines) + "\n"
+    columns = (np.repeat(gammas, len(js)).tolist(), list(js) * len(gammas), values.ravel().tolist())
+    table = _table(["gamma", "j", "concurrence"], columns, "csv", "%.12g,%.12g,%.12g")
+    return table + "max_j_spread,%.12g\n" % spread
 
 
 # -- entry point -----------------------------------------------------------

@@ -7,6 +7,7 @@ arithmetic is allowed here; only the production pipeline is restricted to
 real matrices.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,3 +322,21 @@ def fixed_points_one_at_a_time(solve, grid, slope_step=1e-5, merge_tol=1e-7, wid
         out.append((r, "stable" if slope < 1.0 else "unstable", slope))
     return out
 
+
+def per_cell_table(header, rows, fmt, number=lambda x: "%.12g" % float(x)):
+    """A CLI table written one cell at a time: rows are dicts keyed like
+    `header`; JSON dumps them as they are, CSV writes each float cell with
+    `number` and every other cell with str."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
+    lines = [",".join(header)]
+    for row in rows:
+        cells = (row[k] for k in header)
+        lines.append(",".join(number(c) if isinstance(c, float) else str(c) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def amplitude(x):
+    """A ground-state amplitude as the CLI's CSV prints it: 12 decimals,
+    rounded first so that + 0.0 also clears those below 5e-13."""
+    return "%.12f" % (round(float(x), 12) + 0.0)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from qrgxy import cli
 from qrgxy.blocks import CouplingParams
+from qrgxy.pauli import basis_label
 from qrgxy.rgflow import rg_trajectory
+
+from oracles import amplitude, per_cell_table
 
 
 def run_cli(*argv, expect=0):
@@ -147,7 +151,7 @@ def test_fixed_points_json_and_curve_file(tmp_path):
         assert lines[0] == "gamma,gamma_prime"
         # the curve is the grid asked for, without the 0.0 that the root
         # scan puts in an even grid
-        assert [line.split(",")[0] for line in lines[1:]] == [cli._fmt(g) for g in np.linspace(-1.0, 1.0, grid)]
+        assert [line.split(",")[0] for line in lines[1:]] == ["%.12g" % g for g in np.linspace(-1.0, 1.0, grid)]
         first = lines[1].split(",")
         assert float(first[0]) == -1.0 and float(first[1]) == -1.0
 
@@ -433,6 +437,193 @@ GOLDEN_FLOW_3D = """dim,step,gamma,j
 3,4,-1,0.613218105919
 """
 
+# one golden for each table kind the CLI writes: a moved byte in these,
+# with the numbers above unmoved, is a change in formatting
+GOLDEN_FLOW_3D_JSON = """[
+  {
+    "dim": 3,
+    "step": 0,
+    "gamma": -0.26,
+    "j": 1.0
+  },
+  {
+    "dim": 3,
+    "step": 1,
+    "gamma": -0.9998211050670897,
+    "j": 0.6132729618274827
+  },
+  {
+    "dim": 3,
+    "step": 2,
+    "gamma": -1.0,
+    "j": 0.6132181059185161
+  }
+]
+"""
+
+GOLDEN_CONCURRENCE_1D = """dim,step,gamma,concurrence,abs_derivative
+1,0,-1,1.11022302463e-16,0.2
+1,0,-0.5,0.1,0.5
+1,0,0,0.5,0
+1,0,0.5,0.1,0.5
+1,0,1,1.11022302463e-16,0.2
+1,1,-1,1.11022302463e-16,0.0027397260274
+1,1,-0.5,0.0013698630137,0.5
+1,1,0,0.5,0
+1,1,0.5,0.0013698630137,0.5
+1,1,1,1.11022302463e-16,0.0027397260274
+"""
+
+GOLDEN_CONCURRENCE_1D_JSON = """[
+  {
+    "dim": 1,
+    "step": 0,
+    "gamma": -1.0,
+    "concurrence": 1.1102230246251565e-16,
+    "abs_derivative": 0.19999999999999996
+  },
+  {
+    "dim": 1,
+    "step": 0,
+    "gamma": -0.5,
+    "concurrence": 0.10000000000000009,
+    "abs_derivative": 0.5
+  },
+  {
+    "dim": 1,
+    "step": 0,
+    "gamma": 0.0,
+    "concurrence": 0.5000000000000001,
+    "abs_derivative": 0.0
+  },
+  {
+    "dim": 1,
+    "step": 0,
+    "gamma": 0.5,
+    "concurrence": 0.10000000000000009,
+    "abs_derivative": 0.5
+  },
+  {
+    "dim": 1,
+    "step": 0,
+    "gamma": 1.0,
+    "concurrence": 1.1102230246251565e-16,
+    "abs_derivative": 0.19999999999999996
+  },
+  {
+    "dim": 1,
+    "step": 1,
+    "gamma": -1.0,
+    "concurrence": 1.1102230246251565e-16,
+    "abs_derivative": 0.002739726027397138
+  },
+  {
+    "dim": 1,
+    "step": 1,
+    "gamma": -0.5,
+    "concurrence": 0.00136986301369868,
+    "abs_derivative": 0.5
+  },
+  {
+    "dim": 1,
+    "step": 1,
+    "gamma": 0.0,
+    "concurrence": 0.5000000000000001,
+    "abs_derivative": 0.0
+  },
+  {
+    "dim": 1,
+    "step": 1,
+    "gamma": 0.5,
+    "concurrence": 0.00136986301369868,
+    "abs_derivative": 0.5
+  },
+  {
+    "dim": 1,
+    "step": 1,
+    "gamma": 1.0,
+    "concurrence": 1.1102230246251565e-16,
+    "abs_derivative": 0.002739726027397138
+  }
+]
+"""
+
+GOLDEN_GROUNDSTATE_1D = """basis_index,basis_label,phi1,phi2
+0,↑↑↑,-0.203185638444,0.000000000000
+1,↑↑↓,0.000000000000,-0.500000000000
+2,↑↓↑,0.000000000000,0.677285461479
+3,↑↓↓,-0.500000000000,0.000000000000
+4,↓↑↑,0.000000000000,-0.500000000000
+5,↓↑↓,0.677285461479,0.000000000000
+6,↓↓↑,-0.500000000000,0.000000000000
+7,↓↓↓,0.000000000000,-0.203185638444
+"""
+
+GOLDEN_GROUNDSTATE_1D_JSON = """[
+  {
+    "basis_index": 0,
+    "basis_label": "↑↑↑",
+    "phi1": -0.2031856384435789,
+    "phi2": 0.0
+  },
+  {
+    "basis_index": 1,
+    "basis_label": "↑↑↓",
+    "phi1": 0.0,
+    "phi2": -0.5
+  },
+  {
+    "basis_index": 2,
+    "basis_label": "↑↓↑",
+    "phi1": 0.0,
+    "phi2": 0.6772854614785964
+  },
+  {
+    "basis_index": 3,
+    "basis_label": "↑↓↓",
+    "phi1": -0.5,
+    "phi2": 0.0
+  },
+  {
+    "basis_index": 4,
+    "basis_label": "↓↑↑",
+    "phi1": 0.0,
+    "phi2": -0.5
+  },
+  {
+    "basis_index": 5,
+    "basis_label": "↓↑↓",
+    "phi1": 0.6772854614785964,
+    "phi2": 0.0
+  },
+  {
+    "basis_index": 6,
+    "basis_label": "↓↓↑",
+    "phi1": -0.5,
+    "phi2": 0.0
+  },
+  {
+    "basis_index": 7,
+    "basis_label": "↓↓↓",
+    "phi1": 0.0,
+    "phi2": -0.2031856384435789
+  }
+]
+"""
+
+GOLDEN_JSWEEP_1D = """gamma,j,concurrence
+-1,0.1,1.11022302463e-16
+-1,1,1.11022302463e-16
+-1,10,1.11022302463e-16
+0,0.1,0.5
+0,1,0.5
+0,10,0.5
+1,0.1,1.11022302463e-16
+1,1,1.11022302463e-16
+1,10,1.11022302463e-16
+max_j_spread,0
+"""
+
 GOLDEN_GAMMA_M_3D = [-0.00210402783203125, -9.148437499999999e-05, -4.071289062499999e-06]
 
 
@@ -443,12 +634,48 @@ GOLDEN_GAMMA_M_3D = [-0.00210402783203125, -9.148437499999999e-05, -4.0712890624
         for argv, want in (
             ("fixed-points --dim 3 --grid 100", GOLDEN_FIXED_POINTS_3D),
             ("flow --dim 3 --gamma0 -0.26 --steps 4", GOLDEN_FLOW_3D),
+            ("flow --dim 3 --gamma0 -0.26 --steps 2 --format json", GOLDEN_FLOW_3D_JSON),
+            ("concurrence --dim 1 --steps 1 --grid 5", GOLDEN_CONCURRENCE_1D),
+            ("concurrence --dim 1 --steps 1 --grid 5 --format json", GOLDEN_CONCURRENCE_1D_JSON),
+            ("groundstate --dim 1 --gamma0 -0.3", GOLDEN_GROUNDSTATE_1D),
+            ("groundstate --dim 1 --gamma0 -0.3 --format json", GOLDEN_GROUNDSTATE_1D_JSON),
+            ("jsweep --dim 1 --grid 3", GOLDEN_JSWEEP_1D),
         )
     ],
 )
 def test_stdout_matches_the_golden_bytes(argv, want, capsys):
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == want
+
+
+_AMPLITUDES = [0.0, -0.0, 1e-300, -1e-300, 5e-13, -5e-13, -4e-13, 4.9999999e-13,
+               0.5, -0.677285461479, 1.0, float("nan"), float("inf"), float("-inf"), 2.0 ** -30, -1e-12]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writes_the_bytes_of_the_per_cell_writer(fmt):
+    header = ["index", "label", "x", "y"]
+    rows = [
+        {"index": i, "label": label, "x": x, "y": y}
+        for i, (label, x, y) in enumerate(zip(["↑↓↑", "↓↓↓", "gamma'"] * 6, _AMPLITUDES, _AMPLITUDES[::-1]))
+    ]
+    columns = [[row[key] for row in rows] for key in header]
+    assert cli._table(header, columns, fmt, "%d,%s,%.12g,%.12g") == per_cell_table(header, rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_groundstate_amplitudes_print_as_the_per_cell_writer_printed_them(fmt, capsys, monkeypatch):
+    # amplitudes that round to zero (of either sign) and non-finite ones,
+    # in place of a doublet that holds none of them
+    phi1, phi2 = np.array(_AMPLITUDES[:8]), np.array(_AMPLITUDES[8:])
+    monkeypatch.setattr(cli, "ground_doublet", lambda params, geometry: SimpleNamespace(phi1=phi1, phi2=phi2))
+    assert cli.main(["groundstate", "--dim", "1", "--format", fmt]) == 0
+    header = ["basis_index", "basis_label", "phi1", "phi2"]
+    rows = [
+        {"basis_index": i, "basis_label": basis_label(i, 3), "phi1": float(phi1[i]), "phi2": float(phi2[i])}
+        for i in range(8)
+    ]
+    assert capsys.readouterr().out == per_cell_table(header, rows, fmt, amplitude)
 
 
 def test_scaling_gamma_m_matches_the_golden_values(capsys):
@@ -707,3 +934,13 @@ def test_a_full_stdout_exits_2_with_one_error_line():
                               stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 2
     assert proc.stderr == "qrg-error: field 'out': cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_a_stdout_without_the_labels_characters_is_named_as_field_out():
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run([sys.executable, "-m", "qrgxy", "groundstate", "--dim", "1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qrg-error: field 'out': cannot write stdout: 'ascii' codec can't encode")
+    assert proc.stderr.count("\n") == 1
