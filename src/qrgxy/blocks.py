@@ -37,7 +37,14 @@ of the spin-S moves (a and b are bidiagonal, so each Gram table is a
 diagonal of squared coefficients or an off-diagonal of their products),
 and the corner tables are the spin-d operators over 2d placed on the two
 center states; no Kronecker product, no matrix product and no 2^n basis
-is used for them. Where it builds them, it checks the mirror symmetry and
+is used for them. Every entry is computed as a Python float or int, with
+the IEEE operations of a whole-array numpy build of the same closed forms
+in their order, and only the nonzero entries are written, into zeroed
+arrays, so that the tables are that build's bit for bit (none of its
+zeros is -0.0): the tables are at most 14 wide and are built in every
+process that solves a block, where the first call of each numpy function
+such a build uses, or numpy's reading of nested lists, costs more than
+the arithmetic. Where it builds them, it checks the mirror symmetry and
 the parity of the corner tables bit for bit, once per dimension, so that
 the solve need not check them per point, and cuts out of them, once, the
 entries the solve reads (_solve_entries). Two tables are built apart,
@@ -219,20 +226,20 @@ class Embedding(NamedTuple):
     weight: np.ndarray  # (2^n,): its amplitude 1/sqrt(C(2d, k)) in that Dicke state
 
 
-def _ladder(s: int) -> np.ndarray:
+def _ladder(s: int) -> list:
     """sqrt(k (2s + 1 - k)) for k = 1..2s: the standard positive
     coefficient sqrt(S(S+1) - M(M+1)) with which S+ takes k to k - 1 in the
     spin-s basis k = s - M."""
-    k = np.arange(1, 2 * s + 1)
-    return np.sqrt(k * (2 * s + 1 - k))
+    return [math.sqrt(k * (2 * s + 1 - k)) for k in range(1, 2 * s + 1)]
 
 
-def _halves(s: int) -> np.ndarray:
+def _halves(s: int) -> list:
     """(2, 2s+1): the positions of parity (-1)^(c+k) = +1 and -1 in the
     spin-s block, each half's s+1 states of even k first, then its s
     states of odd k."""
-    k = np.arange(2 * s + 1)
-    return np.array([np.concatenate([p * k.size + k[::2], (1 - p) * k.size + k[1::2]]) for p in (0, 1)])
+    width = 2 * s + 1
+    return [[p * width + k for k in range(0, width, 2)] + [(1 - p) * width + k for k in range(1, width, 2)]
+            for p in (0, 1)]
 
 
 @functools.cache
@@ -250,11 +257,15 @@ def _pair_forms(dimension: int) -> np.ndarray:
     state, so k and k + 2 always share it."""
     d = block_geometry(dimension).dimension
     n = 2 * d
-    k = _halves(d)[0] % (n + 1)  # the down corners of each position of the half
-    rise = np.sqrt((n - k) * (n - k - 1) * (k + 1.0) * (k + 2.0))
-    forms = [np.diag(w) for w in ((n - k) * (n - k - 1), k * (n - k), k * (k - 1))]
-    forms.append(np.where(k[:, None] + 2 == k, rise[:, None], 0.0))
-    forms = np.stack(forms) / (n * (n - 1))
+    pairs = n * (n - 1)
+    ks = [p % (n + 1) for p in _halves(d)[0]]  # the down corners of each position of the half
+    forms = np.zeros((4, n + 1, n + 1))
+    for i, k in enumerate(ks):
+        forms[0, i, i] = (n - k) * (n - k - 1) / pairs
+        forms[1, i, i] = k * (n - k) / pairs
+        forms[2, i, i] = k * (k - 1) / pairs
+        if k + 2 in ks:
+            forms[3, i, ks.index(k + 2)] = math.sqrt((n - k) * (n - k - 1) * (k + 1.0) * (k + 2.0)) / pairs
     forms.flags.writeable = False
     return forms
 
@@ -296,7 +307,7 @@ def _check_tables(spin: CollectiveSpin) -> None:
     others = [k for k in range(d) if k != main]
     if not (
         grams.tobytes() == grams.swapaxes(-1, -2).tobytes()
-        and np.isfinite(grams).all()
+        and all(math.isfinite(x) for p in (p0, p1, p2) for row in p for x in row)
         and not any(p[i][j] for p in (p0, p1, p2) for i in others for j in others if i != j)
         and not any(p1[k][k] for k in range(d))
         and all(p0[k][k] < p0[main][main] for k in others)
@@ -306,8 +317,9 @@ def _check_tables(spin: CollectiveSpin) -> None:
             "collective-spin table gram: the Gram of the even half of S = d is not a symmetric star "
             "whose diagonal is largest at its main position"
         )
-    sx, half = spin.corner[0], spin.half
-    if np.any(spin.corner[:, half[:, :, None], half[:, None]]) or sx.tobytes() != sx.T.tobytes():
+    sx, corner = spin.corner[0], spin.corner.tolist()
+    within = (t[i][j] for t in corner for half in spin.half.tolist() for i in half for j in half)
+    if any(within) or sx.tobytes() != sx.T.tobytes():
         raise StructureError(
             "collective-spin table corner: a corner's sx or (-i sy) joins states of one parity, or its sx is not symmetric"
         )
@@ -321,12 +333,16 @@ def _solve_entries(spin: CollectiveSpin) -> CollectiveSpin:
     diagonals of a and b of the even half of S = d. The tables are built
     with them, and a test that hands the solve other tables cuts them
     here too."""
-    star = spin.gram[:, 0, spin.star[0], spin.star[1]]
-    lower = spin.lower[..., ::2].reshape(3, -1)  # the even halves
-    bands = spin.coupling[:, 0]
-    poly = np.concatenate([star, lower], axis=1)[..., None]
-    place = np.argsort(spin.star[0, : spin.gram.shape[-1]])
-    ladder = np.concatenate([np.diagonal(bands, 0, -2, -1), np.diagonal(bands, -1, -2, -1)], axis=1)[..., None]
+    rows, columns = spin.star.tolist()
+    n, d = len(rows), spin.gram.shape[-1]
+    poly = np.zeros((3, n + 3 * (d - 1), 1))
+    poly[:, :n, 0] = [[p[i][j] for i, j in zip(rows, columns)] for p in spin.gram[:, 0].tolist()]
+    poly[:, n:, 0] = spin.lower[..., ::2].reshape(3, -1)  # the even halves
+    bands = spin.coupling[:, 0].tolist()
+    ladder = np.zeros((2, 2 * d, 1))
+    ladder[:, :d, 0] = [[t[i][i] for i in range(d)] for t in bands]
+    ladder[:, d:, 0] = [[t[i + 1][i] for i in range(d)] for t in bands]
+    place = np.array(sorted(range(d), key=rows.__getitem__), dtype=np.intp)
     for table in (poly, place, ladder):
         table.flags.writeable = False
     return spin._replace(poly=poly, place=place, ladder=ladder)
@@ -340,37 +356,52 @@ def _collective_spin(dimension: int) -> CollectiveSpin:
     # a joins row i to column i - 1 and b to column i in the even half, whose
     # rows have the center up, and the other way round in the odd one. up
     # and down are twice the ladder coefficients of the moves from row i to
-    # column i and from row i + 1 to column i.
-    lower = np.zeros((3, 3, d - 1, 2))  # P0, P1, P2 of (m, h, r) of each half of S = 1..d-1
+    # column i and from row i + 1 to column i, so that the even half's Gram
+    # has P0 = diag(down^2), P2 = diag(up^2) and the off-diagonal
+    # down_i up_(i+1) as P1, the odd half's up and down swapped. Each table
+    # starts at +0.0 and only its nonzero entries are written.
+    lower = np.zeros((3, 3, 2 * d - 2))  # P0, P1, P2 of (m, h, r) of each half of S = 1..d-1
     for s in range(1, d + 1):
-        ladder = 2.0 * _ladder(s)
+        ladder = [2.0 * x for x in _ladder(s)]
         up, down = ladder[::2], ladder[1::2]
-        ups, downs, cross = np.diag(up * up), np.diag(down * down), np.diag(down[:-1] * up[1:], 1)
-        gram = np.array([[downs, ups], [cross + cross.T] * 2, [ups, downs]])  # P0, P1, P2 of each half
-        if s < d:  # at most 2 x 2, S = 1 padded with zeros
-            padded = np.zeros((3, 2, 2, 2))
-            padded[..., :s, :s] = gram
-            p, q, r = padded[..., 0, 0], padded[..., 1, 1], padded[..., 0, 1]
-            lower[:, :, s - 1] = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1)
-    # S = d, the last in the loop, keeps a and b: down at (i + 1, i), up at (i, i)
-    a, b = np.eye(d + 1, d, -1) * down, np.eye(d + 1, d) * up  # of the even half
-    coupling = np.array([[a, b], [b, a]])
+        ups, downs = [x * x for x in up], [x * x for x in down]
+        cross = [x * y for x, y in zip(down, up[1:])]
+        if s < d:  # at most 2 x 2, S = 1 padded with zeros; P1 has a zero diagonal, P0 and P2 no r
+            for k, diagonals in enumerate(((downs, ups), (ups, downs)), start=2 * s - 2):
+                for table, diagonal in zip((0, 2), diagonals):
+                    p, q = (diagonal + [0.0])[:2]
+                    lower[table, 0, k], lower[table, 1, k] = 0.5 * (p + q), 0.5 * (p - q)
+                lower[1, 2, k] = (cross + [0.0])[0]
+    # S = d, the last in the loop, keeps its Grams and a and b: down at (i + 1, i), up at (i, i)
+    gram = np.zeros((3, 2, d, d))  # P0, P1, P2 of each half
+    coupling = np.zeros((2, 2, d + 1, d))  # [[a, b], [b, a]], a and b of the even half
+    for i in range(d):
+        gram[0, 0, i, i] = gram[2, 1, i, i] = downs[i]
+        gram[0, 1, i, i] = gram[2, 0, i, i] = ups[i]
+        coupling[0, 0, i + 1, i] = coupling[1, 1, i + 1, i] = down[i]
+        coupling[0, 1, i, i] = coupling[1, 0, i, i] = up[i]
+    for i, x in enumerate(cross):
+        gram[1, 0, i, i + 1] = gram[1, 0, i + 1, i] = gram[1, 1, i, i + 1] = gram[1, 1, i + 1, i] = x
     width = 2 * d + 1
-    step = _ladder(d) / (2 * d)  # a corner's share of the S = d ladder
     corner = np.zeros((2, 2 * width, 2 * width))  # the same on either center state
-    corner[:, :width, :width] = corner[:, width:, width:] = [
-        np.diag(step, 1) + np.diag(step, -1),  # 2 Sx / (2d)
-        np.diag(step, -1) - np.diag(step, 1),  # -i 2 Sy / (2d)
-    ]
+    moves = {}  # (sx, -i sy) at each of their nonzero entries
+    for i, x in enumerate(_ladder(d)):
+        step = x / (2 * d)  # a corner's share of the S = d ladder
+        for c in (i, width + i):
+            moves[c, c + 1], moves[c + 1, c] = (step, -step), (step, step)  # 2 Sx / (2d), -i 2 Sy / (2d)
     half = _halves(d)
-    # phi1 sits at half[0], and its spin flip phi2 at the mirror positions
-    sx, ky = corner[:, half[0, :, None], 2 * width - 1 - half[0]]
-    xi = np.array([sx, sx.T, ky, sx - ky, sx + ky])  # sx is symmetric: _check_tables
-    main = int(np.argmax(np.diagonal(gram[0, 0])))
+    at = {p: i for i, p in enumerate(half[0])}  # phi1 sits at half[0], and its spin flip phi2 at the mirror positions
+    xi = np.zeros((5, width, width))
+    for (r, c), (x, y) in moves.items():
+        corner[0, r, c], corner[1, r, c] = x, y
+        i, j = at.get(r), at.get(2 * width - 1 - c)
+        if i is not None and j is not None:
+            xi[0, i, j] = xi[1, j, i] = x  # sx is symmetric: _check_tables
+            xi[2, i, j], xi[3, i, j], xi[4, i, j] = y, x - y, x + y
+    main = max(range(d), key=downs.__getitem__)  # the first largest entry of P0's diagonal
     positions = [main] + [k for k in range(d) if k != main]
     star = np.array([positions + positions[1:], positions + [main] * (d - 1)])
-    lower = lower.reshape(3, 3, 2 * (d - 1))
-    spin = CollectiveSpin(coupling, gram, star, lower, half, corner, xi, poly=None, place=None, ladder=None)
+    spin = CollectiveSpin(coupling, gram, star, lower, np.array(half), corner, xi, poly=None, place=None, ladder=None)
     _check_tables(spin)
     spin = _solve_entries(spin)  # cuts poly, place and ladder
     for arr in spin:

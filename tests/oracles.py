@@ -340,3 +340,64 @@ def amplitude(x):
     """A ground-state amplitude as the CLI's CSV prints it: 12 decimals,
     rounded first so that + 0.0 also clears those below 5e-13."""
     return "%.12f" % (round(float(x), 12) + 0.0)
+
+
+def _ladder_array(s):
+    k = np.arange(1, 2 * s + 1)
+    return np.sqrt(k * (2 * s + 1 - k))
+
+
+def _halves_array(s):
+    k = np.arange(2 * s + 1)
+    return np.array([np.concatenate([p * k.size + k[::2], (1 - p) * k.size + k[1::2]]) for p in (0, 1)])
+
+
+def collective_spin_numpy(d):
+    """The ten fields of blocks.CollectiveSpin of dimension d, in field
+    order, built with whole-array numpy operations (np.diag, np.eye, a
+    broadcast fancy index, np.argsort, np.diagonal), as blocks built them
+    before its tables were written from Python floats; the tables are not
+    checked here."""
+    lower = np.zeros((3, 3, d - 1, 2))
+    for s in range(1, d + 1):
+        ladder = 2.0 * _ladder_array(s)
+        up, down = ladder[::2], ladder[1::2]
+        ups, downs, cross = np.diag(up * up), np.diag(down * down), np.diag(down[:-1] * up[1:], 1)
+        gram = np.array([[downs, ups], [cross + cross.T] * 2, [ups, downs]])
+        if s < d:
+            padded = np.zeros((3, 2, 2, 2))
+            padded[..., :s, :s] = gram
+            p, q, r = padded[..., 0, 0], padded[..., 1, 1], padded[..., 0, 1]
+            lower[:, :, s - 1] = np.array([0.5 * (p + q), 0.5 * (p - q), r]).swapaxes(0, 1)
+    a, b = np.eye(d + 1, d, -1) * down, np.eye(d + 1, d) * up
+    coupling = np.array([[a, b], [b, a]])
+    width = 2 * d + 1
+    step = _ladder_array(d) / (2 * d)
+    corner = np.zeros((2, 2 * width, 2 * width))
+    corner[:, :width, :width] = corner[:, width:, width:] = [
+        np.diag(step, 1) + np.diag(step, -1),
+        np.diag(step, -1) - np.diag(step, 1),
+    ]
+    half = _halves_array(d)
+    sx, ky = corner[:, half[0, :, None], 2 * width - 1 - half[0]]
+    xi = np.array([sx, sx.T, ky, sx - ky, sx + ky])
+    main = int(np.argmax(np.diagonal(gram[0, 0])))
+    positions = [main] + [k for k in range(d) if k != main]
+    star = np.array([positions + positions[1:], positions + [main] * (d - 1)])
+    lower = lower.reshape(3, 3, 2 * (d - 1))
+    bands = coupling[:, 0]
+    poly = np.concatenate([gram[:, 0, star[0], star[1]], lower[..., ::2].reshape(3, -1)], axis=1)[..., None]
+    place = np.argsort(star[0, :d])
+    ladder = np.concatenate([np.diagonal(bands, 0, -2, -1), np.diagonal(bands, -1, -2, -1)], axis=1)[..., None]
+    return coupling, gram, star, lower, half, corner, xi, poly, place, ladder
+
+
+def pair_forms_numpy(d):
+    """blocks.pair_forms of dimension d built with whole-array numpy
+    operations, as blocks built it before its entries were Python floats."""
+    n = 2 * d
+    k = _halves_array(d)[0] % (n + 1)
+    rise = np.sqrt((n - k) * (n - k - 1) * (k + 1.0) * (k + 2.0))
+    forms = [np.diag(w) for w in ((n - k) * (n - k - 1), k * (n - k), k * (k - 1))]
+    forms.append(np.where(k[:, None] + 2 == k, rise[:, None], 0.0))
+    return np.stack(forms) / (n * (n - 1))

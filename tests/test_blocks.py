@@ -21,8 +21,10 @@ from oracles import (
     SX,
     SY,
     collective_spin_kron_tables,
+    collective_spin_numpy,
     corner_pair_state,
     embed_complex,
+    pair_forms_numpy,
     xy_hamiltonian_complex,
     xy_hamiltonian_per_bond,
 )
@@ -219,6 +221,21 @@ def test_collective_spin_tables_are_the_kronecker_builds(dim):
     assert np.count_nonzero(np.signbit(corner) & (corner == 0))
 
 
+# the tables are written from Python floats with the IEEE operations of
+# the whole-array numpy builder, in its order: every field and the pair
+# forms are its tables in dtype, shape and bytes, sign of zero included
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_collective_spin_tables_are_the_numpy_builds_bit_for_bit(dim):
+    geometry = block_geometry(dim)
+    spin = collective_spin(geometry)
+    fields = collective_spin_numpy(dim)
+    assert len(fields) == len(spin)
+    tables = [*zip(spin._fields, spin, fields), ("pair_forms", blocks.pair_forms(geometry), pair_forms_numpy(dim))]
+    for name, table, want in tables:
+        assert (table.dtype, table.shape) == (want.dtype, want.shape), name
+        assert table.tobytes() == want.tobytes(), name
+
+
 def _kron_grams(s):
     """(3, 2, s, s): P0, P1, P2 of the Gram (a + gamma b)^T (a + gamma b)
     of each half of spin s, from the Kronecker-built a and b. Each column
@@ -310,6 +327,19 @@ def test_collective_spin_tables_off_the_star_shape_are_refused():
             blocks._check_tables(spin._replace(gram=fake))
     with pytest.raises(StructureError, match="collective-spin table coupling: a or b of the even half"):
         blocks._check_tables(spin._replace(coupling=_mirrored(spin.coupling, (0, 3, 0), 1.0)))
+
+
+# a Gram entry that is not finite is refused as the rest of the star
+# shape is, even where the mirror and the symmetry hold: here at a
+# main-column entry of P2, set on both sides of the diagonal
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_collective_spin_gram_that_is_not_finite_is_refused(value):
+    spin = collective_spin(block_geometry(3))
+    main, k = spin.star[0, 0], spin.star[0, 1]
+    gram = _mirrored(_mirrored(spin.gram, (2, main, k), value), (2, k, main), value)
+    assert gram.tobytes() == gram.swapaxes(-1, -2).tobytes()
+    with pytest.raises(StructureError, match="collective-spin table gram: the Gram of the even half"):
+        blocks._check_tables(spin._replace(gram=gram))
 
 
 def test_collective_spin_is_read_only():
